@@ -12,7 +12,7 @@ from .certificate import (GainCertificate, check_gains_perturbed,
                           iss_bound, optimize_certificate, perturbed_constants,
                           rho_feasible_unperturbed)
 from .errors import (CertificateError, ConfigError, DivergenceError,
-                     NumericError, TopologyError)
+                     TopologyError)
 from .graph import (SpectralExtremes, Topology, build_topology,
                     eig_extremes_sym, is_connected, laplacian, pinned_matrix)
 from .harness import (ExperimentConfig, parse_config, run_analyze,

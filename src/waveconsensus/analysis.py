@@ -33,35 +33,12 @@ class FunctionalWeights:
     rho2: float
 
 
-_WEIGHT_CACHE: dict = {}
-
-
-def trapezoid_weights(nx: int, dx: float) -> np.ndarray:
-    w = np.full(nx, dx)
-    w[0] = w[-1] = dx / 2.0
-    return w
-
-
-def _cached_weights(nx: int, dx: float):
-    """Trapezoid weights and the (x-1)-weighted variant, shared across
-    samples of the same grid."""
-    key = (nx, dx)
-    if key not in _WEIGHT_CACHE:
-        w = trapezoid_weights(nx, dx)
-        zw = (np.linspace(0.0, 1.0, nx) - 1.0) * w
-        w.flags.writeable = False
-        zw.flags.writeable = False
-        _WEIGHT_CACHE[key] = (w, zw)
-    return _WEIGHT_CACHE[key]
-
-
 def l2_norm_scalar(field, grid) -> float:
     """Trapezoid approximation of the L2 norm on [0, 1]."""
     z = np.asarray(field, dtype=float)
     if z.shape != (grid.nx,):
         raise ValueError(f"field length {z.shape} does not match grid nx={grid.nx}")
-    w = trapezoid_weights(grid.nx, grid.dx)
-    return math.sqrt(float(np.sum(z * z * w)))
+    return math.sqrt(float(np.sum(z * z * grid.weights)))
 
 
 def l2_norm_vector(fields, grid) -> float:
@@ -71,8 +48,7 @@ def l2_norm_vector(fields, grid) -> float:
         return l2_norm_scalar(z, grid)
     if z.shape[1] != grid.nx:
         raise ValueError(f"field length {z.shape[1]} does not match grid nx={grid.nx}")
-    w = trapezoid_weights(grid.nx, grid.dx)
-    return math.sqrt(float(np.einsum("ij,ij,j->", z, z, w)))
+    return math.sqrt(float(np.einsum("ij,ij,j->", z, z, grid.weights)))
 
 
 def spatial_derivative(field, grid) -> np.ndarray:
@@ -158,14 +134,9 @@ def lyapunov_sample(u_tilde, u_tilde_t, cert, m, grid, time: float = 0.0,
     """
     ut = np.atleast_2d(np.asarray(u_tilde, dtype=float))
     vt = np.atleast_2d(np.asarray(u_tilde_t, dtype=float))
-    nx = grid.nx
-    dx = grid.dx
-    w, zw = _cached_weights(nx, dx)
+    w, zw = grid.weights, grid.moment_weights
     if ut.size == 0:
-        return FunctionalSample(time=time, E=0.0, G1=0.0, G2=0.0, V=0.0, V0=0.0,
-                                l2_error=0.0, h1_seminorm=0.0, ptwise_max_sq=0.0,
-                                boundary_err_sq=0.0, es_psi0_sq=es_psi0_sq,
-                                es_psi1_sq=es_psi1_sq, es_f_sq=es_f_sq)
+        return FunctionalSample(time, *(0.0,) * 9, es_psi0_sq, es_psi1_sq, es_f_sq)
     d = spatial_derivative(ut, grid)
     nsq_d = float(np.einsum("ij,ij,j->", d, d, w))
     nsq_v = float(np.einsum("ij,ij,j->", vt, vt, w))
@@ -177,17 +148,13 @@ def lyapunov_sample(u_tilde, u_tilde_t, cert, m, grid, time: float = 0.0,
     v = e_val + g1 + g2
     v0 = nsq_d + nsq_v + float(ub @ ub)
     l2 = math.sqrt(float(np.einsum("ij,ij,j->", ut, ut, w)))
-    sample = FunctionalSample(
+    if v0 < FLUSH_FLOOR:
+        return FunctionalSample(time, *(0.0,) * 9, es_psi0_sq, es_psi1_sq, es_f_sq)
+    return FunctionalSample(
         time=time, E=e_val, G1=g1, G2=g2, V=v, V0=v0, l2_error=l2,
         h1_seminorm=math.sqrt(nsq_d), ptwise_max_sq=float(np.max(ut * ut)),
         boundary_err_sq=float(ub @ ub),
         es_psi0_sq=es_psi0_sq, es_psi1_sq=es_psi1_sq, es_f_sq=es_f_sq)
-    if v0 < FLUSH_FLOOR:
-        sample = FunctionalSample(
-            time=time, E=0.0, G1=0.0, G2=0.0, V=0.0, V0=0.0, l2_error=0.0,
-            h1_seminorm=0.0, ptwise_max_sq=0.0, boundary_err_sq=0.0,
-            es_psi0_sq=es_psi0_sq, es_psi1_sq=es_psi1_sq, es_f_sq=es_f_sq)
-    return sample
 
 
 def open_loop_energy(state, grid, leader: bool) -> float:
@@ -204,7 +171,7 @@ def open_loop_energy_fields(fields, velocity, grid) -> float:
     v = np.atleast_2d(np.asarray(velocity, dtype=float))
     if z.size == 0:
         return 0.0
-    w = trapezoid_weights(grid.nx, grid.dx)
+    w = grid.weights
     d = spatial_derivative(z, grid)
     energy = 0.5 * float(np.einsum("ij,ij,j->", d, d, w)) \
         + 0.5 * float(np.einsum("ij,ij,j->", v, v, w))
@@ -246,20 +213,42 @@ class BoundReport:
         return not self.violations
 
 
+def bound_report(t, value, bound, scale=None) -> BoundReport:
+    """One-sided check value <= bound at every sample.
+
+    Each violation is listed as (t, value, bound).  worst_ratio is the
+    largest value/scale - 1 over the violations (0 when there are none);
+    scale defaults to the bound, and where a scale is given only samples
+    with a positive scale count toward it.
+    """
+    t, value, bound = (np.asarray(a, dtype=float) for a in (t, value, bound))
+    bad = value > bound
+    if scale is None:
+        scale, counted = bound, bad
+    else:
+        scale = np.asarray(scale, dtype=float)
+        counted = bad & (scale > 0)
+    worst = 0.0
+    if counted.any():
+        worst = max(worst, float(np.max(value[counted] / scale[counted] - 1.0)))
+    return BoundReport(checked=len(value),
+                       violations=tuple(zip(t[bad].tolist(), value[bad].tolist(),
+                                            bound[bad].tolist())),
+                       worst_ratio=worst)
+
+
+def _decay(rate: float, t) -> np.ndarray:
+    """exp(-rate t) by libm one sample at a time: numpy's SIMD exp can differ
+    from it in the last bit, and the reported bounds are kept bit-stable."""
+    return np.fromiter(map(math.exp, -rate * t), dtype=float, count=len(t))
+
+
 def monotone_decay_report(series: TimeSeries, rel_slack: float = 1e-6,
                           column: str = "V", abs_floor: float = 0.0) -> BoundReport:
     """Per-sample nonincrease check: x[k+1] <= x[k] (1 + rel) + abs_floor."""
     v = series.column(column)
-    t = series.column("time")
-    bad = []
-    worst = 0.0
-    for i in range(1, len(v)):
-        limit = v[i - 1] * (1.0 + rel_slack) + abs_floor
-        if v[i] > limit:
-            bad.append((float(t[i]), float(v[i]), float(limit)))
-            if v[i - 1] > 0:
-                worst = max(worst, v[i] / v[i - 1] - 1.0)
-    return BoundReport(checked=len(v) - 1, violations=tuple(bad), worst_ratio=worst)
+    return bound_report(series.column("time")[1:], v[1:],
+                        v[:-1] * (1.0 + rel_slack) + abs_floor, scale=v[:-1])
 
 
 def sandwich_report(series: TimeSeries, cert, rel_slack: float = 1e-8) -> BoundReport:
@@ -267,31 +256,23 @@ def sandwich_report(series: TimeSeries, cert, rel_slack: float = 1e-8) -> BoundR
     v = series.column("V")
     v0 = series.column("V0")
     t = series.column("time")
-    bad = []
+    lo, hi = cert.tau1 * v0, cert.tau2 * v0
+    bad = ~((lo <= v * (1.0 + rel_slack)) & (v <= hi * (1.0 + rel_slack)))
     worst = 0.0
-    for i in range(len(v)):
-        lo = cert.tau1 * v0[i]
-        hi = cert.tau2 * v0[i]
-        if not (lo <= v[i] * (1.0 + rel_slack) and v[i] <= hi * (1.0 + rel_slack)):
-            bad.append((float(t[i]), float(v[i]), float(lo), float(hi)))
-            scale = max(abs(hi), abs(v[i]), 1e-300)
-            worst = max(worst, abs(v[i] - np.clip(v[i], lo, hi)) / scale)
-    return BoundReport(checked=len(v), violations=tuple(bad), worst_ratio=worst)
+    if bad.any():
+        scale = np.maximum(np.maximum(np.abs(hi[bad]), np.abs(v[bad])), 1e-300)
+        worst = float(np.max(np.abs(v[bad] - np.clip(v[bad], lo[bad], hi[bad])) / scale))
+    return BoundReport(checked=len(v),
+                       violations=tuple(zip(t[bad].tolist(), v[bad].tolist(),
+                                            lo[bad].tolist(), hi[bad].tolist())),
+                       worst_ratio=worst)
 
 
 def envelope_report(series: TimeSeries, cert, slack: float = 0.05) -> BoundReport:
     """V(t) <= V(0) exp(-alpha t) (1 + slack) at every sample."""
     v = series.column("V")
     t = series.column("time")
-    v_init = v[0]
-    bad = []
-    worst = 0.0
-    for i in range(len(v)):
-        bound = v_init * math.exp(-cert.alpha * t[i]) * (1.0 + slack)
-        if v[i] > bound:
-            bad.append((float(t[i]), float(v[i]), float(bound)))
-            worst = max(worst, v[i] / bound - 1.0)
-    return BoundReport(checked=len(v), violations=tuple(bad), worst_ratio=worst)
+    return bound_report(t, v, v[0] * _decay(cert.alpha, t) * (1.0 + slack))
 
 
 def pointwise_bound_check(series: TimeSeries, cert, v_initial: float | None = None,
@@ -300,18 +281,9 @@ def pointwise_bound_check(series: TimeSeries, cert, v_initial: float | None = No
     certificate's pointwise-envelope factor and V(0)."""
     if v_initial is None:
         v_initial = float(series.column("V")[0])
-    delta = cert.delta_factor * v_initial
-    alpha = cert.alpha
-    p = series.column("ptwise_max_sq")
     t = series.column("time")
-    bad = []
-    worst = 0.0
-    for i in range(len(p)):
-        bound = delta * math.exp(-alpha * t[i]) * (1.0 + slack)
-        if p[i] > bound:
-            bad.append((float(t[i]), float(p[i]), float(bound)))
-            worst = max(worst, p[i] / bound - 1.0)
-    return BoundReport(checked=len(p), violations=tuple(bad), worst_ratio=worst)
+    bound = cert.delta_factor * v_initial * _decay(cert.alpha, t) * (1.0 + slack)
+    return bound_report(t, series.column("ptwise_max_sq"), bound)
 
 
 @dataclass(frozen=True)
@@ -345,18 +317,9 @@ def iss_check(series: TimeSeries, cert, dist=None) -> IssReport:
     es0 = series.column("es_psi0_sq")
     es1 = series.column("es_psi1_sq")
     esf = series.column("es_f_sq")
-    reports = []
-    for conservative in (True, False):
-        bound = cert_mod.iss_bound(cert, v0_init, t, es0, es1, esf,
-                                   conservative=conservative)
-        bad = []
-        worst = 0.0
-        for i in range(len(t)):
-            if v0[i] > bound[i]:
-                bad.append((float(t[i]), float(v0[i]), float(bound[i])))
-                worst = max(worst, v0[i] / bound[i] - 1.0)
-        reports.append(BoundReport(checked=len(t), violations=tuple(bad),
-                                   worst_ratio=worst))
+    reports = [bound_report(t, v0, cert_mod.iss_bound(cert, v0_init, t, es0, es1, esf,
+                                                      conservative=conservative))
+               for conservative in (True, False)]
     return IssReport(conservative=reports[0], verbatim=reports[1])
 
 
@@ -366,7 +329,7 @@ def poincare_check(fields, grid, endpoint: int = 1):
     Returns (lhs, rhs, holds) for the agent-vector field.
     """
     z = np.atleast_2d(np.asarray(fields, dtype=float))
-    w = trapezoid_weights(grid.nx, grid.dx)
+    w = grid.weights
     lhs = float(np.einsum("ij,ij,j->", z, z, w))
     b = z[:, -1] if endpoint == 1 else z[:, 0]
     d = spatial_derivative(z, grid)

@@ -37,9 +37,6 @@ class MarginReport:
     thresholds: dict
     margins: dict
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class GainCertificate:
@@ -64,40 +61,34 @@ class GainCertificate:
     feasible: bool
     violations: tuple
 
-    @property
-    def decay_rate(self) -> float:
-        return self.alpha
+
+def _gate(k1: float, k2: float, lambda_min: float, k1_num: float,
+          k2_num: float) -> MarginReport:
+    """The strict gate k1 > k1_num/(2 lambda_min), k2 > k2_num/(2 lambda_min)."""
+    if lambda_min <= 0:
+        raise CertificateError(
+            "lambda_min must be positive: pinned matrix is not positive "
+            "definite (connected follower graph with at least one leader "
+            "link is required)")
+    k1_thr, k2_thr = k1_num / (2.0 * lambda_min), k2_num / (2.0 * lambda_min)
+    return MarginReport(ok=k1 > k1_thr and k2 > k2_thr,
+                        thresholds={"k1": k1_thr, "k2": k2_thr},
+                        margins={"k1": k1 - k1_thr, "k2": k2 - k2_thr})
 
 
 def check_gains_unperturbed(k1: float, k2: float, c0: float,
                             lambda_min: float) -> MarginReport:
     """Gate k1 > c0/(2 lambda_min), k2 > 0."""
-    if lambda_min <= 0:
-        raise CertificateError(
-            "lambda_min must be positive: pinned matrix is not positive "
-            "definite (connected follower graph with at least one leader "
-            "link is required)")
-    k1_thr = c0 / (2.0 * lambda_min)
-    thresholds = {"k1": k1_thr, "k2": 0.0}
-    margins = {"k1": k1 - k1_thr, "k2": k2 - 0.0}
-    ok = k1 > k1_thr and k2 > 0.0
-    return MarginReport(ok=ok, thresholds=thresholds, margins=margins)
+    return _gate(k1, k2, lambda_min, c0, 0.0)
 
 
 def check_gains_perturbed(k1: float, k2: float, c0: float,
                           lambda_min: float) -> MarginReport:
     """Gate k1 > (c0+3)/(2 lambda_min), k2 > 1/(2 lambda_min)."""
-    if lambda_min <= 0:
-        raise CertificateError(
-            "lambda_min must be positive: pinned matrix is not positive "
-            "definite (connected follower graph with at least one leader "
-            "link is required)")
-    k1_thr = (c0 + 3.0) / (2.0 * lambda_min)
-    k2_thr = 1.0 / (2.0 * lambda_min)
-    thresholds = {"k1": k1_thr, "k2": k2_thr}
-    margins = {"k1": k1 - k1_thr, "k2": k2 - k2_thr}
-    ok = k1 > k1_thr and k2 > k2_thr
-    return MarginReport(ok=ok, thresholds=thresholds, margins=margins)
+    return _gate(k1, k2, lambda_min, c0 + 3.0, 1.0)
+
+
+GATES = {"unperturbed": check_gains_unperturbed, "perturbed": check_gains_perturbed}
 
 
 def rho_bounds_unperturbed(rho2: float, k1: float, k2: float, c0: float,
@@ -133,22 +124,27 @@ def rho_feasible_unperturbed(rho1: float, rho2: float, k1: float, k2: float,
     return (not violated), violated
 
 
+def _sandwich(rho1, rho2, k1, k2, lambda_min, lambda_max, c0):
+    """(tau1, tau2, mu) elementwise, for scalars or grids of (rho1, rho2)."""
+    tau1 = np.minimum((1.0 - rho2 - rho1) / 2.0,
+                      k1 * lambda_min + rho1 * k2 * lambda_min - rho1)
+    tau2 = np.maximum((1.0 + rho2 + rho1) / 2.0,
+                      np.maximum(k1 * lambda_max + rho1, k2 * lambda_max + rho1))
+    mu = np.minimum(rho2 / 2.0, np.minimum((rho2 - rho1) / 2.0,
+                                           rho1 * (k1 * lambda_min - c0 / 2.0)))
+    return tau1, tau2, mu
+
+
 def certificate_constants_unperturbed(rho1: float, rho2: float, k1: float,
                                       k2: float, lambda_min: float,
                                       lambda_max: float, c0: float):
     """Sandwich constants tau1, tau2 and the decay coefficient mu."""
-    tau1 = min((1.0 - rho2 - rho1) / 2.0,
-               k1 * lambda_min + rho1 * k2 * lambda_min - rho1)
-    tau2 = max((1.0 + rho2 + rho1) / 2.0,
-               k1 * lambda_max + rho1,
-               k2 * lambda_max + rho1)
-    mu = min(rho2 / 2.0,
-             (rho2 - rho1) / 2.0,
-             rho1 * (k1 * lambda_min - c0 / 2.0))
-    for name, value in (("tau1", tau1), ("tau2", tau2), ("mu", mu)):
+    constants = tuple(float(v) for v in _sandwich(rho1, rho2, k1, k2, lambda_min,
+                                                  lambda_max, c0))
+    for name, value in zip(("tau1", "tau2", "mu"), constants):
         if value <= 0.0:
             raise CertificateError(f"certificate constant {name} = {value} is not positive")
-    return tau1, tau2, mu
+    return constants
 
 
 def consensus_bound(v_initial: float, tau1: float, mu: float, tau2: float):
@@ -241,6 +237,50 @@ def _grid(upper: float, resolution: int) -> np.ndarray:
     return upper * np.arange(1, resolution + 1) / (resolution + 1)
 
 
+def _require_gate(regime: str, k1: float, k2: float, c0: float,
+                  lambda_min: float) -> None:
+    if regime not in GATES:
+        raise ValueError(f"unknown regime {regime!r}")
+    gate = GATES[regime](k1, k2, c0, lambda_min)
+    if not gate.ok:
+        raise CertificateError(
+            f"gain check failed: thresholds {gate.thresholds}, margins {gate.margins}")
+
+
+def build_certificate(regime: str, k1: float, k2: float, c0: float,
+                      lambda_min: float, lambda_max: float, rho1: float,
+                      rho2: float, xi1: float | None = None,
+                      xi2: float | None = None) -> GainCertificate:
+    """The certificate for given free parameters.
+
+    Checks the regime's gain gate and the strict feasibility of (rho1, rho2)
+    (plus xi1, xi2 in the perturbed regime), then derives every constant.
+    Both optimizers and explicit parameter overrides end here.
+    """
+    _require_gate(regime, k1, k2, c0, lambda_min)
+    mu2 = q0 = qf = None
+    if regime == "unperturbed":
+        xi1 = xi2 = None
+        ok, violated = rho_feasible_unperturbed(rho1, rho2, k1, k2, c0, lambda_min)
+    elif xi1 is None or xi2 is None:
+        raise CertificateError("the perturbed regime needs xi1 and xi2 as well as rho1, rho2")
+    else:
+        mu2, q0, qf, ok, violated = perturbed_constants(
+            rho1, rho2, xi1, xi2, k1, k2, lambda_min, c0)
+        if ok and mu2 <= 0.0:
+            ok, violated = False, ["mu2 > 0"]
+    if not ok:
+        raise CertificateError(f"infeasible {regime} parameters: {violated}")
+    tau1, tau2, mu = certificate_constants_unperturbed(rho1, rho2, k1, k2,
+                                                       lambda_min, lambda_max, c0)
+    delta_factor, alpha = consensus_bound(1.0, tau1, mu if mu2 is None else mu2, tau2)
+    return GainCertificate(
+        regime=regime, k1=k1, k2=k2, c0=c0, lambda_min=lambda_min,
+        lambda_max=lambda_max, rho1=rho1, rho2=rho2, xi1=xi1, xi2=xi2,
+        tau1=tau1, tau2=tau2, mu=mu, mu2=mu2, q0=q0, qf=qf,
+        delta_factor=delta_factor, alpha=alpha, feasible=True, violations=())
+
+
 def optimize_certificate(regime: str, k1: float, k2: float, c0: float,
                          lambda_min: float, lambda_max: float,
                          resolution: int = 200) -> GainCertificate:
@@ -250,11 +290,10 @@ def optimize_certificate(regime: str, k1: float, k2: float, c0: float,
     mu2/tau2 over (rho1, rho2, xi1, xi2).  Ties break toward the smallest
     rho2, then rho1, then xi1, then xi2.
     """
-    if regime == "unperturbed":
-        return _optimize_unperturbed(k1, k2, c0, lambda_min, lambda_max, resolution)
-    if regime == "perturbed":
-        return _optimize_perturbed(k1, k2, c0, lambda_min, lambda_max, resolution)
-    raise ValueError(f"unknown regime {regime!r}")
+    _require_gate(regime, k1, k2, c0, lambda_min)
+    search = _search_unperturbed if regime == "unperturbed" else _search_perturbed
+    params = search(k1, k2, c0, lambda_min, lambda_max, resolution)
+    return build_certificate(regime, k1, k2, c0, lambda_min, lambda_max, *params)
 
 
 def _pick_tie(obj: np.ndarray, keys) -> tuple:
@@ -268,55 +307,27 @@ def _pick_tie(obj: np.ndarray, keys) -> tuple:
     return tuple(tie[order[0]])
 
 
-def _optimize_unperturbed(k1, k2, c0, lambda_min, lambda_max, resolution):
-    gate = check_gains_unperturbed(k1, k2, c0, lambda_min)
-    if not gate.ok:
-        raise CertificateError(
-            f"gain check failed: thresholds {gate.thresholds}, margins {gate.margins}")
+def _search_unperturbed(k1, k2, c0, lambda_min, lambda_max, resolution):
     r2_hi = min(rho2_bounds_unperturbed(c0).values())
     r1_hi = min(k1 * lambda_min, 2.0 * k2 * lambda_min, 1.0)
     r1g = _grid(r1_hi, resolution)
     r2g = _grid(r2_hi, resolution)
     R1, R2 = np.meshgrid(r1g, r2g, indexing="ij")
-    masks = {
-        "rho1 < k1*lambda_min": R1 < k1 * lambda_min,
-        "rho1 < 2*k2*lambda_min": R1 < 2.0 * k2 * lambda_min,
-        "rho1 < 1 - rho2": R1 < 1.0 - R2,
-        "rho1 < rho2": R1 < R2,
-        "rho1 < (2*c0 - rho2*(1+c0^2))/c0":
-            R1 < (2.0 * c0 - R2 * (1.0 + c0 * c0)) / c0,
-        "rho2 < 1": R2 < 1.0,
-        "rho2 < 2*c0/(1+c0^2)": R2 < 2.0 * c0 / (1.0 + c0 * c0),
-    }
+    masks = {f"rho1 < {name}": R1 < bound for name, bound in
+             rho_bounds_unperturbed(R2, k1, k2, c0, lambda_min).items()}
+    masks.update({f"rho2 < {name}": R2 < bound
+                  for name, bound in rho2_bounds_unperturbed(c0).items()})
     feas = np.logical_and.reduce(list(masks.values()))
-    mu = np.minimum(R2 / 2.0, np.minimum((R2 - R1) / 2.0,
-                                         R1 * (k1 * lambda_min - c0 / 2.0)))
-    tau1 = np.minimum((1.0 - R2 - R1) / 2.0,
-                      k1 * lambda_min + R1 * k2 * lambda_min - R1)
-    tau2 = np.maximum((1.0 + R2 + R1) / 2.0,
-                      np.maximum(k1 * lambda_max + R1, k2 * lambda_max + R1))
+    tau1, tau2, mu = _sandwich(R1, R2, k1, k2, lambda_min, lambda_max, c0)
     ok = feas & (mu > 0.0) & (tau1 > 0.0)
     obj = np.where(ok, mu / tau2, -np.inf)
     idx = _pick_tie(obj, (R2, R1))
     if idx is None or not ok[idx]:
         raise CertificateError(_tightest_constraint_message(masks, "unperturbed"))
-    rho1 = float(R1[idx])
-    rho2 = float(R2[idx])
-    t1, t2, m = certificate_constants_unperturbed(rho1, rho2, k1, k2,
-                                                  lambda_min, lambda_max, c0)
-    return GainCertificate(
-        regime="unperturbed", k1=k1, k2=k2, c0=c0, lambda_min=lambda_min,
-        lambda_max=lambda_max, rho1=rho1, rho2=rho2, xi1=None, xi2=None,
-        tau1=t1, tau2=t2, mu=m, mu2=None, q0=None, qf=None,
-        delta_factor=(1.0 + SQRT2) / t1, alpha=m / t2, feasible=True,
-        violations=())
+    return float(R1[idx]), float(R2[idx])
 
 
-def _optimize_perturbed(k1, k2, c0, lambda_min, lambda_max, resolution):
-    gate = check_gains_perturbed(k1, k2, c0, lambda_min)
-    if not gate.ok:
-        raise CertificateError(
-            f"gain check failed: thresholds {gate.thresholds}, margins {gate.margins}")
+def _search_perturbed(k1, k2, c0, lambda_min, lambda_max, resolution):
     # The objective mu2/tau2 does not involve xi2 and every xi2-dependent
     # constraint relaxes monotonically as xi2 decreases, so scanning the
     # (rho1, rho2, xi1) grid at the smallest xi2 node reproduces the full
@@ -328,20 +339,15 @@ def _optimize_perturbed(k1, k2, c0, lambda_min, lambda_max, resolution):
     r2g = _grid(r2_hi, resolution)
     xi1g = _grid(1.0, resolution)
     R1, R2 = np.meshgrid(r1g, r2g, indexing="ij")
-    masks = {
-        "rho1 < k1*lambda_min": R1 < k1 * lambda_min,
-        "rho1 < 1 - rho2": R1 < 1.0 - R2,
-        "rho1 < 2*k2*lambda_min - 1": R1 < 2.0 * k2 * lambda_min - 1.0,
-        "rho1 < (2*(c0 - xi2/2) - rho2*(1+c0+c0^2))/c0":
-            R1 < (2.0 * (c0 - xi2 / 2.0) - R2 * (1.0 + c0 + c0 * c0)) / c0,
-        "rho2 < 1": R2 < 1.0,
-        "rho2 < 2*(c0 - xi2/2)/(1+c0+c0^2)":
-            R2 < 2.0 * (c0 - xi2 / 2.0) / (1.0 + c0 + c0 * c0),
-    }
+    bounds = xi_rho_bounds_perturbed(R2, 0.0, xi2, k1, k2, c0, lambda_min)
+    del bounds["rho2 - xi1"]  # the one xi1-dependent bound, applied per xi1 node
+    masks = {f"rho1 < {name}": R1 < bound for name, bound in bounds.items()}
+    masks["rho2 < 1"] = R2 < 1.0
+    masks["rho2 < 2*(c0 - xi2/2)/(1+c0+c0^2)"] = \
+        R2 < 2.0 * (c0 - xi2 / 2.0) / (1.0 + c0 + c0 * c0)
     base_feas = np.logical_and.reduce(list(masks.values()))
     branch3 = R1 * (k1 * lambda_min - c0 / 2.0 - 1.5)
-    tau2 = np.maximum((1.0 + R2 + R1) / 2.0,
-                      np.maximum(k1 * lambda_max + R1, k2 * lambda_max + R1))
+    tau2 = _sandwich(R1, R2, k1, k2, lambda_min, lambda_max, c0)[1]
     any_feasible = bool(base_feas.any())
     best = (-np.inf, None)
     for xi1 in xi1g:
@@ -363,21 +369,7 @@ def _optimize_perturbed(k1, k2, c0, lambda_min, lambda_max, resolution):
         raise CertificateError(_tightest_constraint_message(masks, "perturbed")
                                if not any_feasible else
                                "no grid point yields a positive decay rate")
-    rho1, rho2, xi1 = best[1]
-    t1, t2, _ = certificate_constants_unperturbed(rho1, rho2, k1, k2,
-                                                  lambda_min, lambda_max, c0)
-    mu2, q0, qf, feasible, violations = perturbed_constants(
-        rho1, rho2, xi1, xi2, k1, k2, lambda_min, c0)
-    if not feasible:
-        raise CertificateError(f"optimizer selected infeasible tuple: {violations}")
-    return GainCertificate(
-        regime="perturbed", k1=k1, k2=k2, c0=c0, lambda_min=lambda_min,
-        lambda_max=lambda_max, rho1=rho1, rho2=rho2, xi1=xi1, xi2=xi2,
-        tau1=t1, tau2=t2, mu=min(rho2 / 2.0, (rho2 - rho1) / 2.0,
-                                 rho1 * (k1 * lambda_min - c0 / 2.0)),
-        mu2=mu2, q0=q0, qf=qf,
-        delta_factor=(1.0 + SQRT2) / t1, alpha=mu2 / t2, feasible=True,
-        violations=())
+    return (*best[1], xi2)
 
 
 def _tightest_constraint_message(masks: dict, regime: str) -> str:

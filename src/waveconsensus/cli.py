@@ -51,6 +51,7 @@ def simulate_cmd(config_path, out_dir):
 
 @cli.command("reproduce")
 @click.option("--test", "test_id", required=True,
+              type=click.Choice(["1", "2", "3", "all"]),
               help="reproduction test: 1, 2, 3 or 'all'")
 @click.option("--out", "out_dir", default=None, type=click.Path(),
               help="output directory (or $WAVECONSENSUS_OUT)")
@@ -58,15 +59,7 @@ def simulate_cmd(config_path, out_dir):
               help="which ISS transient variant is contractual (default conservative)")
 def reproduce_cmd(test_id, out_dir, conservative):
     """Run a reproduction preset with its contractual checks."""
-    if test_id == "all":
-        ids = (1, 2, 3)
-    else:
-        try:
-            ids = (int(test_id),)
-        except ValueError:
-            raise click.UsageError(f"--test must be 1, 2, 3 or 'all', got {test_id!r}")
-        if ids[0] not in (1, 2, 3):
-            raise click.UsageError(f"--test must be 1, 2, 3 or 'all', got {test_id!r}")
+    ids = (1, 2, 3) if test_id == "all" else (int(test_id),)
     out = harness.default_out_dir(out_dir)
     worst = harness.EXIT_OK
     for tid in ids:

@@ -18,10 +18,6 @@ class CertificateError(ValueError):
     """Certificate cannot be produced (infeasible gains or topology)."""
 
 
-class NumericError(RuntimeError):
-    """An iterative numerical routine failed to converge."""
-
-
 class DivergenceError(RuntimeError):
     """Simulation produced non-finite or absurdly large field values."""
 

@@ -1,11 +1,12 @@
 """Experiment configuration, reproduction presets, runners and CSV output.
 
-Configs are JSON documents; parsing applies defaults (nx=201, courant=0.9,
-stride=10) and reports schema violations with the path to the offending
-field.  The three reproduction presets follow the reference study: a
-1-2-3 follower path with the leader pinned at follower 1, c0=2.5,
-k1=30, k2=10, cosine displacement ICs and linear velocity ICs, and
-disturbance amplitudes 0 / 10 / 50 on all three channels at 10 rad/s.
+Configs are JSON documents read and written through one schema table;
+defaults come from the config dataclasses, and every schema violation is
+a ConfigError naming the path to the offending field.  The three
+reproduction presets follow the reference study: a 1-2-3 follower path
+with the leader pinned at follower 1, c0=2.5, k1=30, k2=10, cosine
+displacement ICs and linear velocity ICs, and disturbance amplitudes
+0 / 10 / 50 on all three channels at 10 rad/s.
 
 Run horizons are derived from the optimized certificate, never hardcoded:
 long enough that the certified envelope decays below 1e-3 of its initial
@@ -16,15 +17,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import analysis, certificate as cert_mod, svgplot
-from .errors import CertificateError, ConfigError, DivergenceError
+from .errors import CertificateError, ConfigError, DivergenceError, TopologyError
 from .graph import Topology, build_topology, eig_extremes_sym, is_connected, pinned_matrix
-from .signals import (DisturbanceSpec, ProfileSpec, SignalSpec, SpaceTimeSpec,
-                      zero_disturbances)
+from .signals import (PROFILE_KINDS, SIGNAL_KINDS, SPACETIME_KINDS, DisturbanceSpec,
+                      ProfileSpec, SignalSpec, SpaceTimeSpec, zero_disturbances)
 from .wavesim import ControlGains, Grid, SamplePoint, simulate
 
 ENV_OUT_DIR = "WAVECONSENSUS_OUT"
@@ -45,8 +46,8 @@ EXIT_BOUND_VIOLATION = 4
 
 @dataclass(frozen=True)
 class AgentIC:
-    displacement: ProfileSpec
-    velocity: ProfileSpec
+    displacement: ProfileSpec = field(default_factory=ProfileSpec)
+    velocity: ProfileSpec = field(default_factory=ProfileSpec)
 
 
 @dataclass(frozen=True)
@@ -58,25 +59,50 @@ class CertificateOptions:
     xi1: float | None = None
     xi2: float | None = None
 
+    def __post_init__(self):
+        if self.regime not in ("auto", *cert_mod.GATES):
+            raise ValueError(f"regime: unknown regime {self.regime!r}")
+        if not self.resolution >= 1:
+            raise ValueError(f"resolution: must be at least 1, got {self.resolution}")
+
 
 @dataclass(frozen=True)
 class OutputOptions:
     csv_name: str = "timeseries.csv"
     stride: int = 10
 
+    def __post_init__(self):
+        if not self.stride >= 1:
+            raise ValueError(f"stride: must be at least 1, got {self.stride}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment.  Without follower ICs every follower starts
+    at rest; without disturbance channels the run is undisturbed."""
+
     adjacency: tuple
     leader_links: tuple
     gains: ControlGains
-    grid: Grid
-    leader_ic: AgentIC
-    follower_ics: tuple
-    disturbances: DisturbanceSpec
+    grid: Grid = field(default_factory=Grid)
+    leader_ic: AgentIC = field(default_factory=AgentIC)
+    follower_ics: tuple = ()
+    disturbances: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     certificate: CertificateOptions = field(default_factory=CertificateOptions)
     output: OutputOptions = field(default_factory=OutputOptions)
     horizon: float | None = None
+
+    def __post_init__(self):
+        if not self.follower_ics:
+            object.__setattr__(self, "follower_ics", (AgentIC(),) * self.n)
+        if not self.disturbances.n:
+            object.__setattr__(self, "disturbances", zero_disturbances(self.n))
+        if self.horizon is not None and not self.horizon > 0:
+            raise ValueError(f"horizon: must be positive when given, got {self.horizon}")
+        try:
+            self.topology()
+        except TopologyError as exc:
+            raise ConfigError(f"topology.{exc}") from exc
 
     @property
     def n(self) -> int:
@@ -98,104 +124,161 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # JSON schema
+#
+# One table gives the JSON layout of every config dataclass and drives both
+# parse_config and serialize_config.  An absent or null member takes its
+# dataclass default; a member whose field has no default is required, and
+# so is every field a kinded object's kind uses (signals.*_KINDS) unless it
+# is listed as optional.  Range checks live only in the dataclasses'
+# __post_init__, whose messages name the field first ("courant: ..."); the
+# walker prefixes the path of the enclosing object.
 
 
-def _expect(mapping, key, path, required=False, default=None):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
-    return mapping[key]
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _number(value, path):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+def _lookup(obj: dict, key: str, path: str):
+    """Member `key` of a JSON object; dotted keys descend into sub-objects."""
+    *groups, last = key.split(".")
+    for group in groups:
+        obj, path = obj.get(group), _join(path, group)
+        if obj is None:
+            return None
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path}: expected an object, got {obj!r}")
+    return obj.get(last)
 
 
-def _profile_from(obj, path) -> ProfileSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a profile object")
-    kind = _expect(obj, "kind", path, required=True)
-    if kind == "zero":
-        return ProfileSpec(kind="zero")
-    if kind == "cosine":
-        return ProfileSpec(kind="cosine",
-                           amplitude=_number(_expect(obj, "amplitude", path, True), f"{path}.amplitude"),
-                           spatial_frequency=_number(_expect(obj, "spatial_frequency", path, True),
-                                                     f"{path}.spatial_frequency"))
-    if kind == "polynomial":
-        coeffs = _expect(obj, "coefficients", path, required=True)
-        if not isinstance(coeffs, list):
-            raise ConfigError(f"{path}.coefficients: expected a list")
-        return ProfileSpec(kind="polynomial",
-                           coefficients=tuple(_number(c, f"{path}.coefficients[{i}]")
-                                              for i, c in enumerate(coeffs)))
-    if kind == "table":
-        samples = _expect(obj, "samples", path, required=True)
-        if not isinstance(samples, list):
-            raise ConfigError(f"{path}.samples: expected a list")
-        return ProfileSpec(kind="table",
-                           samples=tuple(_number(s, f"{path}.samples[{i}]")
-                                         for i, s in enumerate(samples)))
-    raise ConfigError(f"{path}.kind: unknown profile kind {kind!r}")
+class _Scalar:
+    def dump(self, value):
+        return value
 
 
-def _profile_to(p: ProfileSpec) -> dict:
-    if p.kind == "zero":
-        return {"kind": "zero"}
-    if p.kind == "cosine":
-        return {"kind": "cosine", "amplitude": p.amplitude,
-                "spatial_frequency": p.spatial_frequency}
-    if p.kind == "polynomial":
-        return {"kind": "polynomial", "coefficients": list(p.coefficients)}
-    return {"kind": "table", "samples": list(p.samples)}
+class _Number(_Scalar):
+    """A finite number; an integral one must have no fractional part."""
+
+    def __init__(self, integral: bool = False):
+        self.integral = integral
+
+    def load(self, value, path, n):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        try:
+            ok = ok and math.isfinite(value) and (
+                not self.integral or float(value).is_integer())
+        except OverflowError:
+            ok = False
+        if not ok:
+            expected = "an integer" if self.integral else "a finite number"
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        return int(value) if self.integral else float(value)
 
 
-def _signal_from(obj, path) -> SignalSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a signal object")
-    kind = _expect(obj, "kind", path, required=True)
-    if kind == "zero":
-        return SignalSpec(kind="zero")
-    if kind == "sinusoid":
-        return SignalSpec(
-            kind="sinusoid",
-            amplitude=_number(_expect(obj, "amplitude", path, True), f"{path}.amplitude"),
-            angular_frequency=_number(_expect(obj, "angular_frequency", path, True),
-                                      f"{path}.angular_frequency"),
-            phase=_number(_expect(obj, "phase", path, default=0.0), f"{path}.phase"))
-    raise ConfigError(f"{path}.kind: unknown signal kind {kind!r}")
+class _String(_Scalar):
+    def load(self, value, path, n):
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a string, got {value!r}")
+        return value
 
 
-def _signal_to(s: SignalSpec) -> dict:
-    if s.kind == "zero":
-        return {"kind": "zero"}
-    return {"kind": "sinusoid", "amplitude": s.amplitude,
-            "angular_frequency": s.angular_frequency, "phase": s.phase}
+class _List:
+    """A JSON list read as a tuple; a per-agent list has one entry per
+    follower."""
+
+    def __init__(self, item, per_agent: bool = False):
+        self.item = item
+        self.per_agent = per_agent
+
+    def load(self, value, path, n):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if self.per_agent and len(value) != n:
+            raise ConfigError(f"{path}: expected a list of length {n}")
+        return tuple(self.item.load(v, f"{path}[{i}]", n) for i, v in enumerate(value))
+
+    def dump(self, value):
+        return [self.item.dump(v) for v in value]
 
 
-def _spacetime_from(obj, path) -> SpaceTimeSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a space-time object")
-    kind = _expect(obj, "kind", path, required=True)
-    if kind == "zero":
-        return SpaceTimeSpec(kind="zero")
-    if kind == "separable":
-        return SpaceTimeSpec(kind="separable",
-                             temporal=_signal_from(_expect(obj, "temporal", path, True),
-                                                   f"{path}.temporal"),
-                             spatial=_profile_from(_expect(obj, "spatial", path, True),
-                                                   f"{path}.spatial"))
-    raise ConfigError(f"{path}.kind: unknown space-time kind {kind!r}")
+class _Object:
+    """A JSON object read as `cls`; members are (json key, node) or
+    (json key, node, field name) when the two differ."""
+
+    def __init__(self, cls, *members, kinds=None, optional=()):
+        self.cls = cls
+        self.members = [(m[0], m[1], m[2] if len(m) > 2 else m[0].rsplit(".", 1)[-1])
+                        for m in members]
+        self.kinds = kinds
+        if kinds is None:
+            self.required = {f.name for f in fields(cls)
+                             if f.default is MISSING and f.default_factory is MISSING}
+        else:
+            self.required = {m[2] for m in self.members} - set(optional)
+
+    def _used(self, name: str, kind) -> bool:
+        return self.kinds is None or name == "kind" or name in self.kinds.get(kind, ())
+
+    def load(self, value, path, n):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object, got {value!r}")
+        kwargs = {}
+        for key, node, name in self.members:
+            if not self._used(name, kwargs.get("kind")):
+                continue
+            item = _lookup(value, key, path)
+            if item is not None:
+                kwargs[name] = node.load(item, _join(path, key), n)
+            elif name in self.required:
+                raise ConfigError(f"{_join(path, key)}: required field is missing")
+        try:
+            return self.cls(**kwargs)
+        except ValueError as exc:  # a field-first message from __post_init__
+            raise ConfigError(_join(path, str(exc))) from exc
+
+    def dump(self, obj) -> dict:
+        out = {}
+        for key, node, name in self.members:
+            if not self._used(name, getattr(obj, "kind", None)):
+                continue
+            *groups, last = key.split(".")
+            target = out
+            for group in groups:
+                target = target.setdefault(group, {})
+            value = getattr(obj, name)
+            target[last] = None if value is None else node.dump(value)
+        return out
 
 
-def _spacetime_to(s: SpaceTimeSpec) -> dict:
-    if s.kind == "zero":
-        return {"kind": "zero"}
-    return {"kind": "separable", "temporal": _signal_to(s.temporal),
-            "spatial": _profile_to(s.spatial)}
+_NUMBER, _INTEGER, _STRING = _Number(), _Number(integral=True), _String()
+_PROFILE = _Object(ProfileSpec, ("kind", _STRING), ("amplitude", _NUMBER),
+                   ("spatial_frequency", _NUMBER), ("coefficients", _List(_NUMBER)),
+                   ("samples", _List(_NUMBER)), kinds=PROFILE_KINDS)
+_SIGNAL = _Object(SignalSpec, ("kind", _STRING), ("amplitude", _NUMBER),
+                  ("angular_frequency", _NUMBER), ("phase", _NUMBER),
+                  kinds=SIGNAL_KINDS, optional=("phase",))
+_SPACETIME = _Object(SpaceTimeSpec, ("kind", _STRING), ("temporal", _SIGNAL),
+                     ("spatial", _PROFILE), kinds=SPACETIME_KINDS)
+_AGENT = _Object(AgentIC, ("displacement", _PROFILE), ("velocity", _PROFILE))
+_CONFIG = _Object(
+    ExperimentConfig,
+    ("topology.adjacency", _List(_List(_INTEGER, per_agent=True))),
+    ("topology.leader_links", _List(_INTEGER, per_agent=True)),
+    ("gains", _Object(ControlGains, ("k1", _NUMBER), ("k2", _NUMBER), ("c0", _NUMBER))),
+    ("grid", _Object(Grid, ("nx", _INTEGER), ("courant", _NUMBER),
+                     ("dissipation", _NUMBER))),
+    ("horizon", _NUMBER),
+    ("initial_conditions.leader", _AGENT, "leader_ic"),
+    ("initial_conditions.followers", _List(_AGENT, per_agent=True), "follower_ics"),
+    ("disturbances", _Object(DisturbanceSpec,
+                             ("psi0", _List(_SIGNAL, per_agent=True)),
+                             ("psi1", _List(_SIGNAL, per_agent=True)),
+                             ("f", _List(_SPACETIME, per_agent=True)))),
+    ("certificate", _Object(CertificateOptions, ("regime", _STRING),
+                            ("resolution", _INTEGER), ("rho1", _NUMBER),
+                            ("rho2", _NUMBER), ("xi1", _NUMBER), ("xi2", _NUMBER))),
+    ("output", _Object(OutputOptions, ("csv", _STRING, "csv_name"),
+                       ("stride", _INTEGER))),
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -206,146 +289,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be an object")
-
-    topo = _expect(doc, "topology", "topology", required=True)
-    adjacency = _expect(topo, "adjacency", "topology", required=True)
-    leader_links = _expect(topo, "leader_links", "topology", required=True)
-    if not isinstance(adjacency, list) or not all(isinstance(r, list) for r in adjacency):
-        raise ConfigError("topology.adjacency: expected a list of rows")
-    n = len(adjacency)
-    if not isinstance(leader_links, list) or len(leader_links) != n:
-        raise ConfigError(
-            f"topology.leader_links: expected a list of length {n}")
-
-    gobj = _expect(doc, "gains", "gains", required=True)
-    gains = ControlGains(k1=_number(_expect(gobj, "k1", "gains", True), "gains.k1"),
-                         k2=_number(_expect(gobj, "k2", "gains", True), "gains.k2"),
-                         c0=_number(_expect(gobj, "c0", "gains", True), "gains.c0"))
-
-    grobj = _expect(doc, "grid", "grid", default={}) or {}
-    grid = Grid(nx=int(_number(_expect(grobj, "nx", "grid", default=201), "grid.nx")),
-                courant=_number(_expect(grobj, "courant", "grid", default=0.9), "grid.courant"),
-                dissipation=_number(_expect(grobj, "dissipation", "grid", default=0.1),
-                                    "grid.dissipation"))
-
-    horizon = _expect(doc, "horizon", "horizon", default=None)
-    if horizon is not None:
-        horizon = _number(horizon, "horizon")
-        if horizon <= 0:
-            raise ConfigError("horizon: must be positive when given")
-
-    ics = _expect(doc, "initial_conditions", "initial_conditions", default={}) or {}
-    leader_obj = _expect(ics, "leader", "initial_conditions", default=None)
-    zero_ic = AgentIC(displacement=ProfileSpec(), velocity=ProfileSpec())
-    if leader_obj is None:
-        leader_ic = zero_ic
-    else:
-        leader_ic = AgentIC(
-            displacement=_profile_from(_expect(leader_obj, "displacement",
-                                               "initial_conditions.leader", default={"kind": "zero"}),
-                                       "initial_conditions.leader.displacement"),
-            velocity=_profile_from(_expect(leader_obj, "velocity",
-                                           "initial_conditions.leader", default={"kind": "zero"}),
-                                   "initial_conditions.leader.velocity"))
-    followers_obj = _expect(ics, "followers", "initial_conditions", default=None)
-    if followers_obj is None:
-        follower_ics = tuple(zero_ic for _ in range(n))
-    else:
-        if not isinstance(followers_obj, list) or len(followers_obj) != n:
-            raise ConfigError(
-                f"initial_conditions.followers: expected a list of length {n}")
-        follower_ics = tuple(
-            AgentIC(displacement=_profile_from(_expect(o, "displacement",
-                                                       f"initial_conditions.followers[{i}]",
-                                                       default={"kind": "zero"}),
-                                               f"initial_conditions.followers[{i}].displacement"),
-                    velocity=_profile_from(_expect(o, "velocity",
-                                                   f"initial_conditions.followers[{i}]",
-                                                   default={"kind": "zero"}),
-                                           f"initial_conditions.followers[{i}].velocity"))
-            for i, o in enumerate(followers_obj))
-
-    dobj = _expect(doc, "disturbances", "disturbances", default=None)
-    if dobj is None:
-        dist = zero_disturbances(n)
-    else:
-        def channel(name, parser):
-            arr = _expect(dobj, name, f"disturbances", default=None)
-            if arr is None:
-                return None
-            if not isinstance(arr, list) or len(arr) != n:
-                raise ConfigError(
-                    f"disturbances.{name}: expected a list of length {n}")
-            return tuple(parser(o, f"disturbances.{name}[{i}]")
-                         for i, o in enumerate(arr))
-        zero = zero_disturbances(n)
-        dist = DisturbanceSpec(
-            psi0=channel("psi0", _signal_from) or zero.psi0,
-            psi1=channel("psi1", _signal_from) or zero.psi1,
-            f=channel("f", _spacetime_from) or zero.f)
-
-    cobj = _expect(doc, "certificate", "certificate", default={}) or {}
-    regime = _expect(cobj, "regime", "certificate", default="auto")
-    if regime not in ("auto", "unperturbed", "perturbed"):
-        raise ConfigError(f"certificate.regime: unknown regime {regime!r}")
-
-    def opt_num(key):
-        v = _expect(cobj, key, "certificate", default=None)
-        return None if v is None else _number(v, f"certificate.{key}")
-
-    cert_opts = CertificateOptions(
-        regime=regime,
-        resolution=int(_number(_expect(cobj, "resolution", "certificate", default=200),
-                               "certificate.resolution")),
-        rho1=opt_num("rho1"), rho2=opt_num("rho2"),
-        xi1=opt_num("xi1"), xi2=opt_num("xi2"))
-
-    oobj = _expect(doc, "output", "output", default={}) or {}
-    output = OutputOptions(
-        csv_name=str(_expect(oobj, "csv", "output", default="timeseries.csv")),
-        stride=int(_number(_expect(oobj, "stride", "output", default=10), "output.stride")))
-    if output.stride < 1:
-        raise ConfigError("output.stride: must be at least 1")
-
-    config = ExperimentConfig(
-        adjacency=tuple(tuple(int(_number(v, f"topology.adjacency[{i}][{j}]"))
-                              for j, v in enumerate(row))
-                        for i, row in enumerate(adjacency)),
-        leader_links=tuple(int(_number(v, f"topology.leader_links[{i}]"))
-                           for i, v in enumerate(leader_links)),
-        gains=gains, grid=grid, leader_ic=leader_ic, follower_ics=follower_ics,
-        disturbances=dist, certificate=cert_opts, output=output, horizon=horizon)
-    config.topology()  # surface TopologyError early
-    return config
+    adjacency = _lookup(doc, "topology.adjacency", "")
+    return _CONFIG.load(doc, "", len(adjacency) if isinstance(adjacency, list) else 0)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    doc = {
-        "topology": {"adjacency": [list(r) for r in config.adjacency],
-                     "leader_links": list(config.leader_links)},
-        "gains": {"k1": config.gains.k1, "k2": config.gains.k2, "c0": config.gains.c0},
-        "grid": {"nx": config.grid.nx, "courant": config.grid.courant,
-                 "dissipation": config.grid.dissipation},
-        "horizon": config.horizon,
-        "initial_conditions": {
-            "leader": {"displacement": _profile_to(config.leader_ic.displacement),
-                       "velocity": _profile_to(config.leader_ic.velocity)},
-            "followers": [{"displacement": _profile_to(a.displacement),
-                           "velocity": _profile_to(a.velocity)}
-                          for a in config.follower_ics]},
-        "disturbances": {
-            "psi0": [_signal_to(s) for s in config.disturbances.psi0],
-            "psi1": [_signal_to(s) for s in config.disturbances.psi1],
-            "f": [_spacetime_to(s) for s in config.disturbances.f]},
-        "certificate": {"regime": config.certificate.regime,
-                        "resolution": config.certificate.resolution,
-                        "rho1": config.certificate.rho1,
-                        "rho2": config.certificate.rho2,
-                        "xi1": config.certificate.xi1,
-                        "xi2": config.certificate.xi2},
-        "output": {"csv": config.output.csv_name, "stride": config.output.stride},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(_CONFIG.dump(config), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -357,38 +306,24 @@ def test_preset(test_id: int) -> ExperimentConfig:
     if test_id not in (1, 2, 3):
         raise ConfigError(f"unknown test id {test_id}; valid ids are 1, 2, 3")
     amp = {1: 0.0, 2: 10.0, 3: 50.0}[test_id]
-    n = 3
-    adjacency = ((0, 1, 0), (1, 0, 1), (0, 1, 0))
-    leader_links = (1, 0, 0)
     leader_ic = AgentIC(
-        displacement=ProfileSpec(kind="cosine", amplitude=10.0, spatial_frequency=2.0),
-        velocity=ProfileSpec(kind="zero"))
-    follower_ics = (
-        AgentIC(displacement=ProfileSpec(kind="cosine", amplitude=5.0, spatial_frequency=2.0),
-                velocity=ProfileSpec(kind="polynomial", coefficients=(0.0, 1.0))),
-        AgentIC(displacement=ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=1.0),
-                velocity=ProfileSpec(kind="polynomial", coefficients=(0.0, 2.0))),
-        AgentIC(displacement=ProfileSpec(kind="cosine", amplitude=-5.0, spatial_frequency=1.0),
-                velocity=ProfileSpec(kind="polynomial", coefficients=(0.0, 3.0))),
-    )
-    if amp == 0.0:
-        dist = zero_disturbances(n)
-        regime = "unperturbed"
-    else:
+        displacement=ProfileSpec(kind="cosine", amplitude=10.0, spatial_frequency=2.0))
+    follower_ics = tuple(
+        AgentIC(displacement=ProfileSpec(kind="cosine", amplitude=a, spatial_frequency=f),
+                velocity=ProfileSpec(kind="polynomial", coefficients=(0.0, v)))
+        for a, f, v in ((5.0, 2.0, 1.0), (1.0, 1.0, 2.0), (-5.0, 1.0, 3.0)))
+    dist = DisturbanceSpec()
+    if amp:
         sig = SignalSpec(kind="sinusoid", amplitude=amp, angular_frequency=10.0)
         dist = DisturbanceSpec(
-            psi0=tuple(sig for _ in range(n)),
-            psi1=tuple(sig for _ in range(n)),
-            f=tuple(SpaceTimeSpec(kind="separable", temporal=sig,
-                                  spatial=ProfileSpec(kind="polynomial",
-                                                      coefficients=(1.0,)))
-                    for _ in range(n)))
-        regime = "perturbed"
+            psi0=(sig,) * 3, psi1=(sig,) * 3,
+            f=(SpaceTimeSpec(kind="separable", temporal=sig,
+                             spatial=ProfileSpec(kind="polynomial", coefficients=(1.0,))),) * 3)
     return ExperimentConfig(
-        adjacency=adjacency, leader_links=leader_links,
-        gains=ControlGains(k1=30.0, k2=10.0, c0=2.5), grid=Grid(),
+        adjacency=((0, 1, 0), (1, 0, 1), (0, 1, 0)), leader_links=(1, 0, 0),
+        gains=ControlGains(k1=30.0, k2=10.0, c0=2.5),
         leader_ic=leader_ic, follower_ics=follower_ics, disturbances=dist,
-        certificate=CertificateOptions(regime=regime),
+        certificate=CertificateOptions(regime="perturbed" if amp else "unperturbed"),
         output=OutputOptions(csv_name=f"test{test_id}.csv"))
 
 
@@ -402,74 +337,30 @@ def spectral_extremes_for(config: ExperimentConfig):
 
 
 def certificate_for(config: ExperimentConfig, regime: str | None = None):
-    """Optimize (or assemble from overrides) the certificate for a config."""
+    """Optimize (or build from explicit rho/xi overrides) the certificate
+    for a config."""
     regime = regime or config.effective_regime()
     ext = spectral_extremes_for(config)
     opts = config.certificate
     g = config.gains
     if opts.rho1 is not None and opts.rho2 is not None:
-        return _explicit_certificate(config, regime, ext)
+        return cert_mod.build_certificate(
+            regime, g.k1, g.k2, g.c0, ext.lambda_min, ext.lambda_max,
+            opts.rho1, opts.rho2, opts.xi1, opts.xi2)
     return cert_mod.optimize_certificate(
         regime, g.k1, g.k2, g.c0, ext.lambda_min, ext.lambda_max,
         resolution=opts.resolution)
 
 
-def _explicit_certificate(config, regime, ext):
-    g = config.gains
-    opts = config.certificate
-    rho1, rho2 = opts.rho1, opts.rho2
-    if regime == "unperturbed":
-        gate = cert_mod.check_gains_unperturbed(g.k1, g.k2, g.c0, ext.lambda_min)
-        if not gate.ok:
-            raise CertificateError(f"gain check failed: {gate.thresholds}")
-        ok, violated = cert_mod.rho_feasible_unperturbed(
-            rho1, rho2, g.k1, g.k2, g.c0, ext.lambda_min)
-        if not ok:
-            raise CertificateError(f"rho overrides infeasible: {violated}")
-        t1, t2, mu = cert_mod.certificate_constants_unperturbed(
-            rho1, rho2, g.k1, g.k2, ext.lambda_min, ext.lambda_max, g.c0)
-        return cert_mod.GainCertificate(
-            regime="unperturbed", k1=g.k1, k2=g.k2, c0=g.c0,
-            lambda_min=ext.lambda_min, lambda_max=ext.lambda_max,
-            rho1=rho1, rho2=rho2, xi1=None, xi2=None, tau1=t1, tau2=t2, mu=mu,
-            mu2=None, q0=None, qf=None,
-            delta_factor=(1.0 + cert_mod.SQRT2) / t1, alpha=mu / t2,
-            feasible=True, violations=())
-    gate = cert_mod.check_gains_perturbed(g.k1, g.k2, g.c0, ext.lambda_min)
-    if not gate.ok:
-        raise CertificateError(f"gain check failed: {gate.thresholds}")
-    if opts.xi1 is None or opts.xi2 is None:
-        raise CertificateError("perturbed rho overrides also need xi1 and xi2")
-    mu2, q0, qf, ok, violated = cert_mod.perturbed_constants(
-        rho1, rho2, opts.xi1, opts.xi2, g.k1, g.k2, ext.lambda_min, g.c0)
-    if not ok or mu2 <= 0:
-        raise CertificateError(f"rho/xi overrides infeasible: {violated or 'mu2 <= 0'}")
-    t1, t2, mu = cert_mod.certificate_constants_unperturbed(
-        rho1, rho2, g.k1, g.k2, ext.lambda_min, ext.lambda_max, g.c0)
-    return cert_mod.GainCertificate(
-        regime="perturbed", k1=g.k1, k2=g.k2, c0=g.c0,
-        lambda_min=ext.lambda_min, lambda_max=ext.lambda_max,
-        rho1=rho1, rho2=rho2, xi1=opts.xi1, xi2=opts.xi2, tau1=t1, tau2=t2,
-        mu=mu, mu2=mu2, q0=q0, qf=qf,
-        delta_factor=(1.0 + cert_mod.SQRT2) / t1, alpha=mu2 / t2,
-        feasible=True, violations=())
-
-
 def derive_horizon(cert, regime: str) -> float:
     """Horizon making the certified envelope fall below 1e-3 of its
     initial value (at the steady-state window start for perturbed runs)."""
-    target = math.log(1000.0)
-    if regime == "unperturbed":
-        return float(math.ceil(target / cert.alpha))
-    return float(math.ceil(target / (0.8 * cert.alpha)))
+    rate = cert.alpha if regime == "unperturbed" else 0.8 * cert.alpha
+    return float(math.ceil(math.log(1000.0) / rate))
 
 
 # ---------------------------------------------------------------------------
 # CSV
-
-
-def _cell(value) -> str:
-    return "" if value is None else repr(float(value))
 
 
 def write_csv(path, series: analysis.TimeSeries, cert=None) -> None:
@@ -477,38 +368,22 @@ def write_csv(path, series: analysis.TimeSeries, cert=None) -> None:
     t = series.column("time")
     regime = getattr(cert, "regime", None)
     env = iss_c = iss_v = None
-    if cert is not None and regime == "unperturbed":
-        v0_init = series.column("V")[0]
-        env = v0_init * np.exp(-cert.alpha * t)
-    if cert is not None and regime == "perturbed":
-        v0_init = float(series.column("V0")[0])
-        args = (v0_init, t, series.column("es_psi0_sq"),
-                series.column("es_psi1_sq"), series.column("es_f_sq"))
+    if regime == "unperturbed":
+        env = series.column("V")[0] * np.exp(-cert.alpha * t)
+    es = ("es_psi0_sq", "es_psi1_sq", "es_f_sq")
+    if regime == "perturbed":
+        args = (float(series.column("V0")[0]), t, *(series.column(name) for name in es))
         iss_c = cert_mod.iss_bound(cert, *args, conservative=True)
         iss_v = cert_mod.iss_bound(cert, *args, conservative=False)
-    perturbed = regime == "perturbed"
+    columns = [t, *(series.columns[name] for name in (
+        "E", "G1", "G2", "V", "V0", "l2_error", "h1_seminorm", "ptwise_max_sq",
+        "boundary_err_sq")), env, iss_c, iss_v,
+        *(series.columns[name] if regime == "perturbed" else None for name in es)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for i in range(len(series)):
-            row = [
-                _cell(t[i]),
-                _cell(series.columns["E"][i]),
-                _cell(series.columns["G1"][i]),
-                _cell(series.columns["G2"][i]),
-                _cell(series.columns["V"][i]),
-                _cell(series.columns["V0"][i]),
-                _cell(series.columns["l2_error"][i]),
-                _cell(series.columns["h1_seminorm"][i]),
-                _cell(series.columns["ptwise_max_sq"][i]),
-                _cell(series.columns["boundary_err_sq"][i]),
-                _cell(env[i]) if env is not None else "",
-                _cell(iss_c[i]) if iss_c is not None else "",
-                _cell(iss_v[i]) if iss_v is not None else "",
-                _cell(series.columns["es_psi0_sq"][i]) if perturbed else "",
-                _cell(series.columns["es_psi1_sq"][i]) if perturbed else "",
-                _cell(series.columns["es_f_sq"][i]) if perturbed else "",
-            ]
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join("" if col is None else repr(float(col[i]))
+                              for col in columns) + "\n")
 
 
 def read_csv(path) -> dict:
@@ -567,8 +442,7 @@ def run_check_gains(config: ExperimentConfig) -> RunResult:
     lines.append(f"pinned matrix spectrum: lambda_min={ext.lambda_min:.6g} "
                  f"lambda_max={ext.lambda_max:.6g}")
     feasible = {}
-    for regime, check in (("unperturbed", cert_mod.check_gains_unperturbed),
-                          ("perturbed", cert_mod.check_gains_perturbed)):
+    for regime, check in cert_mod.GATES.items():
         rep = check(g.k1, g.k2, g.c0, ext.lambda_min)
         lines.append(f"[{regime}] gain gate: {'PASS' if rep.ok else 'FAIL'}")
         for key in ("k1", "k2"):
@@ -611,12 +485,6 @@ class SurfaceRecorder:
 def run_experiment(config: ExperimentConfig, cert=None, observers=(),
                    warn_disconnected: bool = True):
     """Simulate a config, returning (series, certificate or None)."""
-    topo = config.topology()
-    if warn_disconnected and not is_connected(topo):
-        import warnings
-
-        warnings.warn("follower graph is not connected; simulation proceeds "
-                      "but no certificate applies", stacklevel=2)
     if cert is None:
         try:
             cert = certificate_for(config)
@@ -624,6 +492,12 @@ def run_experiment(config: ExperimentConfig, cert=None, observers=(),
             if config.horizon is None:
                 raise  # without a certificate there is no derived horizon
             cert = None
+    topo = config.topology()
+    if warn_disconnected and not is_connected(topo):
+        import warnings
+
+        warnings.warn("follower graph is not connected; simulation proceeds "
+                      "but no certificate applies", stacklevel=2)
     horizon = config.horizon
     if horizon is None:
         horizon = derive_horizon(cert, cert.regime)
@@ -637,15 +511,11 @@ def run_experiment(config: ExperimentConfig, cert=None, observers=(),
 def run_simulate(config: ExperimentConfig, out_dir) -> RunResult:
     """General-purpose run: CSV plus a summary, no contractual checks."""
     os.makedirs(out_dir, exist_ok=True)
-    cert = None
     try:
-        cert = certificate_for(config)
-    except CertificateError as exc:
-        if config.horizon is None:
-            return RunResult(EXIT_INFEASIBLE,
-                             f"infeasible certificate and no explicit horizon: {exc}")
-    try:
-        series, cert = run_experiment(config, cert=cert)
+        series, cert = run_experiment(config)
+    except CertificateError as exc:  # raised only when no horizon is given
+        return RunResult(EXIT_INFEASIBLE,
+                         f"infeasible certificate and no explicit horizon: {exc}")
     except DivergenceError as exc:
         return RunResult(EXIT_DIVERGED, f"solver diverged: {exc}")
     csv_path = os.path.join(out_dir, config.output.csv_name)

@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import ConfigError
 
-PROFILE_KINDS = ("cosine", "polynomial", "zero", "table")
-SIGNAL_KINDS = ("zero", "sinusoid")
-SPACETIME_KINDS = ("zero", "separable")
+# The fields each kind uses; the JSON config reads and writes exactly these.
+PROFILE_KINDS = {"zero": (), "cosine": ("amplitude", "spatial_frequency"),
+                 "polynomial": ("coefficients",), "table": ("samples",)}
+SIGNAL_KINDS = {"zero": (), "sinusoid": ("amplitude", "angular_frequency", "phase")}
+SPACETIME_KINDS = {"zero": (), "separable": ("temporal", "spatial")}
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class ProfileSpec:
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
-            raise ConfigError(f"unknown profile kind {self.kind!r}")
+            raise ConfigError(f"kind: unknown profile kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class SignalSpec:
 
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
-            raise ConfigError(f"unknown signal kind {self.kind!r}")
+            raise ConfigError(f"kind: unknown signal kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -62,22 +64,27 @@ class SpaceTimeSpec:
 
     def __post_init__(self):
         if self.kind not in SPACETIME_KINDS:
-            raise ConfigError(f"unknown space-time kind {self.kind!r}")
+            raise ConfigError(f"kind: unknown space-time kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Per-agent disturbance channels: psi0 (x=0 boundary), psi1 (x=1
-    boundary), f (in-domain)."""
+    boundary), f (in-domain).  An empty channel is zero on every agent."""
 
-    psi0: tuple
-    psi1: tuple
-    f: tuple
+    psi0: tuple = ()
+    psi1: tuple = ()
+    f: tuple = ()
 
     def __post_init__(self):
-        n = len(self.psi0)
-        if len(self.psi1) != n or len(self.f) != n:
-            raise ConfigError("disturbance channel lengths disagree")
+        n = max(len(self.psi0), len(self.psi1), len(self.f))
+        for name, zero in (("psi0", SignalSpec()), ("psi1", SignalSpec()),
+                           ("f", SpaceTimeSpec())):
+            channel = getattr(self, name)
+            if not channel:
+                object.__setattr__(self, name, (zero,) * n)
+            elif len(channel) != n:
+                raise ConfigError("disturbance channel lengths disagree")
 
     @property
     def n(self) -> int:
@@ -90,11 +97,7 @@ class DisturbanceSpec:
 
 
 def zero_disturbances(n: int) -> DisturbanceSpec:
-    return DisturbanceSpec(
-        psi0=tuple(SignalSpec() for _ in range(n)),
-        psi1=tuple(SignalSpec() for _ in range(n)),
-        f=tuple(SpaceTimeSpec() for _ in range(n)),
-    )
+    return DisturbanceSpec(psi0=(SignalSpec(),) * n)
 
 
 def eval_profile(p: ProfileSpec, grid_points) -> np.ndarray:

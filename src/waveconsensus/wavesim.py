@@ -20,15 +20,18 @@ boundaries; its response on resolved modes is O(theta^6) and does not
 perturb the solver's second-order convergence.
 
 `simulate` integrates the leader and the deviation (error) fields as two
-decoupled blocks through pre-assembled sparse one-step propagators; the
+decoupled blocks through pre-assembled sparse one-step propagators, both
+probed from one stencil (the leader is its zero-gain, m = [[0]] case); the
 error block is exactly the deviation dynamics and keeps full relative
-precision as the error decays to zero.  `step` is the plain per-agent
-reference implementation of the same update.
+precision while the error stays in the normal floating-point range (an
+undisturbed error stalls near 1e-320, in the subnormal range).  `step` is
+the plain per-agent reference implementation of the same update.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -63,13 +66,13 @@ class Grid:
     dissipation: float = 0.1
 
     def __post_init__(self):
-        if self.nx < 3:
-            raise ValueError("grid needs at least 3 points")
+        if not self.nx >= 3:
+            raise ValueError(f"nx: the grid needs at least 3 points, got {self.nx}")
         if not 0.0 < self.courant <= 1.0:
             raise ValueError(
-                f"courant number {self.courant} violates the CFL bound (0, 1]")
+                f"courant: {self.courant} violates the CFL bound (0, 1]")
         if not 0.0 <= self.dissipation <= 1.0:
-            raise ValueError("dissipation strength must lie in [0, 1]")
+            raise ValueError(f"dissipation: {self.dissipation} is not in [0, 1]")
 
     @property
     def dx(self) -> float:
@@ -82,6 +85,21 @@ class Grid:
     @property
     def points(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.nx)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Composite-trapezoid quadrature weights (read-only)."""
+        w = np.full(self.nx, self.dx)
+        w[0] = w[-1] = self.dx / 2.0
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def moment_weights(self) -> np.ndarray:
+        """Trapezoid weights times (x - 1), the kernel of G2 (read-only)."""
+        zw = (self.points - 1.0) * self.weights
+        zw.flags.writeable = False
+        return zw
 
 
 @dataclass(frozen=True)
@@ -97,10 +115,9 @@ class ControlGains:
     c0: float
 
     def __post_init__(self):
-        if self.k1 < 0 or self.k2 < 0:
-            raise ValueError("gains k1, k2 must be nonnegative")
-        if self.c0 < 0:
-            raise ValueError("boundary coefficient c0 must be nonnegative")
+        for name in ("k1", "k2", "c0"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name}: must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -114,9 +131,6 @@ class WaveState:
     @property
     def n_followers(self) -> int:
         return self.u_curr.shape[0] - 1
-
-    def deviation(self) -> np.ndarray:
-        return self.u_curr[1:] - self.u_curr[0]
 
 
 def _filter_oldest(up: np.ndarray, eps: float) -> np.ndarray:
@@ -136,27 +150,11 @@ def _filter_oldest(up: np.ndarray, eps: float) -> np.ndarray:
     return up + (eps / 64.0) * d
 
 
-def _step_leader(u, up, grid: Grid, c0: float):
-    """One step of the unforced leader: Robin at x=0, zero flux at x=1.
-
-    Updates are written in increment form u + delta so that spatially
-    constant states are exact fixed points in floating point.
-    """
-    r2 = grid.courant ** 2
-    rc0 = grid.courant * c0
-    upf = _filter_oldest(up, grid.dissipation * (1.0 - r2))
-    un = np.empty_like(u)
-    un[:, 1:-1] = u[:, 1:-1] + ((u[:, 1:-1] - upf[:, 1:-1])
-                                + r2 * (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]))
-    un[:, 0] = u[:, 0] + ((u[:, 0] - upf[:, 0])
-                          + 2.0 * r2 * (u[:, 1] - u[:, 0])) / (1.0 + 2.0 * rc0)
-    un[:, -1] = u[:, -1] + ((u[:, -1] - upf[:, -1])
-                            + 2.0 * r2 * (u[:, -2] - u[:, -1]))
-    return un
-
-
-class _ErrorStepper:
-    """Per-step update of the deviation fields (self-contained system)."""
+class _Stepper:
+    """One step of the rows of a self-contained block: the deviation fields
+    under the boundary control, or the unforced leader (m = [[0]] and zero
+    gains).  Updates are written in increment form u + delta so that
+    spatially constant states are exact fixed points in floating point."""
 
     def __init__(self, grid: Grid, gains: ControlGains, m: np.ndarray):
         self.grid = grid
@@ -366,68 +364,45 @@ class Simulation:
         state = init_state(grid, profiles, gains, self.m, self.dist)
         nx = grid.nx
         self._yl = np.concatenate([state.u_curr[0], state.u_prev[0]])
-        self._sl = _assemble_propagator(
-            lambda u, up: _step_leader(u, up, grid, gains.c0), 1, nx)
+        leader = _Stepper(grid, ControlGains(k1=0.0, k2=0.0, c0=gains.c0), [[0.0]])
+        self._sl = _assemble_propagator(leader.step, 1, nx)
         if self.n:
             err = state.u_curr[1:] - state.u_curr[0]
             err_prev = state.u_prev[1:] - state.u_prev[0]
             self._ye = np.concatenate([err.ravel(), err_prev.ravel()])
-            stepper = _ErrorStepper(grid, gains, self.m)
+            stepper = _Stepper(grid, gains, self.m)
             self._se = _assemble_propagator(stepper.step, self.n, nx)
-            self._stepper = stepper
             self._spatial_f = np.stack([
                 eval_profile(st.spatial, grid.points) if st.kind == "separable"
                 else np.zeros(nx) for st in self.dist.f])
-            w = np.full(nx, grid.dx)
-            w[0] = w[-1] = grid.dx / 2.0
-            self._spatial_f_nsq = (self._spatial_f ** 2) @ w
-            self._has_f = any(st.kind != "zero" for st in self.dist.f)
-            self._has_psi0 = any(s.kind != "zero" for s in self.dist.psi0)
-            self._has_psi1 = any(s.kind != "zero" for s in self.dist.psi1)
+            self._spatial_f_nsq = (self._spatial_f ** 2) @ grid.weights
             # zero kind == amplitude 0: one vectorized cosine covers all
             # 3n scalar signal channels per step
-            sigs = ([s for s in self.dist.psi0] + [s for s in self.dist.psi1]
-                    + [st.temporal if st.kind == "separable" else None
-                       for st in self.dist.f])
-            self._sig_amp = np.array([
-                s.amplitude if s is not None and s.kind == "sinusoid" else 0.0
-                for s in sigs])
-            self._sig_om = np.array([
-                s.angular_frequency if s is not None and s.kind == "sinusoid" else 0.0
-                for s in sigs])
-            self._sig_ph = np.array([
-                s.phase if s is not None and s.kind == "sinusoid" else 0.0
-                for s in sigs])
-            r2 = grid.courant ** 2
-            self._psi0_coef = -(2.0 * r2 * grid.dx) / (1.0 + 2.0 * grid.courant * gains.c0)
-            self._psi1_mat = (2.0 * r2 * grid.dx) * stepper.a_inv
-            self._f_factor = grid.dt ** 2
-            self._inject = self._injection_matrix() \
-                if (self._has_f or self._has_psi0 or self._has_psi1) else None
+            sigs = [*self.dist.psi0, *self.dist.psi1,
+                    *(st.temporal if st.kind == "separable" else None for st in self.dist.f)]
+            self._sig_amp, self._sig_om, self._sig_ph = np.array([
+                (s.amplitude, s.angular_frequency, s.phase)
+                if s is not None and s.kind == "sinusoid" else (0.0, 0.0, 0.0)
+                for s in sigs]).T
+            self._inject = None if self.dist.is_zero() else self._injection_matrix(stepper)
         else:
             self._ye = np.zeros(0)
             self._se = None
-            self._has_f = self._has_psi0 = self._has_psi1 = False
             self._inject = None
 
-    def _injection_matrix(self) -> np.ndarray:
+    def _injection_matrix(self, stepper: _Stepper) -> np.ndarray:
         """Columns: the state increment per unit psi0_i / psi1_i / f-tempo_i,
-        so the per-step disturbance load is one small matvec J @ values."""
+        probed through the stencil, so the per-step disturbance load is one
+        small matvec J @ values."""
         n, nx = self.n, self.grid.nx
-        j = np.zeros((n * nx, 3 * n))
-        for i in range(n):
-            j[i * nx + 0, i] = self._psi0_coef
-        for i in range(n):
-            j[nx - 1::nx, n + i] = self._psi1_mat[:, i]
-        rc0 = 2.0 * self.grid.courant * self.gains.c0
-        for i in range(n):
-            col = np.zeros((n, nx))
-            col[i, 1:-1] = self._f_factor * self._spatial_f[i, 1:-1]
-            col[i, 0] = self._f_factor * self._spatial_f[i, 0] / (1.0 + rc0)
-            col[:, -1] += self._stepper.a_inv[:, i] * (
-                self._f_factor * self._spatial_f[i, -1])
-            j[:, 2 * n + i] = col.ravel()
-        return j
+        zero = np.zeros((n, nx))
+        cols = []
+        for channel in ("psi0", "psi1", "fvals"):
+            for i in range(n):
+                load = np.zeros((n, nx) if channel == "fvals" else n)
+                load[i] = self._spatial_f[i] if channel == "fvals" else 1.0
+                cols.append(stepper.step(zero, zero, **{channel: load}).ravel())
+        return np.stack(cols, axis=1)
 
     def _signal_values(self, t: float) -> np.ndarray:
         """psi0, psi1 and f-temporal values stacked as one (3n,) vector."""
@@ -464,7 +439,6 @@ class Simulation:
                     ye2[:dim_e] += inject @ vals
             if k % stride == 0 or k == nsteps:
                 if any_dist:
-                    vals = self._signal_values(t)
                     es0 = max(es0, float(vals[:n] @ vals[:n]))
                     es1 = max(es1, float(vals[n:2 * n] @ vals[n:2 * n]))
                     esf = max(esf, float(vals[2 * n:] ** 2 @ self._spatial_f_nsq))

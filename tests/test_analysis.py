@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from waveconsensus.analysis import (FunctionalSample, FunctionalWeights,
-                                    TimeSeries, agmon_check, decay_fit,
-                                    iss_check, l2_norm_scalar, l2_norm_vector,
+from waveconsensus.analysis import (BoundReport, FunctionalSample,
+                                    FunctionalWeights, TimeSeries, agmon_check,
+                                    decay_fit, envelope_report, iss_check,
+                                    l2_norm_scalar, l2_norm_vector,
                                     lyapunov_sample, monotone_decay_report,
                                     open_loop_energy, open_loop_energy_fields,
                                     pointwise_bound_check, poincare_check,
                                     sandwich_report, spatial_derivative)
 from waveconsensus.certificate import (certificate_constants_unperturbed,
-                                       optimize_certificate)
+                                       iss_bound, optimize_certificate)
 from waveconsensus.graph import eig_extremes_sym
 from waveconsensus.wavesim import Grid, WaveState
 
@@ -262,6 +263,133 @@ class TestBoundChecks:
         rep_bad = iss_check(bad_series, cert)
         assert not rep_bad.ok
         assert rep_bad.conservative.violations
+
+
+# Per-sample loop versions of the bound checks: the oracle the vectorised
+# reports must match exactly.
+def loop_monotone(series, rel_slack=1e-6, column="V", abs_floor=0.0):
+    v = series.column(column)
+    t = series.column("time")
+    bad = []
+    worst = 0.0
+    for i in range(1, len(v)):
+        limit = v[i - 1] * (1.0 + rel_slack) + abs_floor
+        if v[i] > limit:
+            bad.append((float(t[i]), float(v[i]), float(limit)))
+            if v[i - 1] > 0:
+                worst = max(worst, v[i] / v[i - 1] - 1.0)
+    return BoundReport(checked=len(v) - 1, violations=tuple(bad), worst_ratio=worst)
+
+
+def loop_sandwich(series, cert, rel_slack=1e-8):
+    v = series.column("V")
+    v0 = series.column("V0")
+    t = series.column("time")
+    bad = []
+    worst = 0.0
+    for i in range(len(v)):
+        lo = cert.tau1 * v0[i]
+        hi = cert.tau2 * v0[i]
+        if not (lo <= v[i] * (1.0 + rel_slack) and v[i] <= hi * (1.0 + rel_slack)):
+            bad.append((float(t[i]), float(v[i]), float(lo), float(hi)))
+            scale = max(abs(hi), abs(v[i]), 1e-300)
+            worst = max(worst, abs(v[i] - np.clip(v[i], lo, hi)) / scale)
+    return BoundReport(checked=len(v), violations=tuple(bad), worst_ratio=worst)
+
+
+def loop_exp_envelope(t, values, scale, alpha, slack):
+    bad = []
+    worst = 0.0
+    for i in range(len(values)):
+        bound = scale * math.exp(-alpha * t[i]) * (1.0 + slack)
+        if values[i] > bound:
+            bad.append((float(t[i]), float(values[i]), float(bound)))
+            worst = max(worst, values[i] / bound - 1.0)
+    return BoundReport(checked=len(values), violations=tuple(bad), worst_ratio=worst)
+
+
+def loop_envelope(series, cert, slack=0.05):
+    v = series.column("V")
+    return loop_exp_envelope(series.column("time"), v, v[0], cert.alpha, slack)
+
+
+def loop_pointwise(series, cert, v_initial, slack=0.05):
+    return loop_exp_envelope(series.column("time"), series.column("ptwise_max_sq"),
+                             cert.delta_factor * v_initial, cert.alpha, slack)
+
+
+def loop_iss(series, cert, conservative):
+    t = series.column("time")
+    v0 = series.column("V0")
+    bound = iss_bound(cert, float(v0[0]), t, series.column("es_psi0_sq"),
+                      series.column("es_psi1_sq"), series.column("es_f_sq"),
+                      conservative=conservative)
+    bad = []
+    worst = 0.0
+    for i in range(len(t)):
+        if v0[i] > bound[i]:
+            bad.append((float(t[i]), float(v0[i]), float(bound[i])))
+            worst = max(worst, v0[i] / bound[i] - 1.0)
+    return BoundReport(checked=len(t), violations=tuple(bad), worst_ratio=worst)
+
+
+class TestBoundChecksMatchLoopOracle:
+    @pytest.fixture(scope="class")
+    def certs(self, reference_matrix):
+        ext = eig_extremes_sym(reference_matrix)
+        return {regime: optimize_certificate(regime, K1, K2, C0, ext.lambda_min,
+                                             ext.lambda_max, resolution=50)
+                for regime in ("unperturbed", "perturbed")}
+
+    @staticmethod
+    def random_series(rng, cert, n=400):
+        """Decaying series with multiplicative noise large enough that
+        every check sees violations; some samples are zero."""
+        t = np.cumsum(rng.uniform(0.5, 5.0, n)) - 0.5
+        t[0] = 0.0
+        decay = np.exp(-cert.alpha * t)
+        v = 3.0 * decay * rng.uniform(0.9, 1.2, n)
+        v[0] = 3.0
+        v[rng.integers(1, n, 5)] = 0.0
+        v0 = v * rng.uniform(0.5 / cert.tau2, 2.0 / cert.tau1, n)
+        v0[0] = v[0] / cert.tau2
+        ts = TimeSeries(grid=None, gains=None, certificate=None)
+        es = np.maximum.accumulate(rng.uniform(0.0, 1e-9, (3, n)), axis=1)
+        for i in range(n):
+            ts.append(FunctionalSample(
+                time=float(t[i]), E=v[i], G1=0.0, G2=0.0, V=v[i], V0=v0[i],
+                l2_error=0.0, h1_seminorm=0.0,
+                ptwise_max_sq=cert.delta_factor * 3.0 * decay[i] * rng.uniform(0.9, 1.1),
+                boundary_err_sq=0.0, es_psi0_sq=es[0, i], es_psi1_sq=es[1, i],
+                es_f_sq=es[2, i]))
+        return ts
+
+    @staticmethod
+    def assert_same(fast, loop):
+        assert fast.violations, "the series must exercise violations"
+        assert fast.checked == loop.checked
+        assert fast.violations == loop.violations
+        assert fast.worst_ratio == loop.worst_ratio
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unperturbed_reports(self, certs, seed):
+        cert = certs["unperturbed"]
+        ts = self.random_series(np.random.default_rng(seed), cert)
+        self.assert_same(monotone_decay_report(ts), loop_monotone(ts))
+        self.assert_same(monotone_decay_report(ts, rel_slack=0.1, abs_floor=1e-6),
+                         loop_monotone(ts, rel_slack=0.1, abs_floor=1e-6))
+        self.assert_same(sandwich_report(ts, cert), loop_sandwich(ts, cert))
+        self.assert_same(envelope_report(ts, cert), loop_envelope(ts, cert))
+        self.assert_same(pointwise_bound_check(ts, cert, v_initial=3.0),
+                         loop_pointwise(ts, cert, 3.0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_iss_reports(self, certs, seed):
+        cert = certs["perturbed"]
+        ts = self.random_series(np.random.default_rng(seed), cert)
+        rep = iss_check(ts, cert)
+        self.assert_same(rep.conservative, loop_iss(ts, cert, True))
+        self.assert_same(rep.verbatim, loop_iss(ts, cert, False))
 
 
 class TestClassicalInequalities:

@@ -136,7 +136,7 @@ class TestEigExtremes:
         assert np.allclose(coeffs, [1.0, -5.0, 6.0, -1.0], atol=1e-12)
         roots = poly_roots_bisect(coeffs, 0.0, 4.0)
         assert len(roots) == 3
-        ext = eig_extremes_sym(reference_matrix, tol=1e-10)
+        ext = eig_extremes_sym(reference_matrix)
         assert ext.lambda_min == pytest.approx(roots[0], abs=1e-10)
         assert ext.lambda_max == pytest.approx(roots[-1], abs=1e-10)
 
@@ -150,24 +150,13 @@ class TestEigExtremes:
         assert (ext.lambda_min, ext.lambda_max) == (2.0, 5.0)
 
     def test_returns_spectral_extremes(self, reference_matrix):
-        ext = eig_extremes_sym(reference_matrix, tol=1e-8)
+        ext = eig_extremes_sym(reference_matrix)
         assert isinstance(ext, SpectralExtremes)
-        assert ext.tolerance == 1e-8
         assert ext.lambda_min <= ext.lambda_max
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             eig_extremes_sym([[0.0, 1.0], [0.5, 0.0]])
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tol"):
-            eig_extremes_sym(np.eye(2), tol=0.0)
-
-    def test_exhausted_iteration_budget(self, reference_matrix):
-        from waveconsensus.errors import NumericError
-
-        with pytest.raises(NumericError, match="converge"):
-            eig_extremes_sym(reference_matrix, tol=1e-10, max_sweeps=0)
 
     def test_agreement_with_oracle_up_to_order_4(self):
         rng = np.random.default_rng(7)
@@ -180,7 +169,7 @@ class TestEigExtremes:
             roots = poly_roots_bisect(coeffs, -bound, bound)
             if len(roots) != n:  # nearly multiple roots: bracketing unreliable
                 continue
-            ext = eig_extremes_sym(a, tol=1e-10)
+            ext = eig_extremes_sym(a)
             assert ext.lambda_min == pytest.approx(min(roots), abs=1e-7)
             assert ext.lambda_max == pytest.approx(max(roots), abs=1e-7)
 

@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,13 @@ class TestParseConfig:
         for tid in (1, 2, 3):
             config = harness.test_preset(tid)
             assert harness.parse_config(harness.serialize_config(config)) == config
+
+    @pytest.mark.parametrize("tid", (1, 2, 3))
+    def test_serializer_matches_shipped_bytes(self, tid):
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        with open(os.path.join(root, f"test{tid}.json"), encoding="utf-8") as fh:
+            shipped = fh.read()
+        assert harness.serialize_config(harness.test_preset(tid)) + "\n" == shipped
 
     def test_round_trip_with_horizon_and_overrides(self):
         doc = json.loads(MINIMAL)
@@ -73,6 +83,145 @@ class TestParseConfig:
         doc["topology"]["adjacency"] = [[0, 1, 0], [1, 0, 1], [1, 1, 0]]
         with pytest.raises(Exception, match="symmetric"):
             harness.parse_config(json.dumps(doc))
+
+
+# A config that uses every schema field, so each bad-input row below can
+# replace one value in it.
+FULL = {
+    "topology": {"adjacency": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                 "leader_links": [1, 0, 0]},
+    "gains": {"k1": 30.0, "k2": 10.0, "c0": 2.5},
+    "grid": {"nx": 5, "courant": 0.9, "dissipation": 0.1},
+    "horizon": 1.0,
+    "initial_conditions": {
+        "leader": {"displacement": {"kind": "cosine", "amplitude": 1.0,
+                                    "spatial_frequency": 2.0},
+                   "velocity": {"kind": "zero"}},
+        "followers": [
+            {"displacement": {"kind": "table", "samples": [0.0, 1.0, 2.0, 1.0, 0.0]},
+             "velocity": {"kind": "polynomial", "coefficients": [0.0, 1.0]}},
+            {}, {}]},
+    "disturbances": {
+        "psi0": [{"kind": "sinusoid", "amplitude": 1.0, "angular_frequency": 10.0}] * 3,
+        "psi1": [{"kind": "sinusoid", "amplitude": 1.0, "angular_frequency": 10.0,
+                  "phase": 0.5}] * 3,
+        "f": [{"kind": "separable",
+               "temporal": {"kind": "sinusoid", "amplitude": 1.0, "angular_frequency": 1.0},
+               "spatial": {"kind": "polynomial", "coefficients": [1.0]}}] * 3},
+    "certificate": {"regime": "perturbed", "resolution": 20, "rho1": 0.04,
+                    "rho2": 0.5, "xi1": 0.005, "xi2": 0.001},
+    "output": {"csv": "run.csv", "stride": 2},
+}
+
+# (dotted path, bad value): the value is written at the path (None writes
+# null, which counts as missing) and the error must name that path.
+BAD_INPUT = [
+    ("topology", "x"),
+    ("topology.adjacency", "x"),
+    ("topology.adjacency", [[0, 2, 0], [2, 0, 1], [0, 1, 0]]),
+    ("topology.adjacency", [[0, 1, 0], [0, 0, 1], [0, 1, 0]]),
+    ("topology.adjacency[1]", [1, 0]),
+    ("topology.adjacency[0][0]", 0.5),
+    ("topology.adjacency[0][1]", "1"),
+    ("topology.leader_links", None),
+    ("topology.leader_links", [1, 0]),
+    ("topology.leader_links", [2, 0, 0]),
+    ("topology.leader_links[0]", True),
+    ("gains", "x"),
+    ("gains", None),
+    ("gains.k1", -1),
+    ("gains.k1", None),
+    ("gains.k2", "fast"),
+    ("gains.c0", -0.5),
+    ("grid", []),
+    ("grid.nx", 201.7),
+    ("grid.nx", 2),
+    ("grid.courant", 1.5),
+    ("grid.courant", 0.0),
+    ("grid.courant", float("nan")),
+    ("grid.dissipation", 2.0),
+    ("horizon", -1.0),
+    ("horizon", "long"),
+    ("initial_conditions", 5),
+    ("initial_conditions.leader", "x"),
+    ("initial_conditions.leader.displacement", []),
+    ("initial_conditions.leader.displacement.kind", "wavelet"),
+    ("initial_conditions.leader.displacement.kind", None),
+    ("initial_conditions.leader.displacement.amplitude", "big"),
+    ("initial_conditions.leader.displacement.spatial_frequency", None),
+    ("initial_conditions.leader.velocity.kind", 3),
+    ("initial_conditions.followers", [{}]),
+    ("initial_conditions.followers[1]", 7),
+    ("initial_conditions.followers[0].displacement.samples", "x"),
+    ("initial_conditions.followers[0].displacement.samples[2]", float("inf")),
+    ("initial_conditions.followers[0].velocity.coefficients", None),
+    ("initial_conditions.followers[0].velocity.coefficients[1]", "a"),
+    ("disturbances", "x"),
+    ("disturbances.psi0", [{"kind": "zero"}]),
+    ("disturbances.psi0[0].kind", "square"),
+    ("disturbances.psi0[0].amplitude", None),
+    ("disturbances.psi0[1].angular_frequency", "w"),
+    ("disturbances.psi1", {}),
+    ("disturbances.psi1[2].phase", "late"),
+    ("disturbances.f", [{"kind": "zero"}] * 4),
+    ("disturbances.f[0].kind", "tensor"),
+    ("disturbances.f[0].temporal", None),
+    ("disturbances.f[0].temporal.kind", "x"),
+    ("disturbances.f[1].spatial", "x"),
+    ("certificate", 1),
+    ("certificate.regime", "fast"),
+    ("certificate.resolution", 0),
+    ("certificate.resolution", 10.5),
+    ("certificate.rho1", "x"),
+    ("certificate.rho2", True),
+    ("certificate.xi1", [0.1]),
+    ("certificate.xi2", {}),
+    ("output", "x"),
+    ("output.csv", 7),
+    ("output.stride", 10.9),
+    ("output.stride", 0),
+]
+
+
+def with_value(doc, path, value):
+    """Copy of `doc` with `value` written at a dotted/indexed path."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = [int(k) if k.isdigit() else k
+                      for k in re.findall(r"[^.\[\]]+", path)]
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+class TestBadInput:
+    def test_full_config_is_valid(self):
+        config = harness.parse_config(json.dumps(FULL))
+        assert harness.parse_config(harness.serialize_config(config)) == config
+
+    @pytest.mark.parametrize("path,value", BAD_INPUT,
+                             ids=[f"{p}={v!r}" for p, v in BAD_INPUT])
+    def test_error_names_the_path(self, path, value):
+        with pytest.raises(ConfigError) as exc:
+            harness.parse_config(json.dumps(with_value(FULL, path, value)))
+        assert str(exc.value).startswith(f"{path}: "), str(exc.value)
+
+    @pytest.mark.parametrize("path,value", [
+        ("grid.courant", 1.5), ("gains.k1", -1), ("certificate.resolution", 0),
+        ("grid.nx", 201.7), ("output.stride", 10.9),
+        ("topology.adjacency[0][0]", 0.5), ("gains", "x")])
+    def test_cli_exits_1_without_traceback(self, tmp_path, path, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(with_value(FULL, path, value)))
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "waveconsensus.cli", "check-gains", "--config", str(cfg)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"config error: {path}: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestPresets:
