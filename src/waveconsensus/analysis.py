@@ -60,9 +60,9 @@ def spatial_derivative(field, grid) -> np.ndarray:
         raise ValueError(f"field length {z.shape[-1]} does not match grid nx={grid.nx}")
     d = np.empty_like(z)
     dx = grid.dx
-    d[:, 1:-1] = (z[:, 2:] - z[:, :-2]) / (2.0 * dx)
-    d[:, 0] = (-3.0 * z[:, 0] + 4.0 * z[:, 1] - z[:, 2]) / (2.0 * dx)
-    d[:, -1] = (3.0 * z[:, -1] - 4.0 * z[:, -2] + z[:, -3]) / (2.0 * dx)
+    d[..., 1:-1] = (z[..., 2:] - z[..., :-2]) / (2.0 * dx)
+    d[..., 0] = (-3.0 * z[..., 0] + 4.0 * z[..., 1] - z[..., 2]) / (2.0 * dx)
+    d[..., -1] = (3.0 * z[..., -1] - 4.0 * z[..., -2] + z[..., -3]) / (2.0 * dx)
     return d if np.asarray(field).ndim > 1 else d[0]
 
 
@@ -104,11 +104,13 @@ class TimeSeries:
             self.columns.setdefault(name, [])
 
     def append(self, sample: FunctionalSample) -> None:
-        if self.times and sample.time <= self.times[-1]:
+        """Append one sample, or a batch whose fields are (s,) arrays."""
+        times = np.atleast_1d(np.asarray(sample.time, dtype=float))
+        if np.any(np.diff(times) <= 0) or (self.times and times[0] <= self.times[-1]):
             raise ValueError("time stamps must be strictly increasing")
-        self.times.append(sample.time)
+        self.times.extend(times.tolist())
         for name in self._FIELDS:
-            self.columns[name].append(getattr(sample, name))
+            self.columns[name].extend(np.atleast_1d(getattr(sample, name)).tolist())
 
     def column(self, name: str) -> np.ndarray:
         if name == "time":
@@ -124,37 +126,45 @@ class TimeSeries:
         return len(self.times)
 
 
-def lyapunov_sample(u_tilde, u_tilde_t, cert, m, grid, time: float = 0.0,
-                    es_psi0_sq: float = 0.0, es_psi1_sq: float = 0.0,
-                    es_f_sq: float = 0.0) -> FunctionalSample:
-    """Evaluate E, G1, G2, V, V0 and the error norms on one deviation state.
+def lyapunov_sample(u_tilde, u_tilde_t, cert, m, grid, time=0.0,
+                    es_psi0_sq=0.0, es_psi1_sq=0.0, es_f_sq=0.0) -> FunctionalSample:
+    """Evaluate E, G1, G2, V, V0 and the error norms on deviation states.
 
-    u_tilde / u_tilde_t: (n, nx) deviation displacement and velocity fields.
+    u_tilde / u_tilde_t: (n, nx) deviation displacement and velocity
+    fields, or (s, n, nx) for s samples at once; then time and the es_*
+    sups are per-sample sequences (or scalars) and every field of the
+    returned sample is an (s,) array.
     cert supplies (k1, k2, rho1, rho2); m is the pinned matrix.
     """
-    ut = np.atleast_2d(np.asarray(u_tilde, dtype=float))
-    vt = np.atleast_2d(np.asarray(u_tilde_t, dtype=float))
-    w, zw = grid.weights, grid.moment_weights
-    if ut.size == 0:
-        return FunctionalSample(time, *(0.0,) * 9, es_psi0_sq, es_psi1_sq, es_f_sq)
-    d = spatial_derivative(ut, grid)
-    nsq_d = float(np.einsum("ij,ij,j->", d, d, w))
-    nsq_v = float(np.einsum("ij,ij,j->", vt, vt, w))
-    ub = ut[:, -1]
-    quad = float(ub @ np.asarray(m, dtype=float) @ ub)
-    e_val = 0.5 * nsq_d + 0.5 * nsq_v + 0.5 * cert.k1 * quad
-    g1 = 0.5 * cert.rho1 * cert.k2 * quad + cert.rho1 * float(ub @ (vt @ w))
-    g2 = cert.rho2 * float(np.einsum("ij,ij,j->", vt, d, zw))
-    v = e_val + g1 + g2
-    v0 = nsq_d + nsq_v + float(ub @ ub)
-    l2 = math.sqrt(float(np.einsum("ij,ij,j->", ut, ut, w)))
-    if v0 < FLUSH_FLOOR:
-        return FunctionalSample(time, *(0.0,) * 9, es_psi0_sq, es_psi1_sq, es_f_sq)
-    return FunctionalSample(
-        time=time, E=e_val, G1=g1, G2=g2, V=v, V0=v0, l2_error=l2,
-        h1_seminorm=math.sqrt(nsq_d), ptwise_max_sq=float(np.max(ut * ut)),
-        boundary_err_sq=float(ub @ ub),
-        es_psi0_sq=es_psi0_sq, es_psi1_sq=es_psi1_sq, es_f_sq=es_f_sq)
+    ut = np.asarray(u_tilde, dtype=float)
+    vt = np.asarray(u_tilde_t, dtype=float)
+    batched = ut.ndim == 3
+    if not batched:
+        ut, vt = np.atleast_2d(ut)[None], np.atleast_2d(vt)[None]
+    s = ut.shape[0]
+    extra = [np.broadcast_to(np.asarray(a, dtype=float), (s,))
+             for a in (time, es_psi0_sq, es_psi1_sq, es_f_sq)]
+    values = np.zeros((9, s))
+    if ut.size:
+        w, zw = grid.weights, grid.moment_weights
+        d = spatial_derivative(ut, grid)
+        nsq_d = np.einsum("sij,sij->sj", d, d) @ w
+        nsq_v = np.einsum("sij,sij->sj", vt, vt) @ w
+        ub = ut[:, :, -1]
+        quad = np.einsum("si,si->s", ub @ np.asarray(m, dtype=float), ub)
+        bnd = np.einsum("si,si->s", ub, ub)
+        e_val = 0.5 * nsq_d + 0.5 * nsq_v + 0.5 * cert.k1 * quad
+        g1 = (0.5 * cert.rho1 * cert.k2 * quad
+              + cert.rho1 * np.einsum("si,si->s", ub, vt @ w))
+        g2 = cert.rho2 * (np.einsum("sij,sij->sj", vt, d) @ zw)
+        v0 = nsq_d + nsq_v + bnd
+        values[:] = (e_val, g1, g2, e_val + g1 + g2, v0,
+                     np.sqrt(np.einsum("sij,sij->sj", ut, ut) @ w), np.sqrt(nsq_d),
+                     np.max(ut * ut, axis=(1, 2)), bnd)
+        values[:, v0 < FLUSH_FLOOR] = 0.0
+    if batched:
+        return FunctionalSample(extra[0], *values, *extra[1:])
+    return FunctionalSample(*(float(a[0]) for a in (extra[0], *values, *extra[1:])))
 
 
 def open_loop_energy(state, grid, leader: bool) -> float:

@@ -126,12 +126,13 @@ class ExperimentConfig:
 # JSON schema
 #
 # One table gives the JSON layout of every config dataclass and drives both
-# parse_config and serialize_config.  An absent or null member takes its
-# dataclass default; a member whose field has no default is required, and
-# so is every field a kinded object's kind uses (signals.*_KINDS) unless it
-# is listed as optional.  Range checks live only in the dataclasses'
-# __post_init__, whose messages name the field first ("courant: ..."); the
-# walker prefixes the path of the enclosing object.
+# parse_config and serialize_config.  A member that is not in the table is
+# an error.  An absent or null member takes its dataclass default; a member
+# whose field has no default is required, and so is every field a kinded
+# object's kind uses (signals.*_KINDS) unless it is listed as optional.
+# Range checks live only in the dataclasses' __post_init__, whose messages
+# name the field first ("courant: ..."); the walker prefixes the path of
+# the enclosing object.
 
 
 def _join(path: str, key: str) -> str:
@@ -148,6 +149,14 @@ def _lookup(obj: dict, key: str, path: str):
         if not isinstance(obj, dict):
             raise ConfigError(f"{path}: expected an object, got {obj!r}")
     return obj.get(last)
+
+
+def _reject_unknown(obj: dict, layout: dict, path: str) -> None:
+    for key, value in obj.items():
+        if key not in layout:
+            raise ConfigError(f"{_join(path, key)}: unknown field")
+        if layout[key] is not None and isinstance(value, dict):
+            _reject_unknown(value, layout[key], _join(path, key))
 
 
 class _Scalar:
@@ -209,6 +218,13 @@ class _Object:
         self.members = [(m[0], m[1], m[2] if len(m) > 2 else m[0].rsplit(".", 1)[-1])
                         for m in members]
         self.kinds = kinds
+        self.layout = {}  # the JSON members, dotted keys as nested dicts
+        for key, _node, _name in self.members:
+            *groups, last = key.split(".")
+            level = self.layout
+            for group in groups:
+                level = level.setdefault(group, {})
+            level[last] = None
         if kinds is None:
             self.required = {f.name for f in fields(cls)
                              if f.default is MISSING and f.default_factory is MISSING}
@@ -221,6 +237,7 @@ class _Object:
     def load(self, value, path, n):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object, got {value!r}")
+        _reject_unknown(value, self.layout, path)
         kwargs = {}
         for key, node, name in self.members:
             if not self._used(name, kwargs.get("kind")):
@@ -432,7 +449,8 @@ def _cert_lines(cert) -> list:
 
 
 def run_check_gains(config: ExperimentConfig) -> RunResult:
-    """Report both regimes' gain gates and the optimized certificate."""
+    """Report both regimes' gain gates and each regime's certificate
+    (optimized, or built from the config's explicit rho/xi)."""
     lines = []
     try:
         ext = spectral_extremes_for(config)
@@ -450,13 +468,11 @@ def run_check_gains(config: ExperimentConfig) -> RunResult:
                          f"(margin {rep.margins[key]:+.6g})")
         if rep.ok:
             try:
-                cert = cert_mod.optimize_certificate(
-                    regime, g.k1, g.k2, g.c0, ext.lambda_min, ext.lambda_max,
-                    resolution=config.certificate.resolution)
+                cert = certificate_for(config, regime)
                 lines.extend(_cert_lines(cert))
                 feasible[regime] = cert
             except CertificateError as exc:
-                lines.append(f"  optimization infeasible: {exc}")
+                lines.append(f"  certificate infeasible: {exc}")
     target = config.effective_regime()
     code = EXIT_OK if target in feasible else EXIT_INFEASIBLE
     lines.append(f"requested regime: {target} -> "

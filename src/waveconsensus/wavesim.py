@@ -11,21 +11,31 @@ Scheme: explicit 3-point leapfrog in the interior with ghost-point Neumann
 closures.  The boundary velocities use the implicit backward difference
 (u^{k+1}-u^k)/dt: the explicit two-level difference is unstable at the
 reference gains (the k2-feedback coefficient exceeds the stability margin
-by an order of magnitude), while the implicit form costs one precomputed
-n-by-n solve per step and is stable for courant <= 1.  A 6th-difference
-filter on the oldest time level (strength eps0 (1 - courant^2), zero at
-courant = 1 where transport is exact) drains near-Nyquist content that
-otherwise has vanishing group velocity and never reaches the dissipative
-boundaries; its response on resolved modes is O(theta^6) and does not
-perturb the solver's second-order convergence.
+by an order of magnitude), while the implicit form costs one n-by-n solve
+per step (one division per modal row) and is stable for courant <= 1.  A
+6th-difference filter on the oldest time level (strength eps0
+(1 - courant^2), zero at courant = 1 where transport is exact) drains
+near-Nyquist content that otherwise has vanishing group velocity and
+never reaches the dissipative boundaries; its response on resolved modes
+is O(theta^6) and does not perturb the solver's second-order convergence.
 
-`simulate` integrates the leader and the deviation (error) fields as two
-decoupled blocks through pre-assembled sparse one-step propagators, both
-probed from one stencil (the leader is its zero-gain, m = [[0]] case); the
-error block is exactly the deviation dynamics and keeps full relative
-precision while the error stays in the normal floating-point range (an
-undisturbed error stalls near 1e-320, in the subnormal range).  `step` is
-the plain per-agent reference implementation of the same update.
+`Simulation` runs in modal coordinates.  The pinned matrix is symmetric,
+M = Q diag(lam) Q^T, so the deviation (error) dynamics split along its
+eigenvectors into n independent single agents whose x=1 feedback gains
+are scaled by lam_i; the leader is the lam = 0 row of the same stencil.
+One block-diagonal sparse operator, probed from the stencil in O(n nx)
+memory, advances the rows [leader, mode_1 .. mode_n].  Each disturbance
+channel A cos(w t + phi) enters it through two phase columns per distinct
+frequency w, so its sparse powers S^p carry the exact forced response of
+p steps.  `Simulation.run` advances one sampling stride per Python
+iteration: a single step (which gives the centered sample velocity), then
+S^(stride - 1), at most S^16 at a time.  The physical deviation Q y is
+rebuilt only at sample instants.  A modal row that decays below 2^-512 is
+scaled up by an exact power of two, so an undisturbed error keeps decaying
+at full speed instead of stalling in the slow subnormal range; observers
+get the unscaled fields, which read exact zero once the true error leaves
+the normal range (2.2e-308).  `step` is the plain per-agent reference
+implementation of the same update in physical coordinates.
 """
 from __future__ import annotations
 
@@ -42,19 +52,23 @@ from .signals import (DisturbanceSpec, eval_profile, eval_signal,
                       eval_space_time, zero_disturbances)
 
 DIVERGENCE_LIMIT = 1e12
+_MAX_POWER = 16         # longest propagator power; longer strides repeat it
+_RESCALE_BITS = 512     # a modal row below 2^-512 is scaled up by 2^512
+_CHUNK_BYTES = 1 << 20  # deviation fields buffered per functional batch
+_NORMAL_MIN = np.finfo(float).tiny
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
 
 try:  # raw CSR kernel: skips scipy's per-call dispatch in the hot loop
     from scipy.sparse import _sparsetools as _st
 
-    def _csr_matvec(s, x, out):
-        out.fill(0.0)
-        _st.csr_matvec(s.shape[0], s.shape[1], s.indptr, s.indices, s.data, x, out)
+    def _csr_matvec(s, data, x):
+        """s, with its stored entries replaced by `data`, times x."""
+        out = np.zeros(x.shape[0])
+        _st.csr_matvec(s.shape[0], s.shape[1], s.indptr, s.indices, data, x, out)
         return out
 except ImportError:  # pragma: no cover - fallback for scipy layout changes
-    def _csr_matvec(s, x, out):
-        out[:] = s @ x
-        return out
+    def _csr_matvec(s, data, x):
+        return sparse.csr_matrix((data, s.indices, s.indptr), shape=s.shape) @ x
 
 
 @dataclass(frozen=True)
@@ -151,22 +165,21 @@ def _filter_oldest(up: np.ndarray, eps: float) -> np.ndarray:
 
 
 class _Stepper:
-    """One step of the rows of a self-contained block: the deviation fields
-    under the boundary control, or the unforced leader (m = [[0]] and zero
-    gains).  Updates are written in increment form u + delta so that
-    spatially constant states are exact fixed points in floating point."""
+    """One step of decoupled rows, each a single agent whose x=1 feedback
+    gains are scaled by its own eigenvalue lam: the leader (lam = 0, the
+    unforced end) and the modes of the deviation fields along the
+    eigenvectors of the pinned matrix (lam = its eigenvalues).  Updates are
+    written in increment form u + delta so that spatially constant states
+    are exact fixed points in floating point."""
 
-    def __init__(self, grid: Grid, gains: ControlGains, m: np.ndarray):
+    def __init__(self, grid: Grid, gains: ControlGains, lam):
         self.grid = grid
-        self.gains = gains
-        self.m = np.asarray(m, dtype=float)
-        n = self.m.shape[0]
+        lam = np.asarray(lam, dtype=float)
         r = grid.courant
         self.r2 = r * r
         self.rc0 = r * gains.c0
-        self.rk2 = r * gains.k2
-        self.k1m = (2.0 * self.r2 * grid.dx * gains.k1) * self.m
-        self.a_inv = np.linalg.inv(np.eye(n) + 2.0 * self.rk2 * self.m)
+        self.k1m = (2.0 * self.r2 * grid.dx * gains.k1) * lam
+        self.a_inv = 1.0 / (1.0 + 2.0 * r * gains.k2 * lam)
         self.eps = grid.dissipation * (1.0 - self.r2)
 
     def step(self, ue, uep, psi0=None, psi1=None, fvals=None):
@@ -186,14 +199,13 @@ class _Stepper:
         if fvals is not None:
             z = z + dt2 * fvals[:, 0]
         un[:, 0] = ue[:, 0] + z / (1.0 + 2.0 * self.rc0)
-        ub = ue[:, -1]
         rhs = ((ue[:, -1] - upf[:, -1]) + 2.0 * r2 * (ue[:, -2] - ue[:, -1])
-               - self.k1m @ ub)
+               - self.k1m * ue[:, -1])
         if psi1 is not None:
             rhs = rhs + (2.0 * r2 * grid.dx) * psi1
         if fvals is not None:
             rhs = rhs + dt2 * fvals[:, -1]
-        un[:, -1] = ue[:, -1] + self.a_inv @ rhs
+        un[:, -1] = ue[:, -1] + self.a_inv * rhs
         return un
 
 
@@ -331,22 +343,36 @@ class SamplePoint:
     es_f_sq: float
 
 
-def _assemble_propagator(step_fn, n_rows: int, nx: int):
-    """Probe a linear two-level step with unit vectors into a CSR matrix."""
-    dim = n_rows * nx
-    cols = []
-    for j in range(2 * dim):
-        y = np.zeros(2 * dim)
-        y[j] = 1.0
-        un = step_fn(y[:dim].reshape(n_rows, nx), y[dim:].reshape(n_rows, nx))
-        cols.append(np.concatenate([un.ravel(), y[:dim]]))
-    s = sparse.csr_matrix(np.stack(cols, axis=1))
-    s.eliminate_zeros()
+def _probe(stepper: _Stepper, rows: int, nx: int):
+    """The one-step CSR propagator of the state [u^k, u^(k-1)] of every row
+    (layout (rows, 2, nx)).  The rows are decoupled, so the matrix is block
+    diagonal and all rows are probed at once, one column position at a
+    time: 2 nx stencil calls and O(rows nx) memory."""
+    base = np.arange(rows) * (2 * nx)
+    shift = np.add.outer(base, np.arange(nx)).ravel()
+    data, ri, ci = [np.ones(rows * nx)], [shift + nx], [shift]  # u^(k-1) <- u^k
+    for j in range(2 * nx):
+        y = np.zeros((rows, 2, nx))
+        y[:, j // nx, j % nx] = 1.0
+        un = stepper.step(y[:, 0], y[:, 1])
+        r, i = np.nonzero(un)
+        data.append(un[r, i])
+        ri.append(base[r] + i)
+        ci.append(base[r] + j)
+    dim = rows * 2 * nx
+    s = sparse.csr_matrix((np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
+                          shape=(dim, dim))
+    s.sort_indices()
     return s
 
 
 class Simulation:
-    """Pre-assembled propagators plus disturbance injections for one run."""
+    """One network's operators in modal coordinates (see the module notes).
+
+    The state is the rows [leader, mode_1 .. mode_n] (two time levels
+    each), the modes being the deviation fields projected on the
+    eigenvectors Q of the pinned matrix, followed by one cos and one sin
+    phase slot per distinct disturbance frequency."""
 
     def __init__(self, topology: Topology | None, gains: ControlGains,
                  grid: Grid, profiles, dist: DisturbanceSpec | None = None):
@@ -362,111 +388,171 @@ class Simulation:
         if self.dist.n != self.n:
             raise ValueError("disturbance channels do not match follower count")
         state = init_state(grid, profiles, gains, self.m, self.dist)
-        nx = grid.nx
-        self._yl = np.concatenate([state.u_curr[0], state.u_prev[0]])
-        leader = _Stepper(grid, ControlGains(k1=0.0, k2=0.0, c0=gains.c0), [[0.0]])
-        self._sl = _assemble_propagator(leader.step, 1, nx)
-        if self.n:
-            err = state.u_curr[1:] - state.u_curr[0]
-            err_prev = state.u_prev[1:] - state.u_prev[0]
-            self._ye = np.concatenate([err.ravel(), err_prev.ravel()])
-            stepper = _Stepper(grid, gains, self.m)
-            self._se = _assemble_propagator(stepper.step, self.n, nx)
-            self._spatial_f = np.stack([
-                eval_profile(st.spatial, grid.points) if st.kind == "separable"
-                else np.zeros(nx) for st in self.dist.f])
-            self._spatial_f_nsq = (self._spatial_f ** 2) @ grid.weights
-            # zero kind == amplitude 0: one vectorized cosine covers all
-            # 3n scalar signal channels per step
-            sigs = [*self.dist.psi0, *self.dist.psi1,
-                    *(st.temporal if st.kind == "separable" else None for st in self.dist.f)]
-            self._sig_amp, self._sig_om, self._sig_ph = np.array([
-                (s.amplitude, s.angular_frequency, s.phase)
-                if s is not None and s.kind == "sinusoid" else (0.0, 0.0, 0.0)
-                for s in sigs]).T
-            self._inject = None if self.dist.is_zero() else self._injection_matrix(stepper)
-        else:
-            self._ye = np.zeros(0)
-            self._se = None
-            self._inject = None
+        lam, self._q = np.linalg.eigh(self.m) if self.n else (np.zeros(0), np.zeros((0, 0)))
+        u, up = state.u_curr, state.u_prev
+        self._y0 = np.stack([np.vstack([u[0], self._q.T @ (u[1:] - u[0])]),
+                             np.vstack([up[0], self._q.T @ (up[1:] - up[0])])],
+                            axis=1).ravel()
+        # psi0, psi1 and f-temporal channels, for the running sups es_*
+        sigs = [*self.dist.psi0, *self.dist.psi1,
+                *(st.temporal if st.kind == "separable" else None for st in self.dist.f)]
+        self._sig_amp, self._sig_om, self._sig_ph = np.array([
+            (s.amplitude, s.angular_frequency, s.phase)
+            if s is not None and s.kind == "sinusoid" else (0.0, 0.0, 0.0)
+            for s in sigs]).reshape(-1, 3).T
+        spatial = [eval_profile(st.spatial, grid.points) if st.kind == "separable"
+                   else np.zeros(grid.nx) for st in self.dist.f]
+        self._spatial_f_nsq = np.reshape(spatial, (-1, grid.nx)) ** 2 @ grid.weights
+        s1 = _probe(_Stepper(grid, gains, np.concatenate([[0.0], lam])),
+                    self.n + 1, grid.nx)
+        self._omegas, g1 = self._forced_step(_Stepper(grid, gains, lam), spatial)
+        if self._omegas.size:  # the phase slots rotate by w dt per step
+            c, sn = (np.diag(f(self._omegas * grid.dt)) for f in (np.cos, np.sin))
+            rot = np.block([[c, -sn], [sn, c]])
+            s1 = sparse.bmat([[s1, sparse.csr_matrix(g1)], [None, sparse.csr_matrix(rot)]],
+                             format="csr")
+        self._powers = {1: s1}
 
-    def _injection_matrix(self, stepper: _Stepper) -> np.ndarray:
-        """Columns: the state increment per unit psi0_i / psi1_i / f-tempo_i,
-        probed through the stencil, so the per-step disturbance load is one
-        small matvec J @ values."""
+    def _forced_step(self, modes: _Stepper, spatial):
+        """Distinct angular frequencies w and the one-step load of all
+        channels at each w, as the real columns [Re F_w..., -Im F_w...]
+        (state layout, leader row zero): the load of the step from time t
+        is their product with [cos(w t)..., sin(w t)...]."""
         n, nx = self.n, self.grid.nx
-        zero = np.zeros((n, nx))
-        cols = []
-        for channel in ("psi0", "psi1", "fvals"):
-            for i in range(n):
-                load = np.zeros((n, nx) if channel == "fvals" else n)
-                load[i] = self._spatial_f[i] if channel == "fvals" else 1.0
-                cols.append(stepper.step(zero, zero, **{channel: load}).ravel())
-        return np.stack(cols, axis=1)
+        loads = {}  # w -> physical complex amplitudes of psi0, psi1, f
 
-    def _signal_values(self, t: float) -> np.ndarray:
-        """psi0, psi1 and f-temporal values stacked as one (3n,) vector."""
-        return self._sig_amp * np.cos(self._sig_om * t + self._sig_ph)
+        def add(sig, channel, i, shape=1.0):
+            if sig.kind == "sinusoid":
+                load = loads.setdefault(sig.angular_frequency, (
+                    np.zeros(n, complex), np.zeros(n, complex), np.zeros((n, nx), complex)))
+                load[channel][i] += sig.amplitude * np.exp(1j * sig.phase) * shape
+
+        for i in range(n):
+            add(self.dist.psi0[i], 0, i)
+            add(self.dist.psi1[i], 1, i)
+            if self.dist.f[i].kind == "separable":
+                add(self.dist.f[i].temporal, 2, i, spatial[i])
+        omegas = np.array(sorted(loads), dtype=float)
+        g = np.zeros((n + 1, 2, nx, 2, omegas.size))
+        zero = np.zeros((n, nx))
+        for k, w in enumerate(omegas):
+            modal = [self._q.T @ a for a in loads[w]]
+            g[1:, 0, :, 0, k] = modes.step(zero, zero, *(a.real for a in modal))
+            g[1:, 0, :, 1, k] = -modes.step(zero, zero, *(a.imag for a in modal))
+        return omegas, g.reshape((n + 1) * 2 * nx, 2 * omegas.size)
+
+    def _power(self, p: int):
+        """The p-step operator on [state, cos(w t)..., sin(w t)...]: S^p
+        with the exact forced response of its p steps in the phase
+        columns (cached per p)."""
+        if p not in self._powers:
+            a1 = a = self._powers[1]
+            for _ in range(1, p):
+                a = a @ a1
+            self._powers[p] = a.tocsr()
+        return self._powers[p]
 
     def run(self, horizon: float, observers=(), stride: int = 10):
         """Advance to `horizon`, invoking observers every `stride` steps
-        (and at the final step).  Observer failures abort the run."""
+        (and at the final step).  Observer failures abort the run.
+
+        Between samples the state advances by sparse propagator powers
+        S^p (p = stride - 1, at most _MAX_POWER; the remainder and the
+        final partial stride take single steps), each with its exact
+        forced response.  At sample instants each modal row whose
+        magnitude fell below 2^-_RESCALE_BITS is scaled up by
+        2^_RESCALE_BITS (exact in binary floating point), which keeps a
+        decaying error out of the slow subnormal range; observers see the
+        unscaled fields, with values below the normal range (2.2e-308)
+        given as 0."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
+        if stride < 1:
+            raise ValueError("stride must be at least 1")
         grid = self.grid
         dt = grid.dt
         nx = grid.nx
         n = self.n
+        rows = n + 1
+        off = 2 * nx
+        dim = rows * off
         nsteps = int(math.ceil(horizon / dt)) if horizon > 0 else 0
-        dim_l = nx
-        dim_e = n * nx
-        yl = self._yl.copy()
-        ye = self._ye.copy()
-        sl = self._sl
-        se = self._se
+        power = max(1, min(stride - 1, _MAX_POWER))
+        omegas = self._omegas.tolist()
+        tiny = 2.0 ** -_RESCALE_BITS
+        exps = np.zeros(rows, dtype=int)
+        unscale = floor = None  # per row 2^-exps, and 2^exps times the least normal
+        ops = {}  # q -> (operator, its entries in this run, forcing entries, their rows)
+        for q in {1, power}:
+            s = self._power(q)
+            forcing = np.flatnonzero(s.indices[:s.indptr[dim]] >= dim)
+            owner = (np.searchsorted(s.indptr, forcing, side="right") - 1) // off
+            ops[q] = (s, s.data, forcing, owner)
+
+        def advance(y, q, k):
+            if omegas:  # exact phases; the operator's own rotation is overwritten
+                ph = [w * (k * dt) for w in omegas]
+                y[dim:] = [*map(math.cos, ph), *map(math.sin, ph)]
+            return _csr_matvec(ops[q][0], ops[q][1], y)
+
         es0 = es1 = esf = 0.0
-        any_dist = self._inject is not None
-        inject = self._inject
-        yl2 = np.empty_like(yl)
-        ye2 = np.empty_like(ye)
-        for k in range(nsteps + 1):
+        y = np.concatenate([self._y0, np.zeros(2 * len(omegas))])
+        k = 0
+        while True:
+            y1 = advance(y, 1, k)
             t = k * dt
-            _csr_matvec(sl, yl, yl2)
-            if n:
-                _csr_matvec(se, ye, ye2)
-                if any_dist:
-                    vals = self._signal_values(t)
-                    ye2[:dim_e] += inject @ vals
-            if k % stride == 0 or k == nsteps:
-                if any_dist:
-                    es0 = max(es0, float(vals[:n] @ vals[:n]))
-                    es1 = max(es1, float(vals[n:2 * n] @ vals[n:2 * n]))
-                    esf = max(esf, float(vals[2 * n:] ** 2 @ self._spatial_f_nsq))
-                sp = SamplePoint(
-                    step_index=k, time=t, grid=grid,
-                    leader=yl[:dim_l].copy(),
-                    leader_vel=(yl2[:dim_l] - yl[dim_l:]) / (2.0 * dt),
-                    error=ye[:dim_e].reshape(n, nx).copy(),
-                    error_vel=((ye2[:dim_e] - ye[dim_e:]) / (2.0 * dt)).reshape(n, nx),
-                    es_psi0_sq=es0, es_psi1_sq=es1, es_f_sq=esf)
-                peak = max(np.max(np.abs(sp.leader), initial=0.0),
-                           np.max(np.abs(sp.error), initial=0.0))
-                if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-                    raise DivergenceError(
-                        f"simulation diverged by step {k} (t = {t:.6g})",
-                        step_index=k)
-                for obs in observers:
-                    try:
-                        obs(sp)
-                    except DivergenceError:
-                        raise
-                    except Exception as exc:
-                        raise RuntimeError(
-                            f"observer {obs!r} failed at step {k} "
-                            f"(t = {t:.6g})") from exc
-            yl, yl2 = yl2, yl
-            ye, ye2 = ye2, ye
-        return nsteps
+            # the divergence check and the rescaling read the stored rows
+            peaks = np.abs(y[:dim].reshape(rows, off)).max(axis=1)
+            peak = (peaks if unscale is None else peaks * unscale[:, 0]).max()
+            if not math.isfinite(peak) or peak > DIVERGENCE_LIMIT:
+                raise DivergenceError(
+                    f"simulation diverged by step {k} (t = {t:.6g})",
+                    step_index=k)
+            if omegas:
+                vals = self._sig_amp * np.cos(self._sig_om * t + self._sig_ph)
+                es0 = max(es0, float(vals[:n] @ vals[:n]))
+                es1 = max(es1, float(vals[n:2 * n] @ vals[n:2 * n]))
+                esf = max(esf, float(vals[2 * n:] ** 2 @ self._spatial_f_nsq))
+            cur = y[:dim].reshape(rows, 2, nx)
+            fields = np.empty((2, rows, nx))  # u^k and u^(k+1) - u^(k-1)
+            fields[0] = cur[:, 0]
+            np.subtract(y1[:dim].reshape(rows, 2, nx)[:, 0], cur[:, 1], out=fields[1])
+            if unscale is not None:  # values unscaling below the normal range read 0
+                fields[np.abs(fields) < floor] = 0.0
+                fields *= unscale
+            err = np.matmul(self._q, fields[:, 1:])
+            fields[1, 0] /= 2.0 * dt
+            err[1] /= 2.0 * dt
+            sp = SamplePoint(
+                step_index=k, time=t, grid=grid, leader=fields[0, 0],
+                leader_vel=fields[1, 0], error=err[0], error_vel=err[1],
+                es_psi0_sq=es0, es_psi1_sq=es1, es_f_sq=esf)
+            for obs in observers:
+                try:
+                    obs(sp)
+                except DivergenceError:
+                    raise
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"observer {obs!r} failed at step {k} "
+                        f"(t = {t:.6g})") from exc
+            if k == nsteps:
+                return nsteps
+            if peaks.min() < tiny:
+                small = (peaks < tiny) & (peaks > 0.0)
+                y1[:dim].reshape(rows, off)[small] *= 2.0 ** _RESCALE_BITS
+                exps[small] += _RESCALE_BITS
+                unscale = np.ldexp(1.0, -exps)[:, None]
+                floor = np.ldexp(_NORMAL_MIN, exps)[:, None]
+                for q, (s, _, forcing, owner) in ops.items():
+                    data = s.data.copy()
+                    data[forcing] = np.ldexp(s.data[forcing], exps[owner])
+                    ops[q] = (s, data, forcing, owner)
+            nxt = min(k + stride, nsteps)
+            y, k = y1, k + 1
+            while k < nxt:
+                q = power if nxt - k >= power else 1
+                y, k = advance(y, q, k), k + q
 
 
 def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
@@ -476,21 +562,34 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
 
     `functional_weights` supplies (k1, k2, rho1, rho2) for the Lyapunov
     functionals (a GainCertificate, or None for plain-energy weights with
-    rho1 = rho2 = 0).  Extra observers are invoked at every sample.
+    rho1 = rho2 = 0).  Extra observers are invoked at every sample.  The
+    functionals are evaluated in batches of buffered samples, at most
+    _CHUNK_BYTES of deviation fields per `analysis.lyapunov_sample` call.
     """
-    from .analysis import FunctionalWeights, TimeSeries, lyapunov_sample
+    from . import analysis
 
     sim = Simulation(topology, gains, grid, profiles, dist)
     weights = functional_weights
     if weights is None:
-        weights = FunctionalWeights(k1=gains.k1, k2=gains.k2, rho1=0.0, rho2=0.0)
-    series = TimeSeries(grid=grid, gains=gains, certificate=weights)
+        weights = analysis.FunctionalWeights(k1=gains.k1, k2=gains.k2, rho1=0.0, rho2=0.0)
+    series = analysis.TimeSeries(grid=grid, gains=gains, certificate=weights)
+    m = sim.m if sim.n else np.zeros((0, 0))
+    chunk = max(1, _CHUNK_BYTES // (16 * max(sim.n, 1) * grid.nx))
+    buffered = []  # (error, error_vel, time, es_psi0_sq, es_psi1_sq, es_f_sq)
+
+    def flush():
+        if buffered:
+            error, error_vel, *scalars = zip(*buffered)
+            series.append(analysis.lyapunov_sample(
+                np.stack(error), np.stack(error_vel), weights, m, grid, *scalars))
+            buffered.clear()
 
     def record(sp: SamplePoint):
-        series.append(lyapunov_sample(
-            sp.error, sp.error_vel, weights, sim.m if sim.n else np.zeros((0, 0)),
-            grid, time=sp.time, es_psi0_sq=sp.es_psi0_sq,
-            es_psi1_sq=sp.es_psi1_sq, es_f_sq=sp.es_f_sq))
+        buffered.append((sp.error, sp.error_vel, sp.time,
+                         sp.es_psi0_sq, sp.es_psi1_sq, sp.es_f_sq))
+        if len(buffered) == chunk:
+            flush()
 
     sim.run(horizon, observers=[record, *observers], stride=stride)
+    flush()
     return series

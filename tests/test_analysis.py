@@ -157,6 +157,39 @@ class TestLyapunovSample:
             assert tau1 * s.V0 <= s.V * (1 + 1e-8)
             assert s.V <= tau2 * s.V0 * (1 + 1e-8)
 
+    def test_batch_matches_single_samples(self, reference_matrix):
+        grid = Grid(nx=101)
+        w = FunctionalWeights(k1=K1, k2=K2, rho1=0.1, rho2=0.5)
+        rng = np.random.default_rng(7)
+        ut = np.stack([[smooth_field(rng, 101) for _ in range(3)] for _ in range(9)])
+        vt = np.stack([[smooth_field(rng, 101) for _ in range(3)] for _ in range(9)])
+        ut[4] *= 1e-160  # one flushed sample inside the batch
+        vt[4] *= 1e-160
+        times = np.arange(9) * 0.5
+        es = [rng.uniform(0, 2, 9) for _ in range(3)]
+        batch = lyapunov_sample(ut, vt, w, reference_matrix, grid, times, *es)
+        for i in range(9):
+            single = lyapunov_sample(ut[i], vt[i], w, reference_matrix, grid,
+                                     times[i], *(e[i] for e in es))
+            for name in ("time", *TimeSeries._FIELDS):
+                got, want = getattr(batch, name)[i], getattr(single, name)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (i, name)
+        assert batch.V[4] == 0.0 and batch.V[3] > 0.0
+
+    def test_batch_appends_as_samples(self, reference_matrix):
+        grid = Grid(nx=51)
+        w = FunctionalWeights(k1=K1, k2=K2, rho1=0.1, rho2=0.5)
+        fields = np.ones((4, 3, 51))
+        series = TimeSeries(grid=grid, gains=None, certificate=w)
+        series.append(lyapunov_sample(fields[0], fields[0], w, reference_matrix, grid, 0.0))
+        series.append(lyapunov_sample(fields[1:], fields[1:], w, reference_matrix, grid,
+                                      [1.0, 2.0, 3.0]))
+        assert len(series) == 4 and series.times == [0.0, 1.0, 2.0, 3.0]
+        assert all(type(v) is float for v in series.columns["V"])
+        with pytest.raises(ValueError, match="increasing"):
+            series.append(lyapunov_sample(fields[1:], fields[1:], w, reference_matrix,
+                                          grid, [4.0, 4.0, 5.0]))
+
     def test_flush_below_floor(self, reference_matrix):
         grid = Grid(nx=101)
         w = FunctionalWeights(k1=K1, k2=K2, rho1=0.1, rho2=0.5)

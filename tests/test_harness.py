@@ -180,6 +180,18 @@ BAD_INPUT = [
     ("output.csv", 7),
     ("output.stride", 10.9),
     ("output.stride", 0),
+    # members that are not in the schema
+    ("colour", "red"),
+    ("topology.weights", [1, 1, 1]),
+    ("gains.k3", 1.0),
+    ("grid.dx", 0.1),
+    ("initial_conditions.middle", {}),
+    ("initial_conditions.leader.displacement.frequency", 2.0),
+    ("initial_conditions.followers[0].speed", {}),
+    ("disturbances.psi0[0].freq", 10.0),
+    ("disturbances.f[0].temporal.amp", 1.0),
+    ("certificate.rho3", 0.1),
+    ("output.stirde", 1),
 ]
 
 
@@ -207,10 +219,14 @@ class TestBadInput:
             harness.parse_config(json.dumps(with_value(FULL, path, value)))
         assert str(exc.value).startswith(f"{path}: "), str(exc.value)
 
+    def test_unknown_member_is_rejected_not_defaulted(self):
+        with pytest.raises(ConfigError, match=r"^output\.stirde: unknown field$"):
+            harness.parse_config(json.dumps(with_value(FULL, "output.stirde", 1)))
+
     @pytest.mark.parametrize("path,value", [
         ("grid.courant", 1.5), ("gains.k1", -1), ("certificate.resolution", 0),
         ("grid.nx", 201.7), ("output.stride", 10.9),
-        ("topology.adjacency[0][0]", 0.5), ("gains", "x")])
+        ("topology.adjacency[0][0]", 0.5), ("gains", "x"), ("output.stirde", 1)])
     def test_cli_exits_1_without_traceback(self, tmp_path, path, value):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(with_value(FULL, path, value)))
@@ -274,6 +290,16 @@ class TestCheckGains:
         res = harness.run_check_gains(harness.parse_config(json.dumps(doc)))
         assert res.exit_code == harness.EXIT_INFEASIBLE
         assert "connected" in res.report
+
+    def test_explicit_rho_is_reported_not_reoptimized(self):
+        doc = json.loads(MINIMAL)
+        doc["certificate"] = {"rho1": 0.06, "rho2": 0.6}
+        res = harness.run_check_gains(harness.parse_config(json.dumps(doc)))
+        assert res.exit_code == harness.EXIT_OK
+        assert "rho1, rho2 : 0.06, 0.6\n" in res.report
+        assert "0.0647" not in res.report and "0.666" not in res.report
+        # the perturbed regime needs xi1/xi2 as well, so it reports why not
+        assert "needs xi1 and xi2" in res.report
 
 
 class TestCsv:

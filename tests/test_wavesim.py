@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from waveconsensus import wavesim
 from waveconsensus.analysis import FunctionalWeights, open_loop_energy_fields
 from waveconsensus.errors import DivergenceError
-from waveconsensus.graph import pinned_matrix
+from waveconsensus.graph import build_topology, pinned_matrix
 from waveconsensus.signals import (DisturbanceSpec, ProfileSpec, SignalSpec,
                                    SpaceTimeSpec)
-from waveconsensus.wavesim import (ControlGains, Grid, WaveState,
+from waveconsensus.wavesim import (ControlGains, Grid, Simulation, WaveState,
                                    boundary_trace, init_state, simulate, step)
 
 GAINS = ControlGains(k1=30.0, k2=10.0, c0=2.5)
@@ -25,6 +27,30 @@ def reference_profiles():
         (ProfileSpec(kind="cosine", amplitude=-5.0, spatial_frequency=1.0),
          ProfileSpec(kind="polynomial", coefficients=(0.0, 3.0))),
     ]
+
+
+def heterogeneous_disturbances():
+    """Per-agent signals at several frequencies and phases, one channel
+    zero, and two spatial profiles: every forcing path of the kernel."""
+    return DisturbanceSpec(
+        psi0=tuple(SignalSpec(kind="sinusoid", amplitude=2.0 + i,
+                              angular_frequency=10.0 - i, phase=0.1 * i)
+                   for i in range(3)),
+        psi1=(SignalSpec(kind="sinusoid", amplitude=1.0, angular_frequency=7.0),
+              SignalSpec(),
+              SignalSpec(kind="sinusoid", amplitude=0.5, angular_frequency=3.0)),
+        f=(SpaceTimeSpec(
+            kind="separable",
+            temporal=SignalSpec(kind="sinusoid", amplitude=3.0,
+                                angular_frequency=10.0),
+            spatial=ProfileSpec(kind="polynomial", coefficients=(1.0,))),
+           SpaceTimeSpec(),
+           SpaceTimeSpec(
+            kind="separable",
+            temporal=SignalSpec(kind="sinusoid", amplitude=2.0,
+                                angular_frequency=5.0),
+            spatial=ProfileSpec(kind="cosine", amplitude=1.0,
+                                spatial_frequency=2.0))))
 
 
 def constant_profiles(values, n_agents):
@@ -197,36 +223,20 @@ class TestSimulate:
         assert len(series) == 1
         assert series.times[0] == 0.0
 
-    def test_matches_reference_step_iteration(self, path3_topology):
+    @pytest.mark.parametrize("stride", (1, 7, 10, 37))
+    def test_matches_reference_step_iteration(self, path3_topology, stride):
         grid = Grid(nx=81)
         m = pinned_matrix(path3_topology)
-        # heterogeneous per-agent signals exercise every injection column
-        dist = DisturbanceSpec(
-            psi0=tuple(SignalSpec(kind="sinusoid", amplitude=2.0 + i,
-                                  angular_frequency=10.0 - i, phase=0.1 * i)
-                       for i in range(3)),
-            psi1=(SignalSpec(kind="sinusoid", amplitude=1.0, angular_frequency=7.0),
-                  SignalSpec(),
-                  SignalSpec(kind="sinusoid", amplitude=0.5, angular_frequency=3.0)),
-            f=(SpaceTimeSpec(
-                kind="separable",
-                temporal=SignalSpec(kind="sinusoid", amplitude=3.0,
-                                    angular_frequency=10.0),
-                spatial=ProfileSpec(kind="polynomial", coefficients=(1.0,))),
-               SpaceTimeSpec(),
-               SpaceTimeSpec(
-                kind="separable",
-                temporal=SignalSpec(kind="sinusoid", amplitude=2.0,
-                                    angular_frequency=5.0),
-                spatial=ProfileSpec(kind="cosine", amplitude=1.0,
-                                    spatial_frequency=2.0))))
+        dist = heterogeneous_disturbances()
         snaps = []
-        simulate(path3_topology, GAINS, grid, reference_profiles(), dist,
-                 horizon=30 * grid.dt, observers=(lambda sp: snaps.append(sp),),
-                 stride=10)
+        sim = Simulation(path3_topology, GAINS, grid, reference_profiles(), dist)
+        # 83 steps: no multiple of any stride, and more than two 16-step powers
+        nsteps = sim.run(83 * grid.dt, observers=(snaps.append,), stride=stride)
+        assert nsteps in (83, 84)
+        assert [sp.step_index for sp in snaps] == [*range(0, nsteps, stride), nsteps]
         state = init_state(grid, reference_profiles(), GAINS, m, dist)
         states = [state]
-        for _ in range(31):
+        for _ in range(nsteps + 1):
             states.append(step(states[-1], GAINS, m, dist, grid))
         for sp in snaps:
             k = sp.step_index
@@ -235,6 +245,73 @@ class TestSimulate:
             scale = max(np.max(np.abs(dev)), 1.0)
             assert np.max(np.abs(sp.error - dev)) < 1e-11 * scale
             assert np.max(np.abs(sp.leader - ref.u_curr[0])) < 1e-11 * 10.0
+            vel = (states[k + 1].u_curr - ref.u_prev) / (2.0 * grid.dt)
+            dev_vel = vel[1:] - vel[0]
+            vscale = max(np.max(np.abs(dev_vel)), 1.0)
+            assert np.max(np.abs(sp.error_vel - dev_vel)) < 1e-10 * vscale
+            assert np.max(np.abs(sp.leader_vel - vel[0])) < 1e-10 * vscale
+
+    def test_rescaling_is_exact(self, path3_topology, monkeypatch):
+        # from rest, the forced response is small for a while, so with a
+        # threshold of 2^-2 the follower modes are rescaled at several
+        # samples; power-of-two scaling must not change a single bit
+        grid = Grid(nx=81)
+        profiles = [(ProfileSpec(), ProfileSpec())] * 4
+
+        def fields():
+            snaps = []
+            Simulation(path3_topology, GAINS, grid, profiles,
+                       heterogeneous_disturbances()).run(
+                120 * grid.dt, observers=(snaps.append,), stride=7)
+            return [(sp.leader, sp.leader_vel, sp.error, sp.error_vel) for sp in snaps]
+
+        plain = fields()
+        monkeypatch.setattr(wavesim, "_RESCALE_BITS", 2)
+        rescaled = fields()
+        assert 0.0 < min(np.max(np.abs(f[2])) for f in plain[1:]) < 2.0 ** -2
+        for a, b in zip(plain, rescaled):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+
+    def test_undisturbed_error_decays_past_the_subnormal_range(self, path3_topology):
+        # without rescaling the stored error stalls near 1e-322; with it the
+        # observed fields follow the true decay and read exact zero once it
+        # leaves the normal range
+        grid = Grid(nx=21)
+        peaks = []
+        Simulation(path3_topology, GAINS, grid, reference_profiles()).run(
+            4800.0, observers=(lambda sp: peaks.append(np.max(np.abs(sp.error))),))
+        assert peaks[0] > 1.0 and peaks[-1] == 0.0
+
+    def test_200_follower_path_graph_in_linear_memory(self):
+        # the kernel stores O(n nx) entries per operator; a dense coupled
+        # propagator of this network would take (2 n nx)^2 doubles, 13 GB
+        n, grid = 200, Grid(nx=101)
+        path = np.eye(n, k=1, dtype=int) + np.eye(n, k=-1, dtype=int)
+        topo = build_topology(path.tolist(), [1] + [0] * (n - 1))
+        profiles = [(ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=1.0),
+                     ProfileSpec())] + [(ProfileSpec(), ProfileSpec())] * n
+        sig = SignalSpec(kind="sinusoid", amplitude=1.0, angular_frequency=10.0)
+        dist = DisturbanceSpec(psi0=(sig,) * n, psi1=(sig,) * n, f=(SpaceTimeSpec(
+            kind="separable", temporal=sig,
+            spatial=ProfileSpec(kind="polynomial", coefficients=(1.0,))),) * n)
+        snaps = []
+        tracemalloc.start()
+        try:
+            sim = Simulation(topo, GAINS, grid, profiles, dist)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            nsteps = sim.run(25 * grid.dt, observers=(snaps.append,), stride=10)
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_peak < 40 * 2**20 and run_peak < 100 * 2**20
+        m = pinned_matrix(topo)
+        state = init_state(grid, profiles, GAINS, m, dist)
+        for _ in range(nsteps):
+            state = step(state, GAINS, m, dist, grid)
+        dev = state.u_curr[1:] - state.u_curr[0]
+        assert snaps[-1].step_index == nsteps
+        assert np.max(np.abs(snaps[-1].error - dev)) < 1e-11 * np.max(np.abs(dev))
 
     def test_divergence_reports_step_index(self, path3_topology):
         grid = Grid(nx=51)
