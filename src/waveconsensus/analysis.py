@@ -87,43 +87,62 @@ class FunctionalSample:
 
 @dataclass
 class TimeSeries:
-    """Ordered functional samples plus run metadata."""
+    """Ordered functional samples plus run metadata.
+
+    The time stamps and the columns live in one float64 array that grows by
+    doubling; `times` and `columns` are read-only views of its filled part,
+    valid until the next append."""
 
     grid: object
     gains: object
     certificate: object
-    times: list = field(default_factory=list)
-    columns: dict = field(default_factory=dict)
+    _data: np.ndarray = field(init=False, repr=False,
+                              default_factory=lambda: np.empty((len(TimeSeries._ROWS), 0)))
+    _size: int = field(init=False, repr=False, default=0)
 
     _FIELDS = ("E", "G1", "G2", "V", "V0", "l2_error", "h1_seminorm",
                "ptwise_max_sq", "boundary_err_sq",
                "es_psi0_sq", "es_psi1_sq", "es_f_sq")
-
-    def __post_init__(self):
-        for name in self._FIELDS:
-            self.columns.setdefault(name, [])
+    _ROWS = {name: i for i, name in enumerate(("time", *_FIELDS))}
 
     def append(self, sample: FunctionalSample) -> None:
         """Append one sample, or a batch whose fields are (s,) arrays."""
         times = np.atleast_1d(np.asarray(sample.time, dtype=float))
-        if np.any(np.diff(times) <= 0) or (self.times and times[0] <= self.times[-1]):
+        if np.any(np.diff(times) <= 0) or (self._size and times[0] <= self._data[0, self._size - 1]):
             raise ValueError("time stamps must be strictly increasing")
-        self.times.extend(times.tolist())
-        for name in self._FIELDS:
-            self.columns[name].extend(np.atleast_1d(getattr(sample, name)).tolist())
+        end = self._size + times.size
+        if end > self._data.shape[1]:
+            grown = np.empty((len(self._ROWS), max(end, 2 * self._data.shape[1])))
+            grown[:, :self._size] = self._data[:, :self._size]
+            self._data = grown
+        self._data[0, self._size:end] = times
+        for i, name in enumerate(self._FIELDS, 1):
+            self._data[i, self._size:end] = getattr(sample, name)
+        self._size = end
+
+    def _view(self, row: int) -> np.ndarray:
+        view = self._data[row, :self._size]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._view(0)
+
+    @property
+    def columns(self) -> dict:
+        return {name: self._view(i) for i, name in enumerate(self._FIELDS, 1)}
 
     def column(self, name: str) -> np.ndarray:
-        if name == "time":
-            return np.asarray(self.times, dtype=float)
-        return np.asarray(self.columns[name], dtype=float)
+        """A copy of one column ("time" or a functional) as a float64 array."""
+        return self._view(self._ROWS[name]).copy()
 
     @property
     def samples(self) -> list:
-        return [FunctionalSample(time=t, **{n: self.columns[n][i] for n in self._FIELDS})
-                for i, t in enumerate(self.times)]
+        return [FunctionalSample(*row) for row in self._data[:, :self._size].T.tolist()]
 
     def __len__(self) -> int:
-        return len(self.times)
+        return self._size
 
 
 def lyapunov_sample(u_tilde, u_tilde_t, cert, m, grid, time=0.0,

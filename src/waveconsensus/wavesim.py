@@ -27,19 +27,29 @@ One block-diagonal sparse operator, probed from the stencil in O(n nx)
 memory, advances the rows [leader, mode_1 .. mode_n].  Each disturbance
 channel A cos(w t + phi) enters it through two phase columns per distinct
 frequency w, so its sparse powers S^p carry the exact forced response of
-p steps.  `Simulation.run` advances one sampling stride per Python
-iteration: a single step (which gives the centered sample velocity), then
-S^(stride - 1), at most S^16 at a time.  The physical deviation Q y is
-rebuilt only at sample instants.  A modal row that decays below 2^-512 is
-scaled up by an exact power of two, so an undisturbed error keeps decaying
-at full speed instead of stalling in the slow subnormal range; observers
-get the unscaled fields, which read exact zero once the true error leaves
-the normal range (2.2e-308).  `step` is the plain per-agent reference
-implementation of the same update in physical coordinates.
+p steps.  `Simulation.run` advances the rows a block of sample instants
+at a time: at each instant a single step (which gives the centered
+sample velocity), then S^(stride - 1), at most S^16 at a time.  When the
+operators are large enough (a 24-follower network at 101 grid points,
+not a three-follower preset) and two CPUs are usable, the rows are split
+into two contiguous groups, each with its own slice of the operators,
+and the second group advances on a worker thread; the sparse products
+release the GIL, so the groups run concurrently.  After each block the
+calling thread checks all its samples for divergence at once; then,
+while the groups advance the next block, it computes the block's es sups
+at once, rebuilds the physical deviation Q y sample by sample and calls
+the observers.  A modal row that decays below 2^-512 is scaled up by an
+exact power of two, so an undisturbed error keeps decaying at full speed
+instead of stalling in the slow subnormal range; observers get the
+unscaled fields, which read exact zero once the true error leaves the
+normal range (2.2e-308).  The samples are bit-identical for any number
+of groups.  `step` is the plain per-agent reference implementation of
+the same update in physical coordinates.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,21 +64,28 @@ from .signals import (DisturbanceSpec, eval_profile, eval_signal,
 DIVERGENCE_LIMIT = 1e12
 _MAX_POWER = 16         # longest propagator power; longer strides repeat it
 _RESCALE_BITS = 512     # a modal row below 2^-512 is scaled up by 2^512
-_CHUNK_BYTES = 1 << 20  # deviation fields buffered per functional batch
+_CHUNK_BYTES = 1 << 20  # deviation fields per block of samples and functional batch
+_MAX_GROUPS = 2         # row groups of a run; more have not been measured
+_GROUP_WORK = 1 << 17   # operator entries per sample that a row group must carry
 _NORMAL_MIN = np.finfo(float).tiny
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
 
 try:  # raw CSR kernel: skips scipy's per-call dispatch in the hot loop
     from scipy.sparse import _sparsetools as _st
 
-    def _csr_matvec(s, data, x):
-        """s, with its stored entries replaced by `data`, times x."""
-        out = np.zeros(x.shape[0])
+    def _csr_matvec(s, data, x, out=None):
+        """s, with its stored entries replaced by `data`, times x, written
+        to `out` (zeros; a new array when None)."""
+        out = np.zeros(x.shape[0]) if out is None else out
         _st.csr_matvec(s.shape[0], s.shape[1], s.indptr, s.indices, data, x, out)
         return out
 except ImportError:  # pragma: no cover - fallback for scipy layout changes
-    def _csr_matvec(s, data, x):
-        return sparse.csr_matrix((data, s.indices, s.indptr), shape=s.shape) @ x
+    def _csr_matvec(s, data, x, out=None):
+        y = sparse.csr_matrix((data, s.indices, s.indptr), shape=s.shape) @ x
+        if out is None:
+            return y
+        out[:] = y
+        return out
 
 
 @dataclass(frozen=True)
@@ -366,6 +383,132 @@ def _probe(stepper: _Stepper, rows: int, nx: int):
     return s
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _group_count(rows: int, work: int) -> int:
+    """Row groups of a run whose sparse products touch about `work`
+    operator entries per sample: one per usable CPU, at most _MAX_GROUPS,
+    and no more than give each group _GROUP_WORK entries.  A group's
+    per-sample Python work holds the GIL, so groups with smaller products
+    lose more to hand-offs than they overlap: a three-follower preset
+    (about 94,000 entries per sample) runs faster as one group, a
+    24-follower network at 101 grid points (about 323,000) as two."""
+    return max(1, min(_usable_cpus(), _MAX_GROUPS, rows, work // _GROUP_WORK))
+
+
+def _block_samples(n: int, nx: int) -> int:
+    """Sample instants per block: about _CHUNK_BYTES of deviation fields."""
+    return max(1, _CHUNK_BYTES // (16 * max(n, 1) * nx))
+
+
+def _row_slice(s, lo: int, hi: int, dim: int):
+    """State rows [lo, hi) of the block-diagonal operator s, with its phase
+    rows (from dim on), as an operator of their own.  Columns are
+    renumbered and each row keeps its entry order, so products with it
+    sum in the same order as with s."""
+    if lo == 0 and hi == dim:
+        return s
+    a, b, c = s.indptr[lo], s.indptr[hi], s.indptr[dim]
+    local = hi - lo
+    indices = np.concatenate([s.indices[a:b], s.indices[c:]])
+    indices = np.where(indices >= dim, indices - (dim - local), indices - lo)
+    indptr = np.concatenate([s.indptr[lo:hi + 1] - a, s.indptr[dim + 1:] - (c - (b - a))])
+    size = local + s.shape[0] - dim
+    return sparse.csr_matrix((np.concatenate([s.data[a:b], s.data[c:]]), indices, indptr),
+                             shape=(size, size))
+
+
+class _RowGroup:
+    """Rows [r0, r1) of a run: their operators (with this run's rescaled
+    forcing entries), their state and their power-of-two exponents.  A
+    group touches only its own rows and its own columns of a block, so
+    groups advance concurrently; the sparse products release the GIL, and
+    the rest of a step is kept to a few small array operations."""
+
+    def __init__(self, sim: Simulation, r0: int, r1: int, index: int, col: int,
+                 power: int, stride: int, nsteps: int):
+        off = 2 * sim.grid.nx
+        self.omegas = sim._omegas.tolist()
+        self.rows, self.index = slice(r0, r1), index
+        self.dim = (r1 - r0) * off
+        self.cols = slice(col, col + self.dim + 2 * len(self.omegas))  # [state, phases]
+        self.starts = np.arange(0, self.dim, off)
+        self.probe = None  # per row, where its largest entry was last seen
+        self.dt = sim.grid.dt
+        self.power, self.stride, self.nsteps = power, stride, nsteps
+        self.tiny = 2.0 ** -_RESCALE_BITS
+        self.ops = {}  # q -> (operator, its entries in this run, forcing entries, their rows)
+        for q in {1, power}:
+            s = sim._operator(r0, r1, q)
+            forcing = np.flatnonzero(s.indices[:s.indptr[self.dim]] >= self.dim)
+            owner = (np.searchsorted(s.indptr, forcing, side="right") - 1) // off
+            self.ops[q] = (s, s.data, forcing, owner)
+        self.y = np.concatenate([sim._y0[r0 * off:r1 * off], np.zeros(2 * len(self.omegas))])
+        self.exps = np.zeros(r1 - r0, dtype=int)
+        self.armed = False  # whether a row has fallen below tiny (see `Simulation.run`)
+
+    def _advance(self, y, q, k, out=None):
+        if self.omegas:  # exact phases; the operator's own rotation is overwritten
+            ph = [w * (k * self.dt) for w in self.omegas]
+            y[self.dim:] = [*map(math.cos, ph), *map(math.sin, ph)]
+        s, data = self.ops[q][:2]
+        return _csr_matvec(s, data, y, out)
+
+    def _below_tiny(self, y) -> bool:
+        """Whether a stored row's largest magnitude is below tiny.  Each
+        row's entry at its probe bounds its peak from below, so the peaks
+        are recomputed only when a probe reads below tiny."""
+        if self.probe is not None and min(map(abs, y[self.probe].tolist())) >= self.tiny:
+            return False
+        self.probe = np.abs(y[:self.dim]).reshape(len(self.starts), -1).argmax(axis=1) + self.starts
+        return min(map(abs, y[self.probe].tolist())) < self.tiny
+
+    def advance(self, instants, block):
+        """Advance through the sample instants, a stride apart (the last one
+        possibly nearer).  The state [u^k, u^(k-1)] at instant j goes to
+        this group's columns of block[0][j] and the step after it to
+        block[1][j]; once a row has been rescaled, the exponents go to its
+        rows of block[2][j].  The products write there directly."""
+        states, aheads, exps, armed = block
+        cols, dim, last = self.cols, self.dim, len(instants) - 1
+        states[:last + 1, cols] = 0.0
+        aheads[:last + 1, cols] = 0.0
+        states[0, cols] = self.y
+        for j, k in enumerate(instants):
+            y = states[j, cols]
+            y1 = self._advance(y, 1, k, aheads[j, cols])
+            if self.armed:
+                exps[j, self.rows] = self.exps
+                armed[j, self.index] = True
+            if k == self.nsteps:
+                return
+            if self._below_tiny(y):  # rescaling reads the stored rows
+                self.armed = True
+                peaks = np.abs(y[self.probe])
+                small = (peaks < self.tiny) & (peaks > 0.0)
+                y1 = y1.copy()
+                y1[:dim].reshape(len(peaks), -1)[small] *= 2.0 ** _RESCALE_BITS
+                self.exps[small] += _RESCALE_BITS
+                for q, (s, _, forcing, owner) in self.ops.items():
+                    data = s.data.copy()
+                    data[forcing] = np.ldexp(s.data[forcing], self.exps[owner])
+                    self.ops[q] = (s, data, forcing, owner)
+            nxt, k, to = min(k + self.stride, self.nsteps), k + 1, None
+            while k < nxt:  # the last product lands on the next instant's state
+                q = self.power if nxt - k >= self.power else 1
+                to = states[j + 1, cols] if k + q == nxt and j < last else None
+                y1, k = self._advance(y1, q, k, to), k + q
+            if to is None and j < last:
+                states[j + 1, cols] = y1
+        self.y = y1.copy()
+
+
 class Simulation:
     """One network's operators in modal coordinates (see the module notes).
 
@@ -411,7 +554,8 @@ class Simulation:
             rot = np.block([[c, -sn], [sn, c]])
             s1 = sparse.bmat([[s1, sparse.csr_matrix(g1)], [None, sparse.csr_matrix(rot)]],
                              format="csr")
-        self._powers = {1: s1}
+        self._s1 = s1
+        self._ops = {}  # (r0, r1, p) -> the p-step operator of rows [r0, r1)
 
     def _forced_step(self, modes: _Stepper, spatial):
         """Distinct angular frequencies w and the one-step load of all
@@ -441,91 +585,133 @@ class Simulation:
             g[1:, 0, :, 1, k] = -modes.step(zero, zero, *(a.imag for a in modal))
         return omegas, g.reshape((n + 1) * 2 * nx, 2 * omegas.size)
 
-    def _power(self, p: int):
-        """The p-step operator on [state, cos(w t)..., sin(w t)...]: S^p
-        with the exact forced response of its p steps in the phase
-        columns (cached per p)."""
-        if p not in self._powers:
-            a1 = a = self._powers[1]
-            for _ in range(1, p):
-                a = a @ a1
-            self._powers[p] = a.tocsr()
-        return self._powers[p]
+    def _operator(self, r0: int, r1: int, p: int):
+        """The p-step operator of rows [r0, r1) on [their state, cos(w t)...,
+        sin(w t)...]: their rows of S^p, with the exact forced response of
+        its p steps in the phase columns (cached).  Rows are decoupled, so
+        the powers of the rows' slice of S are their rows of S's powers,
+        and no operator of all rows is formed."""
+        key = (r0, r1, p)
+        if key not in self._ops:
+            if p == 1:
+                off = 2 * self.grid.nx
+                self._ops[key] = _row_slice(self._s1, r0 * off, r1 * off,
+                                            (self.n + 1) * off)
+            else:
+                a1 = a = self._operator(r0, r1, 1)
+                for _ in range(1, p):
+                    a = a @ a1
+                self._ops[key] = a.tocsr()
+        return self._ops[key]
 
     def run(self, horizon: float, observers=(), stride: int = 10):
         """Advance to `horizon`, invoking observers every `stride` steps
         (and at the final step).  Observer failures abort the run.
 
-        Between samples the state advances by sparse propagator powers
-        S^p (p = stride - 1, at most _MAX_POWER; the remainder and the
-        final partial stride take single steps), each with its exact
-        forced response.  At sample instants each modal row whose
-        magnitude fell below 2^-_RESCALE_BITS is scaled up by
+        The rows are split into contiguous groups (`_group_count`, from
+        the entries of S^1 times the steps per sample).  The first group
+        advances on the calling thread, the others on worker threads that
+        live for this call only; all advance the same block of sample
+        instants (about _CHUNK_BYTES of fields) per hand-off, into one
+        shared buffer.  Between samples a group advances by sparse
+        propagator powers S^p (p = stride - 1, at most _MAX_POWER; the
+        remainder and the final partial stride take single steps), each
+        with its exact forced response.  At sample instants each modal row
+        whose magnitude fell below 2^-_RESCALE_BITS is scaled up by
         2^_RESCALE_BITS (exact in binary floating point), which keeps a
-        decaying error out of the slow subnormal range; observers see the
-        unscaled fields, with values below the normal range (2.2e-308)
-        given as 0."""
+        decaying error out of the slow subnormal range.  After each block
+        the calling thread copies its samples out of the buffer and checks
+        them for divergence; then, while the groups advance the next
+        block, it computes the block's es sups, rebuilds the physical
+        fields sample by sample and calls the observers (so observer time
+        overlaps stepping).  Observers see the unscaled fields, with values
+        below the normal range (2.2e-308) given as 0 once any row has
+        fallen below 2^-_RESCALE_BITS, and never a sample at or after the
+        first diverged one."""
+        from concurrent.futures import ThreadPoolExecutor  # kept out of start-up
+
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if stride < 1:
             raise ValueError("stride must be at least 1")
-        grid = self.grid
-        dt = grid.dt
-        nx = grid.nx
-        n = self.n
-        rows = n + 1
-        off = 2 * nx
-        dim = rows * off
-        nsteps = int(math.ceil(horizon / dt)) if horizon > 0 else 0
+        nx, rows = self.grid.nx, self.n + 1
+        nsteps = int(math.ceil(horizon / self.grid.dt)) if horizon > 0 else 0
+        count = -(-nsteps // stride) + 1  # sample instants: every stride steps, and the last
         power = max(1, min(stride - 1, _MAX_POWER))
-        omegas = self._omegas.tolist()
-        tiny = 2.0 ** -_RESCALE_BITS
-        exps = np.zeros(rows, dtype=int)
-        unscale = floor = None  # per row 2^-exps, and 2^exps times the least normal
-        ops = {}  # q -> (operator, its entries in this run, forcing entries, their rows)
-        for q in {1, power}:
-            s = self._power(q)
-            forcing = np.flatnonzero(s.indices[:s.indptr[dim]] >= dim)
-            owner = (np.searchsorted(s.indptr, forcing, side="right") - 1) // off
-            ops[q] = (s, s.data, forcing, owner)
+        ngroups = _group_count(rows, self._s1.nnz * stride)
+        # the calling thread also rebuilds the samples, so its group gets a
+        # half share of the rows and each other group a full share
+        edges = [0] + [(rows * (2 * g - 1) + ngroups - 1) // (2 * ngroups - 1)
+                       for g in range(1, ngroups + 1)]
+        groups, col = [], 0
+        for g, (a, b) in enumerate(zip(edges, edges[1:])):
+            groups.append(_RowGroup(self, a, b, g, col, power, stride, nsteps))
+            col = groups[-1].cols.stop
+        size = min(_block_samples(self.n, nx), count)
+        block = (np.empty((size, col)), np.empty((size, col)),
+                 np.zeros((size, rows), dtype=int), np.zeros((size, ngroups), dtype=bool))
+        fields = np.empty((2, size, rows, nx))  # u^k, and u^(k+1) - u^(k-1)
+        es, ready = np.zeros(3), None  # ready: a gathered block not yet handed out
+        with ThreadPoolExecutor(max_workers=max(1, ngroups - 1)) as pool:
+            for j0 in range(0, count, size):
+                instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
+                futures = [pool.submit(g.advance, instants, block) for g in groups[1:]]
+                if ready:  # while the workers advance this block
+                    es = self._emit(*ready, fields, es, observers)
+                groups[0].advance(instants, block)
+                for f in futures:
+                    f.result()
+                ready = self._gather(instants, block, groups, fields)
+            self._emit(*ready, fields, es, observers)
+        return nsteps
 
-        def advance(y, q, k):
-            if omegas:  # exact phases; the operator's own rotation is overwritten
-                ph = [w * (k * dt) for w in omegas]
-                y[dim:] = [*map(math.cos, ph), *map(math.sin, ph)]
-            return _csr_matvec(ops[q][0], ops[q][1], y)
+    def _gather(self, instants, block, groups, out):
+        """Copy a block's samples out of the groups' buffer, so that they
+        can advance the next block into it: the unscaled u^k and
+        u^(k+1) - u^(k-1) of every row into `out`, up to the first diverged
+        sample.  Returns the instants and the number of samples kept."""
+        nx, cnt = self.grid.nx, len(instants)
+        states, aheads, exps, armed = (a[:cnt] for a in block)
+        parts = [(g.rows, *(a[:, g.cols][:, :g.dim].reshape(cnt, -1, 2, nx) for a in (states, aheads)))
+                 for g in groups]
+        peaks = np.empty((cnt, self.n + 1))
+        for rows, state, _ in parts:  # max |x| without a temporary array
+            peaks[:, rows] = np.maximum(state.max(axis=(2, 3)), -state.min(axis=(2, 3)))
+        unscale = np.ldexp(1.0, -exps)
+        # the divergence check reads the unscaled rows
+        bad = np.flatnonzero(~((peaks * unscale).max(axis=1) <= DIVERGENCE_LIMIT))
+        stop = int(bad[0]) if bad.size else cnt
+        cur, diff = out[:, :stop]
+        for rows, state, ahead in parts:
+            cur[:, rows] = state[:stop, :, 0]
+            np.subtract(ahead[:stop, :, 0], state[:stop, :, 1], out=diff[:, rows])
+        on = armed[:stop].any(axis=1)
+        if on.any():  # values unscaling below the normal range read 0
+            floor = np.where(on[:, None], np.ldexp(_NORMAL_MIN, exps[:stop]), 0.0)[:, :, None]
+            for f in (cur, diff):
+                f[np.abs(f) < floor] = 0.0
+                f *= unscale[:stop, :, None]
+        return instants, stop
 
-        es0 = es1 = esf = 0.0
-        y = np.concatenate([self._y0, np.zeros(2 * len(omegas))])
-        k = 0
-        while True:
-            y1 = advance(y, 1, k)
-            t = k * dt
-            # the divergence check and the rescaling read the stored rows
-            peaks = np.abs(y[:dim].reshape(rows, off)).max(axis=1)
-            peak = (peaks if unscale is None else peaks * unscale[:, 0]).max()
-            if not math.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-                raise DivergenceError(
-                    f"simulation diverged by step {k} (t = {t:.6g})",
-                    step_index=k)
-            if omegas:
-                vals = self._sig_amp * np.cos(self._sig_om * t + self._sig_ph)
-                es0 = max(es0, float(vals[:n] @ vals[:n]))
-                es1 = max(es1, float(vals[n:2 * n] @ vals[n:2 * n]))
-                esf = max(esf, float(vals[2 * n:] ** 2 @ self._spatial_f_nsq))
-            cur = y[:dim].reshape(rows, 2, nx)
-            fields = np.empty((2, rows, nx))  # u^k and u^(k+1) - u^(k-1)
-            fields[0] = cur[:, 0]
-            np.subtract(y1[:dim].reshape(rows, 2, nx)[:, 0], cur[:, 1], out=fields[1])
-            if unscale is not None:  # values unscaling below the normal range read 0
-                fields[np.abs(fields) < floor] = 0.0
-                fields *= unscale
-            err = np.matmul(self._q, fields[:, 1:])
-            fields[1, 0] /= 2.0 * dt
+    def _emit(self, instants, stop, fields, es, observers):
+        """Hand the first `stop` gathered samples of a block to the
+        observers, then raise if the block diverged; returns the running
+        sups es_* after the block."""
+        dt, n = self.grid.dt, self.n
+        t = (np.array(instants[:stop + 1], dtype=float) * dt).tolist()
+        sups = np.zeros((stop, 3))
+        if self._omegas.size:  # (1, c) @ (c, 1) products: the dot of a single sample
+            v = self._sig_amp * np.cos(self._sig_om * np.array(t[:stop])[:, None] + self._sig_ph)
+            sups[:, 0] = np.matmul(v[:, None, :n], v[:, :n, None])[:, 0, 0]
+            sups[:, 1] = np.matmul(v[:, None, n:2 * n], v[:, n:2 * n, None])[:, 0, 0]
+            sups[:, 2] = np.matmul(v[:, None, 2 * n:] ** 2, self._spatial_f_nsq[:, None])[:, 0, 0]
+        sups = np.maximum.accumulate(np.vstack([es, sups]), axis=0)
+        for j, (k, tj, (es0, es1, esf)) in enumerate(zip(instants, t, sups[1:].tolist())):
+            err = np.matmul(self._q, fields[:, j, 1:])
             err[1] /= 2.0 * dt
             sp = SamplePoint(
-                step_index=k, time=t, grid=grid, leader=fields[0, 0],
-                leader_vel=fields[1, 0], error=err[0], error_vel=err[1],
+                step_index=k, time=tj, grid=self.grid, leader=fields[0, j, 0].copy(),
+                leader_vel=fields[1, j, 0] / (2.0 * dt), error=err[0], error_vel=err[1],
                 es_psi0_sq=es0, es_psi1_sq=es1, es_f_sq=esf)
             for obs in observers:
                 try:
@@ -535,24 +721,12 @@ class Simulation:
                 except Exception as exc:
                     raise RuntimeError(
                         f"observer {obs!r} failed at step {k} "
-                        f"(t = {t:.6g})") from exc
-            if k == nsteps:
-                return nsteps
-            if peaks.min() < tiny:
-                small = (peaks < tiny) & (peaks > 0.0)
-                y1[:dim].reshape(rows, off)[small] *= 2.0 ** _RESCALE_BITS
-                exps[small] += _RESCALE_BITS
-                unscale = np.ldexp(1.0, -exps)[:, None]
-                floor = np.ldexp(_NORMAL_MIN, exps)[:, None]
-                for q, (s, _, forcing, owner) in ops.items():
-                    data = s.data.copy()
-                    data[forcing] = np.ldexp(s.data[forcing], exps[owner])
-                    ops[q] = (s, data, forcing, owner)
-            nxt = min(k + stride, nsteps)
-            y, k = y1, k + 1
-            while k < nxt:
-                q = power if nxt - k >= power else 1
-                y, k = advance(y, q, k), k + q
+                        f"(t = {tj:.6g})") from exc
+        if stop < len(instants):
+            raise DivergenceError(
+                f"simulation diverged by step {instants[stop]} (t = {t[stop]:.6g})",
+                step_index=instants[stop])
+        return sups[-1]
 
 
 def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
@@ -574,20 +748,20 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
         weights = analysis.FunctionalWeights(k1=gains.k1, k2=gains.k2, rho1=0.0, rho2=0.0)
     series = analysis.TimeSeries(grid=grid, gains=gains, certificate=weights)
     m = sim.m if sim.n else np.zeros((0, 0))
-    chunk = max(1, _CHUNK_BYTES // (16 * max(sim.n, 1) * grid.nx))
-    buffered = []  # (error, error_vel, time, es_psi0_sq, es_psi1_sq, es_f_sq)
+    fields = np.empty((2, _block_samples(sim.n, grid.nx), sim.n, grid.nx))
+    buffered = []  # (time, es_psi0_sq, es_psi1_sq, es_f_sq) of the samples in fields
 
     def flush():
         if buffered:
-            error, error_vel, *scalars = zip(*buffered)
+            s = len(buffered)
             series.append(analysis.lyapunov_sample(
-                np.stack(error), np.stack(error_vel), weights, m, grid, *scalars))
+                fields[0, :s], fields[1, :s], weights, m, grid, *zip(*buffered)))
             buffered.clear()
 
     def record(sp: SamplePoint):
-        buffered.append((sp.error, sp.error_vel, sp.time,
-                         sp.es_psi0_sq, sp.es_psi1_sq, sp.es_f_sq))
-        if len(buffered) == chunk:
+        fields[:, len(buffered)] = sp.error, sp.error_vel
+        buffered.append((sp.time, sp.es_psi0_sq, sp.es_psi1_sq, sp.es_f_sq))
+        if len(buffered) == fields.shape[1]:
             flush()
 
     sim.run(horizon, observers=[record, *observers], stride=stride)

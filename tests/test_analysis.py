@@ -184,8 +184,10 @@ class TestLyapunovSample:
         series.append(lyapunov_sample(fields[0], fields[0], w, reference_matrix, grid, 0.0))
         series.append(lyapunov_sample(fields[1:], fields[1:], w, reference_matrix, grid,
                                       [1.0, 2.0, 3.0]))
-        assert len(series) == 4 and series.times == [0.0, 1.0, 2.0, 3.0]
-        assert all(type(v) is float for v in series.columns["V"])
+        assert len(series) == 4 and series.times.tolist() == [0.0, 1.0, 2.0, 3.0]
+        single = lyapunov_sample(fields[2], fields[2], w, reference_matrix, grid, 2.0)
+        assert series.columns["V"].dtype == np.float64 and series.columns["V"][2] == single.V
+        assert [s.V for s in series.samples] == series.column("V").tolist()
         with pytest.raises(ValueError, match="increasing"):
             series.append(lyapunov_sample(fields[1:], fields[1:], w, reference_matrix,
                                           grid, [4.0, 4.0, 5.0]))

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -51,6 +53,53 @@ def heterogeneous_disturbances():
                                 angular_frequency=5.0),
             spatial=ProfileSpec(kind="cosine", amplitude=1.0,
                                 spatial_frequency=2.0))))
+
+
+def growing_disturbances():
+    """Constant loads on two followers: with zero gains and reflective ends
+    the deviation grows like t^2 and passes the divergence limit near
+    t = 33 s at nx = 101."""
+    return DisturbanceSpec(
+        psi0=(SignalSpec(),) * 3, psi1=(SignalSpec(),) * 3,
+        f=tuple(SpaceTimeSpec(
+            kind="separable",
+            temporal=SignalSpec(kind="sinusoid", amplitude=a, angular_frequency=0.0),
+            spatial=ProfileSpec(kind="polynomial", coefficients=(1.0,)))
+            for a in (1e9, 0.0, 2e9)))
+
+
+def use_groups(monkeypatch, groups, samples_per_block=None, grid=None, n=3):
+    """Split a run into `groups` row groups, whatever the operator size and
+    the usable CPUs, and, if given, blocks of `samples_per_block` sample
+    instants."""
+    monkeypatch.setattr(wavesim, "_group_count", lambda rows, work: groups)
+    if samples_per_block is not None:
+        monkeypatch.setattr(wavesim, "_CHUNK_BYTES", 16 * n * grid.nx * samples_per_block)
+
+
+def worker_threads(n, nx):
+    """Threads a short run of an n-follower path network at nx grid points
+    holds besides those alive before it, seen from its observers."""
+    path = np.eye(n, k=1, dtype=int) + np.eye(n, k=-1, dtype=int)
+    topo = build_topology(path.tolist(), [1] + [0] * (n - 1))
+    profiles = [(ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=1.0),
+                 ProfileSpec())] * (n + 1)
+    grid = Grid(nx=nx)
+    sim = Simulation(topo, GAINS, grid, profiles)
+    before, seen = threading.active_count(), []
+    sim.run(200 * grid.dt, observers=(lambda sp: seen.append(threading.active_count()),))
+    assert threading.active_count() == before
+    return max(seen) - before
+
+
+def snapshot(sp):
+    """Every output of a sample, arrays as bytes (bit-exact comparison)."""
+    return (sp.step_index, sp.time, sp.es_psi0_sq, sp.es_psi1_sq, sp.es_f_sq,
+            *(a.tobytes() for a in (sp.leader, sp.leader_vel, sp.error, sp.error_vel)))
+
+
+# one group, two, and one per row of the three-follower network
+GROUPS = (1, 2, 4)
 
 
 def constant_profiles(values, n_agents):
@@ -251,11 +300,91 @@ class TestSimulate:
             assert np.max(np.abs(sp.error_vel - dev_vel)) < 1e-10 * vscale
             assert np.max(np.abs(sp.leader_vel - vel[0])) < 1e-10 * vscale
 
-    def test_rescaling_is_exact(self, path3_topology, monkeypatch):
+    @pytest.mark.parametrize("stride", (1, 7, 10, 37))
+    def test_row_groups_give_bit_identical_samples(self, path3_topology, monkeypatch, stride):
+        # 83 steps end on a partial stride; three samples per block make
+        # every run span several blocks, and frequent thread switches mix
+        # the groups' work on the shared buffer
+        grid = Grid(nx=81)
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for groups in GROUPS:
+                use_groups(monkeypatch, groups, 3, grid)
+                snaps = []
+                Simulation(path3_topology, GAINS, grid, reference_profiles(),
+                           heterogeneous_disturbances()).run(
+                    83 * grid.dt, observers=(lambda sp: snaps.append(snapshot(sp)),),
+                    stride=stride)
+                runs[groups] = snaps
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs[1]) > 3 and runs[1][-1][0] in (83, 84) and runs[1][-1][4] > 0.0
+        assert runs[2] == runs[1] and runs[4] == runs[1]
+
+    def test_divergence_inside_a_block(self, path3_topology, monkeypatch):
+        # observers see exactly the samples before the first diverged one,
+        # whatever the grouping; no worker thread outlives the run
+        grid = Grid(nx=101)
+        gains = ControlGains(k1=0.0, k2=0.0, c0=0.0)
+        seen, index = {}, {}
+        for groups in GROUPS:
+            use_groups(monkeypatch, groups, 8, grid)
+            threads = threading.active_count()
+            snaps = []
+            with pytest.raises(DivergenceError) as err:
+                Simulation(path3_topology, gains, grid, reference_profiles(),
+                           growing_disturbances()).run(
+                    100.0, observers=(lambda sp: snaps.append(sp.step_index),), stride=10)
+            assert threading.active_count() == threads
+            seen[groups], index[groups] = snaps, err.value.step_index
+        k = index[1]
+        # the check at sample instants first fails at step 3710 (t = 33.4 s),
+        # which is not the first sample of a block
+        assert k == 3710 and (k // 10) % 8 != 0
+        assert seen[1] == list(range(0, k, 10))
+        assert all(seen[g] == seen[1] and index[g] == k for g in GROUPS)
+
+    @pytest.mark.parametrize("groups", GROUPS)
+    def test_observer_failure_names_its_step(self, path3_topology, monkeypatch, groups):
+        grid = Grid(nx=51)
+        use_groups(monkeypatch, groups, 4, grid)
+        threads = threading.active_count()
+        sim = Simulation(path3_topology, GAINS, grid, reference_profiles(),
+                         heterogeneous_disturbances())
+        assert sim.run(60 * grid.dt, stride=5) == 60
+        assert threading.active_count() == threads
+
+        def fail_at_30(sp):
+            if sp.step_index == 30:
+                raise ValueError("observer bug")
+
+        with pytest.raises(RuntimeError, match="failed at step 30") as err:
+            sim.run(60 * grid.dt, observers=(fail_at_30,), stride=5)
+        assert isinstance(err.value.__cause__, ValueError)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", (1, 2, 8))
+    def test_row_groups_follow_the_operator_size(self, monkeypatch, cpus):
+        # three followers at the preset grid run as one group; 24 at 101
+        # points as two when two CPUs are usable, and never more than two
+        monkeypatch.setattr(wavesim, "_usable_cpus", lambda: cpus)
+        assert worker_threads(3, 201) == 0
+        assert worker_threads(24, 101) == min(cpus, 2) - 1
+
+    def test_one_usable_cpu_starts_no_thread(self):
+        # reads the real affinity mask: under `taskset -c 0` the large
+        # network runs inline too
+        assert worker_threads(24, 101) == min(wavesim._usable_cpus(), 2) - 1
+
+    @pytest.mark.parametrize("groups", GROUPS)
+    def test_rescaling_is_exact(self, path3_topology, monkeypatch, groups):
         # from rest, the forced response is small for a while, so with a
         # threshold of 2^-2 the follower modes are rescaled at several
         # samples; power-of-two scaling must not change a single bit
         grid = Grid(nx=81)
+        use_groups(monkeypatch, groups, 4, grid)
         profiles = [(ProfileSpec(), ProfileSpec())] * 4
 
         def fields():
@@ -273,11 +402,14 @@ class TestSimulate:
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)
 
-    def test_undisturbed_error_decays_past_the_subnormal_range(self, path3_topology):
+    @pytest.mark.parametrize("groups", GROUPS)
+    def test_undisturbed_error_decays_past_the_subnormal_range(self, path3_topology,
+                                                               monkeypatch, groups):
         # without rescaling the stored error stalls near 1e-322; with it the
         # observed fields follow the true decay and read exact zero once it
         # leaves the normal range
         grid = Grid(nx=21)
+        use_groups(monkeypatch, groups)
         peaks = []
         Simulation(path3_topology, GAINS, grid, reference_profiles()).run(
             4800.0, observers=(lambda sp: peaks.append(np.max(np.abs(sp.error))),))
