@@ -58,8 +58,6 @@ class GainCertificate:
     qf: float | None
     delta_factor: float  # delta = delta_factor * V(0)
     alpha: float
-    feasible: bool
-    violations: tuple
 
 
 def _gate(k1: float, k2: float, lambda_min: float, k1_num: float,
@@ -218,8 +216,8 @@ def iss_bound(cert: GainCertificate, v0_initial: float, t, es_psi0_sq,
     conservative variant scales the transient by tau2/tau1, which is what
     chaining V(t) <= V(0) exp(...) with the sandwich actually yields.
     """
-    if cert.regime != "perturbed" or not cert.feasible:
-        raise CertificateError("iss_bound requires a feasible perturbed-regime certificate")
+    if cert.regime != "perturbed":
+        raise CertificateError("iss_bound requires a perturbed-regime certificate")
     rate = cert.mu2 / cert.tau2
     gain = cert.tau2 / (cert.mu2 * cert.tau1)
     transient = v0_initial * np.exp(-rate * np.asarray(t, dtype=float))
@@ -278,7 +276,7 @@ def build_certificate(regime: str, k1: float, k2: float, c0: float,
         regime=regime, k1=k1, k2=k2, c0=c0, lambda_min=lambda_min,
         lambda_max=lambda_max, rho1=rho1, rho2=rho2, xi1=xi1, xi2=xi2,
         tau1=tau1, tau2=tau2, mu=mu, mu2=mu2, q0=q0, qf=qf,
-        delta_factor=delta_factor, alpha=alpha, feasible=True, violations=())
+        delta_factor=delta_factor, alpha=alpha)
 
 
 def optimize_certificate(regime: str, k1: float, k2: float, c0: float,

@@ -482,24 +482,22 @@ def run_check_gains(config: ExperimentConfig) -> RunResult:
 
 
 class SurfaceRecorder:
-    """Collects decimated snapshots of one deviation field for plotting."""
+    """Collects decimated snapshots of follower 1's deviation for plotting."""
 
-    def __init__(self, agent: int = 0, keep_every: int = 1):
-        self.agent = agent
+    def __init__(self, keep_every: int = 1):
         self.keep_every = max(1, keep_every)
         self.times = []
         self.rows = []
         self._count = 0
 
     def __call__(self, sp: SamplePoint):
-        if self._count % self.keep_every == 0 and sp.error.shape[0] > self.agent:
+        if self._count % self.keep_every == 0 and sp.error.shape[0]:
             self.times.append(sp.time)
-            self.rows.append(sp.error[self.agent].copy())
+            self.rows.append(sp.error[0].copy())
         self._count += 1
 
 
-def run_experiment(config: ExperimentConfig, cert=None, observers=(),
-                   warn_disconnected: bool = True):
+def run_experiment(config: ExperimentConfig, cert=None, observers=()):
     """Simulate a config, returning (series, certificate or None)."""
     if cert is None:
         try:
@@ -509,7 +507,7 @@ def run_experiment(config: ExperimentConfig, cert=None, observers=(),
                 raise  # without a certificate there is no derived horizon
             cert = None
     topo = config.topology()
-    if warn_disconnected and not is_connected(topo):
+    if not is_connected(topo):
         import warnings
 
         warnings.warn("follower graph is not connected; simulation proceeds "
@@ -553,8 +551,7 @@ def run_reproduce(test_id: int, out_dir, conservative_iss: bool = True) -> RunRe
         return RunResult(EXIT_INFEASIBLE, f"infeasible: {exc}")
     horizon = derive_horizon(cert, cert.regime)
     nsteps = int(math.ceil(horizon / config.grid.dt))
-    surf = SurfaceRecorder(agent=0,
-                           keep_every=max(1, (nsteps // config.output.stride) // 160))
+    surf = SurfaceRecorder(keep_every=max(1, (nsteps // config.output.stride) // 160))
     try:
         series, cert = run_experiment(replace(config, horizon=horizon),
                                       cert=cert, observers=(surf,))

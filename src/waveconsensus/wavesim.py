@@ -23,28 +23,30 @@ is O(theta^6) and does not perturb the solver's second-order convergence.
 M = Q diag(lam) Q^T, so the deviation (error) dynamics split along its
 eigenvectors into n independent single agents whose x=1 feedback gains
 are scaled by lam_i; the leader is the lam = 0 row of the same stencil.
-One block-diagonal sparse operator, probed from the stencil in O(n nx)
-memory, advances the rows [leader, mode_1 .. mode_n].  Each disturbance
-channel A cos(w t + phi) enters it through two phase columns per distinct
-frequency w, so its sparse powers S^p carry the exact forced response of
-p steps.  `Simulation.run` advances the rows a block of sample instants
-at a time: at each instant a single step (which gives the centered
-sample velocity), then S^(stride - 1), at most S^16 at a time.  When the
-operators are large enough (a 24-follower network at 101 grid points,
-not a three-follower preset) and two CPUs are usable, the rows are split
-into two contiguous groups, each with its own slice of the operators,
-and the second group advances on a worker thread; the sparse products
-release the GIL, so the groups run concurrently.  After each block the
-calling thread checks all its samples for divergence at once; then,
-while the groups advance the next block, it computes the block's es sups
-at once, rebuilds the physical deviation Q y sample by sample and calls
-the observers.  A modal row that decays below 2^-512 is scaled up by an
-exact power of two, so an undisturbed error keeps decaying at full speed
-instead of stalling in the slow subnormal range; observers get the
-unscaled fields, which read exact zero once the true error leaves the
-normal range (2.2e-308).  The samples are bit-identical for any number
-of groups.  `step` is the plain per-agent reference implementation of
-the same update in physical coordinates.
+Each disturbance channel A cos(w t + phi) enters through two phase
+columns per distinct frequency w, so the sparse powers S^p of a row's
+one-step operator carry the exact forced response of p steps.
+`Simulation.run` advances the rows [leader, mode_1 .. mode_n] a block of
+sample instants at a time: at each instant a single step (which gives
+the centered sample velocity), then S^(stride - 1), at most S^16 at a
+time.  The rows are independent agents, so a run splits them into
+contiguous row groups, each with operators of its own, built from its
+own entries of one stencil probe and never written after.  When a run
+advances enough grid points per sample (a 24-follower network at 101
+grid points, not a three-follower preset) and two CPUs are usable, there
+are two groups, and the second advances on a worker thread; the sparse
+products release the GIL, so the groups run concurrently.  After each
+block the calling thread checks all its samples for divergence at once;
+then, while the groups advance the next block, it computes the block's
+es sups at once, rebuilds the physical deviation Q y sample by sample
+and calls the observers.  An unforced modal row that decays below
+2^-512 is scaled up by an exact power of two, so an undisturbed error
+keeps decaying at full speed instead of stalling in the slow subnormal
+range; a forced row stays at the scale of its forced response.
+Observers get the unscaled fields, which read exact zero once the true
+error leaves the normal range (2.2e-308).  The samples are bit-identical
+for any number of groups.  `step` is the plain per-agent reference
+implementation of the same update in physical coordinates.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse import _sparsetools
 
 from .errors import DivergenceError
 from .graph import Topology, pinned_matrix
@@ -63,29 +66,12 @@ from .signals import (DisturbanceSpec, eval_profile, eval_signal,
 
 DIVERGENCE_LIMIT = 1e12
 _MAX_POWER = 16         # longest propagator power; longer strides repeat it
-_RESCALE_BITS = 512     # a modal row below 2^-512 is scaled up by 2^512
+_RESCALE_BITS = 512     # an unforced modal row below 2^-512 is scaled up by 2^512
 _CHUNK_BYTES = 1 << 20  # deviation fields per block of samples and functional batch
 _MAX_GROUPS = 2         # row groups of a run; more have not been measured
-_GROUP_WORK = 1 << 17   # operator entries per sample that a row group must carry
+_GROUP_WORK = 10240     # row grid points per sample that a row group must carry
 _NORMAL_MIN = np.finfo(float).tiny
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
-
-try:  # raw CSR kernel: skips scipy's per-call dispatch in the hot loop
-    from scipy.sparse import _sparsetools as _st
-
-    def _csr_matvec(s, data, x, out=None):
-        """s, with its stored entries replaced by `data`, times x, written
-        to `out` (zeros; a new array when None)."""
-        out = np.zeros(x.shape[0]) if out is None else out
-        _st.csr_matvec(s.shape[0], s.shape[1], s.indptr, s.indices, data, x, out)
-        return out
-except ImportError:  # pragma: no cover - fallback for scipy layout changes
-    def _csr_matvec(s, data, x, out=None):
-        y = sparse.csr_matrix((data, s.indices, s.indptr), shape=s.shape) @ x
-        if out is None:
-            return y
-        out[:] = y
-        return out
 
 
 @dataclass(frozen=True)
@@ -361,26 +347,26 @@ class SamplePoint:
 
 
 def _probe(stepper: _Stepper, rows: int, nx: int):
-    """The one-step CSR propagator of the state [u^k, u^(k-1)] of every row
-    (layout (rows, 2, nx)).  The rows are decoupled, so the matrix is block
-    diagonal and all rows are probed at once, one column position at a
-    time: 2 nx stencil calls and O(rows nx) memory."""
-    base = np.arange(rows) * (2 * nx)
-    shift = np.add.outer(base, np.arange(nx)).ravel()
-    data, ri, ci = [np.ones(rows * nx)], [shift + nx], [shift]  # u^(k-1) <- u^k
-    for j in range(2 * nx):
+    """The one-step propagator of the state [u^k, u^(k-1)] of every row
+    (layout (rows, 2, nx)), as COO triplets (row, entry row, entry column,
+    value) with entries numbered within the row's own state.  The rows are
+    decoupled, so all are probed at once, one column position at a time:
+    2 nx stencil calls and O(rows nx) memory.  Each probe input is one unit
+    entry per row, so an entry is the same whichever rows are probed
+    together."""
+    pos = np.arange(nx)
+    r, i, j = [np.repeat(np.arange(rows), nx)], [np.tile(pos + nx, rows)], [np.tile(pos, rows)]
+    v = [np.ones(rows * nx)]  # u^(k-1) <- u^k
+    for col in range(2 * nx):
         y = np.zeros((rows, 2, nx))
-        y[:, j // nx, j % nx] = 1.0
+        y[:, col // nx, col % nx] = 1.0
         un = stepper.step(y[:, 0], y[:, 1])
-        r, i = np.nonzero(un)
-        data.append(un[r, i])
-        ri.append(base[r] + i)
-        ci.append(base[r] + j)
-    dim = rows * 2 * nx
-    s = sparse.csr_matrix((np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
-                          shape=(dim, dim))
-    s.sort_indices()
-    return s
+        rr, ii = np.nonzero(un)
+        r.append(rr)
+        i.append(ii)
+        j.append(np.full(rr.size, col))
+        v.append(un[rr, ii])
+    return [np.concatenate(a) for a in (r, i, j, v)]
 
 
 def _usable_cpus() -> int:
@@ -392,13 +378,13 @@ def _usable_cpus() -> int:
 
 
 def _group_count(rows: int, work: int) -> int:
-    """Row groups of a run whose sparse products touch about `work`
-    operator entries per sample: one per usable CPU, at most _MAX_GROUPS,
-    and no more than give each group _GROUP_WORK entries.  A group's
-    per-sample Python work holds the GIL, so groups with smaller products
-    lose more to hand-offs than they overlap: a three-follower preset
-    (about 94,000 entries per sample) runs faster as one group, a
-    24-follower network at 101 grid points (about 323,000) as two."""
+    """Row groups of a run that advances `work` row grid points per sample
+    ((n + 1) nx stride): one per usable CPU, at most _MAX_GROUPS, and no
+    more than give each group _GROUP_WORK points.  A group's per-sample
+    Python work holds the GIL, so groups with smaller products lose more
+    to hand-offs than they overlap: a three-follower preset (8,040 points
+    per sample at 201 grid points and stride 10) runs faster as one group,
+    a 24-follower network at 101 grid points (25,250) as two."""
     return max(1, min(_usable_cpus(), _MAX_GROUPS, rows, work // _GROUP_WORK))
 
 
@@ -407,98 +393,90 @@ def _block_samples(n: int, nx: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * max(n, 1) * nx))
 
 
-def _row_slice(s, lo: int, hi: int, dim: int):
-    """State rows [lo, hi) of the block-diagonal operator s, with its phase
-    rows (from dim on), as an operator of their own.  Columns are
-    renumbered and each row keeps its entry order, so products with it
-    sum in the same order as with s."""
-    if lo == 0 and hi == dim:
-        return s
-    a, b, c = s.indptr[lo], s.indptr[hi], s.indptr[dim]
-    local = hi - lo
-    indices = np.concatenate([s.indices[a:b], s.indices[c:]])
-    indices = np.where(indices >= dim, indices - (dim - local), indices - lo)
-    indptr = np.concatenate([s.indptr[lo:hi + 1] - a, s.indptr[dim + 1:] - (c - (b - a))])
-    size = local + s.shape[0] - dim
-    return sparse.csr_matrix((np.concatenate([s.data[a:b], s.data[c:]]), indices, indptr),
-                             shape=(size, size))
-
-
 class _RowGroup:
-    """Rows [r0, r1) of a run: their operators (with this run's rescaled
-    forcing entries), their state and their power-of-two exponents.  A
-    group touches only its own rows and its own columns of a block, so
-    groups advance concurrently; the sparse products release the GIL, and
-    the rest of a step is kept to a few small array operations."""
+    """Rows [r0, r1) of a run: their operators, their state and their
+    power-of-two exponents.  The one-step operator is assembled from the
+    group's own probe entries, forcing rows and phase rotation, and its
+    power from that; nothing writes to either after.  A group touches only
+    its own rows and its own columns of a block, so groups advance
+    concurrently; the sparse products release the GIL, and the rest of a
+    step is kept to a few small array operations."""
 
-    def __init__(self, sim: Simulation, r0: int, r1: int, index: int, col: int,
+    def __init__(self, sim: Simulation, probe, r0: int, r1: int, col: int,
                  power: int, stride: int, nsteps: int):
-        off = 2 * sim.grid.nx
+        self.off = off = 2 * sim.grid.nx
         self.omegas = sim._omegas.tolist()
-        self.rows, self.index = slice(r0, r1), index
+        self.rows = slice(r0, r1)
         self.dim = (r1 - r0) * off
         self.cols = slice(col, col + self.dim + 2 * len(self.omegas))  # [state, phases]
-        self.starts = np.arange(0, self.dim, off)
-        self.probe = None  # per row, where its largest entry was last seen
         self.dt = sim.grid.dt
         self.power, self.stride, self.nsteps = power, stride, nsteps
         self.tiny = 2.0 ** -_RESCALE_BITS
-        self.ops = {}  # q -> (operator, its entries in this run, forcing entries, their rows)
-        for q in {1, power}:
-            s = sim._operator(r0, r1, q)
-            forcing = np.flatnonzero(s.indices[:s.indptr[self.dim]] >= self.dim)
-            owner = (np.searchsorted(s.indptr, forcing, side="right") - 1) // off
-            self.ops[q] = (s, s.data, forcing, owner)
+        r, i, j, v = probe
+        mine = (r >= r0) & (r < r1)
+        at = (r[mine] - r0) * off
+        s = sparse.csr_matrix((v[mine], (at + i[mine], at + j[mine])), shape=(self.dim, self.dim))
+        forcing = sim._forcing[r0 * off:r1 * off]
+        if self.omegas:  # the phase slots rotate by w dt per step
+            s = sparse.bmat([[s, forcing], [None, sim._rotation]], format="csr")
+        a = s
+        for _ in range(1, power):
+            a = a @ s
+        self.ops = {1: s, power: a}
+        # only unforced rows are rescaled; probe: per watched row, where its
+        # largest entry was last seen
+        self.watch = np.flatnonzero(np.diff(forcing.indptr).reshape(-1, off).sum(axis=1) == 0)
+        self.probe = self.watch * off
         self.y = np.concatenate([sim._y0[r0 * off:r1 * off], np.zeros(2 * len(self.omegas))])
         self.exps = np.zeros(r1 - r0, dtype=int)
-        self.armed = False  # whether a row has fallen below tiny (see `Simulation.run`)
 
     def _advance(self, y, q, k, out=None):
         if self.omegas:  # exact phases; the operator's own rotation is overwritten
             ph = [w * (k * self.dt) for w in self.omegas]
             y[self.dim:] = [*map(math.cos, ph), *map(math.sin, ph)]
-        s, data = self.ops[q][:2]
-        return _csr_matvec(s, data, y, out)
+        s = self.ops[q]
+        out = np.zeros(y.shape[0]) if out is None else out
+        _sparsetools.csr_matvec(s.shape[0], s.shape[1], s.indptr, s.indices, s.data, y, out)
+        return out
 
-    def _below_tiny(self, y) -> bool:
-        """Whether a stored row's largest magnitude is below tiny.  Each
-        row's entry at its probe bounds its peak from below, so the peaks
-        are recomputed only when a probe reads below tiny."""
-        if self.probe is not None and min(map(abs, y[self.probe].tolist())) >= self.tiny:
-            return False
-        self.probe = np.abs(y[:self.dim]).reshape(len(self.starts), -1).argmax(axis=1) + self.starts
-        return min(map(abs, y[self.probe].tolist())) < self.tiny
+    def _rescale(self, y, y1):
+        """y1, with each watched row whose peak in y is below tiny scaled up
+        by 2^_RESCALE_BITS (in a copy).  Each watched row's entry at its
+        probe bounds its peak from below, so the peaks are recomputed only
+        when a probe reads below tiny.  An unforced row that reads zero
+        stays zero, so it is no longer watched."""
+        fields = np.abs(y[:self.dim].reshape(-1, self.off)[self.watch])
+        peaks = fields.max(axis=1)
+        live = peaks > 0.0
+        self.watch = self.watch[live]
+        self.probe = self.watch * self.off + fields[live].argmax(axis=1)
+        small = self.watch[peaks[live] < self.tiny]
+        if small.size:
+            y1 = y1.copy()
+            y1[:self.dim].reshape(-1, self.off)[small] *= 2.0 ** _RESCALE_BITS
+            self.exps[small] += _RESCALE_BITS
+        return y1
 
     def advance(self, instants, block):
         """Advance through the sample instants, a stride apart (the last one
         possibly nearer).  The state [u^k, u^(k-1)] at instant j goes to
-        this group's columns of block[0][j] and the step after it to
-        block[1][j]; once a row has been rescaled, the exponents go to its
-        rows of block[2][j].  The products write there directly."""
-        states, aheads, exps, armed = block
-        cols, dim, last = self.cols, self.dim, len(instants) - 1
+        this group's columns of block[0][j], the step after it to
+        block[1][j] and the exponents of both to its rows of block[2][j].
+        The products write there directly."""
+        states, aheads, exps = block
+        cols, last = self.cols, len(instants) - 1
         states[:last + 1, cols] = 0.0
         aheads[:last + 1, cols] = 0.0
+        exps[:last + 1, self.rows] = self.exps
         states[0, cols] = self.y
         for j, k in enumerate(instants):
             y = states[j, cols]
             y1 = self._advance(y, 1, k, aheads[j, cols])
-            if self.armed:
-                exps[j, self.rows] = self.exps
-                armed[j, self.index] = True
             if k == self.nsteps:
                 return
-            if self._below_tiny(y):  # rescaling reads the stored rows
-                self.armed = True
-                peaks = np.abs(y[self.probe])
-                small = (peaks < self.tiny) & (peaks > 0.0)
-                y1 = y1.copy()
-                y1[:dim].reshape(len(peaks), -1)[small] *= 2.0 ** _RESCALE_BITS
-                self.exps[small] += _RESCALE_BITS
-                for q, (s, _, forcing, owner) in self.ops.items():
-                    data = s.data.copy()
-                    data[forcing] = np.ldexp(s.data[forcing], self.exps[owner])
-                    self.ops[q] = (s, data, forcing, owner)
+            if self.probe.size and min(map(abs, y[self.probe].tolist())) < self.tiny:
+                y1 = self._rescale(y, y1)  # rescaling reads the stored rows
+                exps[j + 1:last + 1, self.rows] = self.exps
             nxt, k, to = min(k + self.stride, self.nsteps), k + 1, None
             while k < nxt:  # the last product lands on the next instant's state
                 q = self.power if nxt - k >= self.power else 1
@@ -510,12 +488,14 @@ class _RowGroup:
 
 
 class Simulation:
-    """One network's operators in modal coordinates (see the module notes).
+    """One network in modal coordinates (see the module notes).
 
     The state is the rows [leader, mode_1 .. mode_n] (two time levels
     each), the modes being the deviation fields projected on the
     eigenvectors Q of the pinned matrix, followed by one cos and one sin
-    phase slot per distinct disturbance frequency."""
+    phase slot per distinct disturbance frequency.  A run builds the
+    rows' operators (`_RowGroup`); the network keeps their eigenvalues and
+    the sparse forcing columns."""
 
     def __init__(self, topology: Topology | None, gains: ControlGains,
                  grid: Grid, profiles, dist: DisturbanceSpec | None = None):
@@ -546,16 +526,11 @@ class Simulation:
         spatial = [eval_profile(st.spatial, grid.points) if st.kind == "separable"
                    else np.zeros(grid.nx) for st in self.dist.f]
         self._spatial_f_nsq = np.reshape(spatial, (-1, grid.nx)) ** 2 @ grid.weights
-        s1 = _probe(_Stepper(grid, gains, np.concatenate([[0.0], lam])),
-                    self.n + 1, grid.nx)
+        self._lam = np.concatenate([[0.0], lam])  # of the rows [leader, modes]
         self._omegas, g1 = self._forced_step(_Stepper(grid, gains, lam), spatial)
-        if self._omegas.size:  # the phase slots rotate by w dt per step
-            c, sn = (np.diag(f(self._omegas * grid.dt)) for f in (np.cos, np.sin))
-            rot = np.block([[c, -sn], [sn, c]])
-            s1 = sparse.bmat([[s1, sparse.csr_matrix(g1)], [None, sparse.csr_matrix(rot)]],
-                             format="csr")
-        self._s1 = s1
-        self._ops = {}  # (r0, r1, p) -> the p-step operator of rows [r0, r1)
+        self._forcing = sparse.csr_matrix(g1)
+        c, sn = (np.diag(f(self._omegas * grid.dt)) for f in (np.cos, np.sin))
+        self._rotation = sparse.csr_matrix(np.block([[c, -sn], [sn, c]]))
 
     def _forced_step(self, modes: _Stepper, spatial):
         """Distinct angular frequencies w and the one-step load of all
@@ -585,49 +560,36 @@ class Simulation:
             g[1:, 0, :, 1, k] = -modes.step(zero, zero, *(a.imag for a in modal))
         return omegas, g.reshape((n + 1) * 2 * nx, 2 * omegas.size)
 
-    def _operator(self, r0: int, r1: int, p: int):
-        """The p-step operator of rows [r0, r1) on [their state, cos(w t)...,
-        sin(w t)...]: their rows of S^p, with the exact forced response of
-        its p steps in the phase columns (cached).  Rows are decoupled, so
-        the powers of the rows' slice of S are their rows of S's powers,
-        and no operator of all rows is formed."""
-        key = (r0, r1, p)
-        if key not in self._ops:
-            if p == 1:
-                off = 2 * self.grid.nx
-                self._ops[key] = _row_slice(self._s1, r0 * off, r1 * off,
-                                            (self.n + 1) * off)
-            else:
-                a1 = a = self._operator(r0, r1, 1)
-                for _ in range(1, p):
-                    a = a @ a1
-                self._ops[key] = a.tocsr()
-        return self._ops[key]
-
     def run(self, horizon: float, observers=(), stride: int = 10):
         """Advance to `horizon`, invoking observers every `stride` steps
         (and at the final step).  Observer failures abort the run.
 
-        The rows are split into contiguous groups (`_group_count`, from
-        the entries of S^1 times the steps per sample).  The first group
-        advances on the calling thread, the others on worker threads that
-        live for this call only; all advance the same block of sample
-        instants (about _CHUNK_BYTES of fields) per hand-off, into one
-        shared buffer.  Between samples a group advances by sparse
-        propagator powers S^p (p = stride - 1, at most _MAX_POWER; the
-        remainder and the final partial stride take single steps), each
-        with its exact forced response.  At sample instants each modal row
-        whose magnitude fell below 2^-_RESCALE_BITS is scaled up by
-        2^_RESCALE_BITS (exact in binary floating point), which keeps a
-        decaying error out of the slow subnormal range.  After each block
+        The rows are probed once (`_probe`) and split into contiguous
+        groups (`_group_count`, from the row grid points advanced per
+        sample); each group assembles its own operators from its share of
+        the probe.  The first group advances on the calling thread, the
+        others on worker threads that live for this call only; all advance
+        the same block of sample instants (about _CHUNK_BYTES of fields)
+        per hand-off, into one shared buffer.  Between samples a group
+        advances by sparse propagator powers S^p (p = stride - 1, at most
+        _MAX_POWER; the remainder and the final partial stride take single
+        steps), each with its exact forced response.  At sample instants
+        each unforced modal row whose magnitude fell below
+        2^-_RESCALE_BITS is scaled up by 2^_RESCALE_BITS (exact in binary
+        floating point), which keeps a decaying error out of the slow
+        subnormal range.  Forced rows are not rescaled: their forced
+        response keeps them far above the subnormal range, and above
+        about 1e-300 scaled and unscaled arithmetic give the same bits,
+        since power-of-two scaling commutes with rounding in the normal
+        range.  After each block
         the calling thread copies its samples out of the buffer and checks
         them for divergence; then, while the groups advance the next
         block, it computes the block's es sups, rebuilds the physical
         fields sample by sample and calls the observers (so observer time
         overlaps stepping).  Observers see the unscaled fields, with values
-        below the normal range (2.2e-308) given as 0 once any row has
-        fallen below 2^-_RESCALE_BITS, and never a sample at or after the
-        first diverged one."""
+        below the normal range (2.2e-308) given as 0 from the first
+        rescaled row on, and never a sample at or after the first diverged
+        one."""
         from concurrent.futures import ThreadPoolExecutor  # kept out of start-up
 
         if horizon < 0:
@@ -638,18 +600,18 @@ class Simulation:
         nsteps = int(math.ceil(horizon / self.grid.dt)) if horizon > 0 else 0
         count = -(-nsteps // stride) + 1  # sample instants: every stride steps, and the last
         power = max(1, min(stride - 1, _MAX_POWER))
-        ngroups = _group_count(rows, self._s1.nnz * stride)
+        ngroups = _group_count(rows, rows * nx * stride)
         # the calling thread also rebuilds the samples, so its group gets a
         # half share of the rows and each other group a full share
         edges = [0] + [(rows * (2 * g - 1) + ngroups - 1) // (2 * ngroups - 1)
                        for g in range(1, ngroups + 1)]
+        probe = _probe(_Stepper(self.grid, self.gains, self._lam), rows, nx)
         groups, col = [], 0
-        for g, (a, b) in enumerate(zip(edges, edges[1:])):
-            groups.append(_RowGroup(self, a, b, g, col, power, stride, nsteps))
+        for a, b in zip(edges, edges[1:]):
+            groups.append(_RowGroup(self, probe, a, b, col, power, stride, nsteps))
             col = groups[-1].cols.stop
         size = min(_block_samples(self.n, nx), count)
-        block = (np.empty((size, col)), np.empty((size, col)),
-                 np.zeros((size, rows), dtype=int), np.zeros((size, ngroups), dtype=bool))
+        block = (np.empty((size, col)), np.empty((size, col)), np.empty((size, rows), dtype=int))
         fields = np.empty((2, size, rows, nx))  # u^k, and u^(k+1) - u^(k-1)
         es, ready = np.zeros(3), None  # ready: a gathered block not yet handed out
         with ThreadPoolExecutor(max_workers=max(1, ngroups - 1)) as pool:
@@ -671,7 +633,7 @@ class Simulation:
         u^(k+1) - u^(k-1) of every row into `out`, up to the first diverged
         sample.  Returns the instants and the number of samples kept."""
         nx, cnt = self.grid.nx, len(instants)
-        states, aheads, exps, armed = (a[:cnt] for a in block)
+        states, aheads, exps = (a[:cnt] for a in block)
         parts = [(g.rows, *(a[:, g.cols][:, :g.dim].reshape(cnt, -1, 2, nx) for a in (states, aheads)))
                  for g in groups]
         peaks = np.empty((cnt, self.n + 1))
@@ -685,7 +647,7 @@ class Simulation:
         for rows, state, ahead in parts:
             cur[:, rows] = state[:stop, :, 0]
             np.subtract(ahead[:stop, :, 0], state[:stop, :, 1], out=diff[:, rows])
-        on = armed[:stop].any(axis=1)
+        on = exps[:stop].any(axis=1)
         if on.any():  # values unscaling below the normal range read 0
             floor = np.where(on[:, None], np.ldexp(_NORMAL_MIN, exps[:stop]), 0.0)[:, :, None]
             for f in (cur, diff):

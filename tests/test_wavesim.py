@@ -31,6 +31,12 @@ def reference_profiles():
     ]
 
 
+def resting_leader_profiles():
+    """The reference followers under a leader with zero displacement and
+    velocity: an all-zero modal row."""
+    return [(ProfileSpec(), ProfileSpec()), *reference_profiles()[1:]]
+
+
 def heterogeneous_disturbances():
     """Per-agent signals at several frequencies and phases, one channel
     zero, and two spatial profiles: every forcing path of the kernel."""
@@ -277,51 +283,54 @@ class TestSimulate:
         grid = Grid(nx=81)
         m = pinned_matrix(path3_topology)
         dist = heterogeneous_disturbances()
-        snaps = []
-        sim = Simulation(path3_topology, GAINS, grid, reference_profiles(), dist)
-        # 83 steps: no multiple of any stride, and more than two 16-step powers
-        nsteps = sim.run(83 * grid.dt, observers=(snaps.append,), stride=stride)
-        assert nsteps in (83, 84)
-        assert [sp.step_index for sp in snaps] == [*range(0, nsteps, stride), nsteps]
-        state = init_state(grid, reference_profiles(), GAINS, m, dist)
-        states = [state]
-        for _ in range(nsteps + 1):
-            states.append(step(states[-1], GAINS, m, dist, grid))
-        for sp in snaps:
-            k = sp.step_index
-            ref = states[k]
-            dev = ref.u_curr[1:] - ref.u_curr[0]
-            scale = max(np.max(np.abs(dev)), 1.0)
-            assert np.max(np.abs(sp.error - dev)) < 1e-11 * scale
-            assert np.max(np.abs(sp.leader - ref.u_curr[0])) < 1e-11 * 10.0
-            vel = (states[k + 1].u_curr - ref.u_prev) / (2.0 * grid.dt)
-            dev_vel = vel[1:] - vel[0]
-            vscale = max(np.max(np.abs(dev_vel)), 1.0)
-            assert np.max(np.abs(sp.error_vel - dev_vel)) < 1e-10 * vscale
-            assert np.max(np.abs(sp.leader_vel - vel[0])) < 1e-10 * vscale
+        for profiles in (reference_profiles(), resting_leader_profiles()):
+            snaps = []
+            sim = Simulation(path3_topology, GAINS, grid, profiles, dist)
+            # 83 steps: no multiple of any stride, and more than two 16-step powers
+            nsteps = sim.run(83 * grid.dt, observers=(snaps.append,), stride=stride)
+            assert nsteps in (83, 84)
+            assert [sp.step_index for sp in snaps] == [*range(0, nsteps, stride), nsteps]
+            state = init_state(grid, profiles, GAINS, m, dist)
+            states = [state]
+            for _ in range(nsteps + 1):
+                states.append(step(states[-1], GAINS, m, dist, grid))
+            for sp in snaps:
+                k = sp.step_index
+                ref = states[k]
+                dev = ref.u_curr[1:] - ref.u_curr[0]
+                scale = max(np.max(np.abs(dev)), 1.0)
+                assert np.max(np.abs(sp.error - dev)) < 1e-11 * scale
+                assert np.max(np.abs(sp.leader - ref.u_curr[0])) < 1e-11 * 10.0
+                vel = (states[k + 1].u_curr - ref.u_prev) / (2.0 * grid.dt)
+                dev_vel = vel[1:] - vel[0]
+                vscale = max(np.max(np.abs(dev_vel)), 1.0)
+                assert np.max(np.abs(sp.error_vel - dev_vel)) < 1e-10 * vscale
+                assert np.max(np.abs(sp.leader_vel - vel[0])) < 1e-10 * vscale
 
     @pytest.mark.parametrize("stride", (1, 7, 10, 37))
     def test_row_groups_give_bit_identical_samples(self, path3_topology, monkeypatch, stride):
         # 83 steps end on a partial stride; three samples per block make
         # every run span several blocks, and frequent thread switches mix
-        # the groups' work on the shared buffer
+        # the groups' work on the shared buffer; a resting leader is an
+        # all-zero row
         grid = Grid(nx=81)
-        runs = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for groups in GROUPS:
-                use_groups(monkeypatch, groups, 3, grid)
-                snaps = []
-                Simulation(path3_topology, GAINS, grid, reference_profiles(),
-                           heterogeneous_disturbances()).run(
-                    83 * grid.dt, observers=(lambda sp: snaps.append(snapshot(sp)),),
-                    stride=stride)
-                runs[groups] = snaps
+            for profiles in (reference_profiles(), resting_leader_profiles()):
+                runs = {}
+                for groups in GROUPS:
+                    use_groups(monkeypatch, groups, 3, grid)
+                    snaps = []
+                    Simulation(path3_topology, GAINS, grid, profiles,
+                               heterogeneous_disturbances()).run(
+                        83 * grid.dt, observers=(lambda sp: snaps.append(snapshot(sp)),),
+                        stride=stride)
+                    runs[groups] = snaps
+                assert len(runs[1]) > 3 and runs[1][-1][0] in (83, 84) and runs[1][-1][4] > 0.0
+                assert runs[2] == runs[1] and runs[4] == runs[1]
         finally:
             sys.setswitchinterval(interval)
-        assert len(runs[1]) > 3 and runs[1][-1][0] in (83, 84) and runs[1][-1][4] > 0.0
-        assert runs[2] == runs[1] and runs[4] == runs[1]
 
     def test_divergence_inside_a_block(self, path3_topology, monkeypatch):
         # observers see exactly the samples before the first diverged one,
@@ -380,27 +389,39 @@ class TestSimulate:
 
     @pytest.mark.parametrize("groups", GROUPS)
     def test_rescaling_is_exact(self, path3_topology, monkeypatch, groups):
-        # from rest, the forced response is small for a while, so with a
-        # threshold of 2^-2 the follower modes are rescaled at several
-        # samples; power-of-two scaling must not change a single bit
+        # with a threshold of 2^-2, the undisturbed rows decay below it and
+        # are rescaled at many samples; from rest, the forced response is
+        # below it for a while, but forced rows keep their own scale; either
+        # way no bit of a sample may change
         grid = Grid(nx=81)
         use_groups(monkeypatch, groups, 4, grid)
-        profiles = [(ProfileSpec(), ProfileSpec())] * 4
+        gather, exps = Simulation._gather, []
 
-        def fields():
+        def spy(self, instants, block, *rest):  # the exponents of each block
+            exps.append(block[2][:len(instants)].max())
+            return gather(self, instants, block, *rest)
+
+        monkeypatch.setattr(Simulation, "_gather", spy)
+
+        def fields(bits, profiles, dist, nsteps):
+            monkeypatch.setattr(wavesim, "_RESCALE_BITS", bits)
             snaps = []
-            Simulation(path3_topology, GAINS, grid, profiles,
-                       heterogeneous_disturbances()).run(
-                120 * grid.dt, observers=(snaps.append,), stride=7)
-            return [(sp.leader, sp.leader_vel, sp.error, sp.error_vel) for sp in snaps]
+            exps.clear()
+            Simulation(path3_topology, GAINS, grid, profiles, dist).run(
+                nsteps * grid.dt, observers=(snaps.append,), stride=7)
+            return [(sp.leader, sp.leader_vel, sp.error, sp.error_vel) for sp in snaps], max(exps)
 
-        plain = fields()
-        monkeypatch.setattr(wavesim, "_RESCALE_BITS", 2)
-        rescaled = fields()
-        assert 0.0 < min(np.max(np.abs(f[2])) for f in plain[1:]) < 2.0 ** -2
-        for a, b in zip(plain, rescaled):
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y)
+        for case, rescales in (((reference_profiles(), None, 3000), True),
+                               (([(ProfileSpec(), ProfileSpec())] * 4,
+                                 heterogeneous_disturbances(), 120), False)):
+            plain, plain_top = fields(512, *case)
+            rescaled, rescaled_top = fields(2, *case)
+            assert 0.0 < min(np.max(np.abs(f[2])) for f in plain[1:]) < 2.0 ** -2
+            assert plain_top == 0 and (rescaled_top > 0) == rescales
+            assert len(plain) == len(rescaled)
+            for a, b in zip(plain, rescaled):
+                for x, y in zip(a, b):
+                    assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("groups", GROUPS)
     def test_undisturbed_error_decays_past_the_subnormal_range(self, path3_topology,
