@@ -26,7 +26,7 @@ from .errors import CertificateError, ConfigError, DivergenceError, TopologyErro
 from .graph import Topology, build_topology, eig_extremes_sym, is_connected, pinned_matrix
 from .signals import (PROFILE_KINDS, SIGNAL_KINDS, SPACETIME_KINDS, DisturbanceSpec,
                       ProfileSpec, SignalSpec, SpaceTimeSpec, zero_disturbances)
-from .wavesim import ControlGains, Grid, SamplePoint, simulate
+from .wavesim import ControlGains, Grid, SampleBlock, simulate
 
 ENV_OUT_DIR = "WAVECONSENSUS_OUT"
 
@@ -36,6 +36,8 @@ CSV_COLUMNS = (
     "iss_bound_conservative", "iss_bound_verbatim",
     "es_psi0_sq", "es_psi1_sq", "es_f_sq",
 )
+
+_CSV_ROWS = 1024  # rows formatted and written at once
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -398,9 +400,10 @@ def write_csv(path, series: analysis.TimeSeries, cert=None) -> None:
         *(series.columns[name] if regime == "perturbed" else None for name in es)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(len(series)):
-            fh.write(",".join("" if col is None else repr(float(col[i]))
-                              for col in columns) + "\n")
+        for a in range(0, len(series), _CSV_ROWS):  # zip stops at the end of t
+            cells = [[""] * _CSV_ROWS if col is None else map(repr, col[a:a + _CSV_ROWS].tolist())
+                     for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_csv(path) -> dict:
@@ -482,19 +485,20 @@ def run_check_gains(config: ExperimentConfig) -> RunResult:
 
 
 class SurfaceRecorder:
-    """Collects decimated snapshots of follower 1's deviation for plotting."""
+    """Collects every keep_every-th sample of follower 1's deviation."""
 
     def __init__(self, keep_every: int = 1):
         self.keep_every = max(1, keep_every)
         self.times = []
         self.rows = []
-        self._count = 0
+        self._count = 0  # samples seen before the current block
 
-    def __call__(self, sp: SamplePoint):
-        if self._count % self.keep_every == 0 and sp.error.shape[0]:
-            self.times.append(sp.time)
-            self.rows.append(sp.error[0].copy())
-        self._count += 1
+    def __call__(self, block: SampleBlock):
+        first = -self._count % self.keep_every
+        self._count += block.times.size
+        if block.error.shape[1] and first < block.times.size:
+            self.times.extend(block.times[first::self.keep_every].tolist())
+            self.rows.append(block.error[first::self.keep_every, 0].copy())
 
 
 def run_experiment(config: ExperimentConfig, cert=None, observers=()):
@@ -592,7 +596,7 @@ def run_reproduce(test_id: int, out_dir, conservative_iss: bool = True) -> RunRe
     surface_path = os.path.join(out_dir, "error_surface.svg")
     if surf.rows:
         svgplot.heatmap(surface_path, surf.times, config.grid.points,
-                        np.stack(surf.rows),
+                        np.concatenate(surf.rows),
                         title=f"Test {test_id}: deviation of follower 1")
     summary = {
         "test": test_id,

@@ -91,9 +91,11 @@ def line_plot(path, x, ys, labels, title="", xlabel="", ylabel="",
              f'<rect width="{_W}" height="{_H}" fill="white"/>']
     sx, sy = _axes(parts, float(x.min()), float(x.max()), y_lo, y_hi,
                    title, xlabel, ylabel, ylog)
+    px = np.broadcast_to(sx(x), x.shape)  # sx gives a scalar when all x are equal
     for i, s in enumerate(series):
-        pts = " ".join(f"{_fmt(sx(xv))},{_fmt(sy(yv))}"
-                       for xv, yv in zip(x, s) if math.isfinite(yv))
+        ok = np.isfinite(s)
+        pts = " ".join(map("{},{}".format, map(_fmt, px[ok].tolist()),
+                           map(_fmt, sy(s[ok]).tolist())))
         color = _COLORS[i % len(_COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.4"/>')
@@ -126,17 +128,16 @@ def heatmap(path, times, xs, z, title="", xlabel="t", ylabel="x",
              f'<rect width="{_W}" height="{_H}" fill="white"/>']
     nt, nxp = len(ti), len(xi)
     cw, chh = pw / nt, ph / nxp
-    for a in range(nt):
-        for b in range(nxp):
-            v = (zs[a, b] - lo) / span
-            r = int(255 * v)
-            bch = int(255 * (1.0 - v))
-            g = int(80 + 100 * (0.5 - abs(v - 0.5)))
-            px = _ML + a * cw
-            py = _MT + ph - (b + 1) * chh
-            parts.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" '
-                         f'width="{_fmt(cw + 0.5)}" height="{_fmt(chh + 0.5)}" '
-                         f'fill="rgb({r},{g},{bch})"/>')
+    # a cell's markup: its column's x, its row's y and the size, its colour
+    cols = [f'<rect x="{_fmt(p)}" y="' for p in (_ML + np.arange(nt) * cw).tolist()]
+    rows = [f'{_fmt(p)}" width="{_fmt(cw + 0.5)}" height="{_fmt(chh + 0.5)}" fill="rgb('
+            for p in ((_MT + ph) - np.arange(1, nxp + 1) * chh).tolist()]
+    v = (zs - lo) / span
+    rgb = zip(*((255 * v).astype(int).tolist(),
+                (80 + 100 * (0.5 - np.abs(v - 0.5))).astype(int).tolist(),
+                (255 * (1.0 - v)).astype(int).tolist()))
+    for col, cells in zip(cols, rgb):
+        parts.extend(f'{col}{row}{r},{g},{b})"/>' for row, r, g, b in zip(rows, *cells))
     _axes(parts, float(times.min()), float(times.max()),
           float(xs.min()), float(xs.max()), title, xlabel, ylabel, False)
     parts.append(f'<text x="{_W - _MR - 4}" y="{_MT - 12}" font-size="11" '

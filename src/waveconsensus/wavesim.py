@@ -37,9 +37,9 @@ grid points, not a three-follower preset) and two CPUs are usable, there
 are two groups, and the second advances on a worker thread; the sparse
 products release the GIL, so the groups run concurrently.  After each
 block the calling thread checks all its samples for divergence at once;
-then, while the groups advance the next block, it computes the block's
-es sups at once, rebuilds the physical deviation Q y sample by sample
-and calls the observers.  An unforced modal row that decays below
+then, while the groups advance the next block, it rebuilds the physical
+deviation Q y of the whole block in one product and hands each observer
+one `SampleBlock`.  An unforced modal row that decays below
 2^-512 is scaled up by an exact power of two, so an undisturbed error
 keeps decaying at full speed instead of stalling in the slow subnormal
 range; a forced row stays at the scale of its forced response.
@@ -61,7 +61,7 @@ from scipy.sparse import _sparsetools
 
 from .errors import DivergenceError
 from .graph import Topology, pinned_matrix
-from .signals import (DisturbanceSpec, eval_profile, eval_signal,
+from .signals import (DisturbanceSpec, ess_sup_running, eval_profile, eval_signal,
                       eval_space_time, zero_disturbances)
 
 DIVERGENCE_LIMIT = 1e12
@@ -327,23 +327,20 @@ def boundary_trace(state: WaveState, grid: Grid) -> BoundaryTrace:
 
 
 @dataclass(frozen=True)
-class SamplePoint:
-    """State snapshot handed to observers at sampling instants.
+class SampleBlock:
+    """The s >= 1 samples of one block as read-only arrays: `steps` and
+    `times` (s,), `leader` and `leader_vel` (s, nx), and the followers'
+    deviations u_i - u_0, `error` and `error_vel` (s, n, nx).  Velocities
+    are centered differences across the surrounding levels, matching the
+    accuracy of the scheme itself.  `step_index` is the last step."""
 
-    Velocities are centered differences across the surrounding levels,
-    matching the accuracy of the scheme itself.
-    """
-
-    step_index: int
-    time: float
-    grid: Grid
+    steps: np.ndarray
+    times: np.ndarray
     leader: np.ndarray
     leader_vel: np.ndarray
     error: np.ndarray
     error_vel: np.ndarray
-    es_psi0_sq: float
-    es_psi1_sq: float
-    es_f_sq: float
+    step_index: int
 
 
 def _probe(stepper: _Stepper, rows: int, nx: int):
@@ -516,53 +513,47 @@ class Simulation:
         self._y0 = np.stack([np.vstack([u[0], self._q.T @ (u[1:] - u[0])]),
                              np.vstack([up[0], self._q.T @ (up[1:] - up[0])])],
                             axis=1).ravel()
-        # psi0, psi1 and f-temporal channels, for the running sups es_*
-        sigs = [*self.dist.psi0, *self.dist.psi1,
-                *(st.temporal if st.kind == "separable" else None for st in self.dist.f)]
-        self._sig_amp, self._sig_om, self._sig_ph = np.array([
-            (s.amplitude, s.angular_frequency, s.phase)
-            if s is not None and s.kind == "sinusoid" else (0.0, 0.0, 0.0)
-            for s in sigs]).reshape(-1, 3).T
-        spatial = [eval_profile(st.spatial, grid.points) if st.kind == "separable"
-                   else np.zeros(grid.nx) for st in self.dist.f]
-        self._spatial_f_nsq = np.reshape(spatial, (-1, grid.nx)) ** 2 @ grid.weights
         self._lam = np.concatenate([[0.0], lam])  # of the rows [leader, modes]
-        self._omegas, g1 = self._forced_step(_Stepper(grid, gains, lam), spatial)
-        self._forcing = sparse.csr_matrix(g1)
+        self._omegas, self._forcing = self._forced_step(_Stepper(grid, gains, lam))
         c, sn = (np.diag(f(self._omegas * grid.dt)) for f in (np.cos, np.sin))
         self._rotation = sparse.csr_matrix(np.block([[c, -sn], [sn, c]]))
 
-    def _forced_step(self, modes: _Stepper, spatial):
+    def _forced_step(self, modes: _Stepper):
         """Distinct angular frequencies w and the one-step load of all
-        channels at each w, as the real columns [Re F_w..., -Im F_w...]
-        (state layout, leader row zero): the load of the step from time t
-        is their product with [cos(w t)..., sin(w t)...]."""
+        channels at each w, as sparse real columns [Re F_w..., -Im F_w...]
+        (state layout, leader row zero) built one w at a time: the load of
+        the step from time t is their product with [cos(w t)..., sin(w t)...]."""
         n, nx = self.n, self.grid.nx
-        loads = {}  # w -> physical complex amplitudes of psi0, psi1, f
-
-        def add(sig, channel, i, shape=1.0):
-            if sig.kind == "sinusoid":
-                load = loads.setdefault(sig.angular_frequency, (
-                    np.zeros(n, complex), np.zeros(n, complex), np.zeros((n, nx), complex)))
-                load[channel][i] += sig.amplitude * np.exp(1j * sig.phase) * shape
-
-        for i in range(n):
-            add(self.dist.psi0[i], 0, i)
-            add(self.dist.psi1[i], 1, i)
-            if self.dist.f[i].kind == "separable":
-                add(self.dist.f[i].temporal, 2, i, spatial[i])
+        loads = {}  # w -> [(channel, follower, physical complex amplitude)]
+        for i, f in enumerate(self.dist.f):
+            for channel, sig in enumerate((self.dist.psi0[i], self.dist.psi1[i],
+                                           f.temporal if f.kind == "separable" else None)):
+                if sig is not None and sig.kind == "sinusoid":
+                    shape = eval_profile(f.spatial, self.grid.points) if channel == 2 else 1.0
+                    loads.setdefault(sig.angular_frequency, []).append(
+                        (channel, i, sig.amplitude * np.exp(1j * sig.phase) * shape))
         omegas = np.array(sorted(loads), dtype=float)
-        g = np.zeros((n + 1, 2, nx, 2, omegas.size))
+        cols = ([], [])  # (state indices, values) of the Re and the -Im columns
         zero = np.zeros((n, nx))
-        for k, w in enumerate(omegas):
-            modal = [self._q.T @ a for a in loads[w]]
-            g[1:, 0, :, 0, k] = modes.step(zero, zero, *(a.real for a in modal))
-            g[1:, 0, :, 1, k] = -modes.step(zero, zero, *(a.imag for a in modal))
-        return omegas, g.reshape((n + 1) * 2 * nx, 2 * omegas.size)
+        for w in omegas:
+            load = [np.zeros(n, complex), np.zeros(n, complex), np.zeros((n, nx), complex)]
+            for channel, i, a in loads[w]:
+                load[channel][i] += a
+            modal = [self._q.T @ a for a in load]
+            for part, col in zip(cols, (modes.step(zero, zero, *(a.real for a in modal)),
+                                        -modes.step(zero, zero, *(a.imag for a in modal)))):
+                r, x = np.nonzero(col)
+                part.append(((r + 1) * 2 * nx + x, col[r, x]))  # level u^k of row r + 1
+        index, value = zip((np.zeros(0, int), np.zeros(0)), *cols[0], *cols[1])
+        return omegas, sparse.csc_matrix(
+            (np.concatenate(value), np.concatenate(index), np.cumsum([i.size for i in index])),
+            shape=((n + 1) * 2 * nx, 2 * omegas.size)).tocsr()
 
     def run(self, horizon: float, observers=(), stride: int = 10):
-        """Advance to `horizon`, invoking observers every `stride` steps
-        (and at the final step).  Observer failures abort the run.
+        """Advance to `horizon`, sampling every `stride` steps (and at the
+        final step), and return the number of steps.  Each observer is
+        called once per block with its samples (`SampleBlock`); observer
+        failures abort the run.
 
         The rows are probed once (`_probe`) and split into contiguous
         groups (`_group_count`, from the row grid points advanced per
@@ -584,8 +575,8 @@ class Simulation:
         range.  After each block
         the calling thread copies its samples out of the buffer and checks
         them for divergence; then, while the groups advance the next
-        block, it computes the block's es sups, rebuilds the physical
-        fields sample by sample and calls the observers (so observer time
+        block, it rebuilds the physical fields of the whole block in one
+        product and calls each observer once with them (so observer time
         overlaps stepping).  Observers see the unscaled fields, with values
         below the normal range (2.2e-308) given as 0 from the first
         rescaled row on, and never a sample at or after the first diverged
@@ -613,18 +604,18 @@ class Simulation:
         size = min(_block_samples(self.n, nx), count)
         block = (np.empty((size, col)), np.empty((size, col)), np.empty((size, rows), dtype=int))
         fields = np.empty((2, size, rows, nx))  # u^k, and u^(k+1) - u^(k-1)
-        es, ready = np.zeros(3), None  # ready: a gathered block not yet handed out
+        ready = None  # a gathered block not yet handed out
         with ThreadPoolExecutor(max_workers=max(1, ngroups - 1)) as pool:
             for j0 in range(0, count, size):
                 instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
                 futures = [pool.submit(g.advance, instants, block) for g in groups[1:]]
                 if ready:  # while the workers advance this block
-                    es = self._emit(*ready, fields, es, observers)
+                    self._emit(*ready, fields, observers)
                 groups[0].advance(instants, block)
                 for f in futures:
                     f.result()
                 ready = self._gather(instants, block, groups, fields)
-            self._emit(*ready, fields, es, observers)
+            self._emit(*ready, fields, observers)
         return nsteps
 
     def _gather(self, instants, block, groups, out):
@@ -655,40 +646,34 @@ class Simulation:
                 f *= unscale[:stop, :, None]
         return instants, stop
 
-    def _emit(self, instants, stop, fields, es, observers):
-        """Hand the first `stop` gathered samples of a block to the
-        observers, then raise if the block diverged; returns the running
-        sups es_* after the block."""
-        dt, n = self.grid.dt, self.n
-        t = (np.array(instants[:stop + 1], dtype=float) * dt).tolist()
-        sups = np.zeros((stop, 3))
-        if self._omegas.size:  # (1, c) @ (c, 1) products: the dot of a single sample
-            v = self._sig_amp * np.cos(self._sig_om * np.array(t[:stop])[:, None] + self._sig_ph)
-            sups[:, 0] = np.matmul(v[:, None, :n], v[:, :n, None])[:, 0, 0]
-            sups[:, 1] = np.matmul(v[:, None, n:2 * n], v[:, n:2 * n, None])[:, 0, 0]
-            sups[:, 2] = np.matmul(v[:, None, 2 * n:] ** 2, self._spatial_f_nsq[:, None])[:, 0, 0]
-        sups = np.maximum.accumulate(np.vstack([es, sups]), axis=0)
-        for j, (k, tj, (es0, es1, esf)) in enumerate(zip(instants, t, sups[1:].tolist())):
-            err = np.matmul(self._q, fields[:, j, 1:])
+    def _emit(self, instants, stop, fields, observers):
+        """Hand the first `stop` gathered samples of a block to each
+        observer as one SampleBlock, with the physical deviation Q y of all
+        of them from one product (no call when `stop` is 0), then raise if
+        the block diverged."""
+        dt = self.grid.dt
+        t = np.array(instants[:stop + 1], dtype=float) * dt
+        if stop:
+            err = np.matmul(self._q, fields[:, :stop, 1:])
             err[1] /= 2.0 * dt
-            sp = SamplePoint(
-                step_index=k, time=tj, grid=self.grid, leader=fields[0, j, 0].copy(),
-                leader_vel=fields[1, j, 0] / (2.0 * dt), error=err[0], error_vel=err[1],
-                es_psi0_sq=es0, es_psi1_sq=es1, es_f_sq=esf)
+            arrays = (np.array(instants[:stop]), t[:stop], fields[0, :stop, 0].copy(),
+                      fields[1, :stop, 0] / (2.0 * dt), err[0], err[1])
+            for a in arrays:
+                a.flags.writeable = False
+            block = SampleBlock(*arrays, step_index=instants[stop - 1])
             for obs in observers:
                 try:
-                    obs(sp)
+                    obs(block)
                 except DivergenceError:
                     raise
                 except Exception as exc:
                     raise RuntimeError(
-                        f"observer {obs!r} failed at step {k} "
-                        f"(t = {tj:.6g})") from exc
+                        f"observer {obs!r} failed on the block of steps {instants[0]} "
+                        f"to {instants[stop - 1]} (t = {t[0]:.6g} to {t[stop - 1]:.6g})") from exc
         if stop < len(instants):
             raise DivergenceError(
                 f"simulation diverged by step {instants[stop]} (t = {t[stop]:.6g})",
                 step_index=instants[stop])
-        return sups[-1]
 
 
 def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
@@ -698,9 +683,10 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
 
     `functional_weights` supplies (k1, k2, rho1, rho2) for the Lyapunov
     functionals (a GainCertificate, or None for plain-energy weights with
-    rho1 = rho2 = 0).  Extra observers are invoked at every sample.  The
-    functionals are evaluated in batches of buffered samples, at most
-    _CHUNK_BYTES of deviation fields per `analysis.lyapunov_sample` call.
+    rho1 = rho2 = 0).  Extra observers get every block of samples (a
+    `SampleBlock`).  The functionals are evaluated on each block, one
+    `analysis.lyapunov_sample` call per block, with the running sups es_*
+    of the disturbance channels at the block's sample times.
     """
     from . import analysis
 
@@ -709,23 +695,29 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
     if weights is None:
         weights = analysis.FunctionalWeights(k1=gains.k1, k2=gains.k2, rho1=0.0, rho2=0.0)
     series = analysis.TimeSeries(grid=grid, gains=gains, certificate=weights)
-    m = sim.m if sim.n else np.zeros((0, 0))
-    fields = np.empty((2, _block_samples(sim.n, grid.nx), sim.n, grid.nx))
-    buffered = []  # (time, es_psi0_sq, es_psi1_sq, es_f_sq) of the samples in fields
+    n, m, dist = sim.n, sim.m if sim.n else np.zeros((0, 0)), sim.dist
+    # psi0, psi1 and f-temporal channels, for the running sups es_*
+    sigs = [*dist.psi0, *dist.psi1,
+            *(st.temporal if st.kind == "separable" else None for st in dist.f)]
+    amp, om, ph = np.array([
+        (s.amplitude, s.angular_frequency, s.phase)
+        if s is not None and s.kind == "sinusoid" else (0.0, 0.0, 0.0)
+        for s in sigs]).reshape(-1, 3).T
+    f_nsq = np.reshape([eval_profile(st.spatial, grid.points) if st.kind == "separable"
+                        else np.zeros(grid.nx) for st in dist.f], (-1, grid.nx)) ** 2 @ grid.weights
+    es = np.zeros(3)
 
-    def flush():
-        if buffered:
-            s = len(buffered)
-            series.append(analysis.lyapunov_sample(
-                fields[0, :s], fields[1, :s], weights, m, grid, *zip(*buffered)))
-            buffered.clear()
-
-    def record(sp: SamplePoint):
-        fields[:, len(buffered)] = sp.error, sp.error_vel
-        buffered.append((sp.time, sp.es_psi0_sq, sp.es_psi1_sq, sp.es_f_sq))
-        if len(buffered) == fields.shape[1]:
-            flush()
+    def record(block: SampleBlock):
+        nonlocal es
+        v = amp * np.cos(om * block.times[:, None] + ph)
+        sups = np.hstack([  # (1, c) @ (c, 1) products: the dot of a single sample
+            np.matmul(v[:, None, :n], v[:, :n, None]),
+            np.matmul(v[:, None, n:2 * n], v[:, n:2 * n, None]),
+            np.matmul(v[:, None, 2 * n:] ** 2, f_nsq[:, None])])[:, :, 0]
+        sups = ess_sup_running(np.vstack([es, sups]))[1:]
+        es = sups[-1]
+        series.append(analysis.lyapunov_sample(block.error, block.error_vel, weights, m, grid,
+                                               block.times, *sups.T))
 
     sim.run(horizon, observers=[record, *observers], stride=stride)
-    flush()
     return series

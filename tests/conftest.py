@@ -2,12 +2,30 @@
 certificate-derived horizons), so they run once per session and are shared
 between module tests and the acceptance suite."""
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from waveconsensus import harness
 from waveconsensus.graph import build_topology
+
+
+def samples(block):
+    """The samples of a block one at a time, each with the block's fields
+    for that sample and its step index and time."""
+    for j, (k, t) in enumerate(zip(block.steps.tolist(), block.times.tolist())):
+        yield SimpleNamespace(step_index=k, time=t, leader=block.leader[j],
+                              leader_vel=block.leader_vel[j], error=block.error[j],
+                              error_vel=block.error_vel[j])
+
+
+def each_sample(observer):
+    """A block observer that calls `observer` on every sample of a block."""
+    def call(block):
+        for sp in samples(block):
+            observer(sp)
+    return call
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import each_sample
 
 from waveconsensus import harness
 from waveconsensus.analysis import (agmon_check, iss_check,
@@ -179,7 +180,7 @@ def open_loop_runs(test1_run):
 
     simulate(None, ControlGains(k1=0.0, k2=0.0, c0=config.gains.c0), grid,
              [(config.leader_ic.displacement, config.leader_ic.velocity)],
-             None, horizon, observers=(watch_leader,), stride=10)
+             None, horizon, observers=(each_sample(watch_leader),), stride=10)
 
     series = simulate(config.topology(),
                       ControlGains(k1=0.0, k2=0.0, c0=config.gains.c0), grid,

@@ -2,9 +2,11 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import each_sample, samples
 
 from waveconsensus import wavesim
 from waveconsensus.analysis import FunctionalWeights, open_loop_energy_fields
@@ -83,25 +85,50 @@ def use_groups(monkeypatch, groups, samples_per_block=None, grid=None, n=3):
         monkeypatch.setattr(wavesim, "_CHUNK_BYTES", 16 * n * grid.nx * samples_per_block)
 
 
+def path_topology(n):
+    """n followers on a path, the leader linked to the first."""
+    path = np.eye(n, k=1, dtype=int) + np.eye(n, k=-1, dtype=int)
+    return build_topology(path.tolist(), [1] + [0] * (n - 1))
+
+
 def worker_threads(n, nx):
     """Threads a short run of an n-follower path network at nx grid points
     holds besides those alive before it, seen from its observers."""
-    path = np.eye(n, k=1, dtype=int) + np.eye(n, k=-1, dtype=int)
-    topo = build_topology(path.tolist(), [1] + [0] * (n - 1))
+    topo = path_topology(n)
     profiles = [(ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=1.0),
                  ProfileSpec())] * (n + 1)
     grid = Grid(nx=nx)
     sim = Simulation(topo, GAINS, grid, profiles)
     before, seen = threading.active_count(), []
-    sim.run(200 * grid.dt, observers=(lambda sp: seen.append(threading.active_count()),))
+    sim.run(200 * grid.dt, observers=(lambda block: seen.append(threading.active_count()),))
     assert threading.active_count() == before
     return max(seen) - before
 
 
 def snapshot(sp):
     """Every output of a sample, arrays as bytes (bit-exact comparison)."""
-    return (sp.step_index, sp.time, sp.es_psi0_sq, sp.es_psi1_sq, sp.es_f_sq,
+    return (sp.step_index, sp.time,
             *(a.tobytes() for a in (sp.leader, sp.leader_vel, sp.error, sp.error_vel)))
+
+
+def phase_shifted(dist, shift):
+    """The disturbances with `shift` added to the phase of every signal."""
+    def move(sig):
+        return replace(sig, phase=sig.phase + shift)
+    return DisturbanceSpec(psi0=tuple(map(move, dist.psi0)), psi1=tuple(map(move, dist.psi1)),
+                           f=tuple(replace(st, temporal=move(st.temporal)) for st in dist.f))
+
+
+# (first sample, value) of each rise of the running sups es_psi0_sq, es_psi1_sq
+# and es_f_sq over 42 samples of the heterogeneous disturbances shifted by 2
+# rad, as the kernel computed them sample by sample before they moved to
+# `simulate`
+SHIFTED_SUPS = (
+    ((0, 8.527876102412273), (1, 28.96362031904614)),
+    ((0, 0.21647273696024258), (1, 1.0000992186406192), (2, 1.0230386406549374),
+     (5, 1.067795878265957), (13, 1.1429770171483518)),
+    ((0, 1.904960085250136), (1, 10.398524968988289), (29, 10.43559250119453)),
+)
 
 
 # one group, two, and one per row of the three-follower network
@@ -128,7 +155,7 @@ def standing_wave_error(nx, horizon=2.0):
         worst[0] = max(worst[0], float(np.max(np.abs(sp.leader - exact))))
 
     simulate(None, gains, grid, profiles, None, horizon=horizon,
-             observers=(compare,), stride=10)
+             observers=(each_sample(compare),), stride=10)
     return worst[0]
 
 
@@ -261,7 +288,7 @@ class TestLeaderOnly:
                 sp.leader[None, :], sp.leader_vel[None, :], grid))
 
         simulate(None, gains, grid, profiles, None, horizon=30.0,
-                 observers=(watch,), stride=10)
+                 observers=(each_sample(watch),), stride=10)
         energies = np.array(energies)
         assert energies[0] > 0
         assert np.all(energies[1:] <= energies[:-1] * (1 + 1e-6) + 1e-12 * energies[0])
@@ -287,7 +314,8 @@ class TestSimulate:
             snaps = []
             sim = Simulation(path3_topology, GAINS, grid, profiles, dist)
             # 83 steps: no multiple of any stride, and more than two 16-step powers
-            nsteps = sim.run(83 * grid.dt, observers=(snaps.append,), stride=stride)
+            nsteps = sim.run(83 * grid.dt, observers=(lambda b: snaps.extend(samples(b)),),
+                             stride=stride)
             assert nsteps in (83, 84)
             assert [sp.step_index for sp in snaps] == [*range(0, nsteps, stride), nsteps]
             state = init_state(grid, profiles, GAINS, m, dist)
@@ -324,10 +352,10 @@ class TestSimulate:
                     snaps = []
                     Simulation(path3_topology, GAINS, grid, profiles,
                                heterogeneous_disturbances()).run(
-                        83 * grid.dt, observers=(lambda sp: snaps.append(snapshot(sp)),),
-                        stride=stride)
+                        83 * grid.dt, stride=stride,
+                        observers=(each_sample(lambda sp: snaps.append(snapshot(sp))),))
                     runs[groups] = snaps
-                assert len(runs[1]) > 3 and runs[1][-1][0] in (83, 84) and runs[1][-1][4] > 0.0
+                assert len(runs[1]) > 3 and runs[1][-1][0] in (83, 84)
                 assert runs[2] == runs[1] and runs[4] == runs[1]
         finally:
             sys.setswitchinterval(interval)
@@ -345,7 +373,7 @@ class TestSimulate:
             with pytest.raises(DivergenceError) as err:
                 Simulation(path3_topology, gains, grid, reference_profiles(),
                            growing_disturbances()).run(
-                    100.0, observers=(lambda sp: snaps.append(sp.step_index),), stride=10)
+                    100.0, observers=(lambda b: snaps.extend(b.steps.tolist()),), stride=10)
             assert threading.active_count() == threads
             seen[groups], index[groups] = snaps, err.value.step_index
         k = index[1]
@@ -365,14 +393,72 @@ class TestSimulate:
         assert sim.run(60 * grid.dt, stride=5) == 60
         assert threading.active_count() == threads
 
-        def fail_at_30(sp):
-            if sp.step_index == 30:
+        def fail_at_30(block):
+            if 30 in block.steps:
                 raise ValueError("observer bug")
 
-        with pytest.raises(RuntimeError, match="failed at step 30") as err:
+        # four samples per block: steps 20, 25, 30 and 35
+        with pytest.raises(RuntimeError, match="failed on the block of steps 20 to 35") as err:
             sim.run(60 * grid.dt, observers=(fail_at_30,), stride=5)
         assert isinstance(err.value.__cause__, ValueError)
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("groups", GROUPS)
+    def test_observers_get_each_block_once_and_never_empty(self, path3_topology, monkeypatch,
+                                                         groups):
+        # seven samples per block: the first diverged sample (step 3710, the
+        # 372nd) opens block 54, which reaches no observer
+        grid = Grid(nx=101)
+        use_groups(monkeypatch, groups, 7, grid)
+        blocks = []
+        with pytest.raises(DivergenceError) as err:
+            Simulation(path3_topology, ControlGains(k1=0.0, k2=0.0, c0=0.0), grid,
+                       reference_profiles(), growing_disturbances()).run(
+                100.0, observers=(blocks.append,), stride=10)
+        assert err.value.step_index == 3710 and len(blocks) == 53
+        assert all(b.steps.size == 7 and type(b.step_index) is int
+                   and b.step_index == b.steps[-1] for b in blocks)
+        assert np.concatenate([b.steps for b in blocks]).tolist() == list(range(0, 3710, 10))
+
+    @pytest.mark.parametrize("n, nx", ((3, 201), (24, 101), (200, 101)))
+    def test_block_deviation_is_the_per_sample_product(self, monkeypatch, n, nx):
+        # Q y of a whole block in one product gives the bits of one product
+        # per sample; the larger networks span several blocks
+        grid = Grid(nx=nx)
+        profiles = [(ProfileSpec(kind="cosine", amplitude=1.0 + i, spatial_frequency=1.0 + i % 3),
+                     ProfileSpec(kind="polynomial", coefficients=(0.0, 0.1 * i)))
+                    for i in range(n + 1)]
+        gather, modal, blocks = Simulation._gather, [], []
+
+        def spy(self, instants, block, groups, out):  # the modal fields of each block
+            instants, stop = gather(self, instants, block, groups, out)
+            modal.append((self._q, out[:, :stop].copy()))
+            return instants, stop
+
+        monkeypatch.setattr(Simulation, "_gather", spy)
+        Simulation(path_topology(n), GAINS, grid, profiles).run(
+            30 * grid.dt, observers=(blocks.append,), stride=1)
+        assert len(blocks) == len(modal) and sum(b.steps.size for b in blocks) >= 31
+        for (q, fields), b in zip(modal, blocks):
+            for j in range(b.steps.size):
+                cur, diff = (q @ fields[0, j, 1:]), (q @ fields[1, j, 1:]) / (2.0 * grid.dt)
+                assert b.error[j].tobytes() == cur.tobytes()
+                assert b.error_vel[j].tobytes() == diff.tobytes()
+
+    @pytest.mark.parametrize("groups", GROUPS)
+    def test_disturbance_sups_match_the_per_sample_values(self, path3_topology, monkeypatch,
+                                                          groups):
+        # three samples per block: the running sups carry across blocks
+        grid = Grid(nx=81)
+        use_groups(monkeypatch, groups, 3, grid)
+        series = simulate(path3_topology, GAINS, grid, reference_profiles(),
+                          phase_shifted(heterogeneous_disturbances(), 2.0), 400 * grid.dt)
+        assert len(series) == 42
+        for name, rises in zip(("es_psi0_sq", "es_psi1_sq", "es_f_sq"), SHIFTED_SUPS):
+            expected = np.empty(42)
+            for i, value in rises:
+                expected[i:] = value
+            assert series.column(name).tobytes() == expected.tobytes(), name
 
     @pytest.mark.parametrize("cpus", (1, 2, 8))
     def test_row_groups_follow_the_operator_size(self, monkeypatch, cpus):
@@ -408,7 +494,7 @@ class TestSimulate:
             snaps = []
             exps.clear()
             Simulation(path3_topology, GAINS, grid, profiles, dist).run(
-                nsteps * grid.dt, observers=(snaps.append,), stride=7)
+                nsteps * grid.dt, observers=(lambda b: snaps.extend(samples(b)),), stride=7)
             return [(sp.leader, sp.leader_vel, sp.error, sp.error_vel) for sp in snaps], max(exps)
 
         for case, rescales in (((reference_profiles(), None, 3000), True),
@@ -433,15 +519,14 @@ class TestSimulate:
         use_groups(monkeypatch, groups)
         peaks = []
         Simulation(path3_topology, GAINS, grid, reference_profiles()).run(
-            4800.0, observers=(lambda sp: peaks.append(np.max(np.abs(sp.error))),))
+            4800.0, observers=(each_sample(lambda sp: peaks.append(np.max(np.abs(sp.error)))),))
         assert peaks[0] > 1.0 and peaks[-1] == 0.0
 
     def test_200_follower_path_graph_in_linear_memory(self):
         # the kernel stores O(n nx) entries per operator; a dense coupled
         # propagator of this network would take (2 n nx)^2 doubles, 13 GB
         n, grid = 200, Grid(nx=101)
-        path = np.eye(n, k=1, dtype=int) + np.eye(n, k=-1, dtype=int)
-        topo = build_topology(path.tolist(), [1] + [0] * (n - 1))
+        topo = path_topology(n)
         profiles = [(ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=1.0),
                      ProfileSpec())] + [(ProfileSpec(), ProfileSpec())] * n
         sig = SignalSpec(kind="sinusoid", amplitude=1.0, angular_frequency=10.0)
@@ -464,7 +549,29 @@ class TestSimulate:
             state = step(state, GAINS, m, dist, grid)
         dev = state.u_curr[1:] - state.u_curr[0]
         assert snaps[-1].step_index == nsteps
-        assert np.max(np.abs(snaps[-1].error - dev)) < 1e-11 * np.max(np.abs(dev))
+        assert np.max(np.abs(snaps[-1].error[-1] - dev)) < 1e-11 * np.max(np.abs(dev))
+
+    def test_distinct_frequencies_build_in_linear_memory(self):
+        # one psi0 frequency per follower loads every mode at each frequency,
+        # but the forcing columns are built sparse, one frequency at a time
+        n, grid = 200, Grid(nx=101)
+        topo = path_topology(n)
+        profiles = [(ProfileSpec(), ProfileSpec())] * (n + 1)
+
+        def build_peak(omegas):
+            dist = DisturbanceSpec(psi0=tuple(
+                SignalSpec(kind="sinusoid", amplitude=1.0, angular_frequency=w) for w in omegas))
+            tracemalloc.start()
+            try:
+                sim = Simulation(topo, GAINS, grid, profiles, dist)
+                return tracemalloc.get_traced_memory()[1], sim._forcing.nnz
+            finally:
+                tracemalloc.stop()
+
+        shared, shared_nnz = build_peak([10.0] * n)
+        distinct, distinct_nnz = build_peak(10.0 + np.arange(n))
+        assert distinct_nnz == n * shared_nnz
+        assert distinct <= 2 * shared
 
     def test_divergence_reports_step_index(self, path3_topology):
         grid = Grid(nx=51)
