@@ -87,15 +87,12 @@ class FunctionalSample:
 
 @dataclass
 class TimeSeries:
-    """Ordered functional samples plus run metadata.
+    """Ordered functional samples.
 
     The time stamps and the columns live in one float64 array that grows by
     doubling; `times` and `columns` are read-only views of its filled part,
     valid until the next append."""
 
-    grid: object
-    gains: object
-    certificate: object
     _data: np.ndarray = field(init=False, repr=False,
                               default_factory=lambda: np.empty((len(TimeSeries._ROWS), 0)))
     _size: int = field(init=False, repr=False, default=0)

@@ -8,6 +8,10 @@ gate tightens to k1 > (c0+3)/(2 lambda_min), k2 > 1/(2 lambda_min) and a
 feasible tuple (rho1, rho2, xi1, xi2) yields (mu2, q0, qf) entering the
 exponential ISS bound on V0.
 
+Each regime's strict inequalities on the free parameters are written once,
+in the elementwise rule table `_rules` (mu2 likewise in `_mu2`), which the
+feasibility checks, the grid search and its infeasibility message all read.
+
 One constraint is implemented in proof-consistent form rather than as
 displayed: the last branch of the unperturbed rho1 bound is
 (2 c0 - rho2 (1 + c0^2))/c0, the positivity condition of the boundary
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -105,20 +110,46 @@ def rho2_bounds_unperturbed(c0: float) -> dict:
     return {"1": 1.0, "2*c0/(1+c0^2)": 2.0 * c0 / (1.0 + c0 * c0)}
 
 
+def _rules(regime: str, rho1, rho2, xi1, xi2, k1: float, k2: float,
+           c0: float, lambda_min: float) -> dict:
+    """The regime's strict inequalities on the free parameters: name ->
+    whether it holds, elementwise, so scalars and grids read the same rules.
+    The unperturbed rules ignore xi1 and xi2."""
+    if regime == "unperturbed":
+        rules = {"rho2 > 0": rho2 > 0.0}
+        rules.update({f"rho2 < {name}": rho2 < bound
+                      for name, bound in rho2_bounds_unperturbed(c0).items()})
+        rules["rho1 > 0"] = rho1 > 0.0
+        rules.update({f"rho1 < {name}": rho1 < bound for name, bound in
+                      rho_bounds_unperturbed(rho2, k1, k2, c0, lambda_min).items()})
+        return rules
+    twice_c = 2.0 * (c0 - xi2 / 2.0)
+    c_poly = 1.0 + c0 + c0 * c0
+    return {
+        "xi1 > 0": xi1 > 0.0,
+        "0 < xi2 < 1/(2*c0)": (0.0 < xi2) & (xi2 < 1.0 / (2.0 * c0)),
+        "xi1 < rho2": xi1 < rho2,
+        "rho2 < 1": rho2 < 1.0,
+        "rho2 < 2*(c0 - xi2/2)/(1+c0+c0^2)": rho2 < twice_c / c_poly,
+        "rho1 > 0": rho1 > 0.0,
+        "rho1 < k1*lambda_min": rho1 < k1 * lambda_min,
+        "rho1 < 1 - rho2": rho1 < 1.0 - rho2,
+        "rho1 < rho2 - xi1": rho1 < rho2 - xi1,
+        "rho1 < 2*k2*lambda_min - 1": rho1 < 2.0 * k2 * lambda_min - 1.0,
+        "rho1 < (2*(c0 - xi2/2) - rho2*(1+c0+c0^2))/c0":
+            rho1 < (twice_c - rho2 * c_poly) / c0,
+    }
+
+
+def _violated(rules: dict) -> list:
+    return [name for name, holds in rules.items() if not holds]
+
+
 def rho_feasible_unperturbed(rho1: float, rho2: float, k1: float, k2: float,
                              c0: float, lambda_min: float):
     """Strict feasibility of (rho1, rho2); returns (ok, violated names)."""
-    violated = []
-    if not rho2 > 0.0:
-        violated.append("rho2 > 0")
-    for name, bound in rho2_bounds_unperturbed(c0).items():
-        if not rho2 < bound:
-            violated.append(f"rho2 < {name}")
-    if not rho1 > 0.0:
-        violated.append("rho1 > 0")
-    for name, bound in rho_bounds_unperturbed(rho2, k1, k2, c0, lambda_min).items():
-        if not rho1 < bound:
-            violated.append(f"rho1 < {name}")
+    violated = _violated(_rules("unperturbed", rho1, rho2, None, None, k1, k2,
+                                c0, lambda_min))
     return (not violated), violated
 
 
@@ -153,45 +184,20 @@ def consensus_bound(v_initial: float, tau1: float, mu: float, tau2: float):
     return delta, alpha
 
 
-def xi_rho_bounds_perturbed(rho2: float, xi1: float, xi2: float, k1: float,
-                            k2: float, c0: float, lambda_min: float) -> dict:
-    """Upper bounds on rho1 given (rho2, xi1, xi2), by constraint name."""
-    return {
-        "k1*lambda_min": k1 * lambda_min,
-        "1 - rho2": 1.0 - rho2,
-        "rho2 - xi1": rho2 - xi1,
-        "2*k2*lambda_min - 1": 2.0 * k2 * lambda_min - 1.0,
-        "(2*(c0 - xi2/2) - rho2*(1+c0+c0^2))/c0":
-            (2.0 * (c0 - xi2 / 2.0) - rho2 * (1.0 + c0 + c0 * c0)) / c0,
-    }
+def _mu2(rho1, rho2, xi1, k1: float, c0: float, lambda_min: float):
+    """The perturbed decay coefficient mu2, elementwise."""
+    return np.minimum(rho2 / 4.0, np.minimum((rho2 - rho1 - xi1) / 2.0,
+                                             rho1 * (k1 * lambda_min - c0 / 2.0 - 1.5)))
 
 
 def perturbed_constants(rho1: float, rho2: float, xi1: float, xi2: float,
                         k1: float, k2: float, lambda_min: float, c0: float):
     """(mu2, q0, qf) plus feasibility of the (rho, xi) tuple."""
-    violated = []
-    if not xi1 > 0.0:
-        violated.append("xi1 > 0")
-    if not (0.0 < xi2 < 1.0 / (2.0 * c0)):
-        violated.append("0 < xi2 < 1/(2*c0)")
-    if not xi1 < rho2:
-        violated.append("xi1 < rho2")
-    if not rho2 < 1.0:
-        violated.append("rho2 < 1")
-    rho2_hi = 2.0 * (c0 - xi2 / 2.0) / (1.0 + c0 + c0 * c0)
-    if not rho2 < rho2_hi:
-        violated.append("rho2 < 2*(c0 - xi2/2)/(1+c0+c0^2)")
-    if not rho1 > 0.0:
-        violated.append("rho1 > 0")
-    for name, bound in xi_rho_bounds_perturbed(rho2, xi1, xi2, k1, k2, c0,
-                                               lambda_min).items():
-        if not rho1 < bound:
-            violated.append(f"rho1 < {name}")
+    violated = _violated(_rules("perturbed", rho1, rho2, xi1, xi2, k1, k2, c0,
+                                lambda_min))
     q0 = 0.5 * (1.0 / xi2 + rho1 + rho2 * (c0 + 1.0))
     qf = 1.0 / (2.0 * xi1) + rho1 / 2.0 + rho2
-    mu2 = min(rho2 / 4.0,
-              (rho2 - rho1 - xi1) / 2.0,
-              rho1 * (k1 * lambda_min - c0 / 2.0 - 1.5))
+    mu2 = float(_mu2(rho1, rho2, xi1, k1, c0, lambda_min))
     return mu2, q0, qf, (not violated), violated
 
 
@@ -253,7 +259,7 @@ def build_certificate(regime: str, k1: float, k2: float, c0: float,
 
     Checks the regime's gain gate and the strict feasibility of (rho1, rho2)
     (plus xi1, xi2 in the perturbed regime), then derives every constant.
-    Both optimizers and explicit parameter overrides end here.
+    The optimizer and explicit parameter overrides end here.
     """
     _require_gate(regime, k1, k2, c0, lambda_min)
     mu2 = q0 = qf = None
@@ -286,92 +292,42 @@ def optimize_certificate(regime: str, k1: float, k2: float, c0: float,
 
     Unperturbed: maximize mu/tau2 over (rho1, rho2).  Perturbed: maximize
     mu2/tau2 over (rho1, rho2, xi1, xi2).  Ties break toward the smallest
-    rho2, then rho1, then xi1, then xi2.
+    rho2, then rho1, then xi1, then xi2.  One scan of the (rho1, rho2) grid
+    reads the regime's rule table.  In the perturbed regime it runs at the
+    smallest xi1 and xi2 nodes, which hold the 4-D optimum and win its
+    tie-break: every xi-dependent rule relaxes and mu2 does not fall as xi1
+    or xi2 decrease, and tau2 involves neither.  An empty feasible set
+    raises CertificateError naming the rule that admits the fewest nodes.
     """
     _require_gate(regime, k1, k2, c0, lambda_min)
-    search = _search_unperturbed if regime == "unperturbed" else _search_perturbed
-    params = search(k1, k2, c0, lambda_min, lambda_max, resolution)
-    return build_certificate(regime, k1, k2, c0, lambda_min, lambda_max, *params)
-
-
-def _pick_tie(obj: np.ndarray, keys) -> tuple:
-    """Index of the maximum of `obj`, lexicographic-smallest `keys` on ties."""
-    best = np.nanmax(obj)
-    if not np.isfinite(best):
-        return None
-    tie = np.argwhere(obj == best)
-    order = sorted(range(tie.shape[0]),
-                   key=lambda i: tuple(k[tuple(tie[i])] for k in keys))
-    return tuple(tie[order[0]])
-
-
-def _search_unperturbed(k1, k2, c0, lambda_min, lambda_max, resolution):
-    r2_hi = min(rho2_bounds_unperturbed(c0).values())
-    r1_hi = min(k1 * lambda_min, 2.0 * k2 * lambda_min, 1.0)
-    r1g = _grid(r1_hi, resolution)
-    r2g = _grid(r2_hi, resolution)
-    R1, R2 = np.meshgrid(r1g, r2g, indexing="ij")
-    masks = {f"rho1 < {name}": R1 < bound for name, bound in
-             rho_bounds_unperturbed(R2, k1, k2, c0, lambda_min).items()}
-    masks.update({f"rho2 < {name}": R2 < bound
-                  for name, bound in rho2_bounds_unperturbed(c0).items()})
-    feas = np.logical_and.reduce(list(masks.values()))
+    xi1 = xi2 = None
+    if regime == "unperturbed":
+        r1_hi = min(k1 * lambda_min, 2.0 * k2 * lambda_min, 1.0)
+        r2_hi = min(rho2_bounds_unperturbed(c0).values())
+    else:
+        xi1 = float(_grid(1.0, resolution)[0])
+        xi2 = float(_grid(1.0 / (2.0 * c0), resolution)[0])
+        r1_hi = min(k1 * lambda_min, max(2.0 * k2 * lambda_min - 1.0, 0.0), 1.0)
+        r2_hi = min(1.0, 2.0 * c0 / (1.0 + c0 + c0 * c0))
+    # rows hold rho2, so the first maximum in C order has the smallest rho2, then rho1
+    R1, R2 = np.meshgrid(_grid(r1_hi, resolution), _grid(r2_hi, resolution))
+    rules = _rules(regime, R1, R2, xi1, xi2, k1, k2, c0, lambda_min)
+    feasible = reduce(np.logical_and, rules.values())
     tau1, tau2, mu = _sandwich(R1, R2, k1, k2, lambda_min, lambda_max, c0)
-    ok = feas & (mu > 0.0) & (tau1 > 0.0)
-    obj = np.where(ok, mu / tau2, -np.inf)
-    idx = _pick_tie(obj, (R2, R1))
-    if idx is None or not ok[idx]:
-        raise CertificateError(_tightest_constraint_message(masks, "unperturbed"))
-    return float(R1[idx]), float(R2[idx])
+    if regime == "perturbed":
+        mu = _mu2(R1, R2, xi1, k1, c0, lambda_min)
+    ok = feasible & (mu > 0.0) & (tau1 > 0.0)
+    best = np.unravel_index(np.argmax(np.where(ok, mu / tau2, -np.inf)), ok.shape)
+    if not ok[best]:
+        raise CertificateError("no grid point yields a positive decay rate"
+                               if feasible.any() else
+                               _tightest_constraint_message(rules, regime))
+    return build_certificate(regime, k1, k2, c0, lambda_min, lambda_max,
+                             float(R1[best]), float(R2[best]), xi1, xi2)
 
 
-def _search_perturbed(k1, k2, c0, lambda_min, lambda_max, resolution):
-    # The objective mu2/tau2 does not involve xi2 and every xi2-dependent
-    # constraint relaxes monotonically as xi2 decreases, so scanning the
-    # (rho1, rho2, xi1) grid at the smallest xi2 node reproduces the full
-    # 4-D scan, tie-break included.
-    xi2 = float(_grid(1.0 / (2.0 * c0), resolution)[0])
-    r2_hi = min(1.0, 2.0 * c0 / (1.0 + c0 + c0 * c0))
-    r1_hi = min(k1 * lambda_min, max(2.0 * k2 * lambda_min - 1.0, 0.0), 1.0)
-    r1g = _grid(r1_hi, resolution)
-    r2g = _grid(r2_hi, resolution)
-    xi1g = _grid(1.0, resolution)
-    R1, R2 = np.meshgrid(r1g, r2g, indexing="ij")
-    bounds = xi_rho_bounds_perturbed(R2, 0.0, xi2, k1, k2, c0, lambda_min)
-    del bounds["rho2 - xi1"]  # the one xi1-dependent bound, applied per xi1 node
-    masks = {f"rho1 < {name}": R1 < bound for name, bound in bounds.items()}
-    masks["rho2 < 1"] = R2 < 1.0
-    masks["rho2 < 2*(c0 - xi2/2)/(1+c0+c0^2)"] = \
-        R2 < 2.0 * (c0 - xi2 / 2.0) / (1.0 + c0 + c0 * c0)
-    base_feas = np.logical_and.reduce(list(masks.values()))
-    branch3 = R1 * (k1 * lambda_min - c0 / 2.0 - 1.5)
-    tau2 = _sandwich(R1, R2, k1, k2, lambda_min, lambda_max, c0)[1]
-    any_feasible = bool(base_feas.any())
-    best = (-np.inf, None)
-    for xi1 in xi1g:
-        feas = base_feas & (xi1 < R2) & (R1 < R2 - xi1)
-        if not feas.any():
-            continue
-        any_feasible = True
-        mu2 = np.minimum(R2 / 4.0, np.minimum((R2 - R1 - xi1) / 2.0, branch3))
-        ok = feas & (mu2 > 0.0)
-        if not ok.any():
-            continue
-        obj = np.where(ok, mu2 / tau2, -np.inf)
-        idx = _pick_tie(obj, (R2, R1))
-        cand = obj[idx]
-        # strict > keeps the smallest xi1 on exact ties
-        if cand > best[0]:
-            best = (cand, (float(R1[idx]), float(R2[idx]), float(xi1)))
-    if best[1] is None:
-        raise CertificateError(_tightest_constraint_message(masks, "perturbed")
-                               if not any_feasible else
-                               "no grid point yields a positive decay rate")
-    return (*best[1], xi2)
-
-
-def _tightest_constraint_message(masks: dict, regime: str) -> str:
-    rates = {name: float(np.mean(mask)) for name, mask in masks.items()}
+def _tightest_constraint_message(rules: dict, regime: str) -> str:
+    rates = {name: float(np.mean(holds)) for name, holds in rules.items()}
     tightest = min(rates, key=rates.get)
     return (f"empty feasible set for the {regime} regime; tightest "
             f"constraint: {tightest} (admits {rates[tightest]:.1%} of the "

@@ -412,13 +412,27 @@ def read_csv(path) -> dict:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0].split(",") != list(CSV_COLUMNS):
         raise ConfigError(f"{path}: not a recognized time-series CSV")
-    rows = [ln.split(",") for ln in lines[1:] if ln]
+    rows = [(line, ln.split(",")) for line, ln in enumerate(lines[1:], 2) if ln]
     if not rows:
         raise ConfigError(f"{path}: no data rows")
+    width = len(CSV_COLUMNS)
+    for line, row in rows:
+        if len(row) != width:  # name the first missing column, or number the first extra one
+            column = CSV_COLUMNS[len(row)] if len(row) < width else width + 1
+            raise ConfigError(f"{path}: line {line}, column {column}: the row has "
+                              f"{len(row)} cells, the header {width}")
     cols = {}
     for j, name in enumerate(CSV_COLUMNS):
-        vals = [r[j] for r in rows]
-        cols[name] = np.array([float(v) if v else np.nan for v in vals])
+        vals = [r[j] for _, r in rows]
+        try:
+            cols[name] = np.array([float(v) if v else np.nan for v in vals])
+        except ValueError:
+            for (line, _), v in zip(rows, vals):
+                try:
+                    float(v or "nan")
+                except ValueError:
+                    raise ConfigError(f"{path}: line {line}, column {name}: "
+                                      f"{v!r} is not a number") from None
     t = cols["t"]
     if np.any(np.diff(t) <= 0):
         raise ConfigError(f"{path}: time column is not strictly increasing")

@@ -99,9 +99,12 @@ class Grid:
     def dt(self) -> float:
         return self.courant * self.dx
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.nx)
+        """The nodes on [0, 1] (read-only)."""
+        x = np.linspace(0.0, 1.0, self.nx)
+        x.flags.writeable = False
+        return x
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -498,7 +501,6 @@ class Simulation:
                  grid: Grid, profiles, dist: DisturbanceSpec | None = None):
         self.grid = grid
         self.gains = gains
-        self.topology = topology
         self.n = topology.n if topology is not None else 0
         self.m = pinned_matrix(topology) if topology is not None else None
         if len(profiles) != self.n + 1:
@@ -515,8 +517,15 @@ class Simulation:
                             axis=1).ravel()
         self._lam = np.concatenate([[0.0], lam])  # of the rows [leader, modes]
         self._omegas, self._forcing = self._forced_step(_Stepper(grid, gains, lam))
-        c, sn = (np.diag(f(self._omegas * grid.dt)) for f in (np.cos, np.sin))
-        self._rotation = sparse.csr_matrix(np.block([[c, -sn], [sn, c]]))
+        # the phase rotation [[cos, -sin], [sin, cos]](w dt) as triplets,
+        # without the zeros of sin(0 dt)
+        n_w = self._omegas.size
+        c, sn = np.cos(self._omegas * grid.dt), np.sin(self._omegas * grid.dt)
+        k = np.arange(n_w)
+        r, j = np.concatenate([k, k, k + n_w, k + n_w]), np.concatenate([k, k + n_w, k, k + n_w])
+        v = np.concatenate([c, -sn, sn, c])
+        self._rotation = sparse.csr_matrix((v[v != 0], (r[v != 0], j[v != 0])),
+                                           shape=(2 * n_w, 2 * n_w))
 
     def _forced_step(self, modes: _Stepper):
         """Distinct angular frequencies w and the one-step load of all
@@ -694,7 +703,7 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
     weights = functional_weights
     if weights is None:
         weights = analysis.FunctionalWeights(k1=gains.k1, k2=gains.k2, rho1=0.0, rho2=0.0)
-    series = analysis.TimeSeries(grid=grid, gains=gains, certificate=weights)
+    series = analysis.TimeSeries()
     n, m, dist = sim.n, sim.m if sim.n else np.zeros((0, 0)), sim.dist
     # psi0, psi1 and f-temporal channels, for the running sups es_*
     sigs = [*dist.psi0, *dist.psi1,

@@ -180,7 +180,7 @@ class TestLyapunovSample:
         grid = Grid(nx=51)
         w = FunctionalWeights(k1=K1, k2=K2, rho1=0.1, rho2=0.5)
         fields = np.ones((4, 3, 51))
-        series = TimeSeries(grid=grid, gains=None, certificate=w)
+        series = TimeSeries()
         series.append(lyapunov_sample(fields[0], fields[0], w, reference_matrix, grid, 0.0))
         series.append(lyapunov_sample(fields[1:], fields[1:], w, reference_matrix, grid,
                                       [1.0, 2.0, 3.0]))
@@ -238,7 +238,7 @@ class TestDecayFit:
 
 
 def synthetic_series(times, V, V0=None, ptwise=None):
-    ts = TimeSeries(grid=None, gains=None, certificate=None)
+    ts = TimeSeries()
     V0 = V if V0 is None else V0
     ptwise = V if ptwise is None else ptwise
     for i, t in enumerate(times):
@@ -388,7 +388,7 @@ class TestBoundChecksMatchLoopOracle:
         v[rng.integers(1, n, 5)] = 0.0
         v0 = v * rng.uniform(0.5 / cert.tau2, 2.0 / cert.tau1, n)
         v0[0] = v[0] / cert.tau2
-        ts = TimeSeries(grid=None, gains=None, certificate=None)
+        ts = TimeSeries()
         es = np.maximum.accumulate(rng.uniform(0.0, 1e-9, (3, n)), axis=1)
         for i in range(n):
             ts.append(FunctionalSample(

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -190,6 +193,34 @@ class TestPerturbedConstants:
         assert not ok
         assert any("xi1 < rho2" in v for v in violated)
 
+    def test_matches_branchwise_oracle_on_grid(self):
+        # literal re-evaluation of each of the 11 inequalities over a 4-D grid
+        # that crosses every one of them, zero and negative values included;
+        # dyadic nodes land exactly on most boundaries, so strictness counts
+        k1, k2, c0, lam_min = 0.5, 0.625, 1.0, 1.0
+        rhos = np.arange(-1, 17) / 16.0
+        xis = (-0.0625, 0.0625, 0.1875, 0.25, 0.375, 0.5, 0.75)
+        failed = set()
+        for rho1, rho2, xi1, xi2 in itertools.product(rhos, rhos, xis, xis):
+            rules = (
+                xi1 > 0.0,
+                0.0 < xi2 < 1.0 / (2.0 * c0),
+                xi1 < rho2,
+                rho2 < 1.0,
+                rho2 < 2.0 * (c0 - xi2 / 2.0) / (1.0 + c0 + c0 * c0),
+                rho1 > 0.0,
+                rho1 < k1 * lam_min,
+                rho1 < 1.0 - rho2,
+                rho1 < rho2 - xi1,
+                rho1 < 2.0 * k2 * lam_min - 1.0,
+                rho1 < (2.0 * (c0 - xi2 / 2.0) - rho2 * (1.0 + c0 + c0 * c0)) / c0)
+            failed.update(i for i, holds in enumerate(rules) if not holds)
+            *_constants, ok, violated = perturbed_constants(
+                rho1, rho2, xi1, xi2, k1, k2, lam_min, c0)
+            assert ok == all(rules)
+            assert len(violated) == len(rules) - sum(rules)
+        assert failed == set(range(11))
+
 
 class TestOptimizer:
     def test_unperturbed_beats_reference_witness(self, spectrum):
@@ -214,36 +245,49 @@ class TestOptimizer:
                                     lam_max, resolution=81)  # nested: 41 | 82
         assert fine.alpha >= coarse.alpha - 1e-15
 
-    def test_perturbed_matches_bruteforce_4d(self, spectrum):
-        lam_min, lam_max = spectrum
+    # one gain set (k1, k2, c0, lambda_min, lambda_max) per active branch of
+    # mu2 at the optimum; None takes the reference gains and spectrum
+    @pytest.mark.parametrize("gains, branch", [
+        (None, 0),                          # rho2/4
+        ((60.0, 30.0, 0.3, 1.5, 4.0), 1),   # (rho2 - rho1 - xi1)/2
+        ((2.1, 3.0, 1.0, 1.0, 2.0), 2),     # rho1 (k1 lambda_min - c0/2 - 1.5)
+    ], ids=["reference-gains", "second-branch", "third-branch"])
+    def test_perturbed_matches_bruteforce_4d(self, spectrum, gains, branch):
+        k1, k2, c0, lam_min, lam_max = gains or (K1, K2, C0, *spectrum)
         res = 10
-        cert = optimize_certificate("perturbed", K1, K2, C0, lam_min, lam_max,
+        cert = optimize_certificate("perturbed", k1, k2, c0, lam_min, lam_max,
                                     resolution=res)
         # brute force over the full 4-D grid with the spec tie-break order
-        r2_hi = min(1.0, 2 * C0 / (1 + C0 + C0 * C0))
-        r1_hi = min(K1 * lam_min, 2 * K2 * lam_min - 1.0, 1.0)
+        r2_hi = min(1.0, 2 * c0 / (1 + c0 + c0 * c0))
+        r1_hi = min(k1 * lam_min, 2 * k2 * lam_min - 1.0, 1.0)
         grid = lambda hi: hi * np.arange(1, res + 1) / (res + 1)
         best = None
         for rho2 in grid(r2_hi):
             for rho1 in grid(r1_hi):
                 for xi1 in grid(1.0):
-                    for xi2 in grid(1.0 / (2 * C0)):
+                    for xi2 in grid(1.0 / (2 * c0)):
                         mu2, q0, qf, ok, _ = perturbed_constants(
-                            rho1, rho2, xi1, xi2, K1, K2, lam_min, C0)
+                            rho1, rho2, xi1, xi2, k1, k2, lam_min, c0)
                         if not ok or mu2 <= 0:
                             continue
-                        tau2 = max((1 + rho2 + rho1) / 2, K1 * lam_max + rho1,
-                                   K2 * lam_max + rho1)
+                        tau2 = max((1 + rho2 + rho1) / 2, k1 * lam_max + rho1,
+                                   k2 * lam_max + rho1)
                         key = (-mu2 / tau2, rho2, rho1, xi1, xi2)
                         if best is None or key < best[0]:
                             best = (key, (rho1, rho2, xi1, xi2, mu2))
         assert best is not None
-        rho1, rho2, xi1, xi2, mu2 = best[1]
-        assert cert.rho1 == pytest.approx(rho1, rel=1e-12)
-        assert cert.rho2 == pytest.approx(rho2, rel=1e-12)
-        assert cert.xi1 == pytest.approx(xi1, rel=1e-12)
-        assert cert.xi2 == pytest.approx(xi2, rel=1e-12)
-        assert cert.mu2 == pytest.approx(mu2, rel=1e-12)
+        assert (cert.rho1, cert.rho2, cert.xi1, cert.xi2, cert.mu2) == best[1]
+        rho1, rho2, xi1, _xi2, mu2 = best[1]
+        branches = (rho2 / 4.0, (rho2 - rho1 - xi1) / 2.0,
+                    rho1 * (k1 * lam_min - c0 / 2.0 - 1.5))
+        assert mu2 == branches[branch] < min(b for i, b in enumerate(branches) if i != branch)
+
+    def test_empty_grid_names_the_failing_rule(self, spectrum):
+        # one node per parameter: xi1 = 1/2 is above every rho2 node
+        with pytest.raises(CertificateError, match=re.escape(
+                "empty feasible set for the perturbed regime; tightest "
+                "constraint: xi1 < rho2 (admits 0.0% of the search box on its own)")):
+            optimize_certificate("perturbed", K1, K2, C0, *spectrum, resolution=1)
 
     def test_feasible_certificates_have_positive_constants(self, spectrum):
         lam_min, lam_max = spectrum

@@ -354,8 +354,7 @@ class TestAnalyze:
     def test_ratio_report(self, tmp_path):
         paths = []
         for scale in (1.0, 5.0):
-            series = harness.analysis.TimeSeries(grid=None, gains=None,
-                                                 certificate=None)
+            series = harness.analysis.TimeSeries()
             for i in range(50):
                 series.append(harness.analysis.FunctionalSample(
                     time=float(i), E=0.0, G1=0.0, G2=0.0, V=1.0, V0=1.0,
@@ -400,6 +399,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", str(tmp_path / "missing.csv")])
         assert exc.value.code == harness.EXIT_USAGE
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,0.0,0.0", "line 3, column G2: the row has 3 cells, the header 16"),
+        (",".join(["1.0"] * 17), "line 3, column 17: the row has 17 cells, the header 16"),
+        (",".join(["1.0"] * 5 + ["abc"] + ["1.0"] * 10),
+         "line 3, column V0: 'abc' is not a number"),
+    ], ids=["short-row", "long-row", "non-numeric-cell"])
+    def test_malformed_csv_exits_1_without_traceback(self, tmp_path, capsys, row, message):
+        from waveconsensus.cli import main
+
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(harness.CSV_COLUMNS), ",".join(["0.0"] * 16), row]))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(path)])
+        assert exc.value.code == harness.EXIT_USAGE
+        assert capsys.readouterr().out == f"format error: {path}: {message}\n"
 
     def test_env_var_out_dir(self, monkeypatch):
         monkeypatch.setenv(harness.ENV_OUT_DIR, "/tmp/somewhere")
