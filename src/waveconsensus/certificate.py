@@ -192,11 +192,14 @@ def _mu2(rho1, rho2, xi1, k1: float, c0: float, lambda_min: float):
 
 def perturbed_constants(rho1: float, rho2: float, xi1: float, xi2: float,
                         k1: float, k2: float, lambda_min: float, c0: float):
-    """(mu2, q0, qf) plus feasibility of the (rho, xi) tuple."""
+    """(mu2, q0, qf) plus feasibility of the (rho, xi) tuple.  q0 and qf
+    divide by xi2 and xi1, so they are None unless every rule holds."""
     violated = _violated(_rules("perturbed", rho1, rho2, xi1, xi2, k1, k2, c0,
                                 lambda_min))
-    q0 = 0.5 * (1.0 / xi2 + rho1 + rho2 * (c0 + 1.0))
-    qf = 1.0 / (2.0 * xi1) + rho1 / 2.0 + rho2
+    q0 = qf = None
+    if not violated:
+        q0 = 0.5 * (1.0 / xi2 + rho1 + rho2 * (c0 + 1.0))
+        qf = 1.0 / (2.0 * xi1) + rho1 / 2.0 + rho2
     mu2 = float(_mu2(rho1, rho2, xi1, k1, c0, lambda_min))
     return mu2, q0, qf, (not violated), violated
 

@@ -676,7 +676,9 @@ def run_analyze(csv_paths) -> RunResult:
         mean = float(np.mean(cols["l2_err"][window]))
         means.append(mean)
         lines.append(f"{path}: steady-state mean ||u~|| = {mean:.6g}")
-    lines.append(f"ratio (last/first) = {means[-1] / means[0]:.6g}")
+    first, last = means[0], means[-1]
+    ratio = last / first if first else (math.inf if last else math.nan)
+    lines.append(f"ratio (last/first) = {ratio:.6g}")
     return RunResult(EXIT_OK, "\n".join(lines))
 
 

@@ -39,14 +39,14 @@ products release the GIL, so the groups run concurrently.  After each
 block the calling thread checks all its samples for divergence at once;
 then, while the groups advance the next block, it rebuilds the physical
 deviation Q y of the whole block in one product and hands each observer
-one `SampleBlock`.  An unforced modal row that decays below
-2^-512 is scaled up by an exact power of two, so an undisturbed error
-keeps decaying at full speed instead of stalling in the slow subnormal
-range; a forced row stays at the scale of its forced response.
-Observers get the unscaled fields, which read exact zero once the true
-error leaves the normal range (2.2e-308).  The samples are bit-identical
-for any number of groups.  `step` is the plain per-agent reference
-implementation of the same update in physical coordinates.
+one `SampleBlock`.  An unforced modal row whose peak decays below
+2^-600 is set to exact zero, where it stays, so an undisturbed error
+keeps stepping at full speed instead of stalling in the slow subnormal
+range; nothing downstream resolves fields that small (`analysis` reads
+functionals below 1e-300 as zero), and a forced row stays at the scale
+of its forced response.  The samples are bit-identical for any number
+of groups.  `step` is the plain per-agent reference implementation of
+the same update in physical coordinates.
 """
 from __future__ import annotations
 
@@ -66,11 +66,10 @@ from .signals import (DisturbanceSpec, ess_sup_running, eval_profile, eval_signa
 
 DIVERGENCE_LIMIT = 1e12
 _MAX_POWER = 16         # longest propagator power; longer strides repeat it
-_RESCALE_BITS = 512     # an unforced modal row below 2^-512 is scaled up by 2^512
+_FLUSH_BITS = 600       # an unforced modal row below 2^-600 is set to zero
 _CHUNK_BYTES = 1 << 20  # deviation fields per block of samples and functional batch
 _MAX_GROUPS = 2         # row groups of a run; more have not been measured
 _GROUP_WORK = 10240     # row grid points per sample that a row group must carry
-_NORMAL_MIN = np.finfo(float).tiny
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
 
 
@@ -395,27 +394,27 @@ def _block_samples(n: int, nx: int) -> int:
 
 class _RowGroup:
     """Rows [r0, r1) of a run: their operators, their state and their
-    power-of-two exponents.  The one-step operator is assembled from the
-    group's own probe entries, forcing rows and phase rotation, and its
-    power from that; nothing writes to either after.  A group touches only
-    its own rows and its own columns of a block, so groups advance
-    concurrently; the sparse products release the GIL, and the rest of a
-    step is kept to a few small array operations."""
+    block buffers.  The one-step operator is assembled from the group's
+    own probe entries, forcing rows and phase rotation, and its power from
+    that; nothing writes to either after.  A group touches only its own
+    rows and buffers, so groups advance concurrently; the sparse products
+    release the GIL, and the rest of a step is kept to a few small array
+    operations."""
 
-    def __init__(self, sim: Simulation, probe, r0: int, r1: int, col: int,
-                 power: int, stride: int, nsteps: int):
+    def __init__(self, sim: Simulation, probe, r0: int, r1: int, power: int,
+                 stride: int, nsteps: int, size: int):
         self.off = off = 2 * sim.grid.nx
         self.omegas = sim._omegas.tolist()
         self.rows = slice(r0, r1)
         self.dim = (r1 - r0) * off
-        self.cols = slice(col, col + self.dim + 2 * len(self.omegas))  # [state, phases]
         self.dt = sim.grid.dt
         self.power, self.stride, self.nsteps = power, stride, nsteps
-        self.tiny = 2.0 ** -_RESCALE_BITS
+        self.tiny = 2.0 ** -_FLUSH_BITS
         r, i, j, v = probe
         mine = (r >= r0) & (r < r1)
         at = (r[mine] - r0) * off
         s = sparse.csr_matrix((v[mine], (at + i[mine], at + j[mine])), shape=(self.dim, self.dim))
+        del mine, at  # freed before the block buffers below are allocated
         forcing = sim._forcing[r0 * off:r1 * off]
         if self.omegas:  # the phase slots rotate by w dt per step
             s = sparse.bmat([[s, forcing], [None, sim._rotation]], format="csr")
@@ -423,12 +422,14 @@ class _RowGroup:
         for _ in range(1, power):
             a = a @ s
         self.ops = {1: s, power: a}
-        # only unforced rows are rescaled; probe: per watched row, where its
+        # only unforced rows are flushed; probe: per watched row, where its
         # largest entry was last seen
         self.watch = np.flatnonzero(np.diff(forcing.indptr).reshape(-1, off).sum(axis=1) == 0)
         self.probe = self.watch * off
         self.y = np.concatenate([sim._y0[r0 * off:r1 * off], np.zeros(2 * len(self.omegas))])
-        self.exps = np.zeros(r1 - r0, dtype=int)
+        # per sample instant of a block: the state [u^k, u^(k-1), phases], and
+        # the step after it
+        self.states, self.aheads = np.empty((2, size, self.y.size))
 
     def _advance(self, y, q, k, out=None):
         if self.omegas:  # exact phases; the operator's own rotation is overwritten
@@ -439,51 +440,45 @@ class _RowGroup:
         _sparsetools.csr_matvec(s.shape[0], s.shape[1], s.indptr, s.indices, s.data, y, out)
         return out
 
-    def _rescale(self, y, y1):
-        """y1, with each watched row whose peak in y is below tiny scaled up
-        by 2^_RESCALE_BITS (in a copy).  Each watched row's entry at its
-        probe bounds its peak from below, so the peaks are recomputed only
-        when a probe reads below tiny.  An unforced row that reads zero
-        stays zero, so it is no longer watched."""
+    def _flush(self, y, y1):
+        """y1, with each watched row whose peak in y is below tiny set to
+        zero (in a copy); those rows are no longer watched.  A zero
+        unforced row stays exactly zero: the rows are decoupled and it has
+        no forcing entries.  Each watched row's entry at its probe bounds
+        its peak from below, so the peaks are recomputed only when a probe
+        reads below tiny."""
         fields = np.abs(y[:self.dim].reshape(-1, self.off)[self.watch])
         peaks = fields.max(axis=1)
-        live = peaks > 0.0
+        live = peaks >= self.tiny
+        if not live.all():
+            y1 = y1.copy()
+            y1[:self.dim].reshape(-1, self.off)[self.watch[~live]] = 0.0
         self.watch = self.watch[live]
         self.probe = self.watch * self.off + fields[live].argmax(axis=1)
-        small = self.watch[peaks[live] < self.tiny]
-        if small.size:
-            y1 = y1.copy()
-            y1[:self.dim].reshape(-1, self.off)[small] *= 2.0 ** _RESCALE_BITS
-            self.exps[small] += _RESCALE_BITS
         return y1
 
-    def advance(self, instants, block):
+    def advance(self, instants):
         """Advance through the sample instants, a stride apart (the last one
-        possibly nearer).  The state [u^k, u^(k-1)] at instant j goes to
-        this group's columns of block[0][j], the step after it to
-        block[1][j] and the exponents of both to its rows of block[2][j].
-        The products write there directly."""
-        states, aheads, exps = block
-        cols, last = self.cols, len(instants) - 1
-        states[:last + 1, cols] = 0.0
-        aheads[:last + 1, cols] = 0.0
-        exps[:last + 1, self.rows] = self.exps
-        states[0, cols] = self.y
+        possibly nearer).  The state at instant j goes to states[j], the
+        step after it to aheads[j]; the products write there directly."""
+        states, aheads, last = self.states, self.aheads, len(instants) - 1
+        states[:last + 1] = 0.0
+        aheads[:last + 1] = 0.0
+        states[0] = self.y
         for j, k in enumerate(instants):
-            y = states[j, cols]
-            y1 = self._advance(y, 1, k, aheads[j, cols])
+            y = states[j]
+            y1 = self._advance(y, 1, k, aheads[j])
             if k == self.nsteps:
                 return
             if self.probe.size and min(map(abs, y[self.probe].tolist())) < self.tiny:
-                y1 = self._rescale(y, y1)  # rescaling reads the stored rows
-                exps[j + 1:last + 1, self.rows] = self.exps
+                y1 = self._flush(y, y1)  # aheads[j] keeps the sample's own step
             nxt, k, to = min(k + self.stride, self.nsteps), k + 1, None
             while k < nxt:  # the last product lands on the next instant's state
                 q = self.power if nxt - k >= self.power else 1
-                to = states[j + 1, cols] if k + q == nxt and j < last else None
+                to = states[j + 1] if k + q == nxt and j < last else None
                 y1, k = self._advance(y1, q, k, to), k + q
             if to is None and j < last:
-                states[j + 1, cols] = y1
+                states[j + 1] = y1
         self.y = y1.copy()
 
 
@@ -542,18 +537,18 @@ class Simulation:
                     loads.setdefault(sig.angular_frequency, []).append(
                         (channel, i, sig.amplitude * np.exp(1j * sig.phase) * shape))
         omegas = np.array(sorted(loads), dtype=float)
-        cols = ([], [])  # (state indices, values) of the Re and the -Im columns
+        columns = ([], [])  # (state indices, values) of the Re and the -Im columns
         zero = np.zeros((n, nx))
         for w in omegas:
             load = [np.zeros(n, complex), np.zeros(n, complex), np.zeros((n, nx), complex)]
             for channel, i, a in loads[w]:
                 load[channel][i] += a
             modal = [self._q.T @ a for a in load]
-            for part, col in zip(cols, (modes.step(zero, zero, *(a.real for a in modal)),
-                                        -modes.step(zero, zero, *(a.imag for a in modal)))):
+            for part, col in zip(columns, (modes.step(zero, zero, *(a.real for a in modal)),
+                                           -modes.step(zero, zero, *(a.imag for a in modal)))):
                 r, x = np.nonzero(col)
                 part.append(((r + 1) * 2 * nx + x, col[r, x]))  # level u^k of row r + 1
-        index, value = zip((np.zeros(0, int), np.zeros(0)), *cols[0], *cols[1])
+        index, value = zip((np.zeros(0, int), np.zeros(0)), *columns[0], *columns[1])
         return omegas, sparse.csc_matrix(
             (np.concatenate(value), np.concatenate(index), np.cumsum([i.size for i in index])),
             shape=((n + 1) * 2 * nx, 2 * omegas.size)).tocsr()
@@ -570,26 +565,21 @@ class Simulation:
         the probe.  The first group advances on the calling thread, the
         others on worker threads that live for this call only; all advance
         the same block of sample instants (about _CHUNK_BYTES of fields)
-        per hand-off, into one shared buffer.  Between samples a group
-        advances by sparse propagator powers S^p (p = stride - 1, at most
-        _MAX_POWER; the remainder and the final partial stride take single
-        steps), each with its exact forced response.  At sample instants
-        each unforced modal row whose magnitude fell below
-        2^-_RESCALE_BITS is scaled up by 2^_RESCALE_BITS (exact in binary
-        floating point), which keeps a decaying error out of the slow
-        subnormal range.  Forced rows are not rescaled: their forced
-        response keeps them far above the subnormal range, and above
-        about 1e-300 scaled and unscaled arithmetic give the same bits,
-        since power-of-two scaling commutes with rounding in the normal
-        range.  After each block
-        the calling thread copies its samples out of the buffer and checks
-        them for divergence; then, while the groups advance the next
-        block, it rebuilds the physical fields of the whole block in one
-        product and calls each observer once with them (so observer time
-        overlaps stepping).  Observers see the unscaled fields, with values
-        below the normal range (2.2e-308) given as 0 from the first
-        rescaled row on, and never a sample at or after the first diverged
-        one."""
+        per hand-off, each into buffers of its own.  Between samples a
+        group advances by sparse propagator powers S^p (p = stride - 1, at
+        most _MAX_POWER; the remainder and the final partial stride take
+        single steps), each with its exact forced response.  At sample
+        instants each unforced modal row whose peak fell below
+        2^-_FLUSH_BITS is set to zero for the steps after the sample, which
+        keeps a decaying error out of the slow subnormal range; observers
+        read the row as exact zero from the next sample on.  Forced rows
+        are never flushed: their forced response keeps them far above the
+        subnormal range.  After each block the calling thread copies its
+        samples out of the groups' buffers and checks them for divergence;
+        then, while the groups advance the next block, it rebuilds the
+        physical fields of the whole block in one product and calls each
+        observer once with them (so observer time overlaps stepping).
+        Observers never see a sample at or after the first diverged one."""
         from concurrent.futures import ThreadPoolExecutor  # kept out of start-up
 
         if horizon < 0:
@@ -606,53 +596,41 @@ class Simulation:
         edges = [0] + [(rows * (2 * g - 1) + ngroups - 1) // (2 * ngroups - 1)
                        for g in range(1, ngroups + 1)]
         probe = _probe(_Stepper(self.grid, self.gains, self._lam), rows, nx)
-        groups, col = [], 0
-        for a, b in zip(edges, edges[1:]):
-            groups.append(_RowGroup(self, probe, a, b, col, power, stride, nsteps))
-            col = groups[-1].cols.stop
         size = min(_block_samples(self.n, nx), count)
-        block = (np.empty((size, col)), np.empty((size, col)), np.empty((size, rows), dtype=int))
+        groups = [_RowGroup(self, probe, a, b, power, stride, nsteps, size)
+                  for a, b in zip(edges, edges[1:])]
         fields = np.empty((2, size, rows, nx))  # u^k, and u^(k+1) - u^(k-1)
         ready = None  # a gathered block not yet handed out
         with ThreadPoolExecutor(max_workers=max(1, ngroups - 1)) as pool:
             for j0 in range(0, count, size):
                 instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
-                futures = [pool.submit(g.advance, instants, block) for g in groups[1:]]
+                futures = [pool.submit(g.advance, instants) for g in groups[1:]]
                 if ready:  # while the workers advance this block
                     self._emit(*ready, fields, observers)
-                groups[0].advance(instants, block)
+                groups[0].advance(instants)
                 for f in futures:
                     f.result()
-                ready = self._gather(instants, block, groups, fields)
+                ready = self._gather(instants, groups, fields)
             self._emit(*ready, fields, observers)
         return nsteps
 
-    def _gather(self, instants, block, groups, out):
-        """Copy a block's samples out of the groups' buffer, so that they
-        can advance the next block into it: the unscaled u^k and
-        u^(k+1) - u^(k-1) of every row into `out`, up to the first diverged
-        sample.  Returns the instants and the number of samples kept."""
+    def _gather(self, instants, groups, out):
+        """Copy a block's samples out of the groups' buffers, so that they
+        can advance the next block into them: u^k and u^(k+1) - u^(k-1) of
+        every row into `out`, up to the first diverged sample.  Returns the
+        instants and the number of samples kept."""
         nx, cnt = self.grid.nx, len(instants)
-        states, aheads, exps = (a[:cnt] for a in block)
-        parts = [(g.rows, *(a[:, g.cols][:, :g.dim].reshape(cnt, -1, 2, nx) for a in (states, aheads)))
+        parts = [(g.rows, *(a[:cnt, :g.dim].reshape(cnt, -1, 2, nx) for a in (g.states, g.aheads)))
                  for g in groups]
-        peaks = np.empty((cnt, self.n + 1))
-        for rows, state, _ in parts:  # max |x| without a temporary array
-            peaks[:, rows] = np.maximum(state.max(axis=(2, 3)), -state.min(axis=(2, 3)))
-        unscale = np.ldexp(1.0, -exps)
-        # the divergence check reads the unscaled rows
-        bad = np.flatnonzero(~((peaks * unscale).max(axis=1) <= DIVERGENCE_LIMIT))
+        peak = np.zeros(cnt)
+        for _, state, _ in parts:  # max |x| without a temporary array
+            peak = np.maximum(peak, np.maximum(state.max(axis=(1, 2, 3)), -state.min(axis=(1, 2, 3))))
+        bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
         stop = int(bad[0]) if bad.size else cnt
         cur, diff = out[:, :stop]
         for rows, state, ahead in parts:
             cur[:, rows] = state[:stop, :, 0]
             np.subtract(ahead[:stop, :, 0], state[:stop, :, 1], out=diff[:, rows])
-        on = exps[:stop].any(axis=1)
-        if on.any():  # values unscaling below the normal range read 0
-            floor = np.where(on[:, None], np.ldexp(_NORMAL_MIN, exps[:stop]), 0.0)[:, :, None]
-            for f in (cur, diff):
-                f[np.abs(f) < floor] = 0.0
-                f *= unscale[:stop, :, None]
         return instants, stop
 
     def _emit(self, instants, stop, fields, observers):

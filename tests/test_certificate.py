@@ -199,7 +199,7 @@ class TestPerturbedConstants:
         # dyadic nodes land exactly on most boundaries, so strictness counts
         k1, k2, c0, lam_min = 0.5, 0.625, 1.0, 1.0
         rhos = np.arange(-1, 17) / 16.0
-        xis = (-0.0625, 0.0625, 0.1875, 0.25, 0.375, 0.5, 0.75)
+        xis = (-0.0625, 0.0, 0.0625, 0.1875, 0.25, 0.375, 0.5, 0.75)
         failed = set()
         for rho1, rho2, xi1, xi2 in itertools.product(rhos, rhos, xis, xis):
             rules = (
@@ -215,10 +215,11 @@ class TestPerturbedConstants:
                 rho1 < 2.0 * k2 * lam_min - 1.0,
                 rho1 < (2.0 * (c0 - xi2 / 2.0) - rho2 * (1.0 + c0 + c0 * c0)) / c0)
             failed.update(i for i, holds in enumerate(rules) if not holds)
-            *_constants, ok, violated = perturbed_constants(
+            _mu2, q0, qf, ok, violated = perturbed_constants(
                 rho1, rho2, xi1, xi2, k1, k2, lam_min, c0)
             assert ok == all(rules)
             assert len(violated) == len(rules) - sum(rules)
+            assert (q0 is None) == (qf is None) == (not ok)
         assert failed == set(range(11))
 
 

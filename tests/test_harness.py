@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -352,22 +353,25 @@ class TestAnalyze:
         assert res.exit_code == harness.EXIT_USAGE
 
     def test_ratio_report(self, tmp_path):
-        paths = []
-        for scale in (1.0, 5.0):
-            series = harness.analysis.TimeSeries()
-            for i in range(50):
-                series.append(harness.analysis.FunctionalSample(
-                    time=float(i), E=0.0, G1=0.0, G2=0.0, V=1.0, V0=1.0,
-                    l2_error=scale * (1.0 + 0.01 * np.sin(i)),
-                    h1_seminorm=0.0, ptwise_max_sq=0.0, boundary_err_sq=0.0))
-            p = tmp_path / f"r{scale}.csv"
-            harness.write_csv(p, series)
-            paths.append(str(p))
-        res = harness.run_analyze(paths)
-        assert res.exit_code == harness.EXIT_OK
-        assert "ratio" in res.report
-        ratio = float(res.report.rsplit("=", 1)[1])
-        assert ratio == pytest.approx(5.0, rel=1e-6)
+        # a zero steady-state mean in the first CSV reads inf, or nan when
+        # both are zero
+        for scales, ratio in (((1.0, 5.0), 5.0), ((0.0, 5.0), math.inf), ((0.0, 0.0), math.nan)):
+            paths = []
+            for scale in scales:
+                series = harness.analysis.TimeSeries()
+                for i in range(50):
+                    series.append(harness.analysis.FunctionalSample(
+                        time=float(i), E=0.0, G1=0.0, G2=0.0, V=1.0, V0=1.0,
+                        l2_error=scale * (1.0 + 0.01 * np.sin(i)),
+                        h1_seminorm=0.0, ptwise_max_sq=0.0, boundary_err_sq=0.0))
+                p = tmp_path / f"r{len(paths)}.csv"
+                harness.write_csv(p, series)
+                paths.append(str(p))
+            res = harness.run_analyze(paths)
+            assert res.exit_code == harness.EXIT_OK
+            assert "ratio" in res.report
+            got = float(res.report.rsplit("=", 1)[1])
+            assert got == pytest.approx(ratio, rel=1e-6, nan_ok=True), scales
 
 
 class TestRunSimulate:
@@ -399,6 +403,24 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", str(tmp_path / "missing.csv")])
         assert exc.value.code == harness.EXIT_USAGE
+
+    @pytest.mark.parametrize("xi1, xi2, rule", [(0.0, 0.1, "xi1 > 0"),
+                                                (0.05, 0.0, "0 < xi2 < 1/(2*c0)")],
+                             ids=["xi1-zero", "xi2-zero"])
+    def test_zero_xi_exits_2_without_traceback(self, tmp_path, capsys, xi1, xi2, rule):
+        from waveconsensus.cli import main
+
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        with open(os.path.join(root, "test2.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["certificate"].update(rho1=0.05, rho2=0.3, xi1=xi1, xi2=xi2)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["check-gains", "--config", str(cfg)])
+        assert exc.value.code == harness.EXIT_INFEASIBLE
+        assert f"certificate infeasible: infeasible perturbed parameters: ['{rule}']" \
+            in capsys.readouterr().out
 
     @pytest.mark.parametrize("row, message", [
         ("1.0,0.0,0.0", "line 3, column G2: the row has 3 cells, the header 16"),

@@ -430,8 +430,8 @@ class TestSimulate:
                     for i in range(n + 1)]
         gather, modal, blocks = Simulation._gather, [], []
 
-        def spy(self, instants, block, groups, out):  # the modal fields of each block
-            instants, stop = gather(self, instants, block, groups, out)
+        def spy(self, instants, groups, out):  # the modal fields of each block
+            instants, stop = gather(self, instants, groups, out)
             modal.append((self._q, out[:, :stop].copy()))
             return instants, stop
 
@@ -474,47 +474,54 @@ class TestSimulate:
         assert worker_threads(24, 101) == min(wavesim._usable_cpus(), 2) - 1
 
     @pytest.mark.parametrize("groups", GROUPS)
-    def test_rescaling_is_exact(self, path3_topology, monkeypatch, groups):
-        # with a threshold of 2^-2, the undisturbed rows decay below it and
-        # are rescaled at many samples; from rest, the forced response is
-        # below it for a while, but forced rows keep their own scale; either
-        # way no bit of a sample may change
+    def test_flush_zeroes_only_decayed_unforced_rows(self, path3_topology, monkeypatch, groups):
+        # with a threshold of 2^-2, undisturbed modal rows decay below it and
+        # are flushed; from rest, the forced response is below it for a
+        # while, but forced rows are never flushed
         grid = Grid(nx=81)
         use_groups(monkeypatch, groups, 4, grid)
-        gather, exps = Simulation._gather, []
+        gather, modal, peaks, bits = Simulation._gather, [], [], wavesim._FLUSH_BITS
 
-        def spy(self, instants, block, *rest):  # the exponents of each block
-            exps.append(block[2][:len(instants)].max())
-            return gather(self, instants, block, *rest)
+        def spy(self, instants, groups, out):  # the modal fields of each block
+            instants, stop = gather(self, instants, groups, out)
+            modal.append(out[:, :stop].copy())
+            # each row's peak over both levels of its state, as the flush reads it
+            peaks.append(np.hstack([np.abs(g.states[:stop, :g.dim].reshape(stop, -1, g.off))
+                                    .max(axis=2) for g in groups]))
+            return instants, stop
 
         monkeypatch.setattr(Simulation, "_gather", spy)
 
         def fields(bits, profiles, dist, nsteps):
-            monkeypatch.setattr(wavesim, "_RESCALE_BITS", bits)
-            snaps = []
-            exps.clear()
-            Simulation(path3_topology, GAINS, grid, profiles, dist).run(
-                nsteps * grid.dt, observers=(lambda b: snaps.extend(samples(b)),), stride=7)
-            return [(sp.leader, sp.leader_vel, sp.error, sp.error_vel) for sp in snaps], max(exps)
+            monkeypatch.setattr(wavesim, "_FLUSH_BITS", bits)
+            modal.clear()
+            peaks.clear()
+            sim = Simulation(path3_topology, GAINS, grid, profiles, dist)
+            sim.run(nsteps * grid.dt, stride=7)
+            # (u^k or u^(k+1) - u^(k-1), sample, row, nx), and (sample, row)
+            return np.concatenate(modal, axis=1), np.vstack(peaks)
 
-        for case, rescales in (((reference_profiles(), None, 3000), True),
-                               (([(ProfileSpec(), ProfileSpec())] * 4,
-                                 heterogeneous_disturbances(), 120), False)):
-            plain, plain_top = fields(512, *case)
-            rescaled, rescaled_top = fields(2, *case)
-            assert 0.0 < min(np.max(np.abs(f[2])) for f in plain[1:]) < 2.0 ** -2
-            assert plain_top == 0 and (rescaled_top > 0) == rescales
-            assert len(plain) == len(rescaled)
-            for a, b in zip(plain, rescaled):
-                for x, y in zip(a, b):
-                    assert np.array_equal(x, y)
+        forced = ([(ProfileSpec(), ProfileSpec())] * 4, heterogeneous_disturbances(), 120)
+        (plain, plain_peaks), (flushed, _) = fields(bits, *forced), fields(2, *forced)
+        assert 0.0 < plain_peaks[1:, 1:].min() < 2.0 ** -2
+        assert plain.tobytes() == flushed.tobytes()
+
+        undisturbed = (reference_profiles(), None, 3000)
+        (plain, plain_peaks), (flushed, _) = fields(bits, *undisturbed), fields(2, *undisturbed)
+        assert plain.shape == flushed.shape and plain_peaks.min() > 0.0
+        below, count = plain_peaks < 2.0 ** -2, plain_peaks.shape[0]
+        # per row, the first sample that reads zero (the sample count if none)
+        first = np.where(below.any(axis=0), below.argmax(axis=0) + 1, count)
+        assert not below[:, 0].any() and (first[1:] < count).any()
+        for row, j in enumerate(first):
+            assert plain[:, :j, row].tobytes() == flushed[:, :j, row].tobytes()
+            assert not flushed[:, j:, row].any()
 
     @pytest.mark.parametrize("groups", GROUPS)
     def test_undisturbed_error_decays_past_the_subnormal_range(self, path3_topology,
                                                                monkeypatch, groups):
-        # without rescaling the stored error stalls near 1e-322; with it the
-        # observed fields follow the true decay and read exact zero once it
-        # leaves the normal range
+        # unflushed, the stored error would stall near 1e-322; flushed, each
+        # modal row reads exact zero once its peak falls below 2^-600
         grid = Grid(nx=21)
         use_groups(monkeypatch, groups)
         peaks = []
@@ -550,6 +557,28 @@ class TestSimulate:
         dev = state.u_curr[1:] - state.u_curr[0]
         assert snaps[-1].step_index == nsteps
         assert np.max(np.abs(snaps[-1].error[-1] - dev)) < 1e-11 * np.max(np.abs(dev))
+
+    def test_scale_ladder_runs_in_linear_memory(self):
+        # build plus a 25-step run of path graphs at 101 grid points with one
+        # shared psi0 frequency: the operators hold O(n nx) entries and a
+        # block about 1 MB of fields, so each doubling of the followers at
+        # most 2.2x the peak
+        grid = Grid(nx=101)
+        sig = SignalSpec(kind="sinusoid", amplitude=1.0, angular_frequency=10.0)
+        peaks = []
+        for n in (25, 50, 100, 200):
+            topo = path_topology(n)
+            profiles = [(ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=1.0),
+                         ProfileSpec())] * (n + 1)
+            tracemalloc.start()
+            try:
+                Simulation(topo, GAINS, grid, profiles, DisturbanceSpec(psi0=(sig,) * n)).run(
+                    25 * grid.dt, observers=(lambda block: None,))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth = np.divide(peaks[1:], peaks[:-1])
+        assert growth.max() <= 2.2, growth
 
     def test_distinct_frequencies_build_in_linear_memory(self):
         # one psi0 frequency per follower loads every mode at each frequency,
