@@ -248,6 +248,8 @@ def _require_gate(regime: str, k1: float, k2: float, c0: float,
                   lambda_min: float) -> None:
     if regime not in GATES:
         raise ValueError(f"unknown regime {regime!r}")
+    if not c0 > 0.0:  # the rules divide by c0; c0 = 0 is the reflective mode
+        raise CertificateError(f"certificates require c0 > 0, got c0 = {c0}")
     gate = GATES[regime](k1, k2, c0, lambda_min)
     if not gate.ok:
         raise CertificateError(

@@ -105,6 +105,16 @@ class ExperimentConfig:
             self.topology()
         except TopologyError as exc:
             raise ConfigError(f"topology.{exc}") from exc
+        agents = ["initial_conditions.leader",
+                  *(f"initial_conditions.followers[{i}]" for i in range(len(self.follower_ics)))]
+        profiles = [(f"{agent}.{part}", p) for agent, pair in zip(agents, self.profiles())
+                    for part, p in zip(("displacement", "velocity"), pair)]
+        profiles += [(f"disturbances.f[{i}].spatial", f.spatial)
+                     for i, f in enumerate(self.disturbances.f) if f.kind == "separable"]
+        for path, p in profiles:
+            if p.kind == "table" and len(p.samples) != self.grid.nx:
+                raise ConfigError(f"{path}.samples: expected grid.nx = {self.grid.nx} "
+                                  f"samples, got {len(p.samples)}")
 
     @property
     def n(self) -> int:
@@ -128,37 +138,19 @@ class ExperimentConfig:
 # JSON schema
 #
 # One table gives the JSON layout of every config dataclass and drives both
-# parse_config and serialize_config.  A member that is not in the table is
-# an error.  An absent or null member takes its dataclass default; a member
-# whose field has no default is required, and so is every field a kinded
-# object's kind uses (signals.*_KINDS) unless it is listed as optional.
-# Range checks live only in the dataclasses' __post_init__, whose messages
-# name the field first ("courant: ..."); the walker prefixes the path of
-# the enclosing object.
+# parse_config and serialize_config.  Each JSON object is one node, and it
+# rejects a member that is not in its table.  A group node (topology,
+# initial_conditions) has no dataclass: its members are fields of the
+# enclosing object.  An absent or null member takes its dataclass default; a
+# member whose field has no default is required, and so is every field a
+# kinded object's kind uses (signals.*_KINDS) unless it is listed as
+# optional.  Range checks live only in the dataclasses' __post_init__, whose
+# messages name the field first ("courant: ..."); the walker prefixes the
+# path of the enclosing object.
 
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
-
-
-def _lookup(obj: dict, key: str, path: str):
-    """Member `key` of a JSON object; dotted keys descend into sub-objects."""
-    *groups, last = key.split(".")
-    for group in groups:
-        obj, path = obj.get(group), _join(path, group)
-        if obj is None:
-            return None
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{path}: expected an object, got {obj!r}")
-    return obj.get(last)
-
-
-def _reject_unknown(obj: dict, layout: dict, path: str) -> None:
-    for key, value in obj.items():
-        if key not in layout:
-            raise ConfigError(f"{_join(path, key)}: unknown field")
-        if layout[key] is not None and isinstance(value, dict):
-            _reject_unknown(value, layout[key], _join(path, key))
 
 
 class _Scalar:
@@ -213,42 +205,45 @@ class _List:
 
 class _Object:
     """A JSON object read as `cls`; members are (json key, node) or
-    (json key, node, field name) when the two differ."""
+    (json key, node, field name) when the two differ.  A group has no class
+    (cls None): its members are fields of the enclosing object, so they load
+    into that object's keyword arguments and dump from its attributes."""
 
     def __init__(self, cls, *members, kinds=None, optional=()):
         self.cls = cls
-        self.members = [(m[0], m[1], m[2] if len(m) > 2 else m[0].rsplit(".", 1)[-1])
-                        for m in members]
+        self.members = {m[0]: (m[1], m[2] if len(m) > 2 else m[0]) for m in members}
+        self.groups = {key for key, (node, _name) in self.members.items()
+                       if isinstance(node, _Object) and node.cls is None}
         self.kinds = kinds
-        self.layout = {}  # the JSON members, dotted keys as nested dicts
-        for key, _node, _name in self.members:
-            *groups, last = key.split(".")
-            level = self.layout
-            for group in groups:
-                level = level.setdefault(group, {})
-            level[last] = None
-        if kinds is None:
+        if kinds is not None:
+            self.required = {name for _node, name in self.members.values()} - set(optional)
+        elif cls is not None:
             self.required = {f.name for f in fields(cls)
                              if f.default is MISSING and f.default_factory is MISSING}
-        else:
-            self.required = {m[2] for m in self.members} - set(optional)
 
     def _used(self, name: str, kind) -> bool:
         return self.kinds is None or name == "kind" or name in self.kinds.get(kind, ())
 
-    def load(self, value, path, n):
+    def _read(self, value, path, n, kwargs, required) -> dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object, got {value!r}")
-        _reject_unknown(value, self.layout, path)
-        kwargs = {}
-        for key, node, name in self.members:
+        for key in value:
+            if key not in self.members:
+                raise ConfigError(f"{_join(path, key)}: unknown field")
+        for key, (node, name) in self.members.items():
             if not self._used(name, kwargs.get("kind")):
                 continue
-            item = _lookup(value, key, path)
-            if item is not None:
+            item = value.get(key)
+            if key in self.groups:  # an absent group still checks its required members
+                node._read({} if item is None else item, _join(path, key), n, kwargs, required)
+            elif item is not None:
                 kwargs[name] = node.load(item, _join(path, key), n)
-            elif name in self.required:
+            elif name in required:
                 raise ConfigError(f"{_join(path, key)}: required field is missing")
+        return kwargs
+
+    def load(self, value, path, n):
+        kwargs = self._read(value, path, n, {}, self.required)
         try:
             return self.cls(**kwargs)
         except ValueError as exc:  # a field-first message from __post_init__
@@ -256,15 +251,10 @@ class _Object:
 
     def dump(self, obj) -> dict:
         out = {}
-        for key, node, name in self.members:
-            if not self._used(name, getattr(obj, "kind", None)):
-                continue
-            *groups, last = key.split(".")
-            target = out
-            for group in groups:
-                target = target.setdefault(group, {})
-            value = getattr(obj, name)
-            target[last] = None if value is None else node.dump(value)
+        for key, (node, name) in self.members.items():
+            if self._used(name, getattr(obj, "kind", None)):
+                value = obj if key in self.groups else getattr(obj, name)
+                out[key] = None if value is None else node.dump(value)
         return out
 
 
@@ -280,14 +270,15 @@ _SPACETIME = _Object(SpaceTimeSpec, ("kind", _STRING), ("temporal", _SIGNAL),
 _AGENT = _Object(AgentIC, ("displacement", _PROFILE), ("velocity", _PROFILE))
 _CONFIG = _Object(
     ExperimentConfig,
-    ("topology.adjacency", _List(_List(_INTEGER, per_agent=True))),
-    ("topology.leader_links", _List(_INTEGER, per_agent=True)),
+    ("topology", _Object(None, ("adjacency", _List(_List(_INTEGER, per_agent=True))),
+                         ("leader_links", _List(_INTEGER, per_agent=True)))),
     ("gains", _Object(ControlGains, ("k1", _NUMBER), ("k2", _NUMBER), ("c0", _NUMBER))),
     ("grid", _Object(Grid, ("nx", _INTEGER), ("courant", _NUMBER),
                      ("dissipation", _NUMBER))),
     ("horizon", _NUMBER),
-    ("initial_conditions.leader", _AGENT, "leader_ic"),
-    ("initial_conditions.followers", _List(_AGENT, per_agent=True), "follower_ics"),
+    ("initial_conditions", _Object(None, ("leader", _AGENT, "leader_ic"),
+                                   ("followers", _List(_AGENT, per_agent=True),
+                                    "follower_ics"))),
     ("disturbances", _Object(DisturbanceSpec,
                              ("psi0", _List(_SIGNAL, per_agent=True)),
                              ("psi1", _List(_SIGNAL, per_agent=True)),
@@ -308,7 +299,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be an object")
-    adjacency = _lookup(doc, "topology.adjacency", "")
+    topology = doc.get("topology")
+    adjacency = topology.get("adjacency") if isinstance(topology, dict) else None
     return _CONFIG.load(doc, "", len(adjacency) if isinstance(adjacency, list) else 0)
 
 
@@ -427,12 +419,16 @@ def read_csv(path) -> dict:
         try:
             cols[name] = np.array([float(v) if v else np.nan for v in vals])
         except ValueError:
+            cols[name] = None
+        if cols[name] is None or not np.isfinite(cols[name]).all():  # blank cells read NaN
             for (line, _), v in zip(rows, vals):
-                try:
-                    float(v or "nan")
-                except ValueError:
-                    raise ConfigError(f"{path}: line {line}, column {name}: "
-                                      f"{v!r} is not a number") from None
+                if v or name == "t":  # only t may not be blank
+                    try:
+                        problem = None if math.isfinite(float(v)) else "is not a finite number"
+                    except ValueError:
+                        problem = "is not a number"
+                    if problem:
+                        raise ConfigError(f"{path}: line {line}, column {name}: {v!r} {problem}")
     t = cols["t"]
     if np.any(np.diff(t) <= 0):
         raise ConfigError(f"{path}: time column is not strictly increasing")

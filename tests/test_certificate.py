@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from waveconsensus.certificate import (check_gains_perturbed,
+from waveconsensus.certificate import (build_certificate, check_gains_perturbed,
                                        check_gains_unperturbed,
                                        certificate_constants_unperturbed,
                                        consensus_bound, control_input,
@@ -237,6 +237,14 @@ class TestOptimizer:
         lam_min, lam_max = spectrum
         with pytest.raises(CertificateError, match="gain check"):
             optimize_certificate("unperturbed", 1.0, K2, C0, lam_min, lam_max)
+
+    @pytest.mark.parametrize("regime", ("unperturbed", "perturbed"))
+    def test_zero_c0_is_refused_before_any_division(self, spectrum, regime):
+        # c0 = 0 passes both gain gates, but the rules divide by c0
+        with pytest.raises(CertificateError, match=re.escape("c0 > 0")):
+            optimize_certificate(regime, K1, K2, 0.0, *spectrum)
+        with pytest.raises(CertificateError, match=re.escape("c0 > 0")):
+            build_certificate(regime, K1, K2, 0.0, *spectrum, 0.05, 0.3, 0.01, 0.01)
 
     def test_nested_resolution_monotone(self, spectrum):
         lam_min, lam_max = spectrum

@@ -97,7 +97,7 @@ FULL = {
     "initial_conditions": {
         "leader": {"displacement": {"kind": "cosine", "amplitude": 1.0,
                                     "spatial_frequency": 2.0},
-                   "velocity": {"kind": "zero"}},
+                   "velocity": {"kind": "table", "samples": [0.0] * 5}},
         "followers": [
             {"displacement": {"kind": "table", "samples": [0.0, 1.0, 2.0, 1.0, 0.0]},
              "velocity": {"kind": "polynomial", "coefficients": [0.0, 1.0]}},
@@ -108,7 +108,10 @@ FULL = {
                   "phase": 0.5}] * 3,
         "f": [{"kind": "separable",
                "temporal": {"kind": "sinusoid", "amplitude": 1.0, "angular_frequency": 1.0},
-               "spatial": {"kind": "polynomial", "coefficients": [1.0]}}] * 3},
+               "spatial": spatial}
+              for spatial in ({"kind": "polynomial", "coefficients": [1.0]},
+                              {"kind": "table", "samples": [1.0] * 5},
+                              {"kind": "polynomial", "coefficients": [1.0]})]},
     "certificate": {"regime": "perturbed", "resolution": 20, "rho1": 0.04,
                     "rho2": 0.5, "xi1": 0.005, "xi2": 0.001},
     "output": {"csv": "run.csv", "stride": 2},
@@ -155,6 +158,10 @@ BAD_INPUT = [
     ("initial_conditions.followers[1]", 7),
     ("initial_conditions.followers[0].displacement.samples", "x"),
     ("initial_conditions.followers[0].displacement.samples[2]", float("inf")),
+    # a table profile needs grid.nx samples
+    ("initial_conditions.leader.velocity.samples", [0.0, 0.0, 0.0]),
+    ("initial_conditions.followers[0].displacement.samples", [0.0, 1.0, 0.0]),
+    ("disturbances.f[1].spatial.samples", [1.0, 1.0]),
     ("initial_conditions.followers[0].velocity.coefficients", None),
     ("initial_conditions.followers[0].velocity.coefficients[1]", "a"),
     ("disturbances", "x"),
@@ -422,12 +429,68 @@ class TestCli:
         assert f"certificate infeasible: infeasible perturbed parameters: ['{rule}']" \
             in capsys.readouterr().out
 
+    @pytest.mark.parametrize("explicit_horizon", (False, True))
+    def test_zero_c0_exits_2_without_traceback(self, tmp_path, capsys, explicit_horizon):
+        # c0 = 0 (the reflective mode) admits no certificate; with an explicit
+        # horizon, simulate still runs without one
+        from waveconsensus.cli import main
+
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        with open(os.path.join(root, "test2.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["gains"]["c0"] = 0.0
+        doc["horizon"] = 0.5 if explicit_horizon else None
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["check-gains", "--config", str(cfg)])
+        assert exc.value.code == harness.EXIT_INFEASIBLE
+        assert "certificate infeasible: certificates require c0 > 0" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        if explicit_horizon:
+            assert exc.value.code == harness.EXIT_OK
+            assert os.path.exists(tmp_path / "test2.csv")
+        else:
+            assert exc.value.code == harness.EXIT_INFEASIBLE
+            assert "no explicit horizon: certificates require c0 > 0" in out
+
+    @pytest.mark.parametrize("verbatim_fails", (False, True))
+    def test_verbatim_iss_is_contractual(self, tmp_path, monkeypatch, verbatim_fails):
+        # both ISS variants hold on preset 2, so one case adds a verbatim violation
+        from waveconsensus.cli import main
+
+        monkeypatch.setattr(harness, "derive_horizon", lambda cert, regime: 20.0)
+        if verbatim_fails:
+            iss_check = harness.analysis.iss_check
+
+            def failing_verbatim(*args):
+                rep = iss_check(*args)
+                return harness.replace(rep, verbatim=harness.replace(
+                    rep.verbatim, violations=((0.0, 2.0, 1.0),), worst_ratio=1.0))
+
+            monkeypatch.setattr(harness.analysis, "iss_check", failing_verbatim)
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--test", "2", "--verbatim-iss", "--out", str(tmp_path)])
+        with open(tmp_path / "test2" / "summary.json", encoding="utf-8") as fh:
+            checks = json.load(fh)["checks"]
+        assert checks["iss_contractual"] == checks["iss_verbatim"]
+        assert checks["iss_verbatim"]["ok"] is not verbatim_fails
+        assert checks["iss_conservative"]["ok"]
+        assert exc.value.code == (harness.EXIT_BOUND_VIOLATION if verbatim_fails
+                                  else harness.EXIT_OK)
+
     @pytest.mark.parametrize("row, message", [
         ("1.0,0.0,0.0", "line 3, column G2: the row has 3 cells, the header 16"),
         (",".join(["1.0"] * 17), "line 3, column 17: the row has 17 cells, the header 16"),
         (",".join(["1.0"] * 5 + ["abc"] + ["1.0"] * 10),
          "line 3, column V0: 'abc' is not a number"),
-    ], ids=["short-row", "long-row", "non-numeric-cell"])
+        (",".join(["nan"] + ["1.0"] * 15), "line 3, column t: 'nan' is not a finite number"),
+        (",".join(["1.0"] * 4 + ["inf"] + ["1.0"] * 11),
+         "line 3, column V: 'inf' is not a finite number"),
+        (",".join([""] + ["1.0"] * 15), "line 3, column t: '' is not a number"),
+    ], ids=["short-row", "long-row", "non-numeric-cell", "nan-time", "inf-cell", "blank-time"])
     def test_malformed_csv_exits_1_without_traceback(self, tmp_path, capsys, row, message):
         from waveconsensus.cli import main
 
