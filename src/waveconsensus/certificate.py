@@ -290,6 +290,9 @@ def build_certificate(regime: str, k1: float, k2: float, c0: float,
         delta_factor=delta_factor, alpha=alpha)
 
 
+MAX_RESOLUTION = 1000  # grid points per dimension: each grid array holds its square
+
+
 def optimize_certificate(regime: str, k1: float, k2: float, c0: float,
                          lambda_min: float, lambda_max: float,
                          resolution: int = 200) -> GainCertificate:
@@ -302,8 +305,11 @@ def optimize_certificate(regime: str, k1: float, k2: float, c0: float,
     smallest xi1 and xi2 nodes, which hold the 4-D optimum and win its
     tie-break: every xi-dependent rule relaxes and mu2 does not fall as xi1
     or xi2 decrease, and tau2 involves neither.  An empty feasible set
-    raises CertificateError naming the rule that admits the fewest nodes.
+    raises CertificateError naming the rule that admits the fewest nodes;
+    a resolution above MAX_RESOLUTION raises ValueError.
     """
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution: at most {MAX_RESOLUTION}, got {resolution}")
     _require_gate(regime, k1, k2, c0, lambda_min)
     xi1 = xi2 = None
     if regime == "unperturbed":

@@ -64,8 +64,9 @@ class CertificateOptions:
     def __post_init__(self):
         if self.regime not in ("auto", *cert_mod.GATES):
             raise ValueError(f"regime: unknown regime {self.regime!r}")
-        if not self.resolution >= 1:
-            raise ValueError(f"resolution: must be at least 1, got {self.resolution}")
+        if not 1 <= self.resolution <= cert_mod.MAX_RESOLUTION:
+            raise ValueError(f"resolution: must be between 1 and {cert_mod.MAX_RESOLUTION}, "
+                             f"got {self.resolution}")
 
 
 @dataclass(frozen=True)

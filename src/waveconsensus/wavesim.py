@@ -23,41 +23,31 @@ is O(theta^6) and does not perturb the solver's second-order convergence.
 M = Q diag(lam) Q^T, so the deviation (error) dynamics split along its
 eigenvectors into n independent single agents whose x=1 feedback gains
 are scaled by lam_i; the leader is the lam = 0 row of the same stencil.
-Each disturbance channel A cos(w t + phi) enters through two phase
-columns per distinct frequency w, so the sparse powers S^p of a row's
-one-step operator carry the exact forced response of p steps.
-`Simulation.run` advances the rows [leader, mode_1 .. mode_n] a block of
-sample instants at a time: at each instant a single step (which gives
-the centered sample velocity), then S^(stride - 1), at most S^16 at a
-time.  The rows are independent agents, so a run splits them into
-contiguous row groups, each with operators of its own, built from its
-own entries of one stencil probe and never written after.  When a run
-advances enough grid points per sample (a 24-follower network at 101
-grid points, not a three-follower preset) and two CPUs are usable, there
-are two groups, and the second advances on a worker thread; the sparse
-products release the GIL, so the groups run concurrently.  After each
-block the calling thread checks all its samples for divergence at once;
-then, while the groups advance the next block, it rebuilds the physical
-deviation Q y of the whole block in one product and hands each observer
-one `SampleBlock`.  An unforced modal row whose peak decays below
+The rows [leader, mode_1 .. mode_n] therefore share one interior
+propagator and differ only where the boundaries reach.  `Simulation.run`
+keeps them as the columns of one tiled state and advances every row at
+once, one sample instant per product: a dense tile product (BLAS) with
+the q-step interior stencil, plus each row's correction on the two end
+windows and the exact forced response of each distinct disturbance
+frequency w (two phase columns per w).  The same product gives the step
+after the sample, for the centered sample velocity.  All of it is probed
+from the one-step stencil; a sample costs O(rows nx stride) and runs on
+the calling thread.  An unforced modal row whose peak decays below
 2^-600 is set to exact zero, where it stays, so an undisturbed error
 keeps stepping at full speed instead of stalling in the slow subnormal
 range; nothing downstream resolves fields that small (`analysis` reads
 functionals below 1e-300 as zero), and a forced row stays at the scale
-of its forced response.  The samples are bit-identical for any number
-of groups.  `step` is the plain per-agent reference implementation of
-the same update in physical coordinates.
+of its forced response.  The samples are bit-identical for any block
+size.  `step` is the plain per-agent reference implementation of the
+same update in physical coordinates.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse import _sparsetools
 
 from .errors import DivergenceError
 from .graph import Topology, pinned_matrix
@@ -68,8 +58,7 @@ DIVERGENCE_LIMIT = 1e12
 _MAX_POWER = 16         # longest propagator power; longer strides repeat it
 _FLUSH_BITS = 600       # an unforced modal row below 2^-600 is set to zero
 _CHUNK_BYTES = 1 << 20  # deviation fields per block of samples and functional batch
-_MAX_GROUPS = 2         # row groups of a run; more have not been measured
-_GROUP_WORK = 10240     # row grid points per sample that a row group must carry
+_PROBE_BYTES = 1 << 20  # each level of a batch of unit-input probes
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
 
 
@@ -156,7 +145,7 @@ def _filter_oldest(up: np.ndarray, eps: float) -> np.ndarray:
     """Damp (2-2cos theta)^3 content of the oldest level; one-sided
     6th differences on the two-node edge strips, edge nodes untouched."""
     nx = up.shape[1]
-    if eps == 0.0 or nx < 7:
+    if eps == 0.0 or nx < 9:  # the edge strips read nodes 0..7 and nx-9..nx-2
         return up
     d = np.zeros_like(up)
     d[:, 3:-3] = (up[:, :-6] - 6.0 * up[:, 1:-5] + 15.0 * up[:, 2:-4]
@@ -345,46 +334,36 @@ class SampleBlock:
     step_index: int
 
 
-def _probe(stepper: _Stepper, rows: int, nx: int):
-    """The one-step propagator of the state [u^k, u^(k-1)] of every row
-    (layout (rows, 2, nx)), as COO triplets (row, entry row, entry column,
-    value) with entries numbered within the row's own state.  The rows are
-    decoupled, so all are probed at once, one column position at a time:
-    2 nx stencil calls and O(rows nx) memory.  Each probe input is one unit
-    entry per row, so an entry is the same whichever rows are probed
-    together."""
-    pos = np.arange(nx)
-    r, i, j = [np.repeat(np.arange(rows), nx)], [np.tile(pos + nx, rows)], [np.tile(pos, rows)]
-    v = [np.ones(rows * nx)]  # u^(k-1) <- u^k
-    for col in range(2 * nx):
-        y = np.zeros((rows, 2, nx))
-        y[:, col // nx, col % nx] = 1.0
-        un = stepper.step(y[:, 0], y[:, 1])
-        rr, ii = np.nonzero(un)
-        r.append(rr)
-        i.append(ii)
-        j.append(np.full(rr.size, col))
-        v.append(un[rr, ii])
-    return [np.concatenate(a) for a in (r, i, j, v)]
+def _levels(stepper: _Stepper, u, up, q: int):
+    """The levels [u^(k+1), u^(k+q), u^(k+q-1)] of every row (axis 1)
+    after q unforced steps from u^k = u and u^(k-1) = up."""
+    first = None
+    for _ in range(q):
+        u, up = stepper.step(u, up), u
+        first = u if first is None else first
+    return np.stack([first, u, up], axis=1)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - platforms without affinity masks
-        return os.cpu_count() or 1
+def _kernel(grid: Grid, gains: ControlGains, q: int):
+    """The interior stencil of q steps and its reach R: entry [ol, il, R + d]
+    maps level il of node x to level ol (as in `_levels`) of node x + d.
+    Probed on a line whose edge formulas the unit inputs never reach: a
+    step reads three nodes on each side, the edge strips seven nodes in."""
+    h = 4 * q + 8
+    u = np.zeros((2, 2, 2 * h + 1))
+    u[0, 0, h] = u[1, 1, h] = 1.0  # probe row il carries the unit on level il
+    k = _levels(_Stepper(grid, gains, np.zeros(2)), u[0], u[1], q)
+    reach = int(np.abs(np.flatnonzero(k.any(axis=(0, 1))) - h).max())
+    return k[:, :, h - reach:h + reach + 1].transpose(1, 0, 2), reach
 
 
-def _group_count(rows: int, work: int) -> int:
-    """Row groups of a run that advances `work` row grid points per sample
-    ((n + 1) nx stride): one per usable CPU, at most _MAX_GROUPS, and no
-    more than give each group _GROUP_WORK points.  A group's per-sample
-    Python work holds the GIL, so groups with smaller products lose more
-    to hand-offs than they overlap: a three-follower preset (8,040 points
-    per sample at 201 grid points and stride 10) runs faster as one group,
-    a 24-follower network at 101 grid points (25,250) as two."""
-    return max(1, min(_usable_cpus(), _MAX_GROUPS, rows, work // _GROUP_WORK))
+def _spread(state, x, c: int, rows: int):
+    """Stack the left, centre and right neighbours of each tile of the
+    tiled state (2c x tiles*rows) into x; the zero tiles beyond the ends
+    are never written."""
+    x[2 * c:4 * c] = state
+    x[:2 * c, rows:] = state[:, :-rows]
+    x[4 * c:, :-rows] = state[:, rows:]
 
 
 def _block_samples(n: int, nx: int) -> int:
@@ -392,94 +371,141 @@ def _block_samples(n: int, nx: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * max(n, 1) * nx))
 
 
-class _RowGroup:
-    """Rows [r0, r1) of a run: their operators, their state and their
-    block buffers.  The one-step operator is assembled from the group's
-    own probe entries, forcing rows and phase rotation, and its power from
-    that; nothing writes to either after.  A group touches only its own
-    rows and buffers, so groups advance concurrently; the sparse products
-    release the GIL, and the rest of a step is kept to a few small array
-    operations."""
+class _Propagator:
+    """The stacked operator [S^1 (u level only); S^q] of all rows of a run
+    on the tiled state (see `Simulation.run`), with tile width c >= its
+    reach.  Output tile entries are u^(k+1) at the c nodes, then the state
+    q steps on.  Everything is probed from `_Stepper`: the interior tile
+    block `k` (3c x 6c, shared by all rows) from the q-step stencil, the
+    rows' corrections on the end windows that the boundaries reach (`common`
+    to all rows, and each row's `own`), and the forced response of each
+    distinct frequency on the entries it reaches."""
 
-    def __init__(self, sim: Simulation, probe, r0: int, r1: int, power: int,
-                 stride: int, nsteps: int, size: int):
-        self.off = off = 2 * sim.grid.nx
-        self.omegas = sim._omegas.tolist()
-        self.rows = slice(r0, r1)
-        self.dim = (r1 - r0) * off
-        self.dt = sim.grid.dt
-        self.power, self.stride, self.nsteps = power, stride, nsteps
-        self.tiny = 2.0 ** -_FLUSH_BITS
-        r, i, j, v = probe
-        mine = (r >= r0) & (r < r1)
-        at = (r[mine] - r0) * off
-        s = sparse.csr_matrix((v[mine], (at + i[mine], at + j[mine])), shape=(self.dim, self.dim))
-        del mine, at  # freed before the block buffers below are allocated
-        forcing = sim._forcing[r0 * off:r1 * off]
-        if self.omegas:  # the phase slots rotate by w dt per step
-            s = sparse.bmat([[s, forcing], [None, sim._rotation]], format="csr")
-        a = s
-        for _ in range(1, power):
-            a = a @ s
-        self.ops = {1: s, power: a}
-        # only unforced rows are flushed; probe: per watched row, where its
-        # largest entry was last seen
-        self.watch = np.flatnonzero(np.diff(forcing.indptr).reshape(-1, off).sum(axis=1) == 0)
-        self.probe = self.watch * off
-        self.y = np.concatenate([sim._y0[r0 * off:r1 * off], np.zeros(2 * len(self.omegas))])
-        # per sample instant of a block: the state [u^k, u^(k-1), phases], and
-        # the step after it
-        self.states, self.aheads = np.empty((2, size, self.y.size))
+    def __init__(self, sim: Simulation, q: int, c: int):
+        grid, gains, lam, nx = sim.grid, sim.gains, sim._lam, sim.grid.nx
+        self.c, self.rows, self.tiles = c, lam.size, -(-nx // c)
+        self.dt, self.omegas = grid.dt, sim._omegas
+        kern, reach = _kernel(grid, gains, q)
+        # (level, node within the tile) of each output and each input entry
+        self.ol = np.r_[np.zeros(c, int), np.tile([1, 2], c)]
+        self.xl = np.r_[np.arange(c), np.repeat(np.arange(c), 2)]
+        il, xi = np.tile([0, 1], c), np.repeat(np.arange(c), 2)
+        xin = (xi + c * np.arange(-1, 2)[:, None]).ravel()  # the tiles left, centre, right
 
-    def _advance(self, y, q, k, out=None):
-        if self.omegas:  # exact phases; the operator's own rotation is overwritten
-            ph = [w * (k * self.dt) for w in self.omegas]
-            y[self.dim:] = [*map(math.cos, ph), *map(math.sin, ph)]
-        s = self.ops[q]
-        out = np.zeros(y.shape[0]) if out is None else out
-        _sparsetools.csr_matvec(s.shape[0], s.shape[1], s.indptr, s.indices, s.data, y, out)
-        return out
+        def stencil(ol, il, d):
+            return np.where(abs(d) <= reach, kern[ol, il, np.clip(d + reach, 0, 2 * reach)], 0.0)
 
-    def _flush(self, y, y1):
-        """y1, with each watched row whose peak in y is below tiny set to
-        zero (in a copy); those rows are no longer watched.  A zero
-        unforced row stays exactly zero: the rows are decoupled and it has
-        no forcing entries.  Each watched row's entry at its probe bounds
-        its peak from below, so the peaks are recomputed only when a probe
-        reads below tiny."""
-        fields = np.abs(y[:self.dim].reshape(-1, self.off)[self.watch])
-        peaks = fields.max(axis=1)
-        live = peaks >= self.tiny
-        if not live.all():
-            y1 = y1.copy()
-            y1[:self.dim].reshape(-1, self.off)[self.watch[~live]] = 0.0
-        self.watch = self.watch[live]
-        self.probe = self.watch * self.off + fields[live].argmax(axis=1)
-        return y1
+        self.k = stencil(self.ol[:, None], np.tile(il, 3), self.xl[:, None] - xin)
+        # the windows: the inputs (level, node) whose q-step response differs
+        # from the stencil's, on one row with a generic eigenvalue; the edge
+        # formulas read at most seven nodes in, so deeper columns respond as
+        # in the interior
+        edge = np.flatnonzero(np.minimum(np.arange(nx), nx - 1 - np.arange(nx)) < 2 * c + 8)
+        cl, cx = np.repeat([0, 1], edge.size), np.tile(edge, 2)
+        u = np.zeros((2, cx.size, nx))
+        u[cl, np.arange(cx.size), cx] = 1.0
+        a = _levels(_Stepper(grid, gains, np.full(cx.size, 1.0 + lam.max())), u[0], u[1], q)
+        d = np.arange(nx) - cx[:, None]
+        differs = a != stencil(np.arange(3)[:, None], cl[:, None, None], d[:, None])
+        cols = differs.any(axis=(1, 2))
+        ol_o, x_o = np.nonzero(differs.any(axis=0))
+        hit = np.nonzero(a)
+        end_reach = int(np.abs(hit[2] - cx[hit[0]]).max())  # the edge strips reach further
+        il_w, x_w = cl[cols], cx[cols]
+        # probe every row at once, several windowed inputs per probe when
+        # their responses cannot meet
+        order, n_in = np.argsort(x_w, kind="stable"), x_w.size
+        xs = x_w[order]
+        m = next(j for j in range(1, n_in + 1)
+                 if j == n_in or (xs[j:] - xs[:-j]).min() > 2 * end_reach)
+        slot = np.empty(n_in, int)
+        slot[order] = np.arange(n_in) % m
+        corr, per = np.empty((self.rows, x_o.size, n_in)), max(1, _PROBE_BYTES // (8 * m * nx))
+        for r in range(0, self.rows, per):  # a few rows at a time
+            part = lam[r:r + per]
+            u = np.zeros((2, m, part.size, nx))
+            u[il_w, slot, :, x_w] = 1.0
+            a = _levels(_Stepper(grid, gains, np.tile(part, m)), u[0].reshape(-1, nx),
+                        u[1].reshape(-1, nx), q).reshape(m, part.size, 3, nx)
+            corr[r:r + per] = a[slot, :, ol_o[:, None], x_o[:, None]].transpose(2, 0, 1)
+        d = x_o[:, None] - x_w
+        corr = corr * (abs(d) <= end_reach) - stencil(ol_o[:, None], il_w, d)
+        # entries as rows of the (entry, tile) x row layout
+        t = self.tiles
+        outs = np.where(ol_o == 0, x_o % c, c + 2 * (x_o % c) + ol_o - 1) * t + x_o // c
+        ins = (2 * (x_w % c) + il_w) * t + x_w // c
+        # one product for the outputs whose correction is the same on every
+        # row (most of them at the x=0 end), one per row for the others
 
-    def advance(self, instants):
-        """Advance through the sample instants, a stride apart (the last one
-        possibly nearer).  The state at instant j goes to states[j], the
-        step after it to aheads[j]; the products write there directly."""
-        states, aheads, last = self.states, self.aheads, len(instants) - 1
-        states[:last + 1] = 0.0
-        aheads[:last + 1] = 0.0
-        states[0] = self.y
-        for j, k in enumerate(instants):
-            y = states[j]
-            y1 = self._advance(y, 1, k, aheads[j])
-            if k == self.nsteps:
-                return
-            if self.probe.size and min(map(abs, y[self.probe].tolist())) < self.tiny:
-                y1 = self._flush(y, y1)  # aheads[j] keeps the sample's own step
-            nxt, k, to = min(k + self.stride, self.nsteps), k + 1, None
-            while k < nxt:  # the last product lands on the next instant's state
-                q = self.power if nxt - k >= self.power else 1
-                to = states[j + 1] if k + q == nxt and j < last else None
-                y1, k = self._advance(y1, q, k, to), k + q
-            if to is None and j < last:
-                states[j + 1] = y1
-        self.y = y1.copy()
+        def block(matrices, part):  # the matrices, their outputs, the inputs they read
+            used = matrices[:, part].any(axis=(0, 1))
+            return np.ascontiguousarray(matrices[:, part][:, :, used]), outs[part], ins[used]
+
+        common = (corr == corr[:1]).all(axis=(0, 2))
+        self.common, self.own = block(corr[:1], common), block(corr, ~common)
+        self.pad = np.flatnonzero((t - 1) * c + self.xl >= nx) * t + t - 1  # beyond the last node
+        self._forcing(sim, q, end_reach)
+
+    def tiled(self, levels):
+        """(rows, 3, nx) output levels as (3c, tiles, rows) entries."""
+        c, t = self.c, self.tiles
+        pad = np.zeros((*levels.shape[:2], c * t), levels.dtype)
+        pad[..., :levels.shape[2]] = levels
+        return pad[:, self.ol[:, None], self.xl[:, None] + c * np.arange(t)].transpose(1, 2, 0)
+
+    def _forcing(self, sim: Simulation, q: int, reach: int):
+        """Columns [Re G_w..., -Im G_w...] of the q-step response G_w of all
+        channels at each frequency w, on the output entries `reached` (within
+        `reach` nodes of a loaded node): the response from step k is their
+        product with [cos(w k dt)..., sin(w k dt)...].  The loads of one
+        spatial pattern share the q states that follow its unit load, so a
+        pattern costs q steps whatever its frequencies."""
+        rows, nx, c, n_w = self.rows, sim.grid.nx, self.c, self.omegas.size
+        loaded = np.zeros(self.tiles * c)
+        for (channel, _), (shape, _) in sim._loads.items():  # psi0 at node 0, psi1 at nx - 1
+            loaded[np.flatnonzero(shape) if channel == 2 else (nx - 1) * channel] = 1.0
+        near = np.convolve(loaded, np.ones(2 * reach + 1), "same") > 0
+        reached = near[self.xl[:, None] + c * np.arange(self.tiles)].ravel()
+        # a slice adds to every entry several times faster than an index
+        self.reached = slice(None) if reached.all() else np.flatnonzero(reached)
+        self.force = np.zeros((2 * n_w, reached.sum() * rows))
+        stepper, zero = _Stepper(sim.grid, sim.gains, sim._lam), np.zeros((rows, nx))
+        for (channel, _), (shape, by_w) in sim._loads.items():
+            unit = [None, None, None]  # on every row
+            unit[channel] = np.tile(shape, (rows, 1)) if channel == 2 else np.ones(rows)
+            states = [(stepper.step(zero, zero, *unit), zero)]  # the load's own step
+            for _ in range(q - 1):  # j steps on: the load of step q - 1 - j
+                u, up = states[-1]
+                states.append((stepper.step(u, up), u))
+            states = np.array(states)
+            for w, loads in by_w.items():
+                a = np.zeros(rows - 1, complex)
+                for follower, amplitude in loads:
+                    a[follower] += amplitude
+                a = np.r_[0.0, sim._q.T @ a][:, None, None]  # per modal row; the leader unloaded
+                g = np.tensordot(np.exp(1j * w * self.dt * np.arange(q - 1, -1, -1)), states, 1)
+                g = self.tiled(a * np.concatenate([states[0, :1], g]).transpose(1, 0, 2))
+                g = g.reshape(-1, rows)[self.reached].ravel()
+                i = np.searchsorted(self.omegas, w)
+                self.force[i] += g.real
+                self.force[n_w + i] -= g.imag
+
+    def apply(self, x, out, k: int):
+        """One product from step k: `out` gets u^(k+1) and the state q steps
+        on (3c x tiles*rows) of the state whose left, centre and right tiles
+        are stacked in `x` (6c x tiles*rows)."""
+        c, rows = self.c, self.rows
+        np.matmul(self.k, x, out=out)
+        o = out.reshape(-1, rows)
+        centre = x[2 * c:4 * c].reshape(-1, rows)
+        corr, to, frm = self.common
+        o[to] += corr[0] @ centre[frm]
+        corr, to, frm = self.own
+        o[to] += np.matmul(corr, centre[frm].T[:, :, None])[:, :, 0].T
+        if self.force.size:
+            ph = self.omegas * (k * self.dt)
+            o[self.reached] += (np.r_[np.cos(ph), np.sin(ph)] @ self.force).reshape(-1, rows)
+        o[self.pad] = 0.0
 
 
 class Simulation:
@@ -487,10 +513,9 @@ class Simulation:
 
     The state is the rows [leader, mode_1 .. mode_n] (two time levels
     each), the modes being the deviation fields projected on the
-    eigenvectors Q of the pinned matrix, followed by one cos and one sin
-    phase slot per distinct disturbance frequency.  A run builds the
-    rows' operators (`_RowGroup`); the network keeps their eigenvalues and
-    the sparse forcing columns."""
+    eigenvectors Q of the pinned matrix.  A run builds the rows'
+    operators (`_Propagator`); the network keeps their eigenvalues and
+    the disturbance loads by spatial pattern and frequency."""
 
     def __init__(self, topology: Topology | None, gains: ControlGains,
                  grid: Grid, profiles, dist: DisturbanceSpec | None = None):
@@ -508,50 +533,22 @@ class Simulation:
         lam, self._q = np.linalg.eigh(self.m) if self.n else (np.zeros(0), np.zeros((0, 0)))
         u, up = state.u_curr, state.u_prev
         self._y0 = np.stack([np.vstack([u[0], self._q.T @ (u[1:] - u[0])]),
-                             np.vstack([up[0], self._q.T @ (up[1:] - up[0])])],
-                            axis=1).ravel()
+                             np.vstack([up[0], self._q.T @ (up[1:] - up[0])])], axis=1)
         self._lam = np.concatenate([[0.0], lam])  # of the rows [leader, modes]
-        self._omegas, self._forcing = self._forced_step(_Stepper(grid, gains, lam))
-        # the phase rotation [[cos, -sin], [sin, cos]](w dt) as triplets,
-        # without the zeros of sin(0 dt)
-        n_w = self._omegas.size
-        c, sn = np.cos(self._omegas * grid.dt), np.sin(self._omegas * grid.dt)
-        k = np.arange(n_w)
-        r, j = np.concatenate([k, k, k + n_w, k + n_w]), np.concatenate([k, k + n_w, k, k + n_w])
-        v = np.concatenate([c, -sn, sn, c])
-        self._rotation = sparse.csr_matrix((v[v != 0], (r[v != 0], j[v != 0])),
-                                           shape=(2 * n_w, 2 * n_w))
-
-    def _forced_step(self, modes: _Stepper):
-        """Distinct angular frequencies w and the one-step load of all
-        channels at each w, as sparse real columns [Re F_w..., -Im F_w...]
-        (state layout, leader row zero) built one w at a time: the load of
-        the step from time t is their product with [cos(w t)..., sin(w t)...]."""
-        n, nx = self.n, self.grid.nx
-        loads = {}  # w -> [(channel, follower, physical complex amplitude)]
+        # the loads by spatial pattern, (channel psi0/psi1/f, f shape bytes) ->
+        # (f shape, {w: [(follower, complex amplitude)]})
+        self._loads = {}
         for i, f in enumerate(self.dist.f):
             for channel, sig in enumerate((self.dist.psi0[i], self.dist.psi1[i],
                                            f.temporal if f.kind == "separable" else None)):
                 if sig is not None and sig.kind == "sinusoid":
-                    shape = eval_profile(f.spatial, self.grid.points) if channel == 2 else 1.0
-                    loads.setdefault(sig.angular_frequency, []).append(
-                        (channel, i, sig.amplitude * np.exp(1j * sig.phase) * shape))
-        omegas = np.array(sorted(loads), dtype=float)
-        columns = ([], [])  # (state indices, values) of the Re and the -Im columns
-        zero = np.zeros((n, nx))
-        for w in omegas:
-            load = [np.zeros(n, complex), np.zeros(n, complex), np.zeros((n, nx), complex)]
-            for channel, i, a in loads[w]:
-                load[channel][i] += a
-            modal = [self._q.T @ a for a in load]
-            for part, col in zip(columns, (modes.step(zero, zero, *(a.real for a in modal)),
-                                           -modes.step(zero, zero, *(a.imag for a in modal)))):
-                r, x = np.nonzero(col)
-                part.append(((r + 1) * 2 * nx + x, col[r, x]))  # level u^k of row r + 1
-        index, value = zip((np.zeros(0, int), np.zeros(0)), *columns[0], *columns[1])
-        return omegas, sparse.csc_matrix(
-            (np.concatenate(value), np.concatenate(index), np.cumsum([i.size for i in index])),
-            shape=((n + 1) * 2 * nx, 2 * omegas.size)).tocsr()
+                    shape = eval_profile(f.spatial, grid.points) if channel == 2 else None
+                    _, by_w = self._loads.setdefault(
+                        (channel, shape if shape is None else shape.tobytes()), (shape, {}))
+                    by_w.setdefault(sig.angular_frequency, []).append(
+                        (i, sig.amplitude * np.exp(1j * sig.phase)))
+        self._omegas = np.array(sorted({w for _, by_w in self._loads.values() for w in by_w}),
+                                dtype=float)
 
     def run(self, horizon: float, observers=(), stride: int = 10):
         """Advance to `horizon`, sampling every `stride` steps (and at the
@@ -559,29 +556,22 @@ class Simulation:
         called once per block with its samples (`SampleBlock`); observer
         failures abort the run.
 
-        The rows are probed once (`_probe`) and split into contiguous
-        groups (`_group_count`, from the row grid points advanced per
-        sample); each group assembles its own operators from its share of
-        the probe.  The first group advances on the calling thread, the
-        others on worker threads that live for this call only; all advance
-        the same block of sample instants (about _CHUNK_BYTES of fields)
-        per hand-off, each into buffers of its own.  Between samples a
-        group advances by sparse propagator powers S^p (p = stride - 1, at
-        most _MAX_POWER; the remainder and the final partial stride take
-        single steps), each with its exact forced response.  At sample
-        instants each unforced modal row whose peak fell below
-        2^-_FLUSH_BITS is set to zero for the steps after the sample, which
-        keeps a decaying error out of the slow subnormal range; observers
-        read the row as exact zero from the next sample on.  Forced rows
-        are never flushed: their forced response keeps them far above the
-        subnormal range.  After each block the calling thread copies its
-        samples out of the groups' buffers and checks them for divergence;
-        then, while the groups advance the next block, it rebuilds the
-        physical fields of the whole block in one product and calls each
-        observer once with them (so observer time overlaps stepping).
-        Observers never see a sample at or after the first diverged one."""
-        from concurrent.futures import ThreadPoolExecutor  # kept out of start-up
-
+        The rows are the columns of one x-major tiled state: tile t of row
+        r holds entry 2 x + level (u^k or u^(k-1)) of its c nodes, with a
+        zero tile on each side, and c is the reach of S^p (p = stride, at
+        most _MAX_POWER).  Each sample instant advances every row at once
+        by one product of the `_Propagator` of S^p (the remainder of a
+        longer stride and the final partial one take one product of their
+        own power), which also gives u^(k+1) for the centered sample
+        velocity; a block of sample instants (about _CHUNK_BYTES of fields)
+        is advanced, checked for divergence and handed to the observers in
+        turn, on the calling thread.  At sample instants each unforced modal
+        row whose peak fell below 2^-_FLUSH_BITS is set to zero for the
+        steps after the sample, which keeps a decaying error out of the slow
+        subnormal range; observers read the row as exact zero from the next
+        sample on.  Forced rows are never flushed: their forced response
+        keeps them far above the subnormal range.  Observers never see a
+        sample at or after the first diverged one."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if stride < 1:
@@ -589,48 +579,71 @@ class Simulation:
         nx, rows = self.grid.nx, self.n + 1
         nsteps = int(math.ceil(horizon / self.grid.dt)) if horizon > 0 else 0
         count = -(-nsteps // stride) + 1  # sample instants: every stride steps, and the last
-        power = max(1, min(stride - 1, _MAX_POWER))
-        ngroups = _group_count(rows, rows * nx * stride)
-        # the calling thread also rebuilds the samples, so its group gets a
-        # half share of the rows and each other group a full share
-        edges = [0] + [(rows * (2 * g - 1) + ngroups - 1) // (2 * ngroups - 1)
-                       for g in range(1, ngroups + 1)]
-        probe = _probe(_Stepper(self.grid, self.gains, self._lam), rows, nx)
-        size = min(_block_samples(self.n, nx), count)
-        groups = [_RowGroup(self, probe, a, b, power, stride, nsteps, size)
-                  for a, b in zip(edges, edges[1:])]
+        power = min(stride, _MAX_POWER)
+        c = _kernel(self.grid, self.gains, power)[1]
+        ops = {}
+
+        def op(q):
+            if q not in ops:
+                ops[q] = _Propagator(self, q, c)
+            return ops[q]
+
+        tiles, size = op(power).tiles, min(_block_samples(self.n, nx), count)
+        # per sample instant: the state's left, centre and right tiles, and
+        # the first product from it
+        xs, outs = np.zeros((size, 6 * c, tiles * rows)), np.empty((size, 3 * c, tiles * rows))
+        x1, out1 = np.zeros((6 * c, tiles * rows)), np.empty((3 * c, tiles * rows))
         fields = np.empty((2, size, rows, nx))  # u^k, and u^(k+1) - u^(k-1)
-        ready = None  # a gathered block not yet handed out
-        with ThreadPoolExecutor(max_workers=max(1, ngroups - 1)) as pool:
-            for j0 in range(0, count, size):
-                instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
-                futures = [pool.submit(g.advance, instants) for g in groups[1:]]
-                if ready:  # while the workers advance this block
-                    self._emit(*ready, fields, observers)
-                groups[0].advance(instants)
-                for f in futures:
-                    f.result()
-                ready = self._gather(instants, groups, fields)
-            self._emit(*ready, fields, observers)
+        forced = op(power).force.reshape(-1, rows).any(axis=0)
+        # only unforced rows are flushed; probe: per watched row, where its
+        # largest entry was last seen in the centre tiles
+        watch = probe = np.flatnonzero(~forced)
+        tiny = 2.0 ** -_FLUSH_BITS
+        y = np.zeros((rows, 2, tiles * c))
+        y[..., :nx] = self._y0
+        state = y.reshape(rows, 2, tiles, c).transpose(3, 1, 2, 0).reshape(2 * c, -1)
+        for j0 in range(0, count, size):
+            instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
+            for x, out, k in zip(xs, outs, instants):
+                nxt = min(k + stride, nsteps)
+                q = min(nxt - k, power) or power  # the last sample: only u^(k+1)
+                _spread(state, x, c, rows)
+                op(q).apply(x, out, k)
+                if k == nsteps:
+                    break
+                centre = x[2 * c:4 * c].reshape(-1, rows)
+                if probe.size and min(map(abs, centre.ravel()[probe].tolist())) < tiny:
+                    peaks = np.abs(centre[:, watch])
+                    live = peaks.max(axis=0) >= tiny
+                    out[c:].reshape(-1, rows)[:, watch[~live]] = 0.0
+                    watch = watch[live]
+                    probe = peaks[:, live].argmax(axis=0) * rows + watch
+                state, k = out[c:], k + q
+                while k < nxt:  # strides beyond _MAX_POWER and the final partial one
+                    q = min(nxt - k, power)
+                    _spread(state, x1, c, rows)
+                    op(q).apply(x1, out1, k)
+                    state, k = out1[c:], k + q
+            self._emit(*self._gather(instants, xs, outs, fields), fields, observers)
         return nsteps
 
-    def _gather(self, instants, groups, out):
-        """Copy a block's samples out of the groups' buffers, so that they
-        can advance the next block into them: u^k and u^(k+1) - u^(k-1) of
-        every row into `out`, up to the first diverged sample.  Returns the
-        instants and the number of samples kept."""
-        nx, cnt = self.grid.nx, len(instants)
-        parts = [(g.rows, *(a[:cnt, :g.dim].reshape(cnt, -1, 2, nx) for a in (g.states, g.aheads)))
-                 for g in groups]
-        peak = np.zeros(cnt)
-        for _, state, _ in parts:  # max |x| without a temporary array
-            peak = np.maximum(peak, np.maximum(state.max(axis=(1, 2, 3)), -state.min(axis=(1, 2, 3))))
+    def _gather(self, instants, xs, outs, out):
+        """Copy a block's samples out of the tiled buffers: u^k and
+        u^(k+1) - u^(k-1) of every row into `out`, up to the first diverged
+        sample.  Returns the instants and the number of samples kept."""
+        nx, rows, cnt, c = self.grid.nx, self.n + 1, len(instants), xs.shape[1] // 6
+        tiles = xs.shape[2] // rows
+        state = xs[:cnt, 2 * c:4 * c]
+        peak = np.maximum(state.max(axis=(1, 2)), -state.min(axis=(1, 2)))
         bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
         stop = int(bad[0]) if bad.size else cnt
-        cur, diff = out[:, :stop]
-        for rows, state, ahead in parts:
-            cur[:, rows] = state[:stop, :, 0]
-            np.subtract(ahead[:stop, :, 0], state[:stop, :, 1], out=diff[:, rows])
+
+        def rows_of(a):  # (samples, c, tiles * rows) -> (samples, rows, nx)
+            return a.reshape(stop, c, tiles, rows).transpose(0, 3, 2, 1).reshape(
+                stop, rows, tiles * c)[..., :nx]
+
+        out[0, :stop] = rows_of(state[:stop, 0::2])
+        out[1, :stop] = rows_of(outs[:stop, :c] - state[:stop, 1::2])
         return instants, stop
 
     def _emit(self, instants, stop, fields, observers):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from waveconsensus.certificate import (build_certificate, check_gains_perturbed,
+from waveconsensus.certificate import (MAX_RESOLUTION, build_certificate, check_gains_perturbed,
                                        check_gains_unperturbed,
                                        certificate_constants_unperturbed,
                                        consensus_bound, control_input,
@@ -297,6 +297,14 @@ class TestOptimizer:
                 "empty feasible set for the perturbed regime; tightest "
                 "constraint: xi1 < rho2 (admits 0.0% of the search box on its own)")):
             optimize_certificate("perturbed", K1, K2, C0, *spectrum, resolution=1)
+
+    def test_resolution_above_the_bound_is_refused(self, spectrum):
+        # 10^6 points per dimension would allocate terabytes of grid arrays
+        for regime in ("unperturbed", "perturbed"):
+            with pytest.raises(ValueError, match=r"^resolution: at most 1000, got 1000000$"):
+                optimize_certificate(regime, K1, K2, C0, *spectrum, resolution=1_000_000)
+        assert optimize_certificate("perturbed", K1, K2, C0, *spectrum,
+                                    resolution=MAX_RESOLUTION).mu2 > 0
 
     def test_feasible_certificates_have_positive_constants(self, spectrum):
         lam_min, lam_max = spectrum

@@ -180,6 +180,7 @@ BAD_INPUT = [
     ("certificate.regime", "fast"),
     ("certificate.resolution", 0),
     ("certificate.resolution", 10.5),
+    ("certificate.resolution", 1001),
     ("certificate.rho1", "x"),
     ("certificate.rho2", True),
     ("certificate.xi1", [0.1]),
@@ -234,7 +235,8 @@ class TestBadInput:
     @pytest.mark.parametrize("path,value", [
         ("grid.courant", 1.5), ("gains.k1", -1), ("certificate.resolution", 0),
         ("grid.nx", 201.7), ("output.stride", 10.9),
-        ("topology.adjacency[0][0]", 0.5), ("gains", "x"), ("output.stirde", 1)])
+        ("topology.adjacency[0][0]", 0.5), ("gains", "x"), ("output.stirde", 1),
+        ("certificate.resolution", 1_000_000)])
     def test_cli_exits_1_without_traceback(self, tmp_path, path, value):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(with_value(FULL, path, value)))

@@ -1,6 +1,7 @@
 import math
+import os
+import subprocess
 import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -76,13 +77,32 @@ def growing_disturbances():
             for a in (1e9, 0.0, 2e9)))
 
 
-def use_groups(monkeypatch, groups, samples_per_block=None, grid=None, n=3):
-    """Split a run into `groups` row groups, whatever the operator size and
-    the usable CPUs, and, if given, blocks of `samples_per_block` sample
-    instants."""
-    monkeypatch.setattr(wavesim, "_group_count", lambda rows, work: groups)
-    if samples_per_block is not None:
-        monkeypatch.setattr(wavesim, "_CHUNK_BYTES", 16 * n * grid.nx * samples_per_block)
+def mixed_disturbances(n):
+    """Every forcing path for n followers: psi0 and psi1 (at the end whose
+    gains scale with lam) at two distinct frequencies, and f with two
+    spatial shapes."""
+    def sig(i, w):
+        return SignalSpec(kind="sinusoid", amplitude=1.0 + i % 3, angular_frequency=w,
+                          phase=0.1 * i)
+    shapes = (ProfileSpec(kind="polynomial", coefficients=(1.0, -0.5)),
+              ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=2.0))
+    return DisturbanceSpec(
+        psi0=tuple(sig(i, (10.0, 7.0)[i % 2]) for i in range(n)),
+        psi1=tuple(sig(i, (7.0, 10.0)[i % 2]) for i in range(n)),
+        f=tuple(SpaceTimeSpec(kind="separable", temporal=sig(i, (10.0, 7.0)[i % 2]),
+                              spatial=shapes[i % 2]) for i in range(n)))
+
+
+def varied_profiles(n):
+    """Moving leader and followers, each with its own shape."""
+    return [(ProfileSpec(kind="cosine", amplitude=1.0 + i, spatial_frequency=1.0 + i % 3),
+             ProfileSpec(kind="polynomial", coefficients=(0.0, 0.1 * i)))
+            for i in range(n + 1)]
+
+
+def use_blocks(monkeypatch, samples_per_block, grid, n=3):
+    """Blocks of `samples_per_block` sample instants for an n-follower run."""
+    monkeypatch.setattr(wavesim, "_CHUNK_BYTES", 16 * n * grid.nx * samples_per_block)
 
 
 def path_topology(n):
@@ -91,18 +111,12 @@ def path_topology(n):
     return build_topology(path.tolist(), [1] + [0] * (n - 1))
 
 
-def worker_threads(n, nx):
-    """Threads a short run of an n-follower path network at nx grid points
-    holds besides those alive before it, seen from its observers."""
-    topo = path_topology(n)
-    profiles = [(ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=1.0),
-                 ProfileSpec())] * (n + 1)
-    grid = Grid(nx=nx)
-    sim = Simulation(topo, GAINS, grid, profiles)
-    before, seen = threading.active_count(), []
-    sim.run(200 * grid.dt, observers=(lambda block: seen.append(threading.active_count()),))
-    assert threading.active_count() == before
-    return max(seen) - before
+def fresh_process(code):
+    """stdout of `code` run by a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavesim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
 
 def snapshot(sp):
@@ -131,8 +145,8 @@ SHIFTED_SUPS = (
 )
 
 
-# one group, two, and one per row of the three-follower network
-GROUPS = (1, 2, 4)
+# samples per block: one, and blocks across which the run's state carries
+BLOCKS = (1, 2, 4)
 
 
 def constant_profiles(values, n_agents):
@@ -305,118 +319,119 @@ class TestSimulate:
         assert len(series) == 1
         assert series.times[0] == 0.0
 
-    @pytest.mark.parametrize("stride", (1, 7, 10, 37))
+    @pytest.mark.parametrize("stride", (1, 2, 7, 10, 17, 37, 40))
     def test_matches_reference_step_iteration(self, path3_topology, stride):
-        grid = Grid(nx=81)
-        m = pinned_matrix(path3_topology)
-        dist = heterogeneous_disturbances()
-        for profiles in (reference_profiles(), resting_leader_profiles()):
-            snaps = []
-            sim = Simulation(path3_topology, GAINS, grid, profiles, dist)
-            # 83 steps: no multiple of any stride, and more than two 16-step powers
-            nsteps = sim.run(83 * grid.dt, observers=(lambda b: snaps.extend(samples(b)),),
-                             stride=stride)
-            assert nsteps in (83, 84)
-            assert [sp.step_index for sp in snaps] == [*range(0, nsteps, stride), nsteps]
-            state = init_state(grid, profiles, GAINS, m, dist)
-            states = [state]
-            for _ in range(nsteps + 1):
-                states.append(step(states[-1], GAINS, m, dist, grid))
-            for sp in snaps:
-                k = sp.step_index
-                ref = states[k]
-                dev = ref.u_curr[1:] - ref.u_curr[0]
-                scale = max(np.max(np.abs(dev)), 1.0)
-                assert np.max(np.abs(sp.error - dev)) < 1e-11 * scale
-                assert np.max(np.abs(sp.leader - ref.u_curr[0])) < 1e-11 * 10.0
-                vel = (states[k + 1].u_curr - ref.u_prev) / (2.0 * grid.dt)
-                dev_vel = vel[1:] - vel[0]
-                vscale = max(np.max(np.abs(dev_vel)), 1.0)
-                assert np.max(np.abs(sp.error_vel - dev_vel)) < 1e-10 * vscale
-                assert np.max(np.abs(sp.leader_vel - vel[0])) < 1e-10 * vscale
+        # 83 steps: a final partial stride for every stride but 1, and more
+        # than two 16-step powers; grids at or below the tile width have no
+        # interior tile; a resting leader is an all-zero row; 1 and 25
+        # followers carry every forcing path
+        networks = [(path3_topology, reference_profiles(), heterogeneous_disturbances()),
+                    (path3_topology, resting_leader_profiles(), heterogeneous_disturbances()),
+                    *((path_topology(n), varied_profiles(n), mixed_disturbances(n))
+                      for n in (1, 25))]
+        for nx in (3, 7, 21, 101):
+            grid = Grid(nx=nx)
+            for topo, profiles, dist in networks:
+                case = f"nx={nx}, n={topo.n}"
+                m = pinned_matrix(topo)
+                snaps = []
+                sim = Simulation(topo, GAINS, grid, profiles, dist)
+                nsteps = sim.run(82.5 * grid.dt, observers=(lambda b: snaps.extend(samples(b)),),
+                                 stride=stride)
+                assert nsteps == 83, case
+                assert [sp.step_index for sp in snaps] == [*range(0, nsteps, stride), nsteps]
+                states = [init_state(grid, profiles, GAINS, m, dist)]
+                for _ in range(nsteps + 1):
+                    states.append(step(states[-1], GAINS, m, dist, grid))
+                for sp in snaps:
+                    k = sp.step_index
+                    ref = states[k]
+                    dev = ref.u_curr[1:] - ref.u_curr[0]
+                    scale = max(np.max(np.abs(dev)), 1.0)
+                    assert np.max(np.abs(sp.error - dev)) < 1e-11 * scale, case
+                    assert np.max(np.abs(sp.leader - ref.u_curr[0])) < 1e-11 * 10.0, case
+                    vel = (states[k + 1].u_curr - ref.u_prev) / (2.0 * grid.dt)
+                    dev_vel = vel[1:] - vel[0]
+                    vscale = max(np.max(np.abs(dev_vel)), 1.0)
+                    assert np.max(np.abs(sp.error_vel - dev_vel)) < 1e-10 * vscale, case
+                    assert np.max(np.abs(sp.leader_vel - vel[0])) < 1e-10 * vscale, case
 
     @pytest.mark.parametrize("stride", (1, 7, 10, 37))
-    def test_row_groups_give_bit_identical_samples(self, path3_topology, monkeypatch, stride):
-        # 83 steps end on a partial stride; three samples per block make
-        # every run span several blocks, and frequent thread switches mix
-        # the groups' work on the shared buffer; a resting leader is an
-        # all-zero row
+    def test_block_size_gives_bit_identical_samples(self, path3_topology, monkeypatch, stride):
+        # 83 steps end on a partial stride; with one, three or the default
+        # number of samples per block, every run spans several blocks; a
+        # resting leader is an all-zero row
         grid = Grid(nx=81)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for profiles in (reference_profiles(), resting_leader_profiles()):
-                runs = {}
-                for groups in GROUPS:
-                    use_groups(monkeypatch, groups, 3, grid)
-                    snaps = []
-                    Simulation(path3_topology, GAINS, grid, profiles,
-                               heterogeneous_disturbances()).run(
-                        83 * grid.dt, stride=stride,
-                        observers=(each_sample(lambda sp: snaps.append(snapshot(sp))),))
-                    runs[groups] = snaps
-                assert len(runs[1]) > 3 and runs[1][-1][0] in (83, 84)
-                assert runs[2] == runs[1] and runs[4] == runs[1]
-        finally:
-            sys.setswitchinterval(interval)
+        for profiles in (reference_profiles(), resting_leader_profiles()):
+            runs = {}
+            for per_block in (None, 1, 3):  # the default first
+                if per_block:
+                    use_blocks(monkeypatch, per_block, grid)
+                snaps = []
+                Simulation(path3_topology, GAINS, grid, profiles,
+                           heterogeneous_disturbances()).run(
+                    83 * grid.dt, stride=stride,
+                    observers=(each_sample(lambda sp: snaps.append(snapshot(sp))),))
+                runs[per_block] = snaps
+            assert len(runs[1]) > 3 and runs[1][-1][0] in (83, 84)
+            assert runs[3] == runs[1] and runs[None] == runs[1]
 
     def test_divergence_inside_a_block(self, path3_topology, monkeypatch):
         # observers see exactly the samples before the first diverged one,
-        # whatever the grouping; no worker thread outlives the run
+        # whatever the block size
         grid = Grid(nx=101)
         gains = ControlGains(k1=0.0, k2=0.0, c0=0.0)
         seen, index = {}, {}
-        for groups in GROUPS:
-            use_groups(monkeypatch, groups, 8, grid)
-            threads = threading.active_count()
+        for per_block in (8, *BLOCKS):
+            use_blocks(monkeypatch, per_block, grid)
             snaps = []
             with pytest.raises(DivergenceError) as err:
                 Simulation(path3_topology, gains, grid, reference_profiles(),
                            growing_disturbances()).run(
                     100.0, observers=(lambda b: snaps.extend(b.steps.tolist()),), stride=10)
-            assert threading.active_count() == threads
-            seen[groups], index[groups] = snaps, err.value.step_index
-        k = index[1]
+            seen[per_block], index[per_block] = snaps, err.value.step_index
+        k = index[8]
         # the check at sample instants first fails at step 3710 (t = 33.4 s),
-        # which is not the first sample of a block
+        # which is not the first sample of a block of eight
         assert k == 3710 and (k // 10) % 8 != 0
-        assert seen[1] == list(range(0, k, 10))
-        assert all(seen[g] == seen[1] and index[g] == k for g in GROUPS)
+        assert seen[8] == list(range(0, k, 10))
+        assert all(seen[b] == seen[8] and index[b] == k for b in BLOCKS)
 
-    @pytest.mark.parametrize("groups", GROUPS)
-    def test_observer_failure_names_its_step(self, path3_topology, monkeypatch, groups):
+    @pytest.mark.parametrize("per_block", BLOCKS)
+    def test_observer_failure_names_its_step(self, path3_topology, monkeypatch, per_block):
         grid = Grid(nx=51)
-        use_groups(monkeypatch, groups, 4, grid)
-        threads = threading.active_count()
+        use_blocks(monkeypatch, per_block, grid)
         sim = Simulation(path3_topology, GAINS, grid, reference_profiles(),
                          heterogeneous_disturbances())
         assert sim.run(60 * grid.dt, stride=5) == 60
-        assert threading.active_count() == threads
 
         def fail_at_30(block):
             if 30 in block.steps:
                 raise ValueError("observer bug")
 
-        # four samples per block: steps 20, 25, 30 and 35
-        with pytest.raises(RuntimeError, match="failed on the block of steps 20 to 35") as err:
+        # step 30 is sample 6, so its block starts at sample 6 // b * b
+        first = 6 // per_block * per_block * 5
+        with pytest.raises(RuntimeError, match=f"failed on the block of steps {first} to "
+                                               f"{first + 5 * (per_block - 1)}") as err:
             sim.run(60 * grid.dt, observers=(fail_at_30,), stride=5)
         assert isinstance(err.value.__cause__, ValueError)
-        assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("groups", GROUPS)
+    @pytest.mark.parametrize("per_block", BLOCKS)
     def test_observers_get_each_block_once_and_never_empty(self, path3_topology, monkeypatch,
-                                                         groups):
-        # seven samples per block: the first diverged sample (step 3710, the
-        # 372nd) opens block 54, which reaches no observer
+                                                           per_block):
+        # the first diverged sample (step 3710, the 372nd) ends the run: the
+        # samples before it arrive in full blocks, then in one shorter block
+        # unless it opens a block, which then reaches no observer
         grid = Grid(nx=101)
-        use_groups(monkeypatch, groups, 7, grid)
+        use_blocks(monkeypatch, per_block, grid)
         blocks = []
         with pytest.raises(DivergenceError) as err:
             Simulation(path3_topology, ControlGains(k1=0.0, k2=0.0, c0=0.0), grid,
                        reference_profiles(), growing_disturbances()).run(
                 100.0, observers=(blocks.append,), stride=10)
-        assert err.value.step_index == 3710 and len(blocks) == 53
-        assert all(b.steps.size == 7 and type(b.step_index) is int
+        assert err.value.step_index == 3710 and len(blocks) == -(-371 // per_block)
+        assert all(b.steps.size == per_block for b in blocks[:-1])
+        assert all(0 < b.steps.size and type(b.step_index) is int
                    and b.step_index == b.steps[-1] for b in blocks)
         assert np.concatenate([b.steps for b in blocks]).tolist() == list(range(0, 3710, 10))
 
@@ -425,18 +440,15 @@ class TestSimulate:
         # Q y of a whole block in one product gives the bits of one product
         # per sample; the larger networks span several blocks
         grid = Grid(nx=nx)
-        profiles = [(ProfileSpec(kind="cosine", amplitude=1.0 + i, spatial_frequency=1.0 + i % 3),
-                     ProfileSpec(kind="polynomial", coefficients=(0.0, 0.1 * i)))
-                    for i in range(n + 1)]
         gather, modal, blocks = Simulation._gather, [], []
 
-        def spy(self, instants, groups, out):  # the modal fields of each block
-            instants, stop = gather(self, instants, groups, out)
+        def spy(self, instants, xs, outs, out):  # the modal fields of each block
+            instants, stop = gather(self, instants, xs, outs, out)
             modal.append((self._q, out[:, :stop].copy()))
             return instants, stop
 
         monkeypatch.setattr(Simulation, "_gather", spy)
-        Simulation(path_topology(n), GAINS, grid, profiles).run(
+        Simulation(path_topology(n), GAINS, grid, varied_profiles(n)).run(
             30 * grid.dt, observers=(blocks.append,), stride=1)
         assert len(blocks) == len(modal) and sum(b.steps.size for b in blocks) >= 31
         for (q, fields), b in zip(modal, blocks):
@@ -445,12 +457,12 @@ class TestSimulate:
                 assert b.error[j].tobytes() == cur.tobytes()
                 assert b.error_vel[j].tobytes() == diff.tobytes()
 
-    @pytest.mark.parametrize("groups", GROUPS)
+    @pytest.mark.parametrize("per_block", BLOCKS)
     def test_disturbance_sups_match_the_per_sample_values(self, path3_topology, monkeypatch,
-                                                          groups):
-        # three samples per block: the running sups carry across blocks
+                                                          per_block):
+        # the running sups carry across blocks
         grid = Grid(nx=81)
-        use_groups(monkeypatch, groups, 3, grid)
+        use_blocks(monkeypatch, per_block, grid)
         series = simulate(path3_topology, GAINS, grid, reference_profiles(),
                           phase_shifted(heterogeneous_disturbances(), 2.0), 400 * grid.dt)
         assert len(series) == 42
@@ -460,34 +472,48 @@ class TestSimulate:
                 expected[i:] = value
             assert series.column(name).tobytes() == expected.tobytes(), name
 
-    @pytest.mark.parametrize("cpus", (1, 2, 8))
-    def test_row_groups_follow_the_operator_size(self, monkeypatch, cpus):
-        # three followers at the preset grid run as one group; 24 at 101
-        # points as two when two CPUs are usable, and never more than two
-        monkeypatch.setattr(wavesim, "_usable_cpus", lambda: cpus)
-        assert worker_threads(3, 201) == 0
-        assert worker_threads(24, 101) == min(cpus, 2) - 1
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy.sparse alone costs about 0.23 s and 22 MB of start-up
+        assert fresh_process("import sys, waveconsensus.cli; print('scipy' in sys.modules)"
+                             ).split() == ["False"]
 
-    def test_one_usable_cpu_starts_no_thread(self):
-        # reads the real affinity mask: under `taskset -c 0` the large
-        # network runs inline too
-        assert worker_threads(24, 101) == min(wavesim._usable_cpus(), 2) - 1
+    def test_run_starts_no_thread(self):
+        # a 24-follower network at 101 grid points advances on the calling
+        # thread alone
+        seen = fresh_process("""
+import threading
+from waveconsensus.graph import build_topology
+from waveconsensus.signals import ProfileSpec
+from waveconsensus.wavesim import ControlGains, Grid, Simulation
+n = 24
+topo = build_topology([[int(abs(i - j) == 1) for j in range(n)] for i in range(n)],
+                      [1] + [0] * (n - 1))
+grid, seen = Grid(nx=101), [threading.active_count()]
+Simulation(topo, ControlGains(30.0, 10.0, 2.5), grid,
+           [(ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=1.0),
+             ProfileSpec())] * (n + 1)).run(
+    200 * grid.dt, observers=(lambda block: seen.append(threading.active_count()),))
+print(*seen, threading.active_count())
+""").split()
+        assert len(seen) > 2 and set(seen) == {"1"}
 
-    @pytest.mark.parametrize("groups", GROUPS)
-    def test_flush_zeroes_only_decayed_unforced_rows(self, path3_topology, monkeypatch, groups):
+    @pytest.mark.parametrize("per_block", BLOCKS)
+    def test_flush_zeroes_only_decayed_unforced_rows(self, path3_topology, monkeypatch,
+                                                     per_block):
         # with a threshold of 2^-2, undisturbed modal rows decay below it and
         # are flushed; from rest, the forced response is below it for a
         # while, but forced rows are never flushed
         grid = Grid(nx=81)
-        use_groups(monkeypatch, groups, 4, grid)
+        use_blocks(monkeypatch, per_block, grid)
         gather, modal, peaks, bits = Simulation._gather, [], [], wavesim._FLUSH_BITS
 
-        def spy(self, instants, groups, out):  # the modal fields of each block
-            instants, stop = gather(self, instants, groups, out)
+        def spy(self, instants, xs, outs, out):  # the modal fields of each block
+            instants, stop = gather(self, instants, xs, outs, out)
             modal.append(out[:, :stop].copy())
-            # each row's peak over both levels of its state, as the flush reads it
-            peaks.append(np.hstack([np.abs(g.states[:stop, :g.dim].reshape(stop, -1, g.off))
-                                    .max(axis=2) for g in groups]))
+            # each row's peak over both levels of its state, as the flush
+            # reads it: the centre tiles, (entry, tile) x row
+            c, rows = xs.shape[1] // 6, self.n + 1
+            peaks.append(np.abs(xs[:stop, 2 * c:4 * c].reshape(stop, -1, rows)).max(axis=1))
             return instants, stop
 
         monkeypatch.setattr(Simulation, "_gather", spy)
@@ -517,13 +543,13 @@ class TestSimulate:
             assert plain[:, :j, row].tobytes() == flushed[:, :j, row].tobytes()
             assert not flushed[:, j:, row].any()
 
-    @pytest.mark.parametrize("groups", GROUPS)
+    @pytest.mark.parametrize("per_block", BLOCKS)
     def test_undisturbed_error_decays_past_the_subnormal_range(self, path3_topology,
-                                                               monkeypatch, groups):
+                                                               monkeypatch, per_block):
         # unflushed, the stored error would stall near 1e-322; flushed, each
         # modal row reads exact zero once its peak falls below 2^-600
         grid = Grid(nx=21)
-        use_groups(monkeypatch, groups)
+        use_blocks(monkeypatch, per_block, grid)
         peaks = []
         Simulation(path3_topology, GAINS, grid, reference_profiles()).run(
             4800.0, observers=(each_sample(lambda sp: peaks.append(np.max(np.abs(sp.error)))),))
@@ -582,7 +608,8 @@ class TestSimulate:
 
     def test_distinct_frequencies_build_in_linear_memory(self):
         # one psi0 frequency per follower loads every mode at each frequency,
-        # but the forcing columns are built sparse, one frequency at a time
+        # but a network keeps only the physical loads; a run builds the
+        # forced response one spatial pattern at a time
         n, grid = 200, Grid(nx=101)
         topo = path_topology(n)
         profiles = [(ProfileSpec(), ProfileSpec())] * (n + 1)
@@ -593,13 +620,13 @@ class TestSimulate:
             tracemalloc.start()
             try:
                 sim = Simulation(topo, GAINS, grid, profiles, dist)
-                return tracemalloc.get_traced_memory()[1], sim._forcing.nnz
+                return tracemalloc.get_traced_memory()[1], sim._omegas.size
             finally:
                 tracemalloc.stop()
 
-        shared, shared_nnz = build_peak([10.0] * n)
-        distinct, distinct_nnz = build_peak(10.0 + np.arange(n))
-        assert distinct_nnz == n * shared_nnz
+        shared, shared_count = build_peak([10.0] * n)
+        distinct, distinct_count = build_peak(10.0 + np.arange(n))
+        assert (shared_count, distinct_count) == (1, n)
         assert distinct <= 1.5 * shared
 
     def test_divergence_reports_step_index(self, path3_topology):
