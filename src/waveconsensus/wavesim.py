@@ -28,8 +28,9 @@ propagator and differ only where the boundaries reach.  `Simulation.run`
 keeps them as the columns of one tiled state and advances every row at
 once, one sample instant per product: a dense tile product (BLAS) with
 the q-step interior stencil, plus each row's correction on the two end
-windows and the exact forced response of each distinct disturbance
-frequency w (two phase columns per w).  The same product gives the step
+windows and the exact forced response of the disturbances (two phase
+columns per distinct frequency, or with many frequencies a column per
+step of the product).  The same product gives the step
 after the sample, for the centered sample velocity.  All of it is probed
 from the one-step stencil; a sample costs O(rows nx stride) and runs on
 the calling thread.  An unforced modal row whose peak decays below
@@ -373,19 +374,19 @@ def _block_samples(n: int, nx: int) -> int:
 
 class _Propagator:
     """The stacked operator [S^1 (u level only); S^q] of all rows of a run
-    on the tiled state (see `Simulation.run`), with tile width c >= its
-    reach.  Output tile entries are u^(k+1) at the c nodes, then the state
-    q steps on.  Everything is probed from `_Stepper`: the interior tile
-    block `k` (3c x 6c, shared by all rows) from the q-step stencil, the
-    rows' corrections on the end windows that the boundaries reach (`common`
-    to all rows, and each row's `own`), and the forced response of each
-    distinct frequency on the entries it reaches."""
+    on the tiled state (see `Simulation.run`), with tile width c >= the
+    reach of the q-step stencil `kernel` (`_kernel`).  Output tile entries
+    are u^(k+1) at the c nodes, then the state q steps on.  Everything is
+    probed from `_Stepper`: the interior tile block `k` (3c x 6c, shared by
+    all rows) from the stencil, each row's correction on the end windows
+    that the boundaries reach, and the forced response on the entries the
+    loads reach."""
 
-    def __init__(self, sim: Simulation, q: int, c: int):
+    def __init__(self, sim: Simulation, q: int, kernel, c: int):
         grid, gains, lam, nx = sim.grid, sim.gains, sim._lam, sim.grid.nx
-        self.c, self.rows, self.tiles = c, lam.size, -(-nx // c)
+        self.c, self.rows, self.tiles, self.q = c, lam.size, -(-nx // c), q
         self.dt, self.omegas = grid.dt, sim._omegas
-        kern, reach = _kernel(grid, gains, q)
+        kern, reach = kernel
         # (level, node within the tile) of each output and each input entry
         self.ol = np.r_[np.zeros(c, int), np.tile([1, 2], c)]
         self.xl = np.r_[np.arange(c), np.repeat(np.arange(c), 2)]
@@ -432,17 +433,9 @@ class _Propagator:
         corr = corr * (abs(d) <= end_reach) - stencil(ol_o[:, None], il_w, d)
         # entries as rows of the (entry, tile) x row layout
         t = self.tiles
-        outs = np.where(ol_o == 0, x_o % c, c + 2 * (x_o % c) + ol_o - 1) * t + x_o // c
-        ins = (2 * (x_w % c) + il_w) * t + x_w // c
-        # one product for the outputs whose correction is the same on every
-        # row (most of them at the x=0 end), one per row for the others
-
-        def block(matrices, part):  # the matrices, their outputs, the inputs they read
-            used = matrices[:, part].any(axis=(0, 1))
-            return np.ascontiguousarray(matrices[:, part][:, :, used]), outs[part], ins[used]
-
-        common = (corr == corr[:1]).all(axis=(0, 2))
-        self.common, self.own = block(corr[:1], common), block(corr, ~common)
+        self.outs = np.where(ol_o == 0, x_o % c, c + 2 * (x_o % c) + ol_o - 1) * t + x_o // c
+        self.ins = (2 * (x_w % c) + il_w) * t + x_w // c
+        self.corr = corr
         self.pad = np.flatnonzero((t - 1) * c + self.xl >= nx) * t + t - 1  # beyond the last node
         self._forcing(sim, q, end_reach)
 
@@ -454,41 +447,58 @@ class _Propagator:
         return pad[:, self.ol[:, None], self.xl[:, None] + c * np.arange(t)].transpose(1, 2, 0)
 
     def _forcing(self, sim: Simulation, q: int, reach: int):
-        """Columns [Re G_w..., -Im G_w...] of the q-step response G_w of all
-        channels at each frequency w, on the output entries `reached` (within
-        `reach` nodes of a loaded node): the response from step k is their
-        product with [cos(w k dt)..., sin(w k dt)...].  The loads of one
-        spatial pattern share the q states that follow its unit load, so a
-        pattern costs q steps whatever its frequencies."""
-        rows, nx, c, n_w = self.rows, sim.grid.nx, self.c, self.omegas.size
-        loaded = np.zeros(self.tiles * c)
+        """The forced response of every row on the output entries `reached`
+        (within `reach` nodes of a loaded node), as the columns `basis`
+        against coefficients of step k (see `apply`).  A spatial pattern of
+        loads costs the q steps that follow its unit load, whatever its
+        frequencies.  With few frequencies (2 n_w at most q per pattern) the
+        columns are [Re G_w..., -Im G_w...], the response G_w of all
+        patterns and rows at frequency w, against [cos(w k dt)...,
+        sin(w k dt)...]; otherwise each row has its own columns, every
+        pattern's responses to unit loads at the q steps, against the row's
+        modal loads at those steps (from `amp`, by frequency).  Either way
+        a row keeps at most q columns per pattern."""
+        rows, nx, c, t = self.rows, sim.grid.nx, self.c, self.tiles
+        self.forced, self.basis, self.amp = np.zeros(rows, bool), None, None
+        if not sim._loads:
+            return
+        loaded = np.zeros(t * c)
         for (channel, _), (shape, _) in sim._loads.items():  # psi0 at node 0, psi1 at nx - 1
             loaded[np.flatnonzero(shape) if channel == 2 else (nx - 1) * channel] = 1.0
-        near = np.convolve(loaded, np.ones(2 * reach + 1), "same") > 0
-        reached = near[self.xl[:, None] + c * np.arange(self.tiles)].ravel()
+        near = np.convolve(loaded, np.ones(2 * reach + 1))[reach:reach + loaded.size] > 0
+        reached = near[self.xl[:, None] + c * np.arange(t)].ravel()
         # a slice adds to every entry several times faster than an index
         self.reached = slice(None) if reached.all() else np.flatnonzero(reached)
-        self.force = np.zeros((2 * n_w, reached.sum() * rows))
         stepper, zero = _Stepper(sim.grid, sim.gains, sim._lam), np.zeros((rows, nx))
+        resp, amp = [], []  # per pattern
         for (channel, _), (shape, by_w) in sim._loads.items():
             unit = [None, None, None]  # on every row
             unit[channel] = np.tile(shape, (rows, 1)) if channel == 2 else np.ones(rows)
             states = [(stepper.step(zero, zero, *unit), zero)]  # the load's own step
-            for _ in range(q - 1):  # j steps on: the load of step q - 1 - j
+            for _ in range(q - 1):
                 u, up = states[-1]
                 states.append((stepper.step(u, up), u))
-            states = np.array(states)
+            r = np.zeros((q, 3, rows, nx))  # the outputs after the load of step k + j
+            r[:, 1:] = states[::-1]
+            r[0, 0] = states[0][0]
+            resp.append(r.transpose(0, 2, 1, 3))
+            a = np.zeros((self.omegas.size, rows - 1), complex)
             for w, loads in by_w.items():
-                a = np.zeros(rows - 1, complex)
                 for follower, amplitude in loads:
-                    a[follower] += amplitude
-                a = np.r_[0.0, sim._q.T @ a][:, None, None]  # per modal row; the leader unloaded
-                g = np.tensordot(np.exp(1j * w * self.dt * np.arange(q - 1, -1, -1)), states, 1)
-                g = self.tiled(a * np.concatenate([states[0, :1], g]).transpose(1, 0, 2))
-                g = g.reshape(-1, rows)[self.reached].ravel()
-                i = np.searchsorted(self.omegas, w)
-                self.force[i] += g.real
-                self.force[n_w + i] -= g.imag
+                    a[np.searchsorted(self.omegas, w), follower] += amplitude
+            amp.append(np.c_[np.zeros(self.omegas.size), a @ sim._q])  # the leader unloaded
+        resp, amp = np.array(resp), np.array(amp)  # (pattern, j, row, level, x), (pattern, w, row)
+        self.forced = amp.any(axis=(0, 1))
+        n_w, m = self.omegas.size, len(resp) * q
+        if 2 * n_w <= m:
+            lag = np.exp(1j * self.dt * np.outer(self.omegas, np.arange(q)))
+            g = np.einsum("pwjr,pjrlx->wrlx", amp[:, :, None] * lag[:, :, None], resp)
+            g = self.tiled(g.reshape(-1, 3, nx)).reshape(-1, n_w, rows)[self.reached]
+            g = np.concatenate([g.real, -g.imag], axis=1)  # (entry, Re/Im and w, row)
+            self.basis = g.transpose(1, 0, 2).reshape(2 * n_w, -1)
+        else:
+            g = self.tiled(resp.reshape(-1, 3, nx)).reshape(-1, m, rows)[self.reached]
+            self.basis, self.amp = np.ascontiguousarray(g.transpose(2, 0, 1)), amp
 
     def apply(self, x, out, k: int):
         """One product from step k: `out` gets u^(k+1) and the state q steps
@@ -498,13 +508,14 @@ class _Propagator:
         np.matmul(self.k, x, out=out)
         o = out.reshape(-1, rows)
         centre = x[2 * c:4 * c].reshape(-1, rows)
-        corr, to, frm = self.common
-        o[to] += corr[0] @ centre[frm]
-        corr, to, frm = self.own
-        o[to] += np.matmul(corr, centre[frm].T[:, :, None])[:, :, 0].T
-        if self.force.size:
+        o[self.outs] += np.matmul(self.corr, centre[self.ins].T[:, :, None])[:, :, 0].T
+        if self.amp is not None:  # the modal loads of the q steps, (pattern, j) by row
+            coef = (np.exp(1j * self.dt * np.outer(k + np.arange(self.q), self.omegas))
+                    @ self.amp).real.transpose(2, 0, 1).reshape(rows, -1, 1)
+            o[self.reached] += np.matmul(self.basis, coef)[:, :, 0].T
+        elif self.basis is not None:
             ph = self.omegas * (k * self.dt)
-            o[self.reached] += (np.r_[np.cos(ph), np.sin(ph)] @ self.force).reshape(-1, rows)
+            o[self.reached] += (np.r_[np.cos(ph), np.sin(ph)] @ self.basis).reshape(-1, rows)
         o[self.pad] = 0.0
 
 
@@ -580,12 +591,13 @@ class Simulation:
         nsteps = int(math.ceil(horizon / self.grid.dt)) if horizon > 0 else 0
         count = -(-nsteps // stride) + 1  # sample instants: every stride steps, and the last
         power = min(stride, _MAX_POWER)
-        c = _kernel(self.grid, self.gains, power)[1]
-        ops = {}
+        kernel = _kernel(self.grid, self.gains, power)
+        c = kernel[1]
+        ops = {power: _Propagator(self, power, kernel, c)}
 
         def op(q):
             if q not in ops:
-                ops[q] = _Propagator(self, q, c)
+                ops[q] = _Propagator(self, q, _kernel(self.grid, self.gains, q), c)
             return ops[q]
 
         tiles, size = op(power).tiles, min(_block_samples(self.n, nx), count)
@@ -594,10 +606,9 @@ class Simulation:
         xs, outs = np.zeros((size, 6 * c, tiles * rows)), np.empty((size, 3 * c, tiles * rows))
         x1, out1 = np.zeros((6 * c, tiles * rows)), np.empty((3 * c, tiles * rows))
         fields = np.empty((2, size, rows, nx))  # u^k, and u^(k+1) - u^(k-1)
-        forced = op(power).force.reshape(-1, rows).any(axis=0)
         # only unforced rows are flushed; probe: per watched row, where its
         # largest entry was last seen in the centre tiles
-        watch = probe = np.flatnonzero(~forced)
+        watch = probe = np.flatnonzero(~op(power).forced)
         tiny = 2.0 ** -_FLUSH_BITS
         y = np.zeros((rows, 2, tiles * c))
         y[..., :nx] = self._y0

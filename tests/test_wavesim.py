@@ -93,6 +93,14 @@ def mixed_disturbances(n):
                               spatial=shapes[i % 2]) for i in range(n)))
 
 
+def end_disturbances(n, channel, n_w):
+    """psi0 or psi1 alone, on every follower, at n_w frequencies: loads
+    that reach only the entries near one end."""
+    return DisturbanceSpec(**{channel: tuple(
+        SignalSpec(kind="sinusoid", amplitude=1.0 + i % 3, angular_frequency=7.0 + i % n_w,
+                   phase=0.1 * i) for i in range(n))})
+
+
 def varied_profiles(n):
     """Moving leader and followers, each with its own shape."""
     return [(ProfileSpec(kind="cosine", amplitude=1.0 + i, spatial_frequency=1.0 + i % 3),
@@ -324,12 +332,17 @@ class TestSimulate:
         # 83 steps: a final partial stride for every stride but 1, and more
         # than two 16-step powers; grids at or below the tile width have no
         # interior tile; a resting leader is an all-zero row; 1 and 25
-        # followers carry every forcing path
+        # followers carry every forcing path; loads at one end alone reach
+        # only part of a grid wider than their reach, psi0 at a frequency
+        # per follower (the forced response by step), psi1 at two (by
+        # frequency, or by step for strides 1 and 2)
         networks = [(path3_topology, reference_profiles(), heterogeneous_disturbances()),
                     (path3_topology, resting_leader_profiles(), heterogeneous_disturbances()),
                     *((path_topology(n), varied_profiles(n), mixed_disturbances(n))
-                      for n in (1, 25))]
-        for nx in (3, 7, 21, 101):
+                      for n in (1, 25)),
+                    (path_topology(25), varied_profiles(25), end_disturbances(25, "psi0", 25)),
+                    (path_topology(25), varied_profiles(25), end_disturbances(25, "psi1", 2))]
+        for nx in (3, 7, 15, 21, 101):
             grid = Grid(nx=nx)
             for topo, profiles, dist in networks:
                 case = f"nx={nx}, n={topo.n}"
@@ -607,9 +620,9 @@ print(*seen, threading.active_count())
         assert growth.max() <= 2.2, growth
 
     def test_distinct_frequencies_build_in_linear_memory(self):
-        # one psi0 frequency per follower loads every mode at each frequency,
-        # but a network keeps only the physical loads; a run builds the
-        # forced response one spatial pattern at a time
+        # one psi0 frequency per follower loads every mode at each frequency;
+        # the forced response, built when a run starts, keeps at most q
+        # columns per row and spatial pattern whatever the frequencies
         n, grid = 200, Grid(nx=101)
         topo = path_topology(n)
         profiles = [(ProfileSpec(), ProfileSpec())] * (n + 1)
@@ -620,6 +633,7 @@ print(*seen, threading.active_count())
             tracemalloc.start()
             try:
                 sim = Simulation(topo, GAINS, grid, profiles, dist)
+                sim.run(25 * grid.dt, observers=(lambda block: None,), stride=10)
                 return tracemalloc.get_traced_memory()[1], sim._omegas.size
             finally:
                 tracemalloc.stop()
