@@ -96,6 +96,7 @@ class TimeSeries:
     _data: np.ndarray = field(init=False, repr=False,
                               default_factory=lambda: np.empty((len(TimeSeries._ROWS), 0)))
     _size: int = field(init=False, repr=False, default=0)
+    stepped_to: float | None = None  # where a simulation stopped stepping, if before the end
 
     _FIELDS = ("E", "G1", "G2", "V", "V0", "l2_error", "h1_seminorm",
                "ptwise_max_sq", "boundary_err_sq",

@@ -625,7 +625,8 @@ def run_reproduce(test_id: int, out_dir, conservative_iss: bool = True) -> RunRe
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    lines = [f"test {test_id}: horizon {horizon:.6g} s, {len(series)} samples"]
+    lines = [f"test {test_id}: horizon {horizon:.6g} s, {len(series)} samples",
+             f"  stepped to t = {series.stepped_to or series.times[-1]:.6g} s of {horizon:.6g} s"]
     lines.extend(_cert_lines(cert))
     for name, rep in checks.items():
         lines.append(f"  check {name}: {'PASS' if rep.ok else 'FAIL'} "

@@ -38,9 +38,9 @@ the calling thread.  An unforced modal row whose peak decays below
 keeps stepping at full speed instead of stalling in the slow subnormal
 range; nothing downstream resolves fields that small (`analysis` reads
 functionals below 1e-300 as zero), and a forced row stays at the scale
-of its forced response.  The samples are bit-identical for any block
-size.  `step` is the plain per-agent reference implementation of the
-same update in physical coordinates.
+of its forced response.  Periodic runs stop stepping; the samples are
+bit-identical for any block size.  `step` is the plain per-agent
+reference implementation of the same update in physical coordinates.
 """
 from __future__ import annotations
 
@@ -60,6 +60,8 @@ _MAX_POWER = 16         # longest propagator power; longer strides repeat it
 _FLUSH_BITS = 600       # an unforced modal row below 2^-600 is set to zero
 _CHUNK_BYTES = 1 << 20  # deviation fields per block of samples and functional batch
 _PROBE_BYTES = 1 << 20  # each level of a batch of unit-input probes
+_SETTLE = True          # stop stepping once a run is periodic (tests turn it off)
+_FIT_BYTES = 1 << 22    # the fit's window of fields; runs that need more keep stepping
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
 
 
@@ -515,8 +517,65 @@ class _Propagator:
             o[self.reached] += np.matmul(self.basis, coef)[:, :, 0].T
         elif self.basis is not None:
             ph = self.omegas * (k * self.dt)
-            o[self.reached] += (np.r_[np.cos(ph), np.sin(ph)] @ self.basis).reshape(-1, rows)
+            cs = np.concatenate((np.cos(ph), np.sin(ph)))
+            o[self.reached] += (cs @ self.basis).reshape(-1, rows)
         o[self.pad] = 0.0
+
+
+class _Settle:
+    """The steady-state fit of a run (see `Simulation.run`): sample j lies in
+    window j // 2w, all of one basis, with phases from the window's start."""
+
+    def __init__(self, sim: Simulation, stride: int, count: int):
+        """w >= 8 (twice the fitted columns), doubled until the basis is well
+        conditioned; 0 unless three windows within _FIT_BYTES fit the run."""
+        self.omegas = omegas = np.unique(np.abs(sim._omegas[sim._omegas != 0.0]))  # 0: constant
+        self.rows, self.nx, self.stride, self.dt = sim.n + 1, sim.grid.nx, stride, sim.grid.dt
+        self.passes, self.full, self.w = 0, False, 0  # full: check every entry, not only x = 1
+        w = max(4 * omegas.size + 2, 8)
+        while 6 * w < count and 32 * w * self.rows * self.nx <= _FIT_BYTES:
+            ph = np.arange(2 * w)[:, None] * (stride * self.dt) * omegas
+            self.basis = np.hstack([np.ones((2 * w, 1)), np.cos(ph), np.sin(ph)])
+            u, s, vt = np.linalg.svd(self.basis[:w], full_matrices=False)
+            if s[0] <= 10.0 * s[-1]:
+                self.w, self.pinv = w, vt.T @ (u.T / s[:, None])
+                self.buf = np.empty((2 * w, 2, self.rows, self.nx))
+                break
+            w *= 2
+
+    def feed(self, fields, j0: int, stop: int):
+        """Take samples j0 .. j0 + stop - 1 of a block; the first sample to
+        fill once two full checks pass in a row (x = 1 screens), else None."""
+        j, w = j0, self.w
+        while w and j < j0 + stop:
+            x, pos = slice(None if self.full else -1, None), j % (2 * w)
+            take = min(2 * w - pos, j0 + stop - j)
+            self.buf[pos:pos + take, ..., x] = fields[:, j - j0:j - j0 + take, :, x].swapaxes(0, 1)
+            j += take
+            if pos + take < 2 * w:
+                break
+            win = self.buf[..., x]
+            f, shape = win.reshape(2 * w, -1), (-1, *win.shape[1:])
+            a = self.pinv @ f[:w]
+            res, tol = (np.abs(e).reshape(shape).max(axis=(0, 1, 3))
+                        for e in (self.basis[w:] @ a - f[w:], 1e-11 * a))
+            ok = res[0] <= tol[0] and res[1:].max(initial=0.0) <= tol[1:].max(initial=0.0)
+            self.passes, self.full = self.passes + 1 if ok and self.full else 0, ok
+            if self.passes == 2:
+                self.coef, self.k0 = a.reshape(shape), (j - 2 * w) * self.stride
+                return j
+        return None
+
+    def fill(self, out, instants) -> int:
+        """The fit at the s sample `instants` into `out[:, :s]`: C0 + sum_w
+        cos(w (k - k0) dt) Cc_w + sin(...) Cs_w, elementwise, in order; s."""
+        n, a, out = self.omegas.size, self.coef, out[:, :len(instants)]
+        out[...] = a[0][:, None]
+        for w, cw, sw in zip(self.omegas.tolist(), a[1:n + 1], a[n + 1:]):
+            ph = [w * ((k - self.k0) * self.dt) for k in instants]
+            for f, cf in ((math.cos, cw), (math.sin, sw)):
+                out += np.array(list(map(f, ph)))[:, None, None] * cf[:, None]
+        return len(instants)
 
 
 class Simulation:
@@ -582,7 +641,16 @@ class Simulation:
         subnormal range; observers read the row as exact zero from the next
         sample on.  Forced rows are never flushed: their forced response
         keeps them far above the subnormal range.  Observers never see a
-        sample at or after the first diverged one."""
+        sample at or after the first diverged one.
+
+        A run stops stepping once it is periodic (`_Settle`): every 2w
+        samples it fits [1, cos(w k dt), sin(w k dt)] at its frequencies to
+        u^k and u^(k+1) - u^(k-1) of w samples and checks the fit on the
+        next w.  After two checks in a row with residuals at most 1e-11 of
+        the largest fitted coefficient, of the modes and of the leader each,
+        the rest comes from the fit, from `switch_step` on (else None).  A
+        zero scale needs a zero residual, so an undisturbed run switches only
+        once every mode is flushed; runs that never settle keep stepping."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if stride < 1:
@@ -613,8 +681,12 @@ class Simulation:
         y = np.zeros((rows, 2, tiles * c))
         y[..., :nx] = self._y0
         state = y.reshape(rows, 2, tiles, c).transpose(3, 1, 2, 0).reshape(2 * c, -1)
+        settle, self.switch_step = _Settle(self, stride, count) if _SETTLE else None, None
         for j0 in range(0, count, size):
             instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
+            if self.switch_step is not None:  # all from the fit
+                self._emit(instants, settle.fill(fields, instants), fields, observers)
+                continue
             for x, out, k in zip(xs, outs, instants):
                 nxt = min(k + stride, nsteps)
                 q = min(nxt - k, power) or power  # the last sample: only u^(k+1)
@@ -635,7 +707,12 @@ class Simulation:
                     _spread(state, x1, c, rows)
                     op(q).apply(x1, out1, k)
                     state, k = out1[c:], k + q
-            self._emit(*self._gather(instants, xs, outs, fields), fields, observers)
+            stop = self._gather(instants, xs, outs, fields)[1]
+            j = settle.feed(fields, j0, stop) if settle else None
+            if j is not None:  # the samples from j on come from the fit
+                self.switch_step = min(j * stride, nsteps)
+                settle.fill(fields[:, j - j0:], instants[j - j0:stop])
+            self._emit(instants, stop, fields, observers)
         return nsteps
 
     def _gather(self, instants, xs, outs, out):
@@ -731,4 +808,5 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
                                                block.times, *sups.T))
 
     sim.run(horizon, observers=[record, *observers], stride=stride)
+    series.stepped_to = None if sim.switch_step is None else sim.switch_step * grid.dt
     return series

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import each_sample, samples
 
-from waveconsensus import wavesim
+from waveconsensus import harness, wavesim
 from waveconsensus.analysis import FunctionalWeights, open_loop_energy_fields
 from waveconsensus.errors import DivergenceError
 from waveconsensus.graph import build_topology, pinned_matrix
@@ -155,6 +155,23 @@ SHIFTED_SUPS = (
 
 # samples per block: one, and blocks across which the run's state carries
 BLOCKS = (1, 2, 4)
+
+
+@pytest.fixture
+def _shortcut(monkeypatch):
+    """shortcut(False) turns the steady-state shortcut of `Simulation.run`
+    off for the rest of the test, shortcut(True) back on."""
+    return lambda on: monkeypatch.setattr(wavesim, "_SETTLE", on)
+
+
+def settled_run(topo, gains, grid, profiles, dist, horizon, stride=10):
+    """A run's switch step and its samples' fields (leader, leader_vel,
+    error, error_vel), each over all samples."""
+    blocks = []
+    sim = Simulation(topo, gains, grid, profiles, dist)
+    sim.run(horizon, stride=stride, observers=(lambda b: blocks.append(
+        (b.leader, b.leader_vel, b.error, b.error_vel)),))
+    return sim.switch_step, [np.concatenate(f) for f in zip(*blocks)]
 
 
 def constant_profiles(values, n_agents):
@@ -678,6 +695,68 @@ print(*seen, threading.active_count())
     def test_spatial_convergence_second_order(self):
         errs = {nx: standing_wave_error(nx) for nx in (101, 201)}
         assert 3.5 <= errs[101] / errs[201] <= 4.5
+
+
+class TestSteadyState:
+    # two frequencies on a coarse grid settle after about 130 s
+    GRID = Grid(nx=31)
+
+    def test_shortcut_matches_stepping(self, path3_topology, _shortcut):
+        runs = []
+        for on in (True, False):
+            _shortcut(on)
+            runs.append(settled_run(path3_topology, GAINS, self.GRID, reference_profiles(),
+                                    mixed_disturbances(3), 300.0))
+        (switch, fields), (never, stepped) = runs
+        assert never is None and 0 < switch < 0.6 * 300.0 / self.GRID.dt
+        for a, b in zip(fields, stepped):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    def test_switch_is_block_size_invariant(self, path3_topology, monkeypatch):
+        runs = {}
+        for per_block in (None, 1, 7):  # the default first
+            if per_block:
+                use_blocks(monkeypatch, per_block, self.GRID)
+            switch, fields = settled_run(path3_topology, GAINS, self.GRID,
+                                         reference_profiles(), mixed_disturbances(3), 160.0)
+            runs[per_block] = switch, [f.tobytes() for f in fields]
+        assert runs[None][0] is not None
+        assert runs[1] == runs[None] and runs[7] == runs[None]
+
+    def test_never_settling_run_is_bit_identical(self, path3_topology, _shortcut):
+        # with c0 = 0 the leader reflects at both ends and never settles
+        gains, runs = ControlGains(k1=30.0, k2=10.0, c0=0.0), []
+        for on in (True, False):
+            _shortcut(on)
+            runs.append(settled_run(path3_topology, gains, self.GRID, reference_profiles(),
+                                    mixed_disturbances(3), 300.0))
+        assert runs[0][0] is None
+        assert [f.tobytes() for f in runs[0][1]] == [f.tobytes() for f in runs[1][1]]
+
+    def test_aliased_frequency(self, path3_topology, _shortcut):
+        # at w = pi / (stride dt) every sample instant sees cos(w k dt) = +-1
+        # and sin(w k dt) = 0; the run ends off the sample lattice
+        sig = SignalSpec(kind="sinusoid", amplitude=2.0,
+                         angular_frequency=math.pi / (10 * self.GRID.dt))
+        dist, runs = DisturbanceSpec(psi1=(sig,) * 3), []
+        for on in (True, False):
+            _shortcut(on)
+            runs.append(settled_run(path3_topology, GAINS, self.GRID, reference_profiles(),
+                                    dist, 300.0 + 3.5 * self.GRID.dt))
+        for a, b in zip(runs[0][1], runs[1][1]):
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    def test_shared_constant_leader_stays_put(self):
+        # all four agents at rest at 10 (preset 1's graph and gains): the
+        # stepped leader drifts by about 3.5e-9 over 2,000 s at nx = 51
+        config = harness.test_preset(1)
+        switch, (leader, _, error, error_vel) = settled_run(
+            config.topology(), config.gains, Grid(nx=51), constant_profiles(10.0, 4), None,
+            2000.0)
+        assert switch is not None
+        assert np.max(np.abs(leader - 10.0)) <= 1e-10
+        assert not error.any() and not error_vel.any()
 
 
 class TestBoundaryTrace:
