@@ -5,17 +5,22 @@ Exit codes: 0 ok, 1 usage/format error, 2 infeasible certificate,
 """
 from __future__ import annotations
 
+import argparse
 import sys
-
-import click
 
 from . import harness
 from .errors import CertificateError, ConfigError, DivergenceError
 
 
-@click.group()
-def cli():
-    """Leader-follower wave-consensus simulator and certificate toolkit."""
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line instead of exiting 2; offers --help alone."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def _load_config(path) -> harness.ExperimentConfig:
@@ -26,80 +31,70 @@ def _load_config(path) -> harness.ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-@cli.command("check-gains")
-@click.option("--config", "config_path", required=True, type=click.Path(),
-              help="experiment configuration (JSON)")
-def check_gains_cmd(config_path):
+def _check_gains(args):
     """Evaluate both regimes' tuning rules and optimize the certificate."""
-    result = harness.run_check_gains(_load_config(config_path))
-    click.echo(result.report)
-    sys.exit(result.exit_code)
+    yield harness.run_check_gains(_load_config(args.config))
 
 
-@cli.command("simulate")
-@click.option("--config", "config_path", required=True, type=click.Path(),
-              help="experiment configuration (JSON)")
-@click.option("--out", "out_dir", default=None, type=click.Path(),
-              help="output directory (or $WAVECONSENSUS_OUT)")
-def simulate_cmd(config_path, out_dir):
+def _simulate(args):
     """Run a configured simulation and write its time-series CSV."""
-    result = harness.run_simulate(_load_config(config_path),
-                                  harness.default_out_dir(out_dir))
-    click.echo(result.report)
-    sys.exit(result.exit_code)
+    yield harness.run_simulate(_load_config(args.config), harness.default_out_dir(args.out))
 
 
-@cli.command("reproduce")
-@click.option("--test", "test_id", required=True,
-              type=click.Choice(["1", "2", "3", "all"]),
-              help="reproduction test: 1, 2, 3 or 'all'")
-@click.option("--out", "out_dir", default=None, type=click.Path(),
-              help="output directory (or $WAVECONSENSUS_OUT)")
-@click.option("--conservative-iss/--verbatim-iss", "conservative", default=True,
-              help="which ISS transient variant is contractual (default conservative)")
-def reproduce_cmd(test_id, out_dir, conservative):
+def _reproduce(args):
     """Run a reproduction preset with its contractual checks."""
-    ids = (1, 2, 3) if test_id == "all" else (int(test_id),)
-    out = harness.default_out_dir(out_dir)
-    worst = harness.EXIT_OK
-    for tid in ids:
-        result = harness.run_reproduce(tid, out, conservative_iss=conservative)
-        click.echo(result.report)
-        worst = max(worst, result.exit_code)
-    sys.exit(worst)
+    out = harness.default_out_dir(args.out)
+    for tid in (1, 2, 3) if args.test == "all" else (int(args.test),):
+        yield harness.run_reproduce(tid, out, conservative_iss=args.conservative)
 
 
-@cli.command("analyze")
-@click.argument("csv_paths", nargs=-1, required=True, type=click.Path())
-def analyze_cmd(csv_paths):
+def _analyze(args):
     """Decay-rate, ISS-violation and cross-run ratio reports from CSVs."""
-    result = harness.run_analyze(list(csv_paths))
-    click.echo(result.report)
-    sys.exit(result.exit_code)
+    yield harness.run_analyze(args.csv_paths)
+
+
+def _parser() -> _Parser:
+    ap = _Parser(prog="waveconsensus", description="Leader-follower wave-consensus "
+                 "simulator and certificate toolkit.")
+    commands = ap.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name, run in (("check-gains", _check_gains), ("simulate", _simulate),
+                      ("reproduce", _reproduce), ("analyze", _analyze)):
+        subs[name] = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        subs[name].set_defaults(run=run)
+    for name in ("check-gains", "simulate"):
+        subs[name].add_argument("--config", required=True, help="experiment config (JSON)")
+    reproduce = subs["reproduce"]
+    reproduce.add_argument("--test", required=True, choices=("1", "2", "3", "all"),
+                           help="reproduction test: 1, 2, 3 or 'all'")
+    for name in ("simulate", "reproduce"):
+        subs[name].add_argument("--out", help="output directory (or $WAVECONSENSUS_OUT)")
+    # one destination, so the last of the pair given wins
+    reproduce.add_argument("--conservative-iss", dest="conservative", action="store_true",
+                           help="the contractual ISS transient variant (default conservative)")
+    reproduce.add_argument("--verbatim-iss", dest="conservative", action="store_false")
+    reproduce.set_defaults(conservative=True)
+    subs["analyze"].add_argument("csv_paths", nargs="+", metavar="CSV",
+                                 help="a CSV written by simulate or reproduce")
+    return ap
 
 
 def main(argv=None):
+    """Run one command; always ends in SystemExit with the exit code."""
+    failures = {argparse.ArgumentError: ("usage error", harness.EXIT_USAGE),
+                ConfigError: ("config error", harness.EXIT_USAGE),
+                CertificateError: ("infeasible", harness.EXIT_INFEASIBLE),
+                DivergenceError: ("diverged", harness.EXIT_DIVERGED)}
+    code = harness.EXIT_OK
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        sys.exit(harness.EXIT_USAGE)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(harness.EXIT_USAGE)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(harness.EXIT_USAGE)
-    except CertificateError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(harness.EXIT_INFEASIBLE)
-    except DivergenceError as exc:
-        click.echo(f"diverged: {exc}", err=True)
-        sys.exit(harness.EXIT_DIVERGED)
-    except SystemExit:
-        raise
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
+        args = _parser().parse_args(argv)
+        for result in args.run(args):
+            print(result.report, flush=True)
+            code = max(code, result.exit_code)
+    except tuple(failures) as exc:
+        prefix, code = next(v for kind, v in failures.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

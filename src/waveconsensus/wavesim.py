@@ -561,20 +561,21 @@ class _Settle:
                         for e in (self.basis[w:] @ a - f[w:], 1e-11 * a))
             ok = res[0] <= tol[0] and res[1:].max(initial=0.0) <= tol[1:].max(initial=0.0)
             self.passes, self.full = self.passes + 1 if ok and self.full else 0, ok
-            if self.passes == 2:
-                self.coef, self.k0 = a.reshape(shape), (j - 2 * w) * self.stride
+            if self.passes == 2:  # coef rows as fill's phase columns: C0, Cc_1, Cs_1, ...
+                n = self.omegas.size
+                order = [0, *(i for m in range(1, n + 1) for i in (m, m + n))]
+                self.coef, self.k0 = a.reshape(shape)[order], (j - 2 * w) * self.stride
                 return j
         return None
 
     def fill(self, out, instants) -> int:
         """The fit at the s sample `instants` into `out[:, :s]`: C0 + sum_w
-        cos(w (k - k0) dt) Cc_w + sin(...) Cs_w, elementwise, in order; s."""
-        n, a, out = self.omegas.size, self.coef, out[:, :len(instants)]
-        out[...] = a[0][:, None]
-        for w, cw, sw in zip(self.omegas.tolist(), a[1:n + 1], a[n + 1:]):
-            ph = [w * ((k - self.k0) * self.dt) for k in instants]
-            for f, cf in ((math.cos, cw), (math.sin, sw)):
-                out += np.array(list(map(f, ph)))[:, None, None] * cf[:, None]
+        cos(w (k - k0) dt) Cc_w + sin(...) Cs_w, summed in that order; s."""
+        omegas = self.omegas.tolist()
+        phases = np.array([[1.0, *(f(w * t) for w in omegas for f in (math.cos, math.sin))]
+                           for t in ((k - self.k0) * self.dt for k in instants)]
+                          ).reshape(-1, len(self.coef))  # (0, 1 + 2 n_w) when none
+        np.einsum("sk,klre->lsre", phases, self.coef, out=out[:, :len(instants)])
         return len(instants)
 
 

@@ -7,10 +7,9 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from waveconsensus import harness
-from waveconsensus.cli import cli
+from waveconsensus.cli import main
 from waveconsensus.errors import ConfigError
 
 MINIMAL = json.dumps({
@@ -392,15 +391,23 @@ class TestRunSimulate:
 
 
 class TestCli:
-    def test_usage_error_for_bad_test_id(self):
-        runner = CliRunner()
-        out = runner.invoke(cli, ["reproduce", "--test", "9"],
-                            standalone_mode=False)
-        assert out.exception is not None
+    @pytest.mark.parametrize("argv, code", [
+        ([], 1), (["bogus"], 1), (["reproduce"], 1), (["reproduce", "--test", "9"], 1),
+        (["simulate"], 1), (["analyze"], 1), (["--help"], 0), (["reproduce", "--help"], 0)],
+        ids=lambda v: (" ".join(v) or "none") if isinstance(v, list) else str(v))
+    def test_usage(self, capsys, argv, code):
+        # a usage error is one stderr line and nothing on stdout; --help
+        # prints the usage on stdout
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == code
+        if code:
+            assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1, err
+        else:
+            assert out.startswith("usage: waveconsensus") and err == ""
 
     def test_main_exit_codes(self, tmp_path):
-        from waveconsensus.cli import main
-
         cfg = tmp_path / "c.json"
         cfg.write_text(MINIMAL)
         with pytest.raises(SystemExit) as exc:
@@ -417,8 +424,6 @@ class TestCli:
                                                 (0.05, 0.0, "0 < xi2 < 1/(2*c0)")],
                              ids=["xi1-zero", "xi2-zero"])
     def test_zero_xi_exits_2_without_traceback(self, tmp_path, capsys, xi1, xi2, rule):
-        from waveconsensus.cli import main
-
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
         with open(os.path.join(root, "test2.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -435,8 +440,6 @@ class TestCli:
     def test_zero_c0_exits_2_without_traceback(self, tmp_path, capsys, explicit_horizon):
         # c0 = 0 (the reflective mode) admits no certificate; with an explicit
         # horizon, simulate still runs without one
-        from waveconsensus.cli import main
-
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
         with open(os.path.join(root, "test2.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -461,8 +464,6 @@ class TestCli:
     @pytest.mark.parametrize("verbatim_fails", (False, True))
     def test_verbatim_iss_is_contractual(self, tmp_path, monkeypatch, verbatim_fails):
         # both ISS variants hold on preset 2, so one case adds a verbatim violation
-        from waveconsensus.cli import main
-
         monkeypatch.setattr(harness, "derive_horizon", lambda cert, regime: 20.0)
         if verbatim_fails:
             iss_check = harness.analysis.iss_check
@@ -494,8 +495,6 @@ class TestCli:
         (",".join([""] + ["1.0"] * 15), "line 3, column t: '' is not a number"),
     ], ids=["short-row", "long-row", "non-numeric-cell", "nan-time", "inf-cell", "blank-time"])
     def test_malformed_csv_exits_1_without_traceback(self, tmp_path, capsys, row, message):
-        from waveconsensus.cli import main
-
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([",".join(harness.CSV_COLUMNS), ",".join(["0.0"] * 16), row]))
         with pytest.raises(SystemExit) as exc:

@@ -503,9 +503,11 @@ class TestSimulate:
             assert series.column(name).tobytes() == expected.tobytes(), name
 
     def test_cli_import_leaves_scipy_out(self):
-        # scipy.sparse alone costs about 0.23 s and 22 MB of start-up
-        assert fresh_process("import sys, waveconsensus.cli; print('scipy' in sys.modules)"
-                             ).split() == ["False"]
+        # scipy.sparse alone costs about 0.23 s and 22 MB of start-up; the CLI
+        # parses its arguments with the standard library alone
+        assert fresh_process("import sys, waveconsensus.cli; "
+                             "print('scipy' in sys.modules, 'click' in sys.modules)"
+                             ).split() == ["False", "False"]
 
     def test_run_starts_no_thread(self):
         # a 24-follower network at 101 grid points advances on the calling
