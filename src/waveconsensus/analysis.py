@@ -264,12 +264,6 @@ def bound_report(t, value, bound, scale=None) -> BoundReport:
                        worst_ratio=worst)
 
 
-def _decay(rate: float, t) -> np.ndarray:
-    """exp(-rate t) by libm one sample at a time: numpy's SIMD exp can differ
-    from it in the last bit, and the reported bounds are kept bit-stable."""
-    return np.fromiter(map(math.exp, -rate * t), dtype=float, count=len(t))
-
-
 def monotone_decay_report(series: TimeSeries, rel_slack: float = 1e-6,
                           column: str = "V", abs_floor: float = 0.0) -> BoundReport:
     """Per-sample nonincrease check: x[k+1] <= x[k] (1 + rel) + abs_floor."""
@@ -299,7 +293,7 @@ def envelope_report(series: TimeSeries, cert, slack: float = 0.05) -> BoundRepor
     """V(t) <= V(0) exp(-alpha t) (1 + slack) at every sample."""
     v = series.column("V")
     t = series.column("time")
-    return bound_report(t, v, v[0] * _decay(cert.alpha, t) * (1.0 + slack))
+    return bound_report(t, v, v[0] * cert_mod._decay(cert.alpha, t) * (1.0 + slack))
 
 
 def pointwise_bound_check(series: TimeSeries, cert, v_initial: float | None = None,
@@ -309,7 +303,7 @@ def pointwise_bound_check(series: TimeSeries, cert, v_initial: float | None = No
     if v_initial is None:
         v_initial = float(series.column("V")[0])
     t = series.column("time")
-    bound = cert.delta_factor * v_initial * _decay(cert.alpha, t) * (1.0 + slack)
+    bound = cert.delta_factor * v_initial * cert_mod._decay(cert.alpha, t) * (1.0 + slack)
     return bound_report(t, series.column("ptwise_max_sq"), bound)
 
 

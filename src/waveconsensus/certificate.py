@@ -217,6 +217,13 @@ def control_input(m, k1: float, k2: float, u_tilde_boundary,
     return -k1 * (m @ ub) - k2 * (m @ vb)
 
 
+def _decay(rate: float, t) -> np.ndarray:
+    """exp(-rate t) by libm one sample at a time: numpy's SIMD exp can differ
+    from it in the last bit, and the reported bounds are kept bit-stable."""
+    x = -rate * np.asarray(t, dtype=float)
+    return np.fromiter(map(math.exp, x.ravel()), dtype=float, count=x.size).reshape(x.shape)
+
+
 def iss_bound(cert: GainCertificate, v0_initial: float, t, es_psi0_sq,
               es_psi1_sq, es_f_sq, conservative: bool = True):
     """Right-hand side of the exponential ISS relation for V0(t).
@@ -229,7 +236,7 @@ def iss_bound(cert: GainCertificate, v0_initial: float, t, es_psi0_sq,
         raise CertificateError("iss_bound requires a perturbed-regime certificate")
     rate = cert.mu2 / cert.tau2
     gain = cert.tau2 / (cert.mu2 * cert.tau1)
-    transient = v0_initial * np.exp(-rate * np.asarray(t, dtype=float))
+    transient = v0_initial * _decay(rate, t)
     if conservative:
         transient = (cert.tau2 / cert.tau1) * transient
     return (transient

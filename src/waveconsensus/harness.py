@@ -381,7 +381,7 @@ def write_csv(path, series: analysis.TimeSeries, cert=None) -> None:
     regime = getattr(cert, "regime", None)
     env = iss_c = iss_v = None
     if regime == "unperturbed":
-        env = series.column("V")[0] * np.exp(-cert.alpha * t)
+        env = series.column("V")[0] * cert_mod._decay(cert.alpha, t)
     es = ("es_psi0_sq", "es_psi1_sq", "es_f_sq")
     if regime == "perturbed":
         args = (float(series.column("V0")[0]), t, *(series.column(name) for name in es))

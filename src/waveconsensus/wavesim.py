@@ -28,13 +28,13 @@ propagator and differ only where the boundaries reach.  `Simulation.run`
 keeps them as the columns of one tiled state and advances every row at
 once, one sample instant per product: a dense tile product (BLAS) with
 the q-step interior stencil, plus each row's correction on the two end
-windows and the exact forced response of the disturbances (two phase
-columns per distinct frequency, or with many frequencies a column per
-step of the product).  The same product gives the step
-after the sample, for the centered sample velocity.  All of it is probed
-from the one-step stencil; a sample costs O(rows nx stride) and runs on
-the calling thread.  An unforced modal row whose peak decays below
-2^-600 is set to exact zero, where it stays, so an undisturbed error
+windows and the exact forced response of the disturbances on every
+entry (two phase columns per distinct frequency, or with many
+frequencies a column per step of the product).  The same product gives
+the step after the sample, for the centered sample velocity.  All of it
+is probed from the one-step stencil; a sample costs O(rows nx stride)
+and runs on the calling thread.  An unforced modal row whose peak decays
+below 2^-600 is set to exact zero, where it stays, so an undisturbed error
 keeps stepping at full speed instead of stalling in the slow subnormal
 range; nothing downstream resolves fields that small (`analysis` reads
 functionals below 1e-300 as zero), and a forced row stays at the scale
@@ -381,8 +381,7 @@ class _Propagator:
     are u^(k+1) at the c nodes, then the state q steps on.  Everything is
     probed from `_Stepper`: the interior tile block `k` (3c x 6c, shared by
     all rows) from the stencil, each row's correction on the end windows
-    that the boundaries reach, and the forced response on the entries the
-    loads reach."""
+    that the boundaries reach, and the forced response on every entry."""
 
     def __init__(self, sim: Simulation, q: int, kernel, c: int):
         grid, gains, lam, nx = sim.grid, sim.gains, sim._lam, sim.grid.nx
@@ -439,7 +438,7 @@ class _Propagator:
         self.ins = (2 * (x_w % c) + il_w) * t + x_w // c
         self.corr = corr
         self.pad = np.flatnonzero((t - 1) * c + self.xl >= nx) * t + t - 1  # beyond the last node
-        self._forcing(sim, q, end_reach)
+        self._forcing(sim, q)
 
     def tiled(self, levels):
         """(rows, 3, nx) output levels as (3c, tiles, rows) entries."""
@@ -448,32 +447,24 @@ class _Propagator:
         pad[..., :levels.shape[2]] = levels
         return pad[:, self.ol[:, None], self.xl[:, None] + c * np.arange(t)].transpose(1, 2, 0)
 
-    def _forcing(self, sim: Simulation, q: int, reach: int):
-        """The forced response of every row on the output entries `reached`
-        (within `reach` nodes of a loaded node), as the columns `basis`
-        against coefficients of step k (see `apply`).  A spatial pattern of
-        loads costs the q steps that follow its unit load, whatever its
-        frequencies.  With few frequencies (2 n_w at most q per pattern) the
-        columns are [Re G_w..., -Im G_w...], the response G_w of all
-        patterns and rows at frequency w, against [cos(w k dt)...,
+    def _forcing(self, sim: Simulation, q: int):
+        """The forced response of every row on every output entry, as the
+        columns `basis` against coefficients of step k (see `apply`).  A
+        spatial pattern of loads costs the q steps that follow its unit
+        load, whatever its frequencies.  With few frequencies (2 n_w at most
+        q per pattern) the columns are [Re G_w..., -Im G_w...], the response
+        G_w of all patterns and rows at frequency w, against [cos(w k dt)...,
         sin(w k dt)...]; otherwise each row has its own columns, every
         pattern's responses to unit loads at the q steps, against the row's
         modal loads at those steps (from `amp`, by frequency).  Either way
         a row keeps at most q columns per pattern."""
-        rows, nx, c, t = self.rows, sim.grid.nx, self.c, self.tiles
+        rows, nx = self.rows, sim.grid.nx
         self.forced, self.basis, self.amp = np.zeros(rows, bool), None, None
         if not sim._loads:
             return
-        loaded = np.zeros(t * c)
-        for (channel, _), (shape, _) in sim._loads.items():  # psi0 at node 0, psi1 at nx - 1
-            loaded[np.flatnonzero(shape) if channel == 2 else (nx - 1) * channel] = 1.0
-        near = np.convolve(loaded, np.ones(2 * reach + 1))[reach:reach + loaded.size] > 0
-        reached = near[self.xl[:, None] + c * np.arange(t)].ravel()
-        # a slice adds to every entry several times faster than an index
-        self.reached = slice(None) if reached.all() else np.flatnonzero(reached)
         stepper, zero = _Stepper(sim.grid, sim.gains, sim._lam), np.zeros((rows, nx))
         resp, amp = [], []  # per pattern
-        for (channel, _), (shape, by_w) in sim._loads.items():
+        for (channel, _), (shape, a) in sim._loads.items():
             unit = [None, None, None]  # on every row
             unit[channel] = np.tile(shape, (rows, 1)) if channel == 2 else np.ones(rows)
             states = [(stepper.step(zero, zero, *unit), zero)]  # the load's own step
@@ -484,10 +475,6 @@ class _Propagator:
             r[:, 1:] = states[::-1]
             r[0, 0] = states[0][0]
             resp.append(r.transpose(0, 2, 1, 3))
-            a = np.zeros((self.omegas.size, rows - 1), complex)
-            for w, loads in by_w.items():
-                for follower, amplitude in loads:
-                    a[np.searchsorted(self.omegas, w), follower] += amplitude
             amp.append(np.c_[np.zeros(self.omegas.size), a @ sim._q])  # the leader unloaded
         resp, amp = np.array(resp), np.array(amp)  # (pattern, j, row, level, x), (pattern, w, row)
         self.forced = amp.any(axis=(0, 1))
@@ -495,11 +482,11 @@ class _Propagator:
         if 2 * n_w <= m:
             lag = np.exp(1j * self.dt * np.outer(self.omegas, np.arange(q)))
             g = np.einsum("pwjr,pjrlx->wrlx", amp[:, :, None] * lag[:, :, None], resp)
-            g = self.tiled(g.reshape(-1, 3, nx)).reshape(-1, n_w, rows)[self.reached]
+            g = self.tiled(g.reshape(-1, 3, nx)).reshape(-1, n_w, rows)
             g = np.concatenate([g.real, -g.imag], axis=1)  # (entry, Re/Im and w, row)
             self.basis = g.transpose(1, 0, 2).reshape(2 * n_w, -1)
         else:
-            g = self.tiled(resp.reshape(-1, 3, nx)).reshape(-1, m, rows)[self.reached]
+            g = self.tiled(resp.reshape(-1, 3, nx)).reshape(-1, m, rows)
             self.basis, self.amp = np.ascontiguousarray(g.transpose(2, 0, 1)), amp
 
     def apply(self, x, out, k: int):
@@ -514,11 +501,11 @@ class _Propagator:
         if self.amp is not None:  # the modal loads of the q steps, (pattern, j) by row
             coef = (np.exp(1j * self.dt * np.outer(k + np.arange(self.q), self.omegas))
                     @ self.amp).real.transpose(2, 0, 1).reshape(rows, -1, 1)
-            o[self.reached] += np.matmul(self.basis, coef)[:, :, 0].T
+            o += np.matmul(self.basis, coef)[:, :, 0].T
         elif self.basis is not None:
             ph = self.omegas * (k * self.dt)
             cs = np.concatenate((np.cos(ph), np.sin(ph)))
-            o[self.reached] += (cs @ self.basis).reshape(-1, rows)
+            o += (cs @ self.basis).reshape(-1, rows)
         o[self.pad] = 0.0
 
 
@@ -585,8 +572,9 @@ class Simulation:
     The state is the rows [leader, mode_1 .. mode_n] (two time levels
     each), the modes being the deviation fields projected on the
     eigenvectors Q of the pinned matrix.  A run builds the rows'
-    operators (`_Propagator`); the network keeps their eigenvalues and
-    the disturbance loads by spatial pattern and frequency."""
+    operators (`_Propagator`); the network keeps their eigenvalues and,
+    per spatial pattern, one table of load amplitudes by frequency and
+    follower."""
 
     def __init__(self, topology: Topology | None, gains: ControlGains,
                  grid: Grid, profiles, dist: DisturbanceSpec | None = None):
@@ -607,19 +595,20 @@ class Simulation:
                              np.vstack([up[0], self._q.T @ (up[1:] - up[0])])], axis=1)
         self._lam = np.concatenate([[0.0], lam])  # of the rows [leader, modes]
         # the loads by spatial pattern, (channel psi0/psi1/f, f shape bytes) ->
-        # (f shape, {w: [(follower, complex amplitude)]})
+        # (f shape, (n_w, n) complex amplitudes at the frequencies _omegas)
+        loads = [(channel, i, sig) for i, f in enumerate(self.dist.f)
+                 for channel, sig in enumerate((self.dist.psi0[i], self.dist.psi1[i],
+                                                f.temporal if f.kind == "separable" else None))
+                 if sig is not None and sig.kind == "sinusoid"]
+        self._omegas = np.unique(np.array([sig.angular_frequency for *_, sig in loads], float))
         self._loads = {}
-        for i, f in enumerate(self.dist.f):
-            for channel, sig in enumerate((self.dist.psi0[i], self.dist.psi1[i],
-                                           f.temporal if f.kind == "separable" else None)):
-                if sig is not None and sig.kind == "sinusoid":
-                    shape = eval_profile(f.spatial, grid.points) if channel == 2 else None
-                    _, by_w = self._loads.setdefault(
-                        (channel, shape if shape is None else shape.tobytes()), (shape, {}))
-                    by_w.setdefault(sig.angular_frequency, []).append(
-                        (i, sig.amplitude * np.exp(1j * sig.phase)))
-        self._omegas = np.array(sorted({w for _, by_w in self._loads.values() for w in by_w}),
-                                dtype=float)
+        for channel, i, sig in loads:
+            shape = eval_profile(self.dist.f[i].spatial, grid.points) if channel == 2 else None
+            _, a = self._loads.setdefault(
+                (channel, shape if shape is None else shape.tobytes()),
+                (shape, np.zeros((self._omegas.size, self.n), complex)))
+            a[np.searchsorted(self._omegas, sig.angular_frequency), i] += (
+                sig.amplitude * np.exp(1j * sig.phase))
 
     def run(self, horizon: float, observers=(), stride: int = 10):
         """Advance to `horizon`, sampling every `stride` steps (and at the

@@ -6,9 +6,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from waveconsensus import harness
 from waveconsensus.graph import build_topology
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def samples(block):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -358,6 +359,14 @@ class TestIssBound:
         assert bound == pytest.approx(2.0 * np.exp(-cert.alpha * t), rel=1e-12)
         cons = iss_bound(cert, 2.0, t, 0.0, 0.0, 0.0, conservative=True)
         assert cons == pytest.approx(cert.tau2 / cert.tau1 * bound, rel=1e-12)
+
+    def test_zero_sups_give_the_libm_transient(self, cert):
+        # numpy's SIMD exp can differ from libm's in the last bit; the
+        # reported bounds take libm's, one sample at a time
+        t, rate = np.linspace(0.0, 6000.0, 10001), cert.mu2 / cert.tau2
+        for conservative, scale in ((False, 1.0), (True, cert.tau2 / cert.tau1)):
+            bound = iss_bound(cert, 2.0, t, 0.0, 0.0, 0.0, conservative=conservative)
+            assert bound.tolist() == [scale * (2.0 * math.exp(-rate * s)) for s in t.tolist()]
 
     def test_asymptote_is_weighted_sum(self, cert):
         gain = cert.tau2 / (cert.mu2 * cert.tau1)

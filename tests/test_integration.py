@@ -9,6 +9,7 @@ import pytest
 
 from waveconsensus import harness
 from waveconsensus.analysis import decay_fit, iss_check
+from waveconsensus.certificate import _decay
 from waveconsensus.signals import (DisturbanceSpec, ProfileSpec, SignalSpec,
                                    SpaceTimeSpec)
 
@@ -59,6 +60,16 @@ def test_analyze_cross_run_ratio(test2_run, test3_run):
     assert res.exit_code == harness.EXIT_OK
     ratio = float(res.report.rsplit("=", 1)[1])
     assert ratio == pytest.approx(5.0, rel=0.02)
+
+
+def test_csv_envelope_is_the_checked_libm_bound(test1_run):
+    # the CSV's bound_envelope is the bound envelope_report checks before its
+    # slack, V(0) exp(-alpha t) by libm, bit for bit: numpy's SIMD exp can
+    # differ from libm's in the last bit
+    result, _ = test1_run
+    cols = harness.read_csv(result.paths["csv"])
+    envelope = cols["V"][0] * _decay(result.certificate.alpha, cols["t"])
+    assert cols["bound_envelope"].tobytes() == envelope.tobytes()
 
 
 def test_reproduce_artifacts(test1_run):

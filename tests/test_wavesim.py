@@ -8,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import each_sample, samples
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from waveconsensus import harness, wavesim
 from waveconsensus.analysis import FunctionalWeights, open_loop_energy_fields
@@ -95,7 +97,7 @@ def mixed_disturbances(n):
 
 def end_disturbances(n, channel, n_w):
     """psi0 or psi1 alone, on every follower, at n_w frequencies: loads
-    that reach only the entries near one end."""
+    whose forced response is zero away from one end."""
     return DisturbanceSpec(**{channel: tuple(
         SignalSpec(kind="sinusoid", amplitude=1.0 + i % 3, angular_frequency=7.0 + i % n_w,
                    phase=0.1 * i) for i in range(n))})
@@ -172,6 +174,84 @@ def settled_run(topo, gains, grid, profiles, dist, horizon, stride=10):
     sim.run(horizon, stride=stride, observers=(lambda b: blocks.append(
         (b.leader, b.leader_vel, b.error, b.error_vel)),))
     return sim.switch_step, [np.concatenate(f) for f in zip(*blocks)]
+
+
+def assert_matches_step(snaps, topo, profiles, dist, grid, case):
+    """Each sample of a run against `step` iterated from `init_state`: the
+    displacements to 1e-11 and the velocities to 1e-10 of their scale."""
+    m = pinned_matrix(topo)
+    states = [init_state(grid, profiles, GAINS, m, dist)]
+    for _ in range(snaps[-1].step_index + 1):
+        states.append(step(states[-1], GAINS, m, dist, grid))
+    for sp in snaps:
+        k = sp.step_index
+        ref = states[k]
+        dev = ref.u_curr[1:] - ref.u_curr[0]
+        scale = max(np.max(np.abs(dev)), 1.0)
+        assert np.max(np.abs(sp.error - dev)) < 1e-11 * scale, case
+        assert np.max(np.abs(sp.leader - ref.u_curr[0])) < 1e-11 * 10.0, case
+        vel = (states[k + 1].u_curr - ref.u_prev) / (2.0 * grid.dt)
+        dev_vel = vel[1:] - vel[0]
+        vscale = max(np.max(np.abs(dev_vel)), 1.0)
+        assert np.max(np.abs(sp.error_vel - dev_vel)) < 1e-10 * vscale, case
+        assert np.max(np.abs(sp.leader_vel - vel[0])) < 1e-10 * vscale, case
+
+
+@st.composite
+def trees(draw, max_n):
+    """1 to max_n followers on a random spanning tree, at least one of them
+    linked to the leader."""
+    n = draw(st.integers(1, max_n))
+    adj = np.zeros((n, n), int)
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        adj[i, j] = adj[j, i] = 1
+    links = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    links[draw(st.integers(0, n - 1))] = True
+    return build_topology(adj.tolist(), [int(b) for b in links])
+
+
+def drawn_profiles(n):
+    """Displacement and velocity profiles of the leader and n followers."""
+    return st.lists(st.tuples(
+        st.builds(ProfileSpec, kind=st.just("cosine"), amplitude=st.floats(-2.0, 2.0),
+                  spatial_frequency=st.integers(0, 3).map(float)),
+        st.builds(ProfileSpec, kind=st.just("polynomial"),
+                  coefficients=st.tuples(st.just(0.0), st.floats(-1.0, 1.0)))),
+        min_size=n + 1, max_size=n + 1)
+
+
+@st.composite
+def channel_loads(draw, n, frequencies):
+    """One channel's sinusoids on the n followers (the first always loaded,
+    the others or not), at one shared or at distinct `frequencies`, or None
+    for an absent channel."""
+    kind = draw(st.sampled_from(("absent", "shared", "distinct")))
+    if kind == "absent":
+        return None
+    shared = draw(frequencies)
+    return tuple(
+        SignalSpec(kind="sinusoid", amplitude=draw(st.floats(0.1, 3.0)),
+                   angular_frequency=shared if kind == "shared" else draw(frequencies),
+                   phase=draw(st.floats(0.0, 2.0 * math.pi)))
+        if draw(st.booleans()) or i == 0 else SignalSpec() for i in range(n))
+
+
+@st.composite
+def drawn_disturbances(draw, n, frequencies):
+    """psi0, psi1 and f each drawn on its own; f on one or two shapes."""
+    psi0, psi1, f = (draw(channel_loads(n, frequencies)) for _ in range(3))
+    if f is not None:
+        shapes = draw(st.lists(st.one_of(
+            st.builds(ProfileSpec, kind=st.just("cosine"), amplitude=st.floats(0.2, 2.0),
+                      spatial_frequency=st.integers(0, 4).map(float)),
+            st.builds(ProfileSpec, kind=st.just("polynomial"),
+                      coefficients=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))),
+            min_size=1, max_size=2))
+        f = tuple(SpaceTimeSpec(kind="separable", temporal=sig,
+                                spatial=draw(st.sampled_from(shapes)))
+                  if sig.kind == "sinusoid" else SpaceTimeSpec() for sig in f)
+    return DisturbanceSpec(psi0=psi0 or (SignalSpec(),) * n, psi1=psi1 or (), f=f or ())
 
 
 def constant_profiles(values, n_agents):
@@ -349,10 +429,10 @@ class TestSimulate:
         # 83 steps: a final partial stride for every stride but 1, and more
         # than two 16-step powers; grids at or below the tile width have no
         # interior tile; a resting leader is an all-zero row; 1 and 25
-        # followers carry every forcing path; loads at one end alone reach
-        # only part of a grid wider than their reach, psi0 at a frequency
-        # per follower (the forced response by step), psi1 at two (by
-        # frequency, or by step for strides 1 and 2)
+        # followers carry every forcing path; loads at one end alone add
+        # exact zeros to the entries beyond their reach on the wider grids,
+        # psi0 at a frequency per follower (the forced response by step),
+        # psi1 at two (by frequency, or by step for strides 1 and 2)
         networks = [(path3_topology, reference_profiles(), heterogeneous_disturbances()),
                     (path3_topology, resting_leader_profiles(), heterogeneous_disturbances()),
                     *((path_topology(n), varied_profiles(n), mixed_disturbances(n))
@@ -363,28 +443,13 @@ class TestSimulate:
             grid = Grid(nx=nx)
             for topo, profiles, dist in networks:
                 case = f"nx={nx}, n={topo.n}"
-                m = pinned_matrix(topo)
                 snaps = []
                 sim = Simulation(topo, GAINS, grid, profiles, dist)
                 nsteps = sim.run(82.5 * grid.dt, observers=(lambda b: snaps.extend(samples(b)),),
                                  stride=stride)
                 assert nsteps == 83, case
                 assert [sp.step_index for sp in snaps] == [*range(0, nsteps, stride), nsteps]
-                states = [init_state(grid, profiles, GAINS, m, dist)]
-                for _ in range(nsteps + 1):
-                    states.append(step(states[-1], GAINS, m, dist, grid))
-                for sp in snaps:
-                    k = sp.step_index
-                    ref = states[k]
-                    dev = ref.u_curr[1:] - ref.u_curr[0]
-                    scale = max(np.max(np.abs(dev)), 1.0)
-                    assert np.max(np.abs(sp.error - dev)) < 1e-11 * scale, case
-                    assert np.max(np.abs(sp.leader - ref.u_curr[0])) < 1e-11 * 10.0, case
-                    vel = (states[k + 1].u_curr - ref.u_prev) / (2.0 * grid.dt)
-                    dev_vel = vel[1:] - vel[0]
-                    vscale = max(np.max(np.abs(dev_vel)), 1.0)
-                    assert np.max(np.abs(sp.error_vel - dev_vel)) < 1e-10 * vscale, case
-                    assert np.max(np.abs(sp.leader_vel - vel[0])) < 1e-10 * vscale, case
+                assert_matches_step(snaps, topo, profiles, dist, grid, case)
 
     @pytest.mark.parametrize("stride", (1, 7, 10, 37))
     def test_block_size_gives_bit_identical_samples(self, path3_topology, monkeypatch, stride):
@@ -759,6 +824,60 @@ class TestSteadyState:
         assert switch is not None
         assert np.max(np.abs(leader - 10.0)) <= 1e-10
         assert not error.any() and not error_vel.any()
+
+
+class TestRandomRuns:
+    """Random networks, grids and loads, drawn by Hypothesis."""
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_samples_match_reference_step(self, data):
+        topo = data.draw(trees(6))
+        grid = Grid(nx=data.draw(st.integers(3, 41)))
+        stride, nsteps = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 100))
+        profiles = data.draw(drawn_profiles(topo.n))
+        dist = data.draw(drawn_disturbances(topo.n, st.floats(0.5, 15.0)))
+        runs = []
+        for per_block in (None, 1):  # the default first
+            with pytest.MonkeyPatch.context() as mp:
+                if per_block:
+                    use_blocks(mp, per_block, grid, topo.n)
+                snaps = []
+                sim = Simulation(topo, GAINS, grid, profiles, dist)
+                assert sim.run((nsteps - 0.5) * grid.dt, stride=stride,
+                               observers=(lambda b: snaps.extend(samples(b)),)) == nsteps
+                runs.append(snaps)
+        assert list(map(snapshot, runs[1])) == list(map(snapshot, runs[0]))
+        assert_matches_step(runs[0], topo, profiles, dist, grid, f"nx={grid.nx}")
+
+    @settings(max_examples=25)
+    @given(st.data())
+    def test_shortcut_matches_stepping(self, data):
+        topo = data.draw(trees(4))
+        grid = Grid(nx=data.draw(st.integers(11, 41)))
+        stride, horizon = data.draw(st.integers(1, 16)), data.draw(st.floats(200.0, 400.0))
+        omegas = data.draw(st.lists(st.floats(0.5, 15.0), min_size=1, max_size=3))
+        dist = data.draw(drawn_disturbances(topo.n, st.sampled_from(omegas)))
+        assume(not dist.is_zero())
+        profiles = data.draw(drawn_profiles(topo.n))
+        runs = []
+        for on, per_block in ((True, None), (False, None), (True, 1)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(wavesim, "_SETTLE", on)
+                if per_block:
+                    use_blocks(mp, per_block, grid, topo.n)
+                runs.append(settled_run(topo, GAINS, grid, profiles, dist, horizon, stride))
+        (switch, fields), (never, stepped), (blocked, per_sample) = runs
+        assert never is None and blocked == switch
+        assert [f.tobytes() for f in per_sample] == [f.tobytes() for f in fields]
+        # the leader settles to a constant, whose stepped velocity is only the
+        # tiled product's rounding drift; it is held to 1e-10 of the leader's
+        # displacement per 2 dt, the scale of the fitted u^(k+1) - u^(k-1)
+        scales = [np.max(np.abs(b)) for b in stepped]
+        scales[1] = max(scales[1], scales[0] / (2.0 * grid.dt))
+        for a, b, scale in zip(fields, stepped, scales):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-10 * scale
 
 
 class TestBoundaryTrace:
