@@ -664,8 +664,8 @@ def run_analyze(csv_paths) -> RunResult:
             lines.append(f"decay fit on V: rate={rate:.6g} 1/s, r^2={r2:.6g}")
         else:
             for col in ("iss_bound_conservative", "iss_bound_verbatim"):
-                bad = int(np.sum(cols["V0"] > cols[col]))
-                lines.append(f"{col}: {bad} violations / {len(cols['t'])}")
+                rep = analysis.bound_report(cols["t"], cols["V0"], cols[col])
+                lines.append(f"{col}: {len(rep.violations)} violations / {rep.checked}")
         return RunResult(EXIT_OK, "\n".join(lines))
     means = []
     for path, cols in zip(csv_paths, tables):

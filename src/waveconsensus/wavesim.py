@@ -39,8 +39,8 @@ keeps stepping at full speed instead of stalling in the slow subnormal
 range; nothing downstream resolves fields that small (`analysis` reads
 functionals below 1e-300 as zero), and a forced row stays at the scale
 of its forced response.  Periodic runs stop stepping; the samples are
-bit-identical for any block size.  `step` is the plain per-agent
-reference implementation of the same update in physical coordinates.
+bit-identical for any block size.  `step` repeats the update per agent in
+physical coordinates, apart from `_Stepper` on purpose: it is the oracle.
 """
 from __future__ import annotations
 
@@ -250,12 +250,12 @@ def init_state(grid: Grid, profiles, gains: ControlGains, m=None,
 
 def step(state: WaveState, gains: ControlGains, m, dist: DisturbanceSpec | None,
          grid: Grid, control_hook=None) -> WaveState:
-    """Advance all agents one time level (reference implementation).
-
-    The follower boundary control reads only the x=1 samples of the
-    deviation and its discrete velocity; `control_hook`, when given, is
-    called with exactly those boundary vectors and the applied q.
-    """
+    """Advance all agents one time level: the reference oracle.  It repeats
+    `_Stepper`'s update per agent, with its own coefficients and boundary
+    closures, on purpose: the tests check the modal path against it, so one
+    shared update would hide an error in both.  The follower control reads
+    only the x=1 samples of the deviation and its discrete velocity;
+    `control_hook` gets exactly those boundary vectors and the applied q."""
     u, up = state.u_curr, state.u_prev
     n = state.n_followers
     if dist is None:
@@ -511,59 +511,59 @@ class _Propagator:
 
 class _Settle:
     """The steady-state fit of a run (see `Simulation.run`): sample j lies in
-    window j // 2w, all of one basis, with phases from the window's start."""
+    window j // 2w, whose first w samples are fitted and last w checked."""
 
     def __init__(self, sim: Simulation, stride: int, count: int):
         """w >= 8 (twice the fitted columns), doubled until the basis is well
-        conditioned; 0 unless three windows within _FIT_BYTES fit the run."""
-        self.omegas = omegas = np.unique(np.abs(sim._omegas[sim._omegas != 0.0]))  # 0: constant
-        self.rows, self.nx, self.stride, self.dt = sim.n + 1, sim.grid.nx, stride, sim.grid.dt
-        self.passes, self.full, self.w = 0, False, 0  # full: check every entry, not only x = 1
-        w = max(4 * omegas.size + 2, 8)
-        while 6 * w < count and 32 * w * self.rows * self.nx <= _FIT_BYTES:
-            ph = np.arange(2 * w)[:, None] * (stride * self.dt) * omegas
-            self.basis = np.hstack([np.ones((2 * w, 1)), np.cos(ph), np.sin(ph)])
-            u, s, vt = np.linalg.svd(self.basis[:w], full_matrices=False)
+        conditioned; 0 unless 3 windows fit the run and `coef` fits _FIT_BYTES."""
+        self.omegas = np.unique(np.abs(sim._omegas[sim._omegas != 0.0])).tolist()  # 0: constant
+        self.dt, self.k0, self.pos, self.w = sim.grid.dt, 0, 0, 0  # pos: samples into the window
+        self.passes, self.full = 0, False  # full: check every entry, not only x = 1
+        shape = (1 + 2 * len(self.omegas), 2, sim.n + 1, sim.grid.nx)  # fill's columns by field
+        w = max(4 * len(self.omegas) + 2, 8)
+        while 6 * w < count and 8 * math.prod(shape) <= _FIT_BYTES:
+            u, s, vt = np.linalg.svd(self.phases(range(0, w * stride, stride)), full_matrices=False)
             if s[0] <= 10.0 * s[-1]:
-                self.w, self.pinv = w, vt.T @ (u.T / s[:, None])
-                self.buf = np.empty((2 * w, 2, self.rows, self.nx))
+                self.w, self.pinv, self.coef = w, vt.T @ (u.T / s[:, None]), np.zeros(shape)
                 break
             w *= 2
 
-    def feed(self, fields, j0: int, stop: int):
-        """Take samples j0 .. j0 + stop - 1 of a block; the first sample to
-        fill once two full checks pass in a row (x = 1 screens), else None."""
-        j, w = j0, self.w
-        while w and j < j0 + stop:
-            x, pos = slice(None if self.full else -1, None), j % (2 * w)
-            take = min(2 * w - pos, j0 + stop - j)
-            self.buf[pos:pos + take, ..., x] = fields[:, j - j0:j - j0 + take, :, x].swapaxes(0, 1)
-            j += take
-            if pos + take < 2 * w:
-                break
-            win = self.buf[..., x]
-            f, shape = win.reshape(2 * w, -1), (-1, *win.shape[1:])
-            a = self.pinv @ f[:w]
-            res, tol = (np.abs(e).reshape(shape).max(axis=(0, 1, 3))
-                        for e in (self.basis[w:] @ a - f[w:], 1e-11 * a))
-            ok = res[0] <= tol[0] and res[1:].max(initial=0.0) <= tol[1:].max(initial=0.0)
-            self.passes, self.full = self.passes + 1 if ok and self.full else 0, ok
-            if self.passes == 2:  # coef rows as fill's phase columns: C0, Cc_1, Cs_1, ...
-                n = self.omegas.size
-                order = [0, *(i for m in range(1, n + 1) for i in (m, m + n))]
-                self.coef, self.k0 = a.reshape(shape)[order], (j - 2 * w) * self.stride
-                return j
+    def phases(self, instants):
+        """The rows [1, cos w t, sin w t, ...] at t = (k - k0) dt of the
+        instants k, from math.cos and math.sin."""
+        return np.array([[1.0, *(f(w * t) for w in self.omegas for f in (math.cos, math.sin))]
+                         for t in ((k - self.k0) * self.dt for k in instants)]
+                        ).reshape(-1, 1 + 2 * len(self.omegas))  # (0, 1 + 2 n_w) when none
+
+    def feed(self, fields, instants, stop: int):
+        """Take the first `stop` samples of a block at `instants`; the index of
+        the first to fill after two full checks in a row (x = 1 screens), or None."""
+        i, w = 0, self.w
+        while w and i < stop:
+            x, pos = slice(None if self.full else -1, None), self.pos
+            take = min(w - pos % w, stop - i)
+            seg, coef = fields[:, i:i + take, :, x], self.coef[..., x]
+            if pos == 0:  # a window starts
+                self.k0, self.ok, coef[...] = instants[i], True, 0.0
+            if pos < w:  # summed one sample at a time, in sample order
+                for p, f in zip(self.pinv[:, pos:pos + take].T, seg.swapaxes(0, 1)):
+                    coef += p[:, None, None, None] * f
+            else:  # fill's own output against the samples, the largest residual per row
+                res, tol = (np.abs(e).max(axis=(0, 1, 3)) for e in (
+                    self.fill(np.empty_like(seg), instants[i:i + take], x) - seg, 1e-11 * coef))
+                self.ok &= res[0] <= tol[0] and res[1:].max(initial=0) <= tol[1:].max(initial=0)
+            i, self.pos = i + take, (pos + take) % (2 * w)
+            if self.pos == 0:
+                self.passes, self.full = self.passes + 1 if self.ok and self.full else 0, self.ok
+                if self.passes == 2:
+                    return i
         return None
 
-    def fill(self, out, instants) -> int:
-        """The fit at the s sample `instants` into `out[:, :s]`: C0 + sum_w
-        cos(w (k - k0) dt) Cc_w + sin(...) Cs_w, summed in that order; s."""
-        omegas = self.omegas.tolist()
-        phases = np.array([[1.0, *(f(w * t) for w in omegas for f in (math.cos, math.sin))]
-                           for t in ((k - self.k0) * self.dt for k in instants)]
-                          ).reshape(-1, len(self.coef))  # (0, 1 + 2 n_w) when none
-        np.einsum("sk,klre->lsre", phases, self.coef, out=out[:, :len(instants)])
-        return len(instants)
+    def fill(self, out, instants, x=slice(None)):
+        """The view out[:, :s] (entries x) filled with the fit at the s `instants`,
+        C0 + sum_w cos(w (k - k0) dt) Cc_w + sin(...) Cs_w summed in that order."""
+        return np.einsum("sk,klre->lsre", self.phases(instants), self.coef[..., x],
+                         out=out[:, :len(instants), :, x])
 
 
 class Simulation:
@@ -634,13 +634,13 @@ class Simulation:
         sample at or after the first diverged one.
 
         A run stops stepping once it is periodic (`_Settle`): every 2w
-        samples it fits [1, cos(w k dt), sin(w k dt)] at its frequencies to
-        u^k and u^(k+1) - u^(k-1) of w samples and checks the fit on the
-        next w.  After two checks in a row with residuals at most 1e-11 of
-        the largest fitted coefficient, of the modes and of the leader each,
-        the rest comes from the fit, from `switch_step` on (else None).  A
-        zero scale needs a zero residual, so an undisturbed run switches only
-        once every mode is flushed; runs that never settle keep stepping."""
+        samples it fits [1, cos w t, sin w t, ...] at its frequencies to u^k
+        and u^(k+1) - u^(k-1) of w samples, one sample at a time, and checks
+        `fill` itself on the next w.  After two checks in a row with residuals
+        at most 1e-11 of the largest fitted coefficient, of the modes and of
+        the leader each, `fill` gives the rest, from `switch_step` on (else
+        None).  A zero scale needs a zero residual, so an undisturbed run
+        switches once every mode is flushed; unsettled runs keep stepping."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if stride < 1:
@@ -675,7 +675,7 @@ class Simulation:
         for j0 in range(0, count, size):
             instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
             if self.switch_step is not None:  # all from the fit
-                self._emit(instants, settle.fill(fields, instants), fields, observers)
+                self._emit(instants, settle.fill(fields, instants).shape[1], fields, observers)
                 continue
             for x, out, k in zip(xs, outs, instants):
                 nxt = min(k + stride, nsteps)
@@ -697,18 +697,18 @@ class Simulation:
                     _spread(state, x1, c, rows)
                     op(q).apply(x1, out1, k)
                     state, k = out1[c:], k + q
-            stop = self._gather(instants, xs, outs, fields)[1]
-            j = settle.feed(fields, j0, stop) if settle else None
-            if j is not None:  # the samples from j on come from the fit
-                self.switch_step = min(j * stride, nsteps)
-                settle.fill(fields[:, j - j0:], instants[j - j0:stop])
+            stop = self._gather(instants, xs, outs, fields)
+            i = settle.feed(fields, instants, stop) if settle else None
+            if i is not None:  # the samples from i on come from the fit
+                self.switch_step = min((j0 + i) * stride, nsteps)
+                settle.fill(fields[:, i:], instants[i:stop])
             self._emit(instants, stop, fields, observers)
         return nsteps
 
     def _gather(self, instants, xs, outs, out):
         """Copy a block's samples out of the tiled buffers: u^k and
         u^(k+1) - u^(k-1) of every row into `out`, up to the first diverged
-        sample.  Returns the instants and the number of samples kept."""
+        sample.  Returns the number of samples kept."""
         nx, rows, cnt, c = self.grid.nx, self.n + 1, len(instants), xs.shape[1] // 6
         tiles = xs.shape[2] // rows
         state = xs[:cnt, 2 * c:4 * c]
@@ -722,7 +722,7 @@ class Simulation:
 
         out[0, :stop] = rows_of(state[:stop, 0::2])
         out[1, :stop] = rows_of(outs[:stop, :c] - state[:stop, 1::2])
-        return instants, stop
+        return stop
 
     def _emit(self, instants, stop, fields, observers):
         """Hand the first `stop` gathered samples of a block to each

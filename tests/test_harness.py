@@ -1,16 +1,23 @@
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveconsensus import harness
 from waveconsensus.cli import main
 from waveconsensus.errors import ConfigError
+from waveconsensus.signals import PROFILE_KINDS, SIGNAL_KINDS, SPACETIME_KINDS
+from waveconsensus.wavesim import Grid
 
 MINIMAL = json.dumps({
     "topology": {"adjacency": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
@@ -204,15 +211,163 @@ BAD_INPUT = [
 
 
 def with_value(doc, path, value):
-    """Copy of `doc` with `value` written at a dotted/indexed path."""
+    """Copy of `doc` with `value` written at a dotted/indexed path; an
+    absent or null object on the way is created."""
     doc = json.loads(json.dumps(doc))
     *parents, last = [int(k) if k.isdigit() else k
                       for k in re.findall(r"[^.\[\]]+", path)]
     target = doc
     for key in parents:
+        if isinstance(target, dict) and target.get(key) is None:
+            target[key] = {}
         target = target[key]
     target[last] = value
     return doc
+
+
+# Random configs for the schema's property tests (Hypothesis).
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-10**6, 10**6))
+NONNEGATIVE = st.one_of(st.floats(0.0, 1e300), st.integers(0, 10**6))
+OPTIONS = ("set", "set", "absent", "null")  # set half the time
+
+
+def put(draw, obj, key, strategy):
+    """An optional member: drawn, absent or null."""
+    choice = draw(st.sampled_from(OPTIONS))
+    if choice != "absent":
+        obj[key] = None if choice == "null" else draw(strategy)
+
+
+@st.composite
+def kinded(draw, kinds, members, optional=()):
+    """An object of a random kind with the members that kind uses."""
+    kind = draw(st.sampled_from(sorted(kinds)))
+    obj = {"kind": kind}
+    for name in kinds[kind]:
+        if name in optional:
+            put(draw, obj, name, members[name])
+        else:
+            obj[name] = draw(members[name])
+    return obj
+
+
+@st.composite
+def valid_docs(draw):
+    """A valid config document: 1-4 followers, every profile, signal and
+    space-time kind, optional members absent, null or set, and table
+    profiles of grid.nx samples."""
+    n = draw(st.integers(1, 4))
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            adj[i][j] = adj[j][i] = draw(st.integers(0, 1))
+    doc = {"topology": {"adjacency": adj,
+                        "leader_links": draw(st.lists(st.integers(0, 1), min_size=n,
+                                                      max_size=n))},
+           "gains": {key: draw(NONNEGATIVE) for key in ("k1", "k2", "c0")}}
+    nx, grid = 201, draw(st.sampled_from(OPTIONS))
+    if grid != "absent":
+        doc["grid"] = None if grid == "null" else {}
+    if doc.get("grid") is not None:
+        put(draw, doc["grid"], "nx", st.integers(3, 12))
+        nx = doc["grid"].get("nx") or nx
+        put(draw, doc["grid"], "courant", st.floats(0.0, 1.0, exclude_min=True))
+        put(draw, doc["grid"], "dissipation", st.floats(0.0, 1.0))
+    put(draw, doc, "horizon", st.floats(0.0, 1e300, exclude_min=True))
+    profiles = kinded(PROFILE_KINDS, {
+        "amplitude": NUMBERS, "spatial_frequency": NUMBERS,
+        "coefficients": st.lists(NUMBERS, max_size=4),
+        "samples": st.lists(NUMBERS, min_size=1, max_size=4).map(lambda v: (v * nx)[:nx])})
+    signals = kinded(SIGNAL_KINDS, dict.fromkeys(("amplitude", "angular_frequency", "phase"),
+                                                 NUMBERS), optional=("phase",))
+    spacetimes = kinded(SPACETIME_KINDS, {"temporal": signals, "spatial": profiles})
+
+    @st.composite
+    def agents(draw):
+        agent = {}
+        put(draw, agent, "displacement", profiles)
+        put(draw, agent, "velocity", profiles)
+        return agent
+
+    def per_agent(items):
+        return st.lists(items, min_size=n, max_size=n)
+
+    ics, dist = {}, {}
+    put(draw, ics, "leader", agents())
+    put(draw, ics, "followers", per_agent(agents()))
+    put(draw, doc, "initial_conditions", st.just(ics))
+    for key, items in (("psi0", signals), ("psi1", signals), ("f", spacetimes)):
+        put(draw, dist, key, per_agent(items))
+    put(draw, doc, "disturbances", st.just(dist))
+    cert, output = {}, {}
+    put(draw, cert, "regime", st.sampled_from(("auto", "unperturbed", "perturbed")))
+    put(draw, cert, "resolution", st.integers(1, 1000))
+    for key in ("rho1", "rho2", "xi1", "xi2"):
+        put(draw, cert, key, NUMBERS)
+    put(draw, doc, "certificate", st.just(cert))
+    put(draw, output, "csv", st.text(max_size=8))
+    put(draw, output, "stride", st.integers(1, 100))
+    put(draw, doc, "output", st.just(output))
+    return doc
+
+
+def members(value, path=""):
+    """(path, value) of every member and list item of a document below
+    `value` (null members are absent, so they are left out)."""
+    items = (value.items() if isinstance(value, dict) else enumerate(value)
+             if isinstance(value, list) else ())
+    for key, item in items:
+        sub = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        if item is not None:
+            yield sub, item
+            yield from members(item, sub)
+
+
+INTEGERS = re.compile(r"grid\.nx|certificate\.resolution|output\.stride"
+                      r"|topology\.(adjacency\[\d+\]\[\d+\]|leader_links\[\d+\])")
+OUT_OF_RANGE = {"grid.nx": (2, -3), "grid.courant": (0.0, 1.5), "grid.dissipation": (-0.1, 2.0),
+                "gains.k1": (-1.0,), "gains.k2": (-1e-300,), "gains.c0": (-2.5,),
+                "horizon": (0.0, -1.0), "certificate.resolution": (0, 1001),
+                "output.stride": (0, -1)}
+
+
+def json_type(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@st.composite
+def corruptions(draw, doc):
+    """One bad field written into a valid document: (document, the path
+    the error must name)."""
+    leaves = dict(members(doc))
+
+    def pick(paths):  # evenly over the schema's fields, then over list items
+        fields = {}
+        for path in sorted(paths):
+            fields.setdefault(re.sub(r"\[\d+\]", "[]", path), []).append(path)
+        return draw(st.sampled_from(fields[draw(st.sampled_from(sorted(fields)))]))
+
+    kind = draw(st.sampled_from(("type", "range", "integral", "unknown")))
+    if kind == "type":  # a JSON value of another type
+        path = pick(leaves)
+        bad = draw(st.sampled_from([v for v in ("x", 1.5, True, [], {})
+                                    if json_type(v) != json_type(leaves[path])]))
+    elif kind == "range":  # a non-finite number, or one outside its field's range
+        numbers = [path for path, value in leaves.items() if json_type(value) == "number"]
+        path, bad = draw(st.one_of(
+            st.tuples(st.just(pick(numbers)), st.sampled_from((math.nan, math.inf, -math.inf))),
+            st.sampled_from([(p, v) for p, vs in OUT_OF_RANGE.items() for v in vs])))
+    elif kind == "integral":  # an integer field with a fractional part
+        path = pick({*filter(INTEGERS.fullmatch, leaves), "grid.nx", "certificate.resolution",
+                     "output.stride"})
+        bad = draw(st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()))
+    else:  # a member that is not in the schema
+        parent = pick(["", *(path for path, value in leaves.items() if isinstance(value, dict))])
+        key = draw(st.sampled_from(("colour", "stirde", "k3")))
+        path = f"{parent}.{key}" if parent else key
+        bad = 1.0
+    return with_value(doc, path, bad), path
 
 
 class TestBadInput:
@@ -247,6 +402,32 @@ class TestBadInput:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"config error: {path}: ")
         assert "Traceback" not in proc.stderr
+
+
+class TestSchemaProperties:
+    """Random valid and singly corrupted config documents (Hypothesis)."""
+
+    @settings(max_examples=60)
+    @given(valid_docs())
+    def test_valid_configs_round_trip(self, doc):
+        config = harness.parse_config(json.dumps(doc))
+        assert harness.parse_config(harness.serialize_config(config)) == config
+
+    @settings(max_examples=160)
+    @given(st.data())
+    def test_one_bad_field_exits_1_naming_its_path(self, data):
+        doc, path = data.draw(corruptions(data.draw(valid_docs())))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "bad.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                main(["check-gains", "--config", cfg])
+        assert exc.value.code == harness.EXIT_USAGE
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"config error: {path}: "), err.getvalue()
+        assert err.getvalue().count("\n") == 1
 
 
 class TestPresets:
@@ -389,6 +570,30 @@ class TestRunSimulate:
         assert res.exit_code == harness.EXIT_OK
         assert os.path.exists(res.paths["csv"])
 
+    def test_derived_horizon_sets_the_last_sample(self, tmp_path):
+        # without a horizon the run lasts the certificate's derived H, which
+        # ends on the first step at or after H
+        config = harness.replace(harness.test_preset(1), grid=Grid(nx=21))
+        res = harness.run_simulate(config, str(tmp_path))
+        assert res.exit_code == harness.EXIT_OK and config.horizon is None
+        horizon = harness.derive_horizon(res.certificate, "unperturbed")
+        dt = config.grid.dt
+        assert harness.read_csv(res.paths["csv"])["t"][-1] == math.ceil(horizon / dt) * dt
+
+    def test_disconnected_graph_runs_without_bounds(self, tmp_path):
+        # follower 3 has no link to the others or to the leader, so no
+        # certificate exists; an explicit horizon still runs
+        doc = json.loads(MINIMAL)
+        doc["topology"]["adjacency"] = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+        doc.update(horizon=1.0, grid={"nx": 21})
+        with pytest.warns(UserWarning, match="follower graph is not connected"):
+            res = harness.run_simulate(harness.parse_config(json.dumps(doc)), str(tmp_path))
+        assert res.exit_code == harness.EXIT_OK and res.certificate is None
+        cols = harness.read_csv(res.paths["csv"])
+        assert not np.isnan(cols["V"]).any()
+        for name in ("bound_envelope", "iss_bound_conservative", "iss_bound_verbatim"):
+            assert np.isnan(cols[name]).all()
+
 
 class TestCli:
     @pytest.mark.parametrize("argv, code", [
@@ -501,6 +706,18 @@ class TestCli:
             main(["analyze", str(path)])
         assert exc.value.code == harness.EXIT_USAGE
         assert capsys.readouterr().out == f"format error: {path}: {message}\n"
+
+    def test_diverging_run_exits_3(self, tmp_path, capsys):
+        doc = json.loads(MINIMAL)
+        sig = {"kind": "sinusoid", "amplitude": 1e14, "angular_frequency": 10.0}
+        doc.update(horizon=1.0, grid={"nx": 21}, disturbances={"psi1": [sig] * 3})
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == harness.EXIT_DIVERGED
+        out, err = capsys.readouterr()
+        assert out.startswith("solver diverged: ") and out.count("\n") == 1 and err == ""
 
     def test_env_var_out_dir(self, monkeypatch):
         monkeypatch.setenv(harness.ENV_OUT_DIR, "/tmp/somewhere")

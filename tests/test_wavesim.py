@@ -538,9 +538,9 @@ class TestSimulate:
         gather, modal, blocks = Simulation._gather, [], []
 
         def spy(self, instants, xs, outs, out):  # the modal fields of each block
-            instants, stop = gather(self, instants, xs, outs, out)
+            stop = gather(self, instants, xs, outs, out)
             modal.append((self._q, out[:, :stop].copy()))
-            return instants, stop
+            return stop
 
         monkeypatch.setattr(Simulation, "_gather", spy)
         Simulation(path_topology(n), GAINS, grid, varied_profiles(n)).run(
@@ -605,13 +605,13 @@ print(*seen, threading.active_count())
         gather, modal, peaks, bits = Simulation._gather, [], [], wavesim._FLUSH_BITS
 
         def spy(self, instants, xs, outs, out):  # the modal fields of each block
-            instants, stop = gather(self, instants, xs, outs, out)
+            stop = gather(self, instants, xs, outs, out)
             modal.append(out[:, :stop].copy())
             # each row's peak over both levels of its state, as the flush
             # reads it: the centre tiles, (entry, tile) x row
             c, rows = xs.shape[1] // 6, self.n + 1
             peaks.append(np.abs(xs[:stop, 2 * c:4 * c].reshape(stop, -1, rows)).max(axis=1))
-            return instants, stop
+            return stop
 
         monkeypatch.setattr(Simulation, "_gather", spy)
 
@@ -824,6 +824,18 @@ class TestSteadyState:
         assert switch is not None
         assert np.max(np.abs(leader - 10.0)) <= 1e-10
         assert not error.any() and not error_vel.any()
+
+    def test_large_network_gets_a_fit_window(self, monkeypatch):
+        # the fit keeps only its coefficients, 16 (1 + 2 n_w) (n + 1) nx bytes
+        # (790 kB here), so _FIT_BYTES bounds them and not a window of fields
+        n, sig = 162, SignalSpec(kind="sinusoid", amplitude=1.0, angular_frequency=8.0)
+        sim = Simulation(path_topology(n), GAINS, Grid(nx=101),
+                         [(ProfileSpec(), ProfileSpec())] * (n + 1),
+                         DisturbanceSpec(psi0=(sig,) * n))
+        settle = wavesim._Settle(sim, 10, 10**6)
+        assert settle.w == 8 and settle.coef.nbytes == 16 * 3 * (n + 1) * 101
+        monkeypatch.setattr(wavesim, "_FIT_BYTES", settle.coef.nbytes - 1)
+        assert wavesim._Settle(sim, 10, 10**6).w == 0
 
 
 class TestRandomRuns:
