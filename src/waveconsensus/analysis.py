@@ -256,8 +256,9 @@ def bound_report(t, value, bound, scale=None) -> BoundReport:
         scale = np.asarray(scale, dtype=float)
         counted = bad & (scale > 0)
     worst = 0.0
-    if counted.any():
-        worst = max(worst, float(np.max(value[counted] / scale[counted] - 1.0)))
+    if counted.any():  # a violated zero bound (the default scale) gives inf
+        with np.errstate(divide="ignore"):
+            worst = max(worst, float(np.max(value[counted] / scale[counted] - 1.0)))
     return BoundReport(checked=len(value),
                        violations=tuple(zip(t[bad].tolist(), value[bad].tolist(),
                                             bound[bad].tolist())),

@@ -23,24 +23,26 @@ is O(theta^6) and does not perturb the solver's second-order convergence.
 M = Q diag(lam) Q^T, so the deviation (error) dynamics split along its
 eigenvectors into n independent single agents whose x=1 feedback gains
 are scaled by lam_i; the leader is the lam = 0 row of the same stencil.
-The rows [leader, mode_1 .. mode_n] therefore share one interior
-propagator and differ only where the boundaries reach.  `Simulation.run`
-keeps them as the columns of one tiled state and advances every row at
-once, one sample instant per product: a dense tile product (BLAS) with
-the q-step interior stencil, plus each row's correction on the two end
-windows and the exact forced response of the disturbances on every
-entry (two phase columns per distinct frequency, or with many
-frequencies a column per step of the product).  The same product gives
-the step after the sample, for the centered sample velocity.  All of it
-is probed from the one-step stencil; a sample costs O(rows nx stride)
-and runs on the calling thread.  An unforced modal row whose peak decays
-below 2^-600 is set to exact zero, where it stays, so an undisturbed error
-keeps stepping at full speed instead of stalling in the slow subnormal
-range; nothing downstream resolves fields that small (`analysis` reads
-functionals below 1e-300 as zero), and a forced row stays at the scale
-of its forced response.  Periodic runs stop stepping; the samples are
-bit-identical for any block size.  `step` repeats the update per agent in
-physical coordinates, apart from `_Stepper` on purpose: it is the oracle.
+The rows [leader, mode_1 .. mode_n] therefore differ only at node nx - 1
+and share the leader's propagator up to a rank-q update there.
+`Simulation.run` keeps them as the columns of one tiled state and
+advances every row at once, one sample instant per product: a dense tile
+product (BLAS) with the q-step interior stencil, the leader's correction
+on the two end windows, each row's q x 2q feedback through node nx - 1,
+and the exact forced response of the disturbances on every entry (two
+phase columns per row and distinct frequency, or with many frequencies a
+shared column per step of the product).  The same product gives the
+step after the sample, for the centered sample velocity.  All of it is
+probed from the one-step stencil; a sample costs O(rows nx stride) and
+runs on the calling thread.  An unforced modal row whose peak decays
+below 2^-600 is set to exact zero, where it stays, so an undisturbed
+error keeps stepping at full speed instead of stalling in the slow
+subnormal range; nothing downstream resolves fields that small
+(`analysis` reads functionals below 1e-300 as zero), and a forced row
+stays at the scale of its forced response.  Periodic runs stop stepping;
+the samples are bit-identical for any block size.  `step` repeats the
+update per agent in physical coordinates, apart from `_Stepper` on
+purpose: it is the oracle.
 """
 from __future__ import annotations
 
@@ -59,7 +61,6 @@ DIVERGENCE_LIMIT = 1e12
 _MAX_POWER = 16         # longest propagator power; longer strides repeat it
 _FLUSH_BITS = 600       # an unforced modal row below 2^-600 is set to zero
 _CHUNK_BYTES = 1 << 20  # deviation fields per block of samples and functional batch
-_PROBE_BYTES = 1 << 20  # each level of a batch of unit-input probes
 _SETTLE = True          # stop stepping once a run is periodic (tests turn it off)
 _FIT_BYTES = 1 << 22    # the fit's window of fields; runs that need more keep stepping
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
@@ -338,26 +339,42 @@ class SampleBlock:
 
 
 def _levels(stepper: _Stepper, u, up, q: int):
-    """The levels [u^(k+1), u^(k+q), u^(k+q-1)] of every row (axis 1)
-    after q unforced steps from u^k = u and u^(k-1) = up."""
-    first = None
+    """The levels u^k .. u^(k+q) of every row (axis 1) over q unforced
+    steps from u^k = u and u^(k-1) = up; a product outputs levels 1, q and
+    q - 1 of them."""
+    levels = [u]
     for _ in range(q):
         u, up = stepper.step(u, up), u
-        first = u if first is None else first
-    return np.stack([first, u, up], axis=1)
+        levels.append(u)
+    return np.stack(levels, axis=1)
 
 
 def _kernel(grid: Grid, gains: ControlGains, q: int):
     """The interior stencil of q steps and its reach R: entry [ol, il, R + d]
-    maps level il of node x to level ol (as in `_levels`) of node x + d.
-    Probed on a line whose edge formulas the unit inputs never reach: a
-    step reads three nodes on each side, the edge strips seven nodes in."""
+    maps level il of node x to output ol (levels 1, q, q - 1 of `_levels`)
+    of node x + d.  Probed on a line whose edge formulas the unit inputs
+    never reach: a step reads three nodes on each side, the edge strips
+    seven nodes in."""
     h = 4 * q + 8
     u = np.zeros((2, 2, 2 * h + 1))
     u[0, 0, h] = u[1, 1, h] = 1.0  # probe row il carries the unit on level il
-    k = _levels(_Stepper(grid, gains, np.zeros(2)), u[0], u[1], q)
+    k = _levels(_Stepper(grid, gains, np.zeros(2)), u[0], u[1], q)[:, [1, q, q - 1]]
     reach = int(np.abs(np.flatnonzero(k.any(axis=(0, 1))) - h).max())
     return k[:, :, h - reach:h + reach + 1].transpose(1, 0, 2), reach
+
+
+def _delayed(levels, q: int):
+    """(j, level, x), j < q: u^k .. u^(k+q) of an input that enters level
+    k + j + 1 as the q or more `levels` enter level k."""
+    return np.r_[np.zeros((q, levels.shape[1])), levels][
+        np.arange(q + 1) - np.arange(q)[:, None] + q - 1]
+
+
+def _end_terms(levels):
+    """h of each input from its lam = 0 levels (input, level, x): the
+    increments d_j of node nx - 1 over the steps, then its values v_j."""
+    end = levels[:, :, -1]
+    return np.hstack([np.diff(end, axis=1), end[:, :-1]])
 
 
 def _spread(state, x, c: int, rows: int):
@@ -378,10 +395,17 @@ class _Propagator:
     """The stacked operator [S^1 (u level only); S^q] of all rows of a run
     on the tiled state (see `Simulation.run`), with tile width c >= the
     reach of the q-step stencil `kernel` (`_kernel`).  Output tile entries
-    are u^(k+1) at the c nodes, then the state q steps on.  Everything is
-    probed from `_Stepper`: the interior tile block `k` (3c x 6c, shared by
-    all rows) from the stencil, each row's correction on the end windows
-    that the boundaries reach, and the forced response on every entry."""
+    are u^(k+1) at the c nodes, then the state q steps on.  A row's step is
+    the lam = 0 step plus b_j = (a_inv - 1) d_j - a_inv k1m v_j added to
+    node nx - 1 of level k + j + 1, d_j being the lam = 0 increment of that
+    node and v_j its value at level k + j (`_Stepper`).  So the rows share
+    what is probed once from the lam = 0 `_Stepper`: the interior tile block
+    `k` (3c x 6c), the correction `ch[:n]` on the end windows and the map
+    `ch[n:]` to h = [d_0 .. d_(q-1), v_0 .. v_(q-1)], and the outputs `g`
+    and h (rows of `kh`) of q unit impulses.  A row keeps only
+    w = (I - D kh^T)^-1 D (q x 2q), D = [(a_inv - 1) I, -a_inv k1m I]:
+    b = w h, a rank-q update through one node (Buzbee, Dorr, George & Golub,
+    SIAM J. Numer. Anal. 8(4), 1971)."""
 
     def __init__(self, sim: Simulation, q: int, kernel, c: int):
         grid, gains, lam, nx = sim.grid, sim.gains, sim._lam, sim.grid.nx
@@ -398,47 +422,35 @@ class _Propagator:
             return np.where(abs(d) <= reach, kern[ol, il, np.clip(d + reach, 0, 2 * reach)], 0.0)
 
         self.k = stencil(self.ol[:, None], np.tile(il, 3), self.xl[:, None] - xin)
-        # the windows: the inputs (level, node) whose q-step response differs
-        # from the stencil's, on one row with a generic eigenvalue; the edge
-        # formulas read at most seven nodes in, so deeper columns respond as
-        # in the interior
+        # the lam = 0 levels of each input (level, node) near an end; the edge
+        # formulas read at most seven nodes in, so deeper inputs respond as in
+        # the interior and never reach node nx - 1
         edge = np.flatnonzero(np.minimum(np.arange(nx), nx - 1 - np.arange(nx)) < 2 * c + 8)
         cl, cx = np.repeat([0, 1], edge.size), np.tile(edge, 2)
         u = np.zeros((2, cx.size, nx))
         u[cl, np.arange(cx.size), cx] = 1.0
-        a = _levels(_Stepper(grid, gains, np.full(cx.size, 1.0 + lam.max())), u[0], u[1], q)
-        d = np.arange(nx) - cx[:, None]
-        differs = a != stencil(np.arange(3)[:, None], cl[:, None, None], d[:, None])
-        cols = differs.any(axis=(1, 2))
-        ol_o, x_o = np.nonzero(differs.any(axis=0))
-        hit = np.nonzero(a)
-        end_reach = int(np.abs(hit[2] - cx[hit[0]]).max())  # the edge strips reach further
+        stepper = _Stepper(grid, gains, np.zeros(1))
+        a = _levels(stepper, u[0], u[1], q)
+        imp = _delayed(a[(cl == 0) & (cx == nx - 1)][0], q)  # the unit u^k of node nx - 1
+        kh = _end_terms(imp) - np.eye(q, 2 * q)  # a row's own d_j does not see b_j
+        corr, g = a[:, [1, q, q - 1]], imp[:, [1, q, q - 1]]
+        corr -= stencil(np.arange(3)[:, None], cl[:, None, None], np.arange(nx) - cx[:, None, None])
+        cols = corr.any(axis=(1, 2)) | _end_terms(a).any(axis=1)  # the windows
+        ol_o, x_o = np.nonzero(corr[cols].any(axis=0) | g.any(axis=0))
         il_w, x_w = cl[cols], cx[cols]
-        # probe every row at once, several windowed inputs per probe when
-        # their responses cannot meet
-        order, n_in = np.argsort(x_w, kind="stable"), x_w.size
-        xs = x_w[order]
-        m = next(j for j in range(1, n_in + 1)
-                 if j == n_in or (xs[j:] - xs[:-j]).min() > 2 * end_reach)
-        slot = np.empty(n_in, int)
-        slot[order] = np.arange(n_in) % m
-        corr, per = np.empty((self.rows, x_o.size, n_in)), max(1, _PROBE_BYTES // (8 * m * nx))
-        for r in range(0, self.rows, per):  # a few rows at a time
-            part = lam[r:r + per]
-            u = np.zeros((2, m, part.size, nx))
-            u[il_w, slot, :, x_w] = 1.0
-            a = _levels(_Stepper(grid, gains, np.tile(part, m)), u[0].reshape(-1, nx),
-                        u[1].reshape(-1, nx), q).reshape(m, part.size, 3, nx)
-            corr[r:r + per] = a[slot, :, ol_o[:, None], x_o[:, None]].transpose(2, 0, 1)
-        d = x_o[:, None] - x_w
-        corr = corr * (abs(d) <= end_reach) - stencil(ol_o[:, None], il_w, d)
+        self.ch = np.vstack([corr[cols][:, ol_o, x_o].T, _end_terms(a[cols]).T])
+        self.g = g[:, ol_o, x_o].T
+        st = _Stepper(grid, gains, lam)
+        d = np.kron(np.c_[st.a_inv - 1.0, -st.a_inv * st.k1m][:, None], np.eye(q))  # D per row
+        self.w = np.linalg.solve(np.eye(q) - d @ kh.T, d)
         # entries as rows of the (entry, tile) x row layout
         t = self.tiles
         self.outs = np.where(ol_o == 0, x_o % c, c + 2 * (x_o % c) + ol_o - 1) * t + x_o // c
         self.ins = (2 * (x_w % c) + il_w) * t + x_w // c
-        self.corr = corr
         self.pad = np.flatnonzero((t - 1) * c + self.xl >= nx) * t + t - 1  # beyond the last node
-        self._forcing(sim, q)
+        self.forced, self.basis, self.amp = np.zeros(self.rows, bool), None, None
+        if sim._loads:
+            self._forcing(sim, stepper)
 
     def tiled(self, levels):
         """(rows, 3, nx) output levels as (3c, tiles, rows) entries."""
@@ -447,65 +459,52 @@ class _Propagator:
         pad[..., :levels.shape[2]] = levels
         return pad[:, self.ol[:, None], self.xl[:, None] + c * np.arange(t)].transpose(1, 2, 0)
 
-    def _forcing(self, sim: Simulation, q: int):
-        """The forced response of every row on every output entry, as the
-        columns `basis` against coefficients of step k (see `apply`).  A
-        spatial pattern of loads costs the q steps that follow its unit
-        load, whatever its frequencies.  With few frequencies (2 n_w at most
-        q per pattern) the columns are [Re G_w..., -Im G_w...], the response
-        G_w of all patterns and rows at frequency w, against [cos(w k dt)...,
-        sin(w k dt)...]; otherwise each row has its own columns, every
-        pattern's responses to unit loads at the q steps, against the row's
-        modal loads at those steps (from `amp`, by frequency).  Either way
-        a row keeps at most q columns per pattern."""
-        rows, nx = self.rows, sim.grid.nx
-        self.forced, self.basis, self.amp = np.zeros(rows, bool), None, None
-        if not sim._loads:
-            return
-        stepper, zero = _Stepper(sim.grid, sim.gains, sim._lam), np.zeros((rows, nx))
-        resp, amp = [], []  # per pattern
+    def _forcing(self, sim: Simulation, stepper: _Stepper):
+        """The forced response, as the columns `basis` against coefficients
+        of step k (see `apply`).  A load enters the lam = 0 increment d_j, so
+        a spatial pattern costs the q lam = 0 steps after its unit load, then
+        b = w h per row.  With few frequencies (2 n_w at most q per pattern)
+        each row has its own columns [Re G_w..., -Im G_w...], its response at
+        frequency w, against [cos(w k dt)..., sin(w k dt)...]; otherwise the
+        shared columns are each pattern's responses to unit loads at the q
+        steps, then their h, against the modal loads at those steps."""
+        q, zero = self.q, np.zeros((1, sim.grid.nx))
+        cols, amp = [], []  # per pattern
         for (channel, _), (shape, a) in sim._loads.items():
-            unit = [None, None, None]  # on every row
-            unit[channel] = np.tile(shape, (rows, 1)) if channel == 2 else np.ones(rows)
-            states = [(stepper.step(zero, zero, *unit), zero)]  # the load's own step
-            for _ in range(q - 1):
-                u, up = states[-1]
-                states.append((stepper.step(u, up), u))
-            r = np.zeros((q, 3, rows, nx))  # the outputs after the load of step k + j
-            r[:, 1:] = states[::-1]
-            r[0, 0] = states[0][0]
-            resp.append(r.transpose(0, 2, 1, 3))
+            unit = [None, None, None]
+            unit[channel] = shape[None] if channel == 2 else np.ones(1)
+            r = _delayed(_levels(stepper, stepper.step(zero, zero, *unit), zero, q - 1)[0], q)
+            cols.append(np.r_[self.tiled(r[:, [1, q, q - 1]]).reshape(-1, q), _end_terms(r).T])
             amp.append(np.c_[np.zeros(self.omegas.size), a @ sim._q])  # the leader unloaded
-        resp, amp = np.array(resp), np.array(amp)  # (pattern, j, row, level, x), (pattern, w, row)
+        amp, n_w = np.array(amp), self.omegas.size  # (pattern, w, row)
         self.forced = amp.any(axis=(0, 1))
-        n_w, m = self.omegas.size, len(resp) * q
-        if 2 * n_w <= m:
-            lag = np.exp(1j * self.dt * np.outer(self.omegas, np.arange(q)))
-            g = np.einsum("pwjr,pjrlx->wrlx", amp[:, :, None] * lag[:, :, None], resp)
-            g = self.tiled(g.reshape(-1, 3, nx)).reshape(-1, n_w, rows)
-            g = np.concatenate([g.real, -g.imag], axis=1)  # (entry, Re/Im and w, row)
-            self.basis = g.transpose(1, 0, 2).reshape(2 * n_w, -1)
+        if 2 * n_w <= len(cols) * q:
+            lag = np.exp(1j * self.dt * np.outer(np.arange(q), self.omegas))
+            g = np.einsum("epw,pwr->wer", np.stack(cols, axis=1) @ lag, amp)
+            e = g.shape[1] - 2 * q  # the tiled entries, then h
+            g[:, self.outs] += self.g @ np.einsum("rjh,whr->wjr", self.w, g[:, e:])
+            self.basis = np.concatenate([g[:, :e].real, -g[:, :e].imag]).reshape(2 * n_w, -1)
         else:
-            g = self.tiled(resp.reshape(-1, 3, nx)).reshape(-1, m, rows)
-            self.basis, self.amp = np.ascontiguousarray(g.transpose(2, 0, 1)), amp
+            self.basis, self.amp = np.hstack(cols), amp
 
     def apply(self, x, out, k: int):
         """One product from step k: `out` gets u^(k+1) and the state q steps
         on (3c x tiles*rows) of the state whose left, centre and right tiles
         are stacked in `x` (6c x tiles*rows)."""
-        c, rows = self.c, self.rows
+        c, rows, n = self.c, self.rows, self.outs.size
         np.matmul(self.k, x, out=out)
         o = out.reshape(-1, rows)
-        centre = x[2 * c:4 * c].reshape(-1, rows)
-        o[self.outs] += np.matmul(self.corr, centre[self.ins].T[:, :, None])[:, :, 0].T
+        ch = self.ch @ np.take(x[2 * c:4 * c].reshape(-1, rows), self.ins, axis=0)
         if self.amp is not None:  # the modal loads of the q steps, (pattern, j) by row
-            coef = (np.exp(1j * self.dt * np.outer(k + np.arange(self.q), self.omegas))
-                    @ self.amp).real.transpose(2, 0, 1).reshape(rows, -1, 1)
-            o += np.matmul(self.basis, coef)[:, :, 0].T
+            f = self.basis @ (np.exp(1j * self.dt * np.outer(k + np.arange(self.q), self.omegas))
+                              @ self.amp).real.reshape(-1, rows)
+            o += f[:len(o)]
+            ch[n:] += f[len(o):]
         elif self.basis is not None:
             ph = self.omegas * (k * self.dt)
-            cs = np.concatenate((np.cos(ph), np.sin(ph)))
-            o += (cs @ self.basis).reshape(-1, rows)
+            o += (np.concatenate((np.cos(ph), np.sin(ph))) @ self.basis).reshape(-1, rows)
+        ch[:n] += self.g @ np.matmul(self.w, ch[n:].T[:, :, None])[:, :, 0].T
+        o[self.outs] += ch[:n]
         o[self.pad] = 0.0
 
 
@@ -708,19 +707,19 @@ class Simulation:
     def _gather(self, instants, xs, outs, out):
         """Copy a block's samples out of the tiled buffers: u^k and
         u^(k+1) - u^(k-1) of every row into `out`, up to the first diverged
-        sample.  Returns the number of samples kept."""
+        sample, the first whose u^k (the reported level) passes
+        DIVERGENCE_LIMIT.  Returns the number of samples kept."""
         nx, rows, cnt, c = self.grid.nx, self.n + 1, len(instants), xs.shape[1] // 6
         tiles = xs.shape[2] // rows
         state = xs[:cnt, 2 * c:4 * c]
-        peak = np.maximum(state.max(axis=(1, 2)), -state.min(axis=(1, 2)))
-        bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
-        stop = int(bad[0]) if bad.size else cnt
 
         def rows_of(a):  # (samples, c, tiles * rows) -> (samples, rows, nx)
-            return a.reshape(stop, c, tiles, rows).transpose(0, 3, 2, 1).reshape(
-                stop, rows, tiles * c)[..., :nx]
+            return a.reshape(len(a), c, tiles, rows).transpose(0, 3, 2, 1).reshape(
+                len(a), rows, tiles * c)[..., :nx]
 
-        out[0, :stop] = rows_of(state[:stop, 0::2])
+        out[0, :cnt] = rows_of(state[:, 0::2])
+        bad = np.flatnonzero(~(np.abs(out[0, :cnt]).max(axis=(1, 2)) <= DIVERGENCE_LIMIT))
+        stop = int(bad[0]) if bad.size else cnt
         out[1, :stop] = rows_of(outs[:stop, :c] - state[:stop, 1::2])
         return stop
 

@@ -5,6 +5,7 @@ import pytest
 
 from waveconsensus.analysis import (BoundReport, FunctionalSample,
                                     FunctionalWeights, TimeSeries, agmon_check,
+                                    bound_report,
                                     decay_fit, envelope_report, iss_check,
                                     l2_norm_scalar, l2_norm_vector,
                                     lyapunov_sample, monotone_decay_report,
@@ -298,6 +299,12 @@ class TestBoundChecks:
         rep_bad = iss_check(bad_series, cert)
         assert not rep_bad.ok
         assert rep_bad.conservative.violations
+
+    def test_violated_zero_bound_reads_inf(self):
+        # the default scale is the bound itself; Tier-1 turns a numpy
+        # divide-by-zero warning into an error
+        rep = bound_report([0.0, 1.0, 2.0], [1.0, 2.0, 0.0], [2.0, 0.0, 0.0])
+        assert rep.violations == ((1.0, 2.0, 0.0),) and rep.worst_ratio == math.inf
 
 
 # Per-sample loop versions of the bound checks: the oracle the vectorised

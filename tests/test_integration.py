@@ -54,6 +54,24 @@ def test_analyze_iss_csv(test2_run):
     assert "iss_bound_conservative: 0 violations" in res.report
 
 
+def test_analyze_counts_a_violated_zero_bound(test2_run, tmp_path):
+    # one iss_bound_verbatim cell set to 0.0 where V0 > 0: a violation whose
+    # ratio to its zero bound is inf, reported without a numpy warning
+    lines = open(test2_run[0].paths["csv"], encoding="utf-8").read().splitlines()
+    header = lines[0].split(",")
+    row = lines[100].split(",")
+    assert float(row[header.index("V0")]) > 0.0
+    row[header.index("iss_bound_verbatim")] = "0.0"
+    lines[100] = ",".join(row)
+    path = tmp_path / "zero_bound.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    res = harness.run_analyze([str(path)])
+    n = len(lines) - 1
+    assert res.exit_code == harness.EXIT_OK
+    assert res.report == (f"iss_bound_conservative: 0 violations / {n}\n"
+                          f"iss_bound_verbatim: 1 violations / {n}")
+
+
 def test_analyze_cross_run_ratio(test2_run, test3_run):
     res = harness.run_analyze([test2_run[0].paths["csv"],
                                test3_run[0].paths["csv"]])

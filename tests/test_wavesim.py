@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -681,6 +682,22 @@ print(*seen, threading.active_count())
         assert snaps[-1].step_index == nsteps
         assert np.max(np.abs(snaps[-1].error[-1] - dev)) < 1e-11 * np.max(np.abs(dev))
 
+    def test_400_follower_build_keeps_no_per_row_window(self):
+        # the rows share the lam = 0 end windows and keep q x 2q each: a
+        # per-row window of 68 x 84 would hold 18 MB here, twice over
+        n, grid = 400, Grid(nx=101)
+        sig = SignalSpec(kind="sinusoid", amplitude=1.0, angular_frequency=10.0)
+        profiles = [(ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=1.0),
+                     ProfileSpec())] * (n + 1)
+        tracemalloc.start()
+        try:
+            Simulation(path_topology(n), GAINS, grid, profiles, DisturbanceSpec(psi0=(sig,) * n)
+                       ).run(25 * grid.dt, observers=(lambda block: None,), stride=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak / 2**20
+
     def test_scale_ladder_runs_in_linear_memory(self):
         # build plus a 25-step run of path graphs at 101 grid points with one
         # shared psi0 frequency: the operators hold O(n nx) entries and a
@@ -743,6 +760,25 @@ print(*seen, threading.active_count())
                      blowup, horizon=5.0, stride=1)
         assert err.value.step_index is not None
 
+    def test_divergence_is_read_on_the_reported_level(self, path3_topology):
+        # a 3e13 psi1 load puts the Taylor start u^(-1) past the limit at
+        # x = 1 while u^0 is zero: the run ends at the first sample whose own
+        # level u^k, leader or mode, passes it
+        grid, m = Grid(nx=21), pinned_matrix(path3_topology)
+        dist = DisturbanceSpec(psi1=(SignalSpec(kind="sinusoid", amplitude=3e13,
+                                                angular_frequency=1.0),) * 3)
+        profiles = [(ProfileSpec(), ProfileSpec())] * 4
+        with pytest.raises(DivergenceError) as err:
+            Simulation(path3_topology, GAINS, grid, profiles, dist).run(1.0, stride=1)
+        k, q = err.value.step_index, np.linalg.eigh(m)[1]
+        states = [init_state(grid, profiles, GAINS, m, dist)]
+        for _ in range(k):
+            states.append(step(states[-1], GAINS, m, dist, grid))
+        peaks = [max(np.abs(s.u_curr[0]).max(), np.abs(q.T @ (s.u_curr[1:] - s.u_curr[0])).max())
+                 for s in states]
+        assert np.abs(states[0].u_prev).max() > wavesim.DIVERGENCE_LIMIT
+        assert k > 0 and peaks[-1] > wavesim.DIVERGENCE_LIMIT >= max(peaks[:-1])
+
     def test_closed_loop_energy_never_grows(self, path3_topology):
         # CFL safety across the admissible courant range, over the active
         # dynamic range of the energy (at courant=1 the high-frequency
@@ -762,6 +798,37 @@ print(*seen, threading.active_count())
     def test_spatial_convergence_second_order(self):
         errs = {nx: standing_wave_error(nx) for nx in (101, 201)}
         assert 3.5 <= errs[101] / errs[201] <= 4.5
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("gains", (GAINS, ControlGains(k1=30.0, k2=0.0, c0=2.5),
+                                       ControlGains(k1=30.0, k2=10.0, c0=0.0)))
+    def test_one_product_is_each_rows_own_levels(self, gains):
+        # the shared lam = 0 operator and each row's q x 2q feedback through
+        # node nx - 1 against q steps of the row's own `_Stepper`, on grids
+        # whose two end windows overlap and on grids where they do not
+        lam = np.r_[0.0, 1e-3, np.linalg.eigvalsh(pinned_matrix(path_topology(6))), 50.0]
+        rng = np.random.default_rng(0)
+        for nx in (9, 15, 21, 101):
+            grid = Grid(nx=nx)
+            sim = SimpleNamespace(grid=grid, gains=gains, _lam=lam, _omegas=np.zeros(0),
+                                  _loads={})
+            for q in (1, 3, 10, 16):
+                kernel = wavesim._kernel(grid, gains, q)
+                for c in {kernel[1], wavesim._kernel(grid, gains, 16)[1]}:
+                    op = wavesim._Propagator(sim, q, kernel, c)
+                    y = np.zeros((lam.size, 2, op.tiles * c))
+                    y[..., :nx] = rng.standard_normal((lam.size, 2, nx))
+                    x = np.zeros((6 * c, op.tiles * lam.size))
+                    wavesim._spread(y.reshape(lam.size, 2, op.tiles, c).transpose(3, 1, 2, 0)
+                                    .reshape(2 * c, -1), x, c, lam.size)
+                    out = np.empty((3 * c, op.tiles * lam.size))
+                    op.apply(x, out, 0)
+                    own = wavesim._levels(wavesim._Stepper(grid, gains, lam), y[:, 0, :nx],
+                                          y[:, 1, :nx], q)[:, [1, q, q - 1]]
+                    ref = op.tiled(own).reshape(out.shape)
+                    assert np.abs(out - ref).max() <= 1e-13 * np.abs(own).max(), (nx, q, c)
+                    assert op.w.shape == (lam.size, q, 2 * q)
 
 
 class TestSteadyState:
