@@ -39,10 +39,11 @@ below 2^-600 is set to exact zero, where it stays, so an undisturbed
 error keeps stepping at full speed instead of stalling in the slow
 subnormal range; nothing downstream resolves fields that small
 (`analysis` reads functionals below 1e-300 as zero), and a forced row
-stays at the scale of its forced response.  Periodic runs stop stepping;
-the samples are bit-identical for any block size.  `step` repeats the
-update per agent in physical coordinates, apart from `_Stepper` on
-purpose: it is the oracle.
+stays at the scale of its forced response.  Periodic runs stop stepping:
+one coefficient set at the run's frequencies, fitted to both sampled
+fields, fills the rest, and the samples are bit-identical for any block
+size.  `step` repeats the update per agent in physical coordinates, apart
+from `_Stepper` on purpose: it is the oracle.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ _MAX_POWER = 16         # longest propagator power; longer strides repeat it
 _FLUSH_BITS = 600       # an unforced modal row below 2^-600 is set to zero
 _CHUNK_BYTES = 1 << 20  # deviation fields per block of samples and functional batch
 _SETTLE = True          # stop stepping once a run is periodic (tests turn it off)
-_FIT_BYTES = 1 << 22    # the fit's window of fields; runs that need more keep stepping
+_FIT_BYTES = 1 << 22    # the fit's coefficients; runs that need more keep stepping
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
 
 
@@ -424,13 +425,18 @@ class _Propagator:
         self.k = stencil(self.ol[:, None], np.tile(il, 3), self.xl[:, None] - xin)
         # the lam = 0 levels of each input (level, node) near an end; the edge
         # formulas read at most seven nodes in, so deeper inputs respond as in
-        # the interior and never reach node nx - 1
+        # the interior and never reach node nx - 1.  Each is stepped on the
+        # `span` nodes from its own end: its response stays clear of the nine
+        # nodes the far end's formulas read, so each node it reaches gets the
+        # operations of the full line
         edge = np.flatnonzero(np.minimum(np.arange(nx), nx - 1 - np.arange(nx)) < 2 * c + 8)
         cl, cx = np.repeat([0, 1], edge.size), np.tile(edge, 2)
-        u = np.zeros((2, cx.size, nx))
-        u[cl, np.arange(cx.size), cx] = 1.0
-        stepper = _Stepper(grid, gains, np.zeros(1))
-        a = _levels(stepper, u[0], u[1], q)
+        span, left = min(nx, 2 * c + 17 + reach), cx < 2 * c + 8
+        u = np.zeros((2, cx.size, span))
+        u[cl, np.arange(cx.size), np.where(left, cx, cx - nx + span)] = 1.0
+        stepper, a = _Stepper(grid, gains, np.zeros(1)), np.zeros((cx.size, q + 1, nx))
+        lines = _levels(stepper, u[0], u[1], q)
+        a[left, :, :span], a[~left, :, nx - span:] = lines[left], lines[~left]
         imp = _delayed(a[(cl == 0) & (cx == nx - 1)][0], q)  # the unit u^k of node nx - 1
         kh = _end_terms(imp) - np.eye(q, 2 * q)  # a row's own d_j does not see b_j
         corr, g = a[:, [1, q, q - 1]], imp[:, [1, q, q - 1]]
@@ -510,58 +516,58 @@ class _Propagator:
 
 class _Settle:
     """The steady-state fit of a run (see `Simulation.run`): sample j lies in
-    window j // 2w, whose first w samples are fitted and last w checked."""
+    window j // 2w, whose first w samples are fitted and last w checked.  One
+    coefficient set C gives u^k = phi C and u^(k+1) - u^(k-1) = phi T C (`phases`)."""
 
     def __init__(self, sim: Simulation, stride: int, count: int):
-        """w >= 8 (twice the fitted columns), doubled until the basis is well
-        conditioned; 0 unless 3 windows fit the run and `coef` fits _FIT_BYTES."""
+        """w >= 8 (twice the fitted columns), doubled until the stacked basis [phi; phi T
+        / max |2 sin(w dt)|] is well conditioned; 0 unless 3 windows fit the run and
+        `coef` fits _FIT_BYTES.  T: cos w t -> -2 sin(w dt) sin w t, sin -> 2 sin(w dt) cos."""
         self.omegas = np.unique(np.abs(sim._omegas[sim._omegas != 0.0])).tolist()  # 0: constant
-        self.dt, self.k0, self.pos, self.w = sim.grid.dt, 0, 0, 0  # pos: samples into the window
-        self.passes, self.full = 0, False  # full: check every entry, not only x = 1
-        shape = (1 + 2 * len(self.omegas), 2, sim.n + 1, sim.grid.nx)  # fill's columns by field
-        w = max(4 * len(self.omegas) + 2, 8)
+        self.dt, self.k0, self.pos, self.passes, self.w = sim.grid.dt, 0, 0, 0, 0
+        d = np.ravel([[0.0, 2.0 * math.sin(w * self.dt)] for w in self.omegas])  # T's off-diagonals
+        self.lift = np.hstack([np.eye(len(d) + 1), np.diag(d, 1) - np.diag(d, -1)])  # [I, T]
+        scale = np.array([1.0, 1.0 / (np.abs(d).max(initial=0.0) or 1.0)])  # of each field
+        shape, w = (len(self.lift), sim.n + 1, sim.grid.nx), max(2 * len(self.lift), 8)
         while 6 * w < count and 8 * math.prod(shape) <= _FIT_BYTES:
-            u, s, vt = np.linalg.svd(self.phases(range(0, w * stride, stride)), full_matrices=False)
-            if s[0] <= 10.0 * s[-1]:
-                self.w, self.pinv, self.coef = w, vt.T @ (u.T / s[:, None]), np.zeros(shape)
+            b = (self.phases(range(0, w * stride, stride)) * scale[:, None]).reshape(2 * w, -1)
+            if np.linalg.cond(b) <= 10.0:  # pinv[j]: sample j's weights by (column, field)
+                p = np.linalg.pinv(b).reshape(-1, w, 2) * scale
+                self.w, self.pinv, self.coef = w, p.transpose(1, 0, 2).copy(), np.zeros(shape)
                 break
             w *= 2
 
     def phases(self, instants):
-        """The rows [1, cos w t, sin w t, ...] at t = (k - k0) dt of the
-        instants k, from math.cos and math.sin."""
-        return np.array([[1.0, *(f(w * t) for w in self.omegas for f in (math.cos, math.sin))]
-                         for t in ((k - self.k0) * self.dt for k in instants)]
-                        ).reshape(-1, 1 + 2 * len(self.omegas))  # (0, 1 + 2 n_w) when none
+        """phi = [1, cos w t, sin w t, ...] at t = (k - k0) dt (math.cos, math.sin), and phi T."""
+        phi = np.array([[1.0, *(f(w * t) for w in self.omegas for f in (math.cos, math.sin))]
+                        for t in ((k - self.k0) * self.dt for k in instants)])
+        return (phi.reshape(-1, len(self.lift)) @ self.lift).reshape(-1, 2, len(self.lift))
 
     def feed(self, fields, instants, stop: int):
         """Take the first `stop` samples of a block at `instants`; the index of
         the first to fill after two full checks in a row (x = 1 screens), or None."""
         i, w = 0, self.w
-        while w and i < stop:
-            x, pos = slice(None if self.full else -1, None), self.pos
+        while w and i < stop and self.passes < 3:
+            x, pos = slice(None if self.passes else -1, None), self.pos
             take = min(w - pos % w, stop - i)
             seg, coef = fields[:, i:i + take, :, x], self.coef[..., x]
             if pos == 0:  # a window starts
                 self.k0, self.ok, coef[...] = instants[i], True, 0.0
             if pos < w:  # summed one sample at a time, in sample order
-                for p, f in zip(self.pinv[:, pos:pos + take].T, seg.swapaxes(0, 1)):
-                    coef += p[:, None, None, None] * f
+                for p, f in zip(self.pinv[pos:pos + take], seg.reshape(2, take, -1).swapaxes(0, 1)):
+                    coef += (p @ f).reshape(coef.shape)
             else:  # fill's own output against the samples, the largest residual per row
-                res, tol = (np.abs(e).max(axis=(0, 1, 3)) for e in (
-                    self.fill(np.empty_like(seg), instants[i:i + take], x) - seg, 1e-11 * coef))
+                res = self.fill(np.empty_like(seg), instants[i:i + take], x) - seg
+                res, tol = np.abs(res).max(axis=(0, 1, 3)), 1e-11 * np.abs(coef).max(axis=(0, 2))
                 self.ok &= res[0] <= tol[0] and res[1:].max(initial=0) <= tol[1:].max(initial=0)
-            i, self.pos = i + take, (pos + take) % (2 * w)
-            if self.pos == 0:
-                self.passes, self.full = self.passes + 1 if self.ok and self.full else 0, self.ok
-                if self.passes == 2:
-                    return i
-        return None
+            i, self.pos = i + take, (pos + take) % (2 * w)  # samples into the window
+            if self.pos == 0:  # passes: checks passed in a row, the first an x = 1 screen
+                self.passes = self.passes + 1 if self.ok else 0
+        return i if self.passes == 3 else None
 
     def fill(self, out, instants, x=slice(None)):
-        """The view out[:, :s] (entries x) filled with the fit at the s `instants`,
-        C0 + sum_w cos(w (k - k0) dt) Cc_w + sin(...) Cs_w summed in that order."""
-        return np.einsum("sk,klre->lsre", self.phases(instants), self.coef[..., x],
+        """The view out[:, :s] (entries x) filled with the fit at the s `instants`."""
+        return np.einsum("slk,kre->lsre", self.phases(instants), self.coef[..., x],
                          out=out[:, :len(instants), :, x])
 
 
@@ -633,13 +639,16 @@ class Simulation:
         sample at or after the first diverged one.
 
         A run stops stepping once it is periodic (`_Settle`): every 2w
-        samples it fits [1, cos w t, sin w t, ...] at its frequencies to u^k
-        and u^(k+1) - u^(k-1) of w samples, one sample at a time, and checks
-        `fill` itself on the next w.  After two checks in a row with residuals
-        at most 1e-11 of the largest fitted coefficient, of the modes and of
-        the leader each, `fill` gives the rest, from `switch_step` on (else
-        None).  A zero scale needs a zero residual, so an undisturbed run
-        switches once every mode is flushed; unsettled runs keep stepping."""
+        samples it fits one coefficient set C of [1, cos w t, sin w t, ...]
+        at its frequencies to u^k and, through the central difference T of
+        each column, to u^(k+1) - u^(k-1) of w samples, one sample at a time
+        (the stacked basis, 8 (1 + 2 n_w) (n + 1) nx bytes of C at most
+        _FIT_BYTES), and checks `fill` itself on the next w.  After two
+        checks in a row with residuals at most 1e-11 of the largest fitted
+        coefficient, of the modes and of the leader each, `fill` gives the
+        rest, from `switch_step` on (else None).  A zero scale needs a zero
+        residual, so an undisturbed run switches once every mode is flushed;
+        unsettled runs keep stepping."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if stride < 1:

@@ -878,7 +878,22 @@ class TestSteadyState:
             _shortcut(on)
             runs.append(settled_run(path3_topology, GAINS, self.GRID, reference_profiles(),
                                     dist, 300.0 + 3.5 * self.GRID.dt))
+        assert runs[0][0] is not None and runs[1][0] is None
         for a, b in zip(runs[0][1], runs[1][1]):
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    def test_near_aliased_frequencies_switch(self, path3_topology, _shortcut):
+        # at nx = 21 and stride 10, w = 7 turns 3.15 rad per sample, near pi:
+        # u^k alone fits only on a window that outgrows the run
+        grid, runs = Grid(nx=21), []
+        for on in (True, False):
+            _shortcut(on)
+            runs.append(settled_run(path3_topology, GAINS, grid, reference_profiles(),
+                                    mixed_disturbances(3), 300.0))
+        (switch, fields), (never, stepped) = runs
+        assert never is None and switch is not None
+        for a, b in zip(fields, stepped):
+            assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
     def test_shared_constant_leader_stays_put(self):
@@ -893,16 +908,27 @@ class TestSteadyState:
         assert not error.any() and not error_vel.any()
 
     def test_large_network_gets_a_fit_window(self, monkeypatch):
-        # the fit keeps only its coefficients, 16 (1 + 2 n_w) (n + 1) nx bytes
-        # (790 kB here), so _FIT_BYTES bounds them and not a window of fields
+        # the fit keeps only its coefficients, 8 (1 + 2 n_w) (n + 1) nx bytes
+        # (395 kB here), so _FIT_BYTES bounds them and not a window of fields
         n, sig = 162, SignalSpec(kind="sinusoid", amplitude=1.0, angular_frequency=8.0)
         sim = Simulation(path_topology(n), GAINS, Grid(nx=101),
                          [(ProfileSpec(), ProfileSpec())] * (n + 1),
                          DisturbanceSpec(psi0=(sig,) * n))
         settle = wavesim._Settle(sim, 10, 10**6)
-        assert settle.w == 8 and settle.coef.nbytes == 16 * 3 * (n + 1) * 101
+        assert settle.w == 8 and settle.coef.nbytes == 8 * 3 * (n + 1) * 101
         monkeypatch.setattr(wavesim, "_FIT_BYTES", settle.coef.nbytes - 1)
         assert wavesim._Settle(sim, 10, 10**6).w == 0
+
+    def test_frequency_per_follower_gets_a_fit_window(self):
+        # one coefficient set: 8 (1 + 2 n) (n + 1) nx bytes fit _FIT_BYTES up
+        # to 50 followers at nx = 101 (35 with one set per sampled field)
+        n = 50
+        sim = Simulation(path_topology(n), GAINS, Grid(nx=101),
+                         [(ProfileSpec(), ProfileSpec())] * (n + 1),
+                         end_disturbances(n, "psi0", n))
+        settle = wavesim._Settle(sim, 10, 10**6)
+        assert settle.w > 0 and settle.coef.nbytes == 8 * (1 + 2 * n) * (n + 1) * 101
+        assert 2 * settle.coef.nbytes > wavesim._FIT_BYTES
 
 
 class TestRandomRuns:
@@ -936,6 +962,9 @@ class TestRandomRuns:
         grid = Grid(nx=data.draw(st.integers(11, 41)))
         stride, horizon = data.draw(st.integers(1, 16)), data.draw(st.floats(200.0, 400.0))
         omegas = data.draw(st.lists(st.floats(0.5, 15.0), min_size=1, max_size=3))
+        aliased = math.pi / (stride * grid.dt)  # every sample instant sees sin = 0
+        if stride >= 2 and 0.5 <= aliased <= 15.0 and data.draw(st.booleans()):
+            omegas.append(aliased)
         dist = data.draw(drawn_disturbances(topo.n, st.sampled_from(omegas)))
         assume(not dist.is_zero())
         profiles = data.draw(drawn_profiles(topo.n))
