@@ -580,11 +580,8 @@ def run_reproduce(test_id: int, out_dir, conservative_iss: bool = True) -> RunRe
         checks["envelope"] = analysis.envelope_report(series, cert)
         checks["pointwise"] = analysis.pointwise_bound_check(series, cert)
         l2 = series.column("l2_error")
-        checks["final_error_below_1pct"] = analysis.BoundReport(
-            checked=1,
-            violations=() if l2[-1] < 0.01 * l2[0] else
-            ((float(series.times[-1]), float(l2[-1]), float(0.01 * l2[0])),),
-            worst_ratio=float(l2[-1] / l2[0]))
+        checks["final_error_below_1pct"] = analysis.bound_report(
+            series.times[-1:], l2[-1:], 0.01 * l2[:1])
     else:
         iss = analysis.iss_check(series, cert, config.disturbances)
         checks["iss_contractual"] = (iss.conservative if conservative_iss

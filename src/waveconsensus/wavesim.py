@@ -28,11 +28,11 @@ and share the leader's propagator up to a rank-q update there.
 `Simulation.run` keeps them as the columns of one tiled state and
 advances every row at once, one sample instant per product: a dense tile
 product (BLAS) with the q-step interior stencil, the leader's correction
-on the two end windows, each row's q x 2q feedback through node nx - 1,
-and the exact forced response of the disturbances on every entry (two
-phase columns per row and distinct frequency, or with many frequencies a
-shared column per step of the product).  The same product gives the
-step after the sample, for the centered sample velocity.  All of it is
+on the two end windows, the exact forced response of the disturbances
+(each spatial pattern's responses to unit loads at the q steps, shared by
+all rows, against the rows' modal loads), and each row's q x 2q feedback
+through node nx - 1.  The same product gives the step after the sample,
+for the centered sample velocity.  All of it is
 probed from the one-step stencil; a sample costs O(rows nx stride) and
 runs on the calling thread.  An unforced modal row whose peak decays
 below 2^-600 is set to exact zero, where it stays, so an undisturbed
@@ -62,7 +62,6 @@ DIVERGENCE_LIMIT = 1e12
 _MAX_POWER = 16         # longest propagator power; longer strides repeat it
 _FLUSH_BITS = 600       # an unforced modal row below 2^-600 is set to zero
 _CHUNK_BYTES = 1 << 20  # deviation fields per block of samples and functional batch
-_SETTLE = True          # stop stepping once a run is periodic (tests turn it off)
 _FIT_BYTES = 1 << 22    # the fit's coefficients; runs that need more keep stepping
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
 
@@ -350,20 +349,6 @@ def _levels(stepper: _Stepper, u, up, q: int):
     return np.stack(levels, axis=1)
 
 
-def _kernel(grid: Grid, gains: ControlGains, q: int):
-    """The interior stencil of q steps and its reach R: entry [ol, il, R + d]
-    maps level il of node x to output ol (levels 1, q, q - 1 of `_levels`)
-    of node x + d.  Probed on a line whose edge formulas the unit inputs
-    never reach: a step reads three nodes on each side, the edge strips
-    seven nodes in."""
-    h = 4 * q + 8
-    u = np.zeros((2, 2, 2 * h + 1))
-    u[0, 0, h] = u[1, 1, h] = 1.0  # probe row il carries the unit on level il
-    k = _levels(_Stepper(grid, gains, np.zeros(2)), u[0], u[1], q)[:, [1, q, q - 1]]
-    reach = int(np.abs(np.flatnonzero(k.any(axis=(0, 1))) - h).max())
-    return k[:, :, h - reach:h + reach + 1].transpose(1, 0, 2), reach
-
-
 def _delayed(levels, q: int):
     """(j, level, x), j < q: u^k .. u^(k+q) of an input that enters level
     k + j + 1 as the q or more `levels` enter level k."""
@@ -394,25 +379,38 @@ def _block_samples(n: int, nx: int) -> int:
 
 class _Propagator:
     """The stacked operator [S^1 (u level only); S^q] of all rows of a run
-    on the tiled state (see `Simulation.run`), with tile width c >= the
-    reach of the q-step stencil `kernel` (`_kernel`).  Output tile entries
-    are u^(k+1) at the c nodes, then the state q steps on.  A row's step is
-    the lam = 0 step plus b_j = (a_inv - 1) d_j - a_inv k1m v_j added to
-    node nx - 1 of level k + j + 1, d_j being the lam = 0 increment of that
-    node and v_j its value at level k + j (`_Stepper`).  So the rows share
-    what is probed once from the lam = 0 `_Stepper`: the interior tile block
-    `k` (3c x 6c), the correction `ch[:n]` on the end windows and the map
-    `ch[n:]` to h = [d_0 .. d_(q-1), v_0 .. v_(q-1)], and the outputs `g`
-    and h (rows of `kh`) of q unit impulses.  A row keeps only
+    on the tiled state (see `Simulation.run`), with tile width c at least
+    the reach of the q-step interior stencil (its own reach if c is None).
+    Output tile entries are u^(k+1) at the c nodes, then the state q steps
+    on.  A row's step is the lam = 0 step plus
+    b_j = (a_inv - 1) d_j - a_inv k1m v_j added to node nx - 1 of level
+    k + j + 1, d_j being the lam = 0 increment of that node and v_j its
+    value at level k + j (`_Stepper`).  So the rows share what is probed
+    once from the lam = 0 `_Stepper`: the interior tile block `k` (3c x 6c),
+    the correction `ch[:n]` on the end windows and the map `ch[n:]` to
+    h = [d_0 .. d_(q-1), v_0 .. v_(q-1)], the outputs `g` and h (rows of
+    `kh`) of q unit impulses, and the forced response `basis` (`_forcing`).
+    A row keeps only its amplitudes of the loads and
     w = (I - D kh^T)^-1 D (q x 2q), D = [(a_inv - 1) I, -a_inv k1m I]:
     b = w h, a rank-q update through one node (Buzbee, Dorr, George & Golub,
     SIAM J. Numer. Anal. 8(4), 1971)."""
 
-    def __init__(self, sim: Simulation, q: int, kernel, c: int):
+    def __init__(self, sim: Simulation, q: int, c: int | None = None):
         grid, gains, lam, nx = sim.grid, sim.gains, sim._lam, sim.grid.nx
+        stepper = _Stepper(grid, gains, np.zeros(1))
+        # the interior stencil: kern[ol, il, reach + d] maps level il of node x
+        # to output ol (levels 1, q, q - 1 of `_levels`) of node x + d, probed
+        # on a line whose edge formulas the unit inputs never reach (a step
+        # reads three nodes on each side, the edge strips seven nodes in)
+        h = 4 * q + 8
+        u = np.zeros((2, 2, 2 * h + 1))
+        u[0, 0, h] = u[1, 1, h] = 1.0  # probe row il carries the unit on level il
+        kern = _levels(stepper, u[0], u[1], q)[:, [1, q, q - 1]]
+        reach = int(np.abs(np.flatnonzero(kern.any(axis=(0, 1))) - h).max())
+        kern = kern[:, :, h - reach:h + reach + 1].transpose(1, 0, 2)
+        c = reach if c is None else c
         self.c, self.rows, self.tiles, self.q = c, lam.size, -(-nx // c), q
         self.dt, self.omegas = grid.dt, sim._omegas
-        kern, reach = kernel
         # (level, node within the tile) of each output and each input entry
         self.ol = np.r_[np.zeros(c, int), np.tile([1, 2], c)]
         self.xl = np.r_[np.arange(c), np.repeat(np.arange(c), 2)]
@@ -434,7 +432,7 @@ class _Propagator:
         span, left = min(nx, 2 * c + 17 + reach), cx < 2 * c + 8
         u = np.zeros((2, cx.size, span))
         u[cl, np.arange(cx.size), np.where(left, cx, cx - nx + span)] = 1.0
-        stepper, a = _Stepper(grid, gains, np.zeros(1)), np.zeros((cx.size, q + 1, nx))
+        a = np.zeros((cx.size, q + 1, nx))
         lines = _levels(stepper, u[0], u[1], q)
         a[left, :, :span], a[~left, :, nx - span:] = lines[left], lines[~left]
         imp = _delayed(a[(cl == 0) & (cx == nx - 1)][0], q)  # the unit u^k of node nx - 1
@@ -454,7 +452,7 @@ class _Propagator:
         self.outs = np.where(ol_o == 0, x_o % c, c + 2 * (x_o % c) + ol_o - 1) * t + x_o // c
         self.ins = (2 * (x_w % c) + il_w) * t + x_w // c
         self.pad = np.flatnonzero((t - 1) * c + self.xl >= nx) * t + t - 1  # beyond the last node
-        self.forced, self.basis, self.amp = np.zeros(self.rows, bool), None, None
+        self.forced, self.amp = np.zeros(self.rows, bool), None
         if sim._loads:
             self._forcing(sim, stepper)
 
@@ -466,32 +464,30 @@ class _Propagator:
         return pad[:, self.ol[:, None], self.xl[:, None] + c * np.arange(t)].transpose(1, 2, 0)
 
     def _forcing(self, sim: Simulation, stepper: _Stepper):
-        """The forced response, as the columns `basis` against coefficients
-        of step k (see `apply`).  A load enters the lam = 0 increment d_j, so
-        a spatial pattern costs the q lam = 0 steps after its unit load, then
-        b = w h per row.  With few frequencies (2 n_w at most q per pattern)
-        each row has its own columns [Re G_w..., -Im G_w...], its response at
-        frequency w, against [cos(w k dt)..., sin(w k dt)...]; otherwise the
-        shared columns are each pattern's responses to unit loads at the q
-        steps, then their h, against the modal loads at those steps."""
-        q, zero = self.q, np.zeros((1, sim.grid.nx))
-        cols, amp = [], []  # per pattern
-        for (channel, _), (shape, a) in sim._loads.items():
+        """The forced response, shared by all rows: `basis` holds each spatial
+        pattern's responses to unit loads at the q steps (the tiled entries,
+        then their h), against the modal loads at those steps (`apply`).  A
+        load enters the lam = 0 increment d_j, so a pattern costs the q
+        lam = 0 steps after its unit load, and each row's w acts on the
+        forced h in `apply` together with the free one.  A row keeps only
+        its amplitudes `amp` by pattern and frequency: the load at step
+        k + j is Re(z e^(i w j dt)) with z = amp e^(i w k dt), which `lag`
+        (q x 2 n_w) gives from Re z and Im z of each w; with 2 n_w <= q
+        `lag` is folded into `basis`."""
+        q, zero, n_w = self.q, np.zeros((1, sim.grid.nx)), self.omegas.size
+        self.amp, cols = np.zeros((self.rows, len(sim._loads), n_w), complex), []  # (row, pattern, w)
+        for p, ((channel, _), (shape, a)) in enumerate(sim._loads.items()):
             unit = [None, None, None]
             unit[channel] = shape[None] if channel == 2 else np.ones(1)
             r = _delayed(_levels(stepper, stepper.step(zero, zero, *unit), zero, q - 1)[0], q)
             cols.append(np.r_[self.tiled(r[:, [1, q, q - 1]]).reshape(-1, q), _end_terms(r).T])
-            amp.append(np.c_[np.zeros(self.omegas.size), a @ sim._q])  # the leader unloaded
-        amp, n_w = np.array(amp), self.omegas.size  # (pattern, w, row)
-        self.forced = amp.any(axis=(0, 1))
-        if 2 * n_w <= len(cols) * q:
-            lag = np.exp(1j * self.dt * np.outer(np.arange(q), self.omegas))
-            g = np.einsum("epw,pwr->wer", np.stack(cols, axis=1) @ lag, amp)
-            e = g.shape[1] - 2 * q  # the tiled entries, then h
-            g[:, self.outs] += self.g @ np.einsum("rjh,whr->wjr", self.w, g[:, e:])
-            self.basis = np.concatenate([g[:, :e].real, -g[:, :e].imag]).reshape(2 * n_w, -1)
-        else:
-            self.basis, self.amp = np.hstack(cols), amp
+            self.amp[1:, p] = (a @ sim._q).T  # the leader unloaded
+        self.forced = self.amp.any(axis=(1, 2))
+        e = np.exp(1j * self.dt * np.outer(np.arange(q), self.omegas))
+        self.lag = np.stack([e.real, -e.imag], axis=2).reshape(q, -1)  # Re, Im of each w
+        if 2 * n_w <= q:
+            cols, self.lag = [b @ self.lag for b in cols], None
+        self.basis = np.asfortranarray(np.hstack(cols))  # few columns: BLAS's fast layout
 
     def apply(self, x, out, k: int):
         """One product from step k: `out` gets u^(k+1) and the state q steps
@@ -501,14 +497,13 @@ class _Propagator:
         np.matmul(self.k, x, out=out)
         o = out.reshape(-1, rows)
         ch = self.ch @ np.take(x[2 * c:4 * c].reshape(-1, rows), self.ins, axis=0)
-        if self.amp is not None:  # the modal loads of the q steps, (pattern, j) by row
-            f = self.basis @ (np.exp(1j * self.dt * np.outer(k + np.arange(self.q), self.omegas))
-                              @ self.amp).real.reshape(-1, rows)
+        if self.amp is not None:  # z = amp e^(i w k dt): (row, pattern, Re and Im of each w)
+            z = (self.amp * np.exp(1j * (k * self.dt) * self.omegas)).view(float)
+            if self.lag is not None:
+                z = z.reshape(-1, self.lag.shape[1]) @ self.lag.T
+            f = self.basis @ z.reshape(rows, -1).T
             o += f[:len(o)]
             ch[n:] += f[len(o):]
-        elif self.basis is not None:
-            ph = self.omegas * (k * self.dt)
-            o += (np.concatenate((np.cos(ph), np.sin(ph))) @ self.basis).reshape(-1, rows)
         ch[:n] += self.g @ np.matmul(self.w, ch[n:].T[:, :, None])[:, :, 0].T
         o[self.outs] += ch[:n]
         o[self.pad] = 0.0
@@ -657,13 +652,12 @@ class Simulation:
         nsteps = int(math.ceil(horizon / self.grid.dt)) if horizon > 0 else 0
         count = -(-nsteps // stride) + 1  # sample instants: every stride steps, and the last
         power = min(stride, _MAX_POWER)
-        kernel = _kernel(self.grid, self.gains, power)
-        c = kernel[1]
-        ops = {power: _Propagator(self, power, kernel, c)}
+        ops = {power: _Propagator(self, power)}
+        c = ops[power].c
 
         def op(q):
             if q not in ops:
-                ops[q] = _Propagator(self, q, _kernel(self.grid, self.gains, q), c)
+                ops[q] = _Propagator(self, q, c)
             return ops[q]
 
         tiles, size = op(power).tiles, min(_block_samples(self.n, nx), count)
@@ -679,7 +673,7 @@ class Simulation:
         y = np.zeros((rows, 2, tiles * c))
         y[..., :nx] = self._y0
         state = y.reshape(rows, 2, tiles, c).transpose(3, 1, 2, 0).reshape(2 * c, -1)
-        settle, self.switch_step = _Settle(self, stride, count) if _SETTLE else None, None
+        settle, self.switch_step = _Settle(self, stride, count), None
         for j0 in range(0, count, size):
             instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
             if self.switch_step is not None:  # all from the fit
@@ -706,7 +700,7 @@ class Simulation:
                     op(q).apply(x1, out1, k)
                     state, k = out1[c:], k + q
             stop = self._gather(instants, xs, outs, fields)
-            i = settle.feed(fields, instants, stop) if settle else None
+            i = settle.feed(fields, instants, stop)
             if i is not None:  # the samples from i on come from the fit
                 self.switch_step = min((j0 + i) * stride, nsteps)
                 settle.fill(fields[:, i:], instants[i:stop])

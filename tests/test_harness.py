@@ -689,6 +689,18 @@ class TestCli:
         assert exc.value.code == (harness.EXIT_BOUND_VIOLATION if verbatim_fails
                                   else harness.EXIT_OK)
 
+    def test_passing_final_error_check_reports_no_ratio(self, tmp_path, monkeypatch):
+        # 20 s of preset 1 leave the error between 0 and 1% of its start; the
+        # passing check reports worst_ratio 0, as every other check does
+        monkeypatch.setattr(harness, "derive_horizon", lambda cert, regime: 20.0)
+        result = harness.run_reproduce(1, str(tmp_path))
+        l2 = result.series.column("l2_error")
+        assert result.exit_code == harness.EXIT_OK and 0.0 < l2[-1] < 0.01 * l2[0]
+        with open(result.paths["summary"], encoding="utf-8") as fh:
+            checks = json.load(fh)["checks"]
+        assert checks["final_error_below_1pct"] == {"ok": True, "violations": 0,
+                                                    "worst_ratio": 0.0}
+
     @pytest.mark.parametrize("row, message", [
         ("1.0,0.0,0.0", "line 3, column G2: the row has 3 cells, the header 16"),
         (",".join(["1.0"] * 17), "line 3, column 17: the row has 17 cells, the header 16"),

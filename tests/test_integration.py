@@ -95,7 +95,7 @@ def test_reproduce_artifacts(test1_run):
     with open(result.paths["summary"], "r", encoding="utf-8") as fh:
         summary = json.load(fh)
     assert summary["exit_code"] == 0
-    assert all(c["ok"] for c in summary["checks"].values())
+    assert all(c["ok"] and c["worst_ratio"] == 0.0 for c in summary["checks"].values())
     assert summary["certificate"]["regime"] == "unperturbed"
     for key in ("norm_plot", "surface_plot"):
         path = result.paths[key]

@@ -163,8 +163,10 @@ BLOCKS = (1, 2, 4)
 @pytest.fixture
 def _shortcut(monkeypatch):
     """shortcut(False) turns the steady-state shortcut of `Simulation.run`
-    off for the rest of the test, shortcut(True) back on."""
-    return lambda on: monkeypatch.setattr(wavesim, "_SETTLE", on)
+    off for the rest of the test, shortcut(True) back on: with no bytes for
+    the fit's coefficients a run gets no fit window and steps to the end."""
+    fit_bytes = wavesim._FIT_BYTES
+    return lambda on: monkeypatch.setattr(wavesim, "_FIT_BYTES", fit_bytes if on else 0)
 
 
 def settled_run(topo, gains, grid, profiles, dist, horizon, stride=10):
@@ -722,8 +724,9 @@ print(*seen, threading.active_count())
 
     def test_distinct_frequencies_build_in_linear_memory(self):
         # one psi0 frequency per follower loads every mode at each frequency;
-        # the forced response, built when a run starts, keeps at most q
-        # columns per row and spatial pattern whatever the frequencies
+        # the forced response, built when a run starts, keeps q columns per
+        # spatial pattern for all rows whatever the frequencies, and each row
+        # one amplitude per pattern and frequency
         n, grid = 200, Grid(nx=101)
         topo = path_topology(n)
         profiles = [(ProfileSpec(), ProfileSpec())] * (n + 1)
@@ -800,35 +803,87 @@ print(*seen, threading.active_count())
         assert 3.5 <= errs[101] / errs[201] <= 4.5
 
 
+def loaded_levels(stepper, u, up, q, loads):
+    """`_levels` under loads: step j gets the psi0, psi1 and f of loads(j)."""
+    levels = [u]
+    for j in range(q):
+        u, up = stepper.step(u, up, *loads(j)), u
+        levels.append(u)
+    return np.stack(levels, axis=1)
+
+
 class TestPropagator:
     @pytest.mark.parametrize("gains", (GAINS, ControlGains(k1=30.0, k2=0.0, c0=2.5),
                                        ControlGains(k1=30.0, k2=10.0, c0=0.0)))
     def test_one_product_is_each_rows_own_levels(self, gains):
-        # the shared lam = 0 operator and each row's q x 2q feedback through
-        # node nx - 1 against q steps of the row's own `_Stepper`, on grids
-        # whose two end windows overlap and on grids where they do not
+        # the shared lam = 0 operator, the shared forced response and each
+        # row's q x 2q feedback through node nx - 1 against q steps of the
+        # row's own `_Stepper` under the same modal loads (psi0, psi1 and one
+        # f pattern), unloaded, at one frequency (phases folded into the
+        # basis) and at more than q / 2 (phases per step), on grids whose two
+        # end windows overlap and on grids where they do not
         lam = np.r_[0.0, 1e-3, np.linalg.eigvalsh(pinned_matrix(path_topology(6))), 50.0]
+        rows, k = lam.size, 7  # the product starts at step k
         rng = np.random.default_rng(0)
         for nx in (9, 15, 21, 101):
             grid = Grid(nx=nx)
-            sim = SimpleNamespace(grid=grid, gains=gains, _lam=lam, _omegas=np.zeros(0),
-                                  _loads={})
+            shape = np.cos(3.0 * grid.points)
             for q in (1, 3, 10, 16):
-                kernel = wavesim._kernel(grid, gains, q)
-                for c in {kernel[1], wavesim._kernel(grid, gains, 16)[1]}:
-                    op = wavesim._Propagator(sim, q, kernel, c)
-                    y = np.zeros((lam.size, 2, op.tiles * c))
-                    y[..., :nx] = rng.standard_normal((lam.size, 2, nx))
-                    x = np.zeros((6 * c, op.tiles * lam.size))
-                    wavesim._spread(y.reshape(lam.size, 2, op.tiles, c).transpose(3, 1, 2, 0)
-                                    .reshape(2 * c, -1), x, c, lam.size)
-                    out = np.empty((3 * c, op.tiles * lam.size))
-                    op.apply(x, out, 0)
-                    own = wavesim._levels(wavesim._Stepper(grid, gains, lam), y[:, 0, :nx],
-                                          y[:, 1, :nx], q)[:, [1, q, q - 1]]
-                    ref = op.tiled(own).reshape(out.shape)
-                    assert np.abs(out - ref).max() <= 1e-13 * np.abs(own).max(), (nx, q, c)
-                    assert op.w.shape == (lam.size, q, 2 * q)
+                for n_w in (0, 1, q // 2 + 1):
+                    omegas = np.sort(rng.uniform(0.5, 15.0, n_w))
+                    # modal amplitudes by pattern, frequency and follower, each
+                    # load's response O(1) per step; the leader is unloaded
+                    scale = np.array([1.0 / grid.dx, 1.0 / grid.dx, grid.dt ** -2])[:, None, None]
+                    amp = scale * (rng.standard_normal((3, n_w, rows - 1))
+                                   + 1j * rng.standard_normal((3, n_w, rows - 1)))
+                    loads = dict(zip([(0, None), (1, None), (2, shape.tobytes())],
+                                     zip([None, None, shape], amp))) if n_w else {}
+                    sim = SimpleNamespace(grid=grid, gains=gains, _lam=lam, _omegas=omegas,
+                                          _loads=loads, _q=np.eye(rows - 1))
+
+                    def modal_loads(j):
+                        v = np.r_[np.zeros((1, 3)), (np.exp(1j * omegas * (k + j) * grid.dt)
+                                                     @ amp).real.T]
+                        return v[:, 0], v[:, 1], v[:, 2:] * shape
+
+                    for width in (None, wavesim._Propagator(sim, 16).c):  # own reach, S^16's
+                        op = wavesim._Propagator(sim, q, width)
+                        assert n_w == 0 or (op.lag is None) == (2 * n_w <= q)
+                        c = op.c
+                        y = np.zeros((rows, 2, op.tiles * c))
+                        y[..., :nx] = rng.standard_normal((rows, 2, nx))
+                        x = np.zeros((6 * c, op.tiles * rows))
+                        wavesim._spread(y.reshape(rows, 2, op.tiles, c).transpose(3, 1, 2, 0)
+                                        .reshape(2 * c, -1), x, c, rows)
+                        out = np.empty((3 * c, op.tiles * rows))
+                        op.apply(x, out, k)
+                        stepper = wavesim._Stepper(grid, gains, lam)
+                        own = loaded_levels(stepper, y[:, 0, :nx], y[:, 1, :nx], q,
+                                            modal_loads)[:, [1, q, q - 1]]
+                        ref = op.tiled(own).reshape(out.shape)
+                        assert np.abs(out - ref).max() <= 1e-13 * np.abs(own).max(), (nx, q, n_w, c)
+                        assert op.w.shape == (rows, q, 2 * q)
+
+    @pytest.mark.parametrize("n_w", (1, 6))
+    def test_forced_response_is_shared_by_the_rows(self, n_w):
+        # one basis for all rows: 3 and 200 followers under the same psi0,
+        # psi1 and f loads get the same `basis` and `lag`, with the phases of
+        # one frequency folded in and those of 6 > q / 2 kept apart
+        grid, sizes = Grid(nx=101), set()
+        for n in (3, 200):
+            sig = [SignalSpec(kind="sinusoid", amplitude=1.0, angular_frequency=7.0 + i % n_w)
+                   for i in range(n + 3)]  # psi1 from the fourth: 3 followers see 6
+            dist = DisturbanceSpec(psi0=tuple(sig[:n]), psi1=tuple(sig[3:]), f=tuple(
+                SpaceTimeSpec(kind="separable", temporal=s,
+                              spatial=ProfileSpec(kind="polynomial", coefficients=(1.0,)))
+                for s in sig[:n]))
+            sim = Simulation(path_topology(n), GAINS, grid,
+                             [(ProfileSpec(), ProfileSpec())] * (n + 1), dist)
+            op = wavesim._Propagator(sim, 10)
+            assert op.amp.shape == (n + 1, 3, n_w) and (op.lag is None) == (n_w == 1)
+            sizes.add((op.basis.shape, None if op.lag is None else op.lag.shape))
+        assert sizes == {((3 * op.c * op.tiles + 20, 3 * min(2 * n_w, 10)),
+                          None if n_w == 1 else (10, 2 * n_w))}
 
 
 class TestSteadyState:
@@ -971,7 +1026,8 @@ class TestRandomRuns:
         runs = []
         for on, per_block in ((True, None), (False, None), (True, 1)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(wavesim, "_SETTLE", on)
+                if not on:
+                    mp.setattr(wavesim, "_FIT_BYTES", 0)
                 if per_block:
                     use_blocks(mp, per_block, grid, topo.n)
                 runs.append(settled_run(topo, GAINS, grid, profiles, dist, horizon, stride))
