@@ -6,11 +6,9 @@ from .analysis import (FunctionalSample, FunctionalWeights, TimeSeries,
                        l2_norm_vector, lyapunov_sample, open_loop_energy,
                        pointwise_bound_check, poincare_check,
                        spatial_derivative)
-from .certificate import (GainCertificate, check_gains_perturbed,
-                          check_gains_unperturbed, consensus_bound,
-                          certificate_constants_unperturbed, control_input,
-                          iss_bound, optimize_certificate, perturbed_constants,
-                          rho_feasible_unperturbed)
+from .certificate import (GainCertificate, build_certificate,
+                          check_gains_perturbed, check_gains_unperturbed,
+                          control_input, iss_bound, optimize_certificate)
 from .errors import (CertificateError, ConfigError, DivergenceError,
                      TopologyError)
 from .graph import (SpectralExtremes, Topology, build_topology,

@@ -266,9 +266,9 @@ def bound_report(t, value, bound, scale=None) -> BoundReport:
 
 
 def monotone_decay_report(series: TimeSeries, rel_slack: float = 1e-6,
-                          column: str = "V", abs_floor: float = 0.0) -> BoundReport:
-    """Per-sample nonincrease check: x[k+1] <= x[k] (1 + rel) + abs_floor."""
-    v = series.column(column)
+                          abs_floor: float = 0.0) -> BoundReport:
+    """Per-sample nonincrease check of V: V[k+1] <= V[k] (1 + rel) + abs_floor."""
+    v = series.column("V")
     return bound_report(series.column("time")[1:], v[1:],
                         v[:-1] * (1.0 + rel_slack) + abs_floor, scale=v[:-1])
 

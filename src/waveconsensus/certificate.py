@@ -9,8 +9,10 @@ feasible tuple (rho1, rho2, xi1, xi2) yields (mu2, q0, qf) entering the
 exponential ISS bound on V0.
 
 Each regime's strict inequalities on the free parameters are written once,
-in the elementwise rule table `_rules` (mu2 likewise in `_mu2`), which the
-feasibility checks, the grid search and its infeasibility message all read.
+in the elementwise rule table `_rules`, and the constants likewise in
+`_sandwich` (tau1, tau2, mu) and `_mu2`.  `build_certificate` is the one
+constructor: it reads these for given parameters, and `optimize_certificate`
+masks its search grid with the same table and hands its optimum to it.
 
 One constraint is implemented in proof-consistent form rather than as
 displayed: the last branch of the unperturbed rho1 bound is
@@ -94,35 +96,24 @@ def check_gains_perturbed(k1: float, k2: float, c0: float,
 GATES = {"unperturbed": check_gains_unperturbed, "perturbed": check_gains_perturbed}
 
 
-def rho_bounds_unperturbed(rho2: float, k1: float, k2: float, c0: float,
-                           lambda_min: float) -> dict:
-    """Upper bounds on rho1 given rho2, by constraint name."""
-    return {
-        "k1*lambda_min": k1 * lambda_min,
-        "2*k2*lambda_min": 2.0 * k2 * lambda_min,
-        "1 - rho2": 1.0 - rho2,
-        "rho2": rho2,
-        "(2*c0 - rho2*(1+c0^2))/c0": (2.0 * c0 - rho2 * (1.0 + c0 * c0)) / c0,
-    }
-
-
-def rho2_bounds_unperturbed(c0: float) -> dict:
-    return {"1": 1.0, "2*c0/(1+c0^2)": 2.0 * c0 / (1.0 + c0 * c0)}
-
-
 def _rules(regime: str, rho1, rho2, xi1, xi2, k1: float, k2: float,
            c0: float, lambda_min: float) -> dict:
     """The regime's strict inequalities on the free parameters: name ->
     whether it holds, elementwise, so scalars and grids read the same rules.
     The unperturbed rules ignore xi1 and xi2."""
     if regime == "unperturbed":
-        rules = {"rho2 > 0": rho2 > 0.0}
-        rules.update({f"rho2 < {name}": rho2 < bound
-                      for name, bound in rho2_bounds_unperturbed(c0).items()})
-        rules["rho1 > 0"] = rho1 > 0.0
-        rules.update({f"rho1 < {name}": rho1 < bound for name, bound in
-                      rho_bounds_unperturbed(rho2, k1, k2, c0, lambda_min).items()})
-        return rules
+        return {
+            "rho2 > 0": rho2 > 0.0,
+            "rho2 < 1": rho2 < 1.0,
+            "rho2 < 2*c0/(1+c0^2)": rho2 < 2.0 * c0 / (1.0 + c0 * c0),
+            "rho1 > 0": rho1 > 0.0,
+            "rho1 < k1*lambda_min": rho1 < k1 * lambda_min,
+            "rho1 < 2*k2*lambda_min": rho1 < 2.0 * k2 * lambda_min,
+            "rho1 < 1 - rho2": rho1 < 1.0 - rho2,
+            "rho1 < rho2": rho1 < rho2,
+            "rho1 < (2*c0 - rho2*(1+c0^2))/c0":
+                rho1 < (2.0 * c0 - rho2 * (1.0 + c0 * c0)) / c0,
+        }
     twice_c = 2.0 * (c0 - xi2 / 2.0)
     c_poly = 1.0 + c0 + c0 * c0
     return {
@@ -141,18 +132,6 @@ def _rules(regime: str, rho1, rho2, xi1, xi2, k1: float, k2: float,
     }
 
 
-def _violated(rules: dict) -> list:
-    return [name for name, holds in rules.items() if not holds]
-
-
-def rho_feasible_unperturbed(rho1: float, rho2: float, k1: float, k2: float,
-                             c0: float, lambda_min: float):
-    """Strict feasibility of (rho1, rho2); returns (ok, violated names)."""
-    violated = _violated(_rules("unperturbed", rho1, rho2, None, None, k1, k2,
-                                c0, lambda_min))
-    return (not violated), violated
-
-
 def _sandwich(rho1, rho2, k1, k2, lambda_min, lambda_max, c0):
     """(tau1, tau2, mu) elementwise, for scalars or grids of (rho1, rho2)."""
     tau1 = np.minimum((1.0 - rho2 - rho1) / 2.0,
@@ -164,44 +143,10 @@ def _sandwich(rho1, rho2, k1, k2, lambda_min, lambda_max, c0):
     return tau1, tau2, mu
 
 
-def certificate_constants_unperturbed(rho1: float, rho2: float, k1: float,
-                                      k2: float, lambda_min: float,
-                                      lambda_max: float, c0: float):
-    """Sandwich constants tau1, tau2 and the decay coefficient mu."""
-    constants = tuple(float(v) for v in _sandwich(rho1, rho2, k1, k2, lambda_min,
-                                                  lambda_max, c0))
-    for name, value in zip(("tau1", "tau2", "mu"), constants):
-        if value <= 0.0:
-            raise CertificateError(f"certificate constant {name} = {value} is not positive")
-    return constants
-
-
-def consensus_bound(v_initial: float, tau1: float, mu: float, tau2: float):
-    """Pointwise envelope parameters: delta = (1+sqrt(2)) V(0)/tau1,
-    alpha = mu/tau2."""
-    delta = (1.0 + SQRT2) * v_initial / tau1
-    alpha = mu / tau2
-    return delta, alpha
-
-
 def _mu2(rho1, rho2, xi1, k1: float, c0: float, lambda_min: float):
     """The perturbed decay coefficient mu2, elementwise."""
     return np.minimum(rho2 / 4.0, np.minimum((rho2 - rho1 - xi1) / 2.0,
                                              rho1 * (k1 * lambda_min - c0 / 2.0 - 1.5)))
-
-
-def perturbed_constants(rho1: float, rho2: float, xi1: float, xi2: float,
-                        k1: float, k2: float, lambda_min: float, c0: float):
-    """(mu2, q0, qf) plus feasibility of the (rho, xi) tuple.  q0 and qf
-    divide by xi2 and xi1, so they are None unless every rule holds."""
-    violated = _violated(_rules("perturbed", rho1, rho2, xi1, xi2, k1, k2, c0,
-                                lambda_min))
-    q0 = qf = None
-    if not violated:
-        q0 = 0.5 * (1.0 / xi2 + rho1 + rho2 * (c0 + 1.0))
-        qf = 1.0 / (2.0 * xi1) + rho1 / 2.0 + rho2
-    mu2 = float(_mu2(rho1, rho2, xi1, k1, c0, lambda_min))
-    return mu2, q0, qf, (not violated), violated
 
 
 def control_input(m, k1: float, k2: float, u_tilde_boundary,
@@ -267,34 +212,41 @@ def build_certificate(regime: str, k1: float, k2: float, c0: float,
                       lambda_min: float, lambda_max: float, rho1: float,
                       rho2: float, xi1: float | None = None,
                       xi2: float | None = None) -> GainCertificate:
-    """The certificate for given free parameters.
+    """The certificate for given free parameters: the only path from
+    parameters to constants, for the optimizer and explicit overrides alike.
 
-    Checks the regime's gain gate and the strict feasibility of (rho1, rho2)
-    (plus xi1, xi2 in the perturbed regime), then derives every constant.
-    The optimizer and explicit parameter overrides end here.
+    Checks the regime's gain gate, the rule table (`_rules`), mu2 > 0 in the
+    perturbed regime and the positivity of tau1, tau2 and mu (`_sandwich`),
+    in that order, then derives q0, qf, delta = delta_factor V(0) with
+    delta_factor = (1 + sqrt(2))/tau1, and alpha = mu/tau2 (mu2/tau2).
     """
     _require_gate(regime, k1, k2, c0, lambda_min)
     mu2 = q0 = qf = None
     if regime == "unperturbed":
         xi1 = xi2 = None
-        ok, violated = rho_feasible_unperturbed(rho1, rho2, k1, k2, c0, lambda_min)
     elif xi1 is None or xi2 is None:
         raise CertificateError("the perturbed regime needs xi1 and xi2 as well as rho1, rho2")
-    else:
-        mu2, q0, qf, ok, violated = perturbed_constants(
-            rho1, rho2, xi1, xi2, k1, k2, lambda_min, c0)
-        if ok and mu2 <= 0.0:
-            ok, violated = False, ["mu2 > 0"]
-    if not ok:
+    rules = _rules(regime, rho1, rho2, xi1, xi2, k1, k2, c0, lambda_min)
+    violated = [name for name, holds in rules.items() if not holds]
+    if xi1 is not None:
+        mu2 = float(_mu2(rho1, rho2, xi1, k1, c0, lambda_min))
+        if not violated and mu2 <= 0.0:
+            violated = ["mu2 > 0"]
+    if violated:
         raise CertificateError(f"infeasible {regime} parameters: {violated}")
-    tau1, tau2, mu = certificate_constants_unperturbed(rho1, rho2, k1, k2,
-                                                       lambda_min, lambda_max, c0)
-    delta_factor, alpha = consensus_bound(1.0, tau1, mu if mu2 is None else mu2, tau2)
+    tau1, tau2, mu = (float(v) for v in _sandwich(rho1, rho2, k1, k2, lambda_min,
+                                                  lambda_max, c0))
+    for name, value in (("tau1", tau1), ("tau2", tau2), ("mu", mu)):
+        if value <= 0.0:
+            raise CertificateError(f"certificate constant {name} = {value} is not positive")
+    if mu2 is not None:  # q0 and qf divide by xi2 and xi1, which the rules keep positive
+        q0 = 0.5 * (1.0 / xi2 + rho1 + rho2 * (c0 + 1.0))
+        qf = 1.0 / (2.0 * xi1) + rho1 / 2.0 + rho2
     return GainCertificate(
         regime=regime, k1=k1, k2=k2, c0=c0, lambda_min=lambda_min,
         lambda_max=lambda_max, rho1=rho1, rho2=rho2, xi1=xi1, xi2=xi2,
         tau1=tau1, tau2=tau2, mu=mu, mu2=mu2, q0=q0, qf=qf,
-        delta_factor=delta_factor, alpha=alpha)
+        delta_factor=(1.0 + SQRT2) / tau1, alpha=(mu if mu2 is None else mu2) / tau2)
 
 
 MAX_RESOLUTION = 1000  # grid points per dimension: each grid array holds its square
@@ -321,7 +273,7 @@ def optimize_certificate(regime: str, k1: float, k2: float, c0: float,
     xi1 = xi2 = None
     if regime == "unperturbed":
         r1_hi = min(k1 * lambda_min, 2.0 * k2 * lambda_min, 1.0)
-        r2_hi = min(rho2_bounds_unperturbed(c0).values())
+        r2_hi = min(1.0, 2.0 * c0 / (1.0 + c0 * c0))
     else:
         xi1 = float(_grid(1.0, resolution)[0])
         xi2 = float(_grid(1.0 / (2.0 * c0), resolution)[0])
@@ -337,16 +289,12 @@ def optimize_certificate(regime: str, k1: float, k2: float, c0: float,
     ok = feasible & (mu > 0.0) & (tau1 > 0.0)
     best = np.unravel_index(np.argmax(np.where(ok, mu / tau2, -np.inf)), ok.shape)
     if not ok[best]:
-        raise CertificateError("no grid point yields a positive decay rate"
-                               if feasible.any() else
-                               _tightest_constraint_message(rules, regime))
+        if feasible.any():
+            raise CertificateError("no grid point yields a positive decay rate")
+        rates = {name: float(np.mean(holds)) for name, holds in rules.items()}
+        tightest = min(rates, key=rates.get)  # the rule that admits the fewest nodes
+        raise CertificateError(f"empty feasible set for the {regime} regime; tightest "
+                               f"constraint: {tightest} (admits {rates[tightest]:.1%} of the "
+                               "search box on its own)")
     return build_certificate(regime, k1, k2, c0, lambda_min, lambda_max,
                              float(R1[best]), float(R2[best]), xi1, xi2)
-
-
-def _tightest_constraint_message(rules: dict, regime: str) -> str:
-    rates = {name: float(np.mean(holds)) for name, holds in rules.items()}
-    tightest = min(rates, key=rates.get)
-    return (f"empty feasible set for the {regime} regime; tightest "
-            f"constraint: {tightest} (admits {rates[tightest]:.1%} of the "
-            "search box on its own)")

@@ -67,6 +67,11 @@ class CertificateOptions:
         if not 1 <= self.resolution <= cert_mod.MAX_RESOLUTION:
             raise ValueError(f"resolution: must be between 1 and {cert_mod.MAX_RESOLUTION}, "
                              f"got {self.resolution}")
+        # overrides come in pairs, and xi only with rho
+        for a, b in (("rho1", "rho2"), ("rho2", "rho1"), ("xi1", "xi2"), ("xi2", "xi1"),
+                     ("xi1", "rho1")):
+            if getattr(self, a) is not None and getattr(self, b) is None:
+                raise ValueError(f"{a}: given without {b}")
 
 
 @dataclass(frozen=True)
@@ -351,17 +356,12 @@ def spectral_extremes_for(config: ExperimentConfig):
 def certificate_for(config: ExperimentConfig, regime: str | None = None):
     """Optimize (or build from explicit rho/xi overrides) the certificate
     for a config."""
-    regime = regime or config.effective_regime()
     ext = spectral_extremes_for(config)
-    opts = config.certificate
-    g = config.gains
-    if opts.rho1 is not None and opts.rho2 is not None:
-        return cert_mod.build_certificate(
-            regime, g.k1, g.k2, g.c0, ext.lambda_min, ext.lambda_max,
-            opts.rho1, opts.rho2, opts.xi1, opts.xi2)
-    return cert_mod.optimize_certificate(
-        regime, g.k1, g.k2, g.c0, ext.lambda_min, ext.lambda_max,
-        resolution=opts.resolution)
+    g, opts = config.gains, config.certificate
+    args = (regime or config.effective_regime(), g.k1, g.k2, g.c0, ext.lambda_min, ext.lambda_max)
+    if opts.rho1 is not None:  # rho1 and rho2 come as a pair
+        return cert_mod.build_certificate(*args, opts.rho1, opts.rho2, opts.xi1, opts.xi2)
+    return cert_mod.optimize_certificate(*args, resolution=opts.resolution)
 
 
 def derive_horizon(cert, regime: str) -> float:

@@ -630,8 +630,13 @@ class Simulation:
         steps after the sample, which keeps a decaying error out of the slow
         subnormal range; observers read the row as exact zero from the next
         sample on.  Forced rows are never flushed: their forced response
-        keeps them far above the subnormal range.  Observers never see a
-        sample at or after the first diverged one.
+        keeps them far above the subnormal range.  A sample diverges when a
+        modal row (the leader, or Q^T of the deviations) passes
+        DIVERGENCE_LIMIT, and observers never see a sample at or after the
+        first diverged one.  `step` checks the physical fields instead, so
+        near the limit the two can end a run at different steps: with psi1
+        at 3e13 on the 3-follower path at nx = 21, stride 1, this run stops
+        at step 2 and `step` first passes the limit at u^3.
 
         A run stops stepping once it is periodic (`_Settle`): every 2w
         samples it fits one coefficient set C of [1, cos w t, sin w t, ...]
@@ -711,7 +716,9 @@ class Simulation:
         """Copy a block's samples out of the tiled buffers: u^k and
         u^(k+1) - u^(k-1) of every row into `out`, up to the first diverged
         sample, the first whose u^k (the reported level) passes
-        DIVERGENCE_LIMIT.  Returns the number of samples kept."""
+        DIVERGENCE_LIMIT in a modal row: the leader or Q^T of the
+        deviations, not the physical fields `step` checks (see `run`).
+        Returns the number of samples kept."""
         nx, rows, cnt, c = self.grid.nx, self.n + 1, len(instants), xs.shape[1] // 6
         tiles = xs.shape[2] // rows
         state = xs[:cnt, 2 * c:4 * c]

@@ -12,8 +12,8 @@ from waveconsensus.analysis import (BoundReport, FunctionalSample,
                                     open_loop_energy, open_loop_energy_fields,
                                     pointwise_bound_check, poincare_check,
                                     sandwich_report, spatial_derivative)
-from waveconsensus.certificate import (certificate_constants_unperturbed,
-                                       iss_bound, optimize_certificate)
+from waveconsensus.certificate import (build_certificate, iss_bound,
+                                       optimize_certificate)
 from waveconsensus.graph import eig_extremes_sym
 from waveconsensus.wavesim import Grid, WaveState
 
@@ -147,8 +147,9 @@ class TestLyapunovSample:
         grid = Grid(nx=201)
         ext = eig_extremes_sym(reference_matrix)
         rho1, rho2 = 0.1, 0.5
-        tau1, tau2, _mu = certificate_constants_unperturbed(
-            rho1, rho2, K1, K2, ext.lambda_min, ext.lambda_max, C0)
+        cert = build_certificate("unperturbed", K1, K2, C0, ext.lambda_min,
+                                 ext.lambda_max, rho1, rho2)
+        tau1, tau2 = cert.tau1, cert.tau2
         w = FunctionalWeights(k1=K1, k2=K2, rho1=rho1, rho2=rho2)
         rng = np.random.default_rng(12)
         for _ in range(200):

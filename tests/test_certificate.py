@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import re
@@ -5,15 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from waveconsensus.certificate import (MAX_RESOLUTION, build_certificate, check_gains_perturbed,
-                                       check_gains_unperturbed,
-                                       certificate_constants_unperturbed,
-                                       consensus_bound, control_input,
-                                       iss_bound, optimize_certificate,
-                                       perturbed_constants,
-                                       rho_bounds_unperturbed,
-                                       rho2_bounds_unperturbed,
-                                       rho_feasible_unperturbed)
+from waveconsensus.certificate import (MAX_RESOLUTION, _rules, _sandwich, build_certificate,
+                                       check_gains_perturbed, check_gains_unperturbed,
+                                       control_input, iss_bound, optimize_certificate)
 from waveconsensus.errors import CertificateError
 from waveconsensus.graph import eig_extremes_sym
 
@@ -24,6 +19,18 @@ K1, K2, C0 = 30.0, 10.0, 2.5
 def spectrum(reference_matrix):
     ext = eig_extremes_sym(reference_matrix)
     return ext.lambda_min, ext.lambda_max
+
+
+def violated(regime, k1, k2, c0, lam_min, lam_max, rho1, rho2, xi1=None, xi2=None):
+    """The rule names build_certificate reports as violated ([] when it
+    builds a certificate)."""
+    try:
+        build_certificate(regime, k1, k2, c0, lam_min, lam_max, rho1, rho2, xi1, xi2)
+    except CertificateError as exc:
+        prefix = f"infeasible {regime} parameters: "
+        assert str(exc).startswith(prefix), str(exc)
+        return ast.literal_eval(str(exc)[len(prefix):])
+    return []
 
 
 class TestGainGates:
@@ -68,24 +75,27 @@ class TestGainGates:
 class TestRhoFeasibility:
     def test_reference_pair_feasible(self, spectrum):
         lam_min, _ = spectrum
-        ok, violated = rho_feasible_unperturbed(0.1, 0.5, K1, K2, C0, lam_min)
-        assert ok and not violated
-        bounds = rho_bounds_unperturbed(0.5, K1, K2, C0, lam_min)
-        assert bounds["k1*lambda_min"] == pytest.approx(5.942, abs=1e-3)
-        assert bounds["2*k2*lambda_min"] == pytest.approx(3.961, abs=1e-3)
-        assert bounds["1 - rho2"] == 0.5
-        assert bounds["rho2"] == 0.5
-        r2b = rho2_bounds_unperturbed(C0)
-        assert r2b["2*c0/(1+c0^2)"] == pytest.approx(0.6897, abs=1e-4)
+        assert violated("unperturbed", K1, K2, C0, *spectrum, 0.1, 0.5) == []
+
+        def holds(rule, rho1, rho2):
+            return _rules("unperturbed", rho1, rho2, None, None, K1, K2, C0, lam_min)[rule]
+
+        # each bound sits where its rule flips
+        for rule, rho2, bound, eps in (("rho1 < k1*lambda_min", 0.5, 5.942, 1e-3),
+                                       ("rho1 < 2*k2*lambda_min", 0.5, 3.961, 1e-3),
+                                       ("rho1 < 1 - rho2", 0.5, 0.5, 1e-12),
+                                       ("rho1 < rho2", 0.5, 0.5, 1e-12)):
+            assert holds(rule, bound - eps, rho2) and not holds(rule, bound + eps, rho2)
+        assert not holds("rho1 < 1 - rho2", 0.5, 0.5) and not holds("rho1 < rho2", 0.5, 0.5)
+        rule = "rho2 < 2*c0/(1+c0^2)"
+        assert holds(rule, 0.1, 0.6896) and not holds(rule, 0.1, 0.6898)
 
     def test_rho2_too_large(self, spectrum):
-        ok, violated = rho_feasible_unperturbed(0.1, 0.8, K1, K2, C0, spectrum[0])
-        assert not ok
-        assert any("2*c0/(1+c0^2)" in v for v in violated)
+        names = violated("unperturbed", K1, K2, C0, *spectrum, 0.1, 0.8)
+        assert any("2*c0/(1+c0^2)" in v for v in names)
 
     def test_rho1_zero_rejected(self, spectrum):
-        ok, violated = rho_feasible_unperturbed(0.0, 0.5, K1, K2, C0, spectrum[0])
-        assert not ok and "rho1 > 0" in violated
+        assert "rho1 > 0" in violated("unperturbed", K1, K2, C0, *spectrum, 0.0, 0.5)
 
     def test_matches_branchwise_oracle_on_grid(self, spectrum):
         # literal re-evaluation of every inequality branch in isolation,
@@ -103,19 +113,19 @@ class TestRhoFeasibility:
                     and rho1 < (2.0 * C0 - rho2 * (1.0 + C0 * C0)) / C0
                     and 0.0 < rho2 < 1.0
                     and rho2 < 2.0 * C0 / (1.0 + C0 * C0))
-                ok, _violated = rho_feasible_unperturbed(rho1, rho2, K1, K2, C0, lam_min)
-                assert ok == expected
+                assert (violated("unperturbed", K1, K2, C0, *spectrum, rho1, rho2) == []) \
+                    == expected
 
 
 class TestCertificateConstants:
     def test_reference_values(self, spectrum):
         lam_min, lam_max = spectrum
-        tau1, tau2, mu = certificate_constants_unperturbed(
-            0.1, 0.5, K1, K2, lam_min, lam_max, C0)
-        assert tau1 == pytest.approx(0.2, abs=1e-12)
-        assert tau2 == pytest.approx(K1 * lam_max + 0.1, abs=1e-12)
-        assert tau2 == pytest.approx(97.51, abs=1e-2)
-        assert mu == pytest.approx(0.2, abs=1e-12)
+        cert = build_certificate("unperturbed", K1, K2, C0, lam_min, lam_max, 0.1, 0.5)
+        assert cert.tau1 == pytest.approx(0.2, abs=1e-12)
+        assert cert.tau2 == pytest.approx(K1 * lam_max + 0.1, abs=1e-12)
+        assert cert.tau2 == pytest.approx(97.51, abs=1e-2)
+        assert cert.mu == pytest.approx(0.2, abs=1e-12)
+        assert cert.mu2 is cert.q0 is cert.qf is cert.xi1 is cert.xi2 is None
         # branch values feeding the minima
         assert K1 * lam_min + 0.1 * K2 * lam_min - 0.1 == pytest.approx(6.04, abs=1e-2)
         assert 0.1 * (K1 * lam_min - C0 / 2.0) == pytest.approx(0.4692, abs=1e-4)
@@ -125,49 +135,41 @@ class TestCertificateConstants:
         rng = np.random.default_rng(23)
         for _ in range(200):
             rho2 = rng.uniform(0.01, 0.689)
-            hi = min(rho_bounds_unperturbed(rho2, K1, K2, C0, lam_min).values())
+            hi = min(K1 * lam_min, 2.0 * K2 * lam_min, 1.0 - rho2, rho2,
+                     (2.0 * C0 - rho2 * (1.0 + C0 * C0)) / C0)
             if hi <= 0:
                 continue
             rho1 = rng.uniform(0.0, 1.0) * hi * 0.999 + 1e-9
-            tau1, tau2, _mu = certificate_constants_unperturbed(
-                rho1, rho2, K1, K2, lam_min, lam_max, C0)
-            assert tau1 <= tau2
+            cert = build_certificate("unperturbed", K1, K2, C0, lam_min, lam_max, rho1, rho2)
+            assert cert.tau1 <= cert.tau2
 
     def test_small_rho1_drives_mu_to_zero(self, spectrum):
         lam_min, lam_max = spectrum
-        _, _, mu = certificate_constants_unperturbed(
-            1e-9, 0.5, K1, K2, lam_min, lam_max, C0)
-        assert mu <= 1e-9 * (K1 * lam_min - C0 / 2.0) + 1e-20
+        cert = build_certificate("unperturbed", K1, K2, C0, lam_min, lam_max, 1e-9, 0.5)
+        assert 0.0 < cert.mu <= 1e-9 * (K1 * lam_min - C0 / 2.0) + 1e-20
 
     def test_infeasible_combination_raises(self, spectrum):
         lam_min, lam_max = spectrum
-        with pytest.raises(CertificateError, match="tau1"):
-            certificate_constants_unperturbed(0.3, 0.8, K1, K2, lam_min, lam_max, C0)
+        # tau1 < 0 here, and the rules refuse the pair before any constant
+        assert _sandwich(0.3, 0.8, K1, K2, lam_min, lam_max, C0)[0] < 0.0
+        with pytest.raises(CertificateError, match=re.escape(
+                "infeasible unperturbed parameters: ['rho2 < 2*c0/(1+c0^2)', "
+                "'rho1 < 1 - rho2', 'rho1 < (2*c0 - rho2*(1+c0^2))/c0']")):
+            build_certificate("unperturbed", K1, K2, C0, lam_min, lam_max, 0.3, 0.8)
 
 
 class TestConsensusBound:
-    def test_reference_values(self):
-        delta, alpha = consensus_bound(1.0, 0.2, 0.2, 97.50939)
-        assert delta == pytest.approx(12.07, abs=1e-2)
-        assert alpha == pytest.approx(0.002051, abs=1e-6)
-
-    def test_zero_initial(self):
-        delta, _alpha = consensus_bound(0.0, 0.2, 0.2, 97.5)
-        assert delta == 0.0
-
-    def test_linearity_in_initial_value(self):
-        d1, a1 = consensus_bound(3.0, 0.2, 0.2, 97.5)
-        d2, a2 = consensus_bound(6.0, 0.2, 0.2, 97.5)
-        assert d2 == pytest.approx(2 * d1, rel=1e-14)
-        assert a2 == a1
+    def test_reference_values(self, spectrum):
+        cert = build_certificate("unperturbed", K1, K2, C0, *spectrum, 0.1, 0.5)
+        assert cert.delta_factor == pytest.approx(12.07, abs=1e-2)
+        assert cert.alpha == pytest.approx(0.002051, abs=1e-6)
 
 
 class TestPerturbedConstants:
     def test_reference_tuple(self, spectrum):
-        lam_min, _ = spectrum
-        mu2, q0, qf, ok, violated = perturbed_constants(
-            0.05, 0.3, 0.05, 0.1, K1, K2, lam_min, C0)
-        assert ok and not violated
+        lam_min, lam_max = spectrum
+        cert = build_certificate("perturbed", K1, K2, C0, lam_min, lam_max,
+                                 0.05, 0.3, 0.05, 0.1)
         # re-derive each min branch independently
         b1 = 0.3 / 4.0
         b2 = (0.3 - 0.05 - 0.05) / 2.0
@@ -175,24 +177,21 @@ class TestPerturbedConstants:
         assert b1 == pytest.approx(0.075)
         assert b2 == pytest.approx(0.1)
         assert b3 == pytest.approx(0.1596, abs=1e-4)
-        assert mu2 == pytest.approx(min(b1, b2, b3), abs=1e-15)
-        assert mu2 == pytest.approx(0.075, abs=1e-12)
-        assert q0 == pytest.approx(0.5 * (1.0 / 0.1 + 0.05 + 0.3 * 3.5), abs=1e-12)
-        assert q0 == pytest.approx(5.55, abs=1e-12)
-        assert qf == pytest.approx(1.0 / (2 * 0.05) + 0.05 / 2 + 0.3, abs=1e-12)
-        assert qf == pytest.approx(10.325, abs=1e-12)
+        assert cert.mu2 == pytest.approx(min(b1, b2, b3), abs=1e-15)
+        assert cert.mu2 == pytest.approx(0.075, abs=1e-12)
+        assert cert.alpha == cert.mu2 / cert.tau2
+        assert cert.q0 == pytest.approx(0.5 * (1.0 / 0.1 + 0.05 + 0.3 * 3.5), abs=1e-12)
+        assert cert.q0 == pytest.approx(5.55, abs=1e-12)
+        assert cert.qf == pytest.approx(1.0 / (2 * 0.05) + 0.05 / 2 + 0.3, abs=1e-12)
+        assert cert.qf == pytest.approx(10.325, abs=1e-12)
 
     def test_xi2_above_limit(self, spectrum):
-        *_rest, ok, violated = perturbed_constants(
-            0.05, 0.3, 0.05, 0.5, K1, K2, spectrum[0], C0)
-        assert not ok
-        assert any("xi2" in v for v in violated)
+        names = violated("perturbed", K1, K2, C0, *spectrum, 0.05, 0.3, 0.05, 0.5)
+        assert any("xi2" in v for v in names)
 
     def test_xi1_at_least_rho2(self, spectrum):
-        *_rest, ok, violated = perturbed_constants(
-            0.05, 0.3, 0.3, 0.1, K1, K2, spectrum[0], C0)
-        assert not ok
-        assert any("xi1 < rho2" in v for v in violated)
+        names = violated("perturbed", K1, K2, C0, *spectrum, 0.05, 0.3, 0.3, 0.1)
+        assert any("xi1 < rho2" in v for v in names)
 
     def test_matches_branchwise_oracle_on_grid(self):
         # literal re-evaluation of each of the 11 inequalities over a 4-D grid
@@ -216,12 +215,62 @@ class TestPerturbedConstants:
                 rho1 < 2.0 * k2 * lam_min - 1.0,
                 rho1 < (2.0 * (c0 - xi2 / 2.0) - rho2 * (1.0 + c0 + c0 * c0)) / c0)
             failed.update(i for i, holds in enumerate(rules) if not holds)
-            _mu2, q0, qf, ok, violated = perturbed_constants(
-                rho1, rho2, xi1, xi2, k1, k2, lam_min, c0)
-            assert ok == all(rules)
-            assert len(violated) == len(rules) - sum(rules)
-            assert (q0 is None) == (qf is None) == (not ok)
+            table = _rules("perturbed", rho1, rho2, xi1, xi2, k1, k2, c0, lam_min)
+            assert tuple(map(bool, table.values())) == rules
         assert failed == set(range(11))
+
+
+class TestLiteralFormulas:
+    def test_build_certificate_is_the_displayed_formulas(self):
+        # the gates, rules and constants written out one by one; the last
+        # unperturbed rho1 bound takes its proof-consistent form (see the
+        # certificate module)
+        rng = np.random.default_rng(31)
+        built = {"unperturbed": 0, "perturbed": 0}
+        for i in range(4000):
+            regime = ("unperturbed", "perturbed")[i % 2]
+            lam_min = rng.uniform(0.1, 2.0)
+            lam_max = lam_min + rng.uniform(0.0, 4.0)
+            k1, k2, c0 = rng.uniform(0.0, 20.0), rng.uniform(0.0, 10.0), rng.uniform(0.1, 4.0)
+            rho2 = rng.uniform(0.0, 1.0) * min(1.0, 2.0 * c0 / (1.0 + c0 + c0 * c0))
+            rho1 = rng.uniform(0.0, 1.0) * rho2
+            xi1 = rng.uniform(0.0, 1.0) * (rho2 - rho1)
+            xi2 = rng.uniform(0.0, 1.2) / (2.0 * c0)
+            if regime == "unperturbed":
+                ok = (k1 > c0 / (2.0 * lam_min) and k2 > 0.0
+                      and 0.0 < rho2 < 1.0 and rho2 < 2.0 * c0 / (1.0 + c0 ** 2)
+                      and 0.0 < rho1 < k1 * lam_min and rho1 < 2.0 * k2 * lam_min
+                      and rho1 < 1.0 - rho2 and rho1 < rho2
+                      and rho1 < (2.0 * c0 - rho2 * (1.0 + c0 ** 2)) / c0)
+            else:
+                ok = (k1 > (c0 + 3.0) / (2.0 * lam_min) and k2 > 1.0 / (2.0 * lam_min)
+                      and xi1 > 0.0 and 0.0 < xi2 < 1.0 / (2.0 * c0) and xi1 < rho2
+                      and rho2 < 1.0 and rho2 < 2.0 * (c0 - xi2 / 2.0) / (1.0 + c0 + c0 ** 2)
+                      and 0.0 < rho1 < k1 * lam_min and rho1 < 1.0 - rho2
+                      and rho1 < rho2 - xi1 and rho1 < 2.0 * k2 * lam_min - 1.0
+                      and rho1 < (2.0 * (c0 - xi2 / 2.0) - rho2 * (1.0 + c0 + c0 ** 2)) / c0)
+            try:
+                cert = build_certificate(regime, k1, k2, c0, lam_min, lam_max,
+                                         rho1, rho2, xi1, xi2)
+            except CertificateError:
+                assert not ok
+                continue
+            assert ok
+            built[regime] += 1
+            tau1 = min((1.0 - rho2 - rho1) / 2.0, k1 * lam_min + rho1 * k2 * lam_min - rho1)
+            tau2 = max((1.0 + rho2 + rho1) / 2.0, k1 * lam_max + rho1, k2 * lam_max + rho1)
+            mu = min(rho2 / 2.0, (rho2 - rho1) / 2.0, rho1 * (k1 * lam_min - c0 / 2.0))
+            expected = {"tau1": tau1, "tau2": tau2, "mu": mu,
+                        "delta_factor": (1.0 + math.sqrt(2.0)) / tau1, "alpha": mu / tau2}
+            if regime == "perturbed":
+                mu2 = min(rho2 / 4.0, (rho2 - rho1 - xi1) / 2.0,
+                          rho1 * (k1 * lam_min - c0 / 2.0 - 1.5))
+                expected.update(mu2=mu2, alpha=mu2 / tau2,
+                                q0=(1.0 / xi2 + rho1 + rho2 * (c0 + 1.0)) / 2.0,
+                                qf=1.0 / (2.0 * xi1) + rho1 / 2.0 + rho2)
+            for name, value in expected.items():
+                assert getattr(cert, name) == pytest.approx(value, rel=1e-12), name
+        assert min(built.values()) > 100, built
 
 
 class TestOptimizer:
@@ -231,8 +280,8 @@ class TestOptimizer:
         assert cert.alpha > 0.0
         # the (0.1, 0.5) witness is feasible, so the optimum is at least as good
         assert cert.alpha >= 0.2 / 97.50939 - 1e-12
-        ok, _ = rho_feasible_unperturbed(cert.rho1, cert.rho2, K1, K2, C0, lam_min)
-        assert ok
+        assert all(_rules("unperturbed", cert.rho1, cert.rho2, None, None, K1, K2, C0,
+                          lam_min).values())
 
     def test_gain_check_failure_is_named(self, spectrum):
         lam_min, lam_max = spectrum
@@ -276,9 +325,10 @@ class TestOptimizer:
             for rho1 in grid(r1_hi):
                 for xi1 in grid(1.0):
                     for xi2 in grid(1.0 / (2 * c0)):
-                        mu2, q0, qf, ok, _ = perturbed_constants(
-                            rho1, rho2, xi1, xi2, k1, k2, lam_min, c0)
-                        if not ok or mu2 <= 0:
+                        try:
+                            mu2 = build_certificate("perturbed", k1, k2, c0, lam_min, lam_max,
+                                                    rho1, rho2, xi1, xi2).mu2
+                        except CertificateError:  # a violated rule, or mu2 <= 0
                             continue
                         tau2 = max((1 + rho2 + rho1) / 2, k1 * lam_max + rho1,
                                    k2 * lam_max + rho1)

@@ -303,8 +303,14 @@ def valid_docs(draw):
     cert, output = {}, {}
     put(draw, cert, "regime", st.sampled_from(("auto", "unperturbed", "perturbed")))
     put(draw, cert, "resolution", st.integers(1, 1000))
-    for key in ("rho1", "rho2", "xi1", "xi2"):
-        put(draw, cert, key, NUMBERS)
+    # rho1/rho2 and xi1/xi2 are drawn in pairs, and xi only with rho
+    for a, b in (("rho1", "rho2"), ("xi1", "xi2")):
+        if a == "xi1" and cert.get("rho1") is None:
+            break
+        pair = {}
+        put(draw, pair, a, st.tuples(NUMBERS, NUMBERS))
+        if a in pair:
+            cert[a], cert[b] = pair[a] or (None, None)
     put(draw, doc, "certificate", st.just(cert))
     put(draw, output, "csv", st.text(max_size=8))
     put(draw, output, "stride", st.integers(1, 100))
@@ -402,6 +408,28 @@ class TestBadInput:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"config error: {path}: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("given, message", [
+        ({"rho1": 0.06}, "certificate.rho1: given without rho2"),
+        ({"rho2": 0.6}, "certificate.rho2: given without rho1"),
+        ({"xi1": 0.01}, "certificate.xi1: given without xi2"),
+        ({"xi2": 0.01}, "certificate.xi2: given without xi1"),
+        ({"xi1": 0.01, "xi2": 0.01}, "certificate.xi1: given without rho1"),
+    ], ids=["rho1", "rho2", "xi1", "xi2", "xi-without-rho"])
+    def test_partial_override_exits_1(self, tmp_path, capsys, given, message):
+        # a lone override used to be dropped, and check-gains printed the
+        # optimized parameters instead
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        with open(os.path.join(root, "test1.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["certificate"].update(given)
+        cfg = tmp_path / "partial.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["check-gains", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == harness.EXIT_USAGE
+        assert out == "" and err == f"config error: {message}\n"
 
 
 class TestSchemaProperties:
