@@ -121,6 +121,9 @@ class ExperimentConfig:
             if p.kind == "table" and len(p.samples) != self.grid.nx:
                 raise ConfigError(f"{path}.samples: expected grid.nx = {self.grid.nx} "
                                   f"samples, got {len(p.samples)}")
+        cert = self.certificate  # only the regime that runs: its rules need xi with rho
+        if cert.rho1 is not None and cert.xi1 is None and self.effective_regime() == "perturbed":
+            raise ConfigError("certificate.xi1: the perturbed regime needs xi1, xi2 with rho1, rho2")
 
     @property
     def n(self) -> int:

@@ -32,17 +32,16 @@ on the two end windows, the exact forced response of the disturbances
 (each spatial pattern's responses to unit loads at the q steps, shared by
 all rows, against the rows' modal loads), and each row's q x 2q feedback
 through node nx - 1.  The same product gives the step after the sample,
-for the centered sample velocity.  All of it is
-probed from the one-step stencil; a sample costs O(rows nx stride) and
-runs on the calling thread.  An unforced modal row whose peak decays
-below 2^-600 is set to exact zero, where it stays, so an undisturbed
-error keeps stepping at full speed instead of stalling in the slow
-subnormal range; nothing downstream resolves fields that small
-(`analysis` reads functionals below 1e-300 as zero), and a forced row
-stays at the scale of its forced response.  Periodic runs stop stepping:
-one coefficient set at the run's frequencies, fitted to both sampled
-fields, fills the rest, and the samples are bit-identical for any block
-size.  `step` repeats the update per agent in physical coordinates, apart
+for the centered sample velocity.  All of it is probed from the one-step
+stencil; a sample costs O(rows nx stride) and runs on the calling thread.
+An unforced modal row whose peak decays below 2^-600 is set to exact
+zero, where it stays, so an undisturbed error keeps stepping at full
+speed instead of stalling in the slow subnormal range; nothing downstream
+resolves fields that small (`analysis` reads functionals below 1e-300 as
+zero), and a forced row stays at the scale of its forced response.
+Periodic runs stop stepping: one coefficient set at the run's
+frequencies, fitted to both sampled fields, fills the rest, and the
+samples are bit-identical for any block size.  `step` repeats the update per agent in physical coordinates, apart
 from `_Stepper` on purpose: it is the oracle.
 """
 from __future__ import annotations
@@ -372,11 +371,6 @@ def _spread(state, x, c: int, rows: int):
     x[4 * c:, :-rows] = state[:, rows:]
 
 
-def _block_samples(n: int, nx: int) -> int:
-    """Sample instants per block: about _CHUNK_BYTES of deviation fields."""
-    return max(1, _CHUNK_BYTES // (16 * max(n, 1) * nx))
-
-
 class _Propagator:
     """The stacked operator [S^1 (u level only); S^q] of all rows of a run
     on the tiled state (see `Simulation.run`), with tile width c at least
@@ -520,11 +514,14 @@ class _Settle:
         `coef` fits _FIT_BYTES.  T: cos w t -> -2 sin(w dt) sin w t, sin -> 2 sin(w dt) cos."""
         self.omegas = np.unique(np.abs(sim._omegas[sim._omegas != 0.0])).tolist()  # 0: constant
         self.dt, self.k0, self.pos, self.passes, self.w = sim.grid.dt, 0, 0, 0, 0
+        shape = (1 + 2 * len(self.omegas), sim.n + 1, sim.grid.nx)
+        if 8 * math.prod(shape) > _FIT_BYTES:  # before `lift`, which is quadratic in n_w
+            return
         d = np.ravel([[0.0, 2.0 * math.sin(w * self.dt)] for w in self.omegas])  # T's off-diagonals
         self.lift = np.hstack([np.eye(len(d) + 1), np.diag(d, 1) - np.diag(d, -1)])  # [I, T]
         scale = np.array([1.0, 1.0 / (np.abs(d).max(initial=0.0) or 1.0)])  # of each field
-        shape, w = (len(self.lift), sim.n + 1, sim.grid.nx), max(2 * len(self.lift), 8)
-        while 6 * w < count and 8 * math.prod(shape) <= _FIT_BYTES:
+        w = max(2 * shape[0], 8)
+        while 6 * w < count:
             b = (self.phases(range(0, w * stride, stride)) * scale[:, None]).reshape(2 * w, -1)
             if np.linalg.cond(b) <= 10.0:  # pinv[j]: sample j's weights by (column, field)
                 p = np.linalg.pinv(b).reshape(-1, w, 2) * scale
@@ -620,23 +617,25 @@ class Simulation:
         r holds entry 2 x + level (u^k or u^(k-1)) of its c nodes, with a
         zero tile on each side, and c is the reach of S^p (p = stride, at
         most _MAX_POWER).  Each sample instant advances every row at once
-        by one product of the `_Propagator` of S^p (the remainder of a
-        longer stride and the final partial one take one product of their
-        own power), which also gives u^(k+1) for the centered sample
-        velocity; a block of sample instants (about _CHUNK_BYTES of fields)
-        is advanced, checked for divergence and handed to the observers in
-        turn, on the calling thread.  At sample instants each unforced modal
-        row whose peak fell below 2^-_FLUSH_BITS is set to zero for the
-        steps after the sample, which keeps a decaying error out of the slow
-        subnormal range; observers read the row as exact zero from the next
-        sample on.  Forced rows are never flushed: their forced response
-        keeps them far above the subnormal range.  A sample diverges when a
-        modal row (the leader, or Q^T of the deviations) passes
-        DIVERGENCE_LIMIT, and observers never see a sample at or after the
-        first diverged one.  `step` checks the physical fields instead, so
-        near the limit the two can end a run at different steps: with psi1
-        at 3e13 on the 3-follower path at nx = 21, stride 1, this run stops
-        at step 2 and `step` first passes the limit at u^3.
+        by one product of the `_Propagator` of S^p (a shorter final stride
+        takes one of its own power, a stride beyond _MAX_POWER more for the
+        rest), all on one pair of tile buffers; the product also gives
+        u^(k+1) for the centered sample velocity.  Each sample's u^k and
+        u^(k+1) - u^(k-1) go into a block of fields (about _CHUNK_BYTES) as
+        it is stepped, and each block to the observers in turn, on the
+        calling thread.  At sample instants each unforced modal row whose
+        peak fell below 2^-_FLUSH_BITS is set to zero for the steps after
+        the sample, which keeps a decaying error out of the slow subnormal
+        range; observers read the row as exact zero from the next sample
+        on.  Forced rows are never flushed: their forced response keeps them
+        far above the subnormal range.  A sample diverges when a modal row
+        (the leader, or Q^T of the deviations) passes DIVERGENCE_LIMIT,
+        checked before its product: the run makes no product from it on, and
+        observers never see it or a later sample.  `step` checks the
+        physical fields instead, so near the limit the two can end a run at
+        different steps: with psi1 at 3e13 on the 3-follower path at
+        nx = 21, stride 1, this run stops at step 2 and `step` first passes
+        the limit at u^3.
 
         A run stops stepping once it is periodic (`_Settle`): every 2w
         samples it fits one coefficient set C of [1, cos w t, sin w t, ...]
@@ -665,12 +664,16 @@ class Simulation:
                 ops[q] = _Propagator(self, q, c)
             return ops[q]
 
-        tiles, size = op(power).tiles, min(_block_samples(self.n, nx), count)
-        # per sample instant: the state's left, centre and right tiles, and
-        # the first product from it
-        xs, outs = np.zeros((size, 6 * c, tiles * rows)), np.empty((size, 3 * c, tiles * rows))
-        x1, out1 = np.zeros((6 * c, tiles * rows)), np.empty((3 * c, tiles * rows))
+        tiles = op(power).tiles
+        size = min(max(1, _CHUNK_BYTES // (16 * max(self.n, 1) * nx)), count)  # samples per block
+        # the state's left, centre and right tiles, and a product from it
+        x, out = np.zeros((6 * c, tiles * rows)), np.empty((3 * c, tiles * rows))
+        centre = x[2 * c:4 * c]
         fields = np.empty((2, size, rows, nx))  # u^k, and u^(k+1) - u^(k-1)
+
+        def rows_of(a):  # (c, tiles * rows) -> (rows, nx)
+            return a.reshape(c, tiles, rows).T.reshape(rows, tiles * c)[:, :nx]
+
         # only unforced rows are flushed; probe: per watched row, where its
         # largest entry was last seen in the centre tiles
         watch = probe = np.flatnonzero(~op(power).forced)
@@ -684,27 +687,33 @@ class Simulation:
             if self.switch_step is not None:  # all from the fit
                 self._emit(instants, settle.fill(fields, instants).shape[1], fields, observers)
                 continue
-            for x, out, k in zip(xs, outs, instants):
+            stop = len(instants)
+            for i, k in enumerate(instants):
+                _spread(state, x, c, rows)
+                # u^k, the reported level, is checked in the modal rows (the
+                # leader and Q^T of the deviations), not the physical fields
+                fields[0, i] = rows_of(centre[0::2])
+                if not np.abs(fields[0, i]).max() <= DIVERGENCE_LIMIT:
+                    stop = i
+                    break
                 nxt = min(k + stride, nsteps)
                 q = min(nxt - k, power) or power  # the last sample: only u^(k+1)
-                _spread(state, x, c, rows)
                 op(q).apply(x, out, k)
+                fields[1, i] = rows_of(out[:c] - centre[1::2])
                 if k == nsteps:
                     break
-                centre = x[2 * c:4 * c].reshape(-1, rows)
-                if probe.size and min(map(abs, centre.ravel()[probe].tolist())) < tiny:
-                    peaks = np.abs(centre[:, watch])
+                if probe.size and min(map(abs, centre.reshape(-1)[probe].tolist())) < tiny:
+                    peaks = np.abs(centre.reshape(-1, rows)[:, watch])
                     live = peaks.max(axis=0) >= tiny
                     out[c:].reshape(-1, rows)[:, watch[~live]] = 0.0
                     watch = watch[live]
                     probe = peaks[:, live].argmax(axis=0) * rows + watch
                 state, k = out[c:], k + q
-                while k < nxt:  # strides beyond _MAX_POWER and the final partial one
+                while k < nxt:  # the rest of a stride beyond _MAX_POWER
                     q = min(nxt - k, power)
-                    _spread(state, x1, c, rows)
-                    op(q).apply(x1, out1, k)
-                    state, k = out1[c:], k + q
-            stop = self._gather(instants, xs, outs, fields)
+                    _spread(state, x, c, rows)
+                    op(q).apply(x, out, k)
+                    state, k = out[c:], k + q
             i = settle.feed(fields, instants, stop)
             if i is not None:  # the samples from i on come from the fit
                 self.switch_step = min((j0 + i) * stride, nsteps)
@@ -712,32 +721,10 @@ class Simulation:
             self._emit(instants, stop, fields, observers)
         return nsteps
 
-    def _gather(self, instants, xs, outs, out):
-        """Copy a block's samples out of the tiled buffers: u^k and
-        u^(k+1) - u^(k-1) of every row into `out`, up to the first diverged
-        sample, the first whose u^k (the reported level) passes
-        DIVERGENCE_LIMIT in a modal row: the leader or Q^T of the
-        deviations, not the physical fields `step` checks (see `run`).
-        Returns the number of samples kept."""
-        nx, rows, cnt, c = self.grid.nx, self.n + 1, len(instants), xs.shape[1] // 6
-        tiles = xs.shape[2] // rows
-        state = xs[:cnt, 2 * c:4 * c]
-
-        def rows_of(a):  # (samples, c, tiles * rows) -> (samples, rows, nx)
-            return a.reshape(len(a), c, tiles, rows).transpose(0, 3, 2, 1).reshape(
-                len(a), rows, tiles * c)[..., :nx]
-
-        out[0, :cnt] = rows_of(state[:, 0::2])
-        bad = np.flatnonzero(~(np.abs(out[0, :cnt]).max(axis=(1, 2)) <= DIVERGENCE_LIMIT))
-        stop = int(bad[0]) if bad.size else cnt
-        out[1, :stop] = rows_of(outs[:stop, :c] - state[:stop, 1::2])
-        return stop
-
     def _emit(self, instants, stop, fields, observers):
-        """Hand the first `stop` gathered samples of a block to each
-        observer as one SampleBlock, with the physical deviation Q y of all
-        of them from one product (no call when `stop` is 0), then raise if
-        the block diverged."""
+        """Hand the first `stop` samples of a block to each observer as one
+        SampleBlock, with the physical deviation Q y of all of them from one
+        product (no call when `stop` is 0), then raise if the block diverged."""
         dt = self.grid.dt
         t = np.array(instants[:stop + 1], dtype=float) * dt
         if stop:

@@ -303,12 +303,19 @@ def valid_docs(draw):
     cert, output = {}, {}
     put(draw, cert, "regime", st.sampled_from(("auto", "unperturbed", "perturbed")))
     put(draw, cert, "resolution", st.integers(1, 1000))
-    # rho1/rho2 and xi1/xi2 are drawn in pairs, and xi only with rho
+    # rho1/rho2 and xi1/xi2 are drawn in pairs, xi only with rho, and
+    # always with rho when the regime resolves perturbed
+    disturbed = any(s["kind"] != "zero" for items in dist.values() for s in items or ())
+    perturbed = cert.get("regime") == "perturbed" or (
+        cert.get("regime") in (None, "auto") and disturbed)
     for a, b in (("rho1", "rho2"), ("xi1", "xi2")):
         if a == "xi1" and cert.get("rho1") is None:
             break
         pair = {}
-        put(draw, pair, a, st.tuples(NUMBERS, NUMBERS))
+        if a == "xi1" and perturbed:
+            pair[a] = draw(st.tuples(NUMBERS, NUMBERS))
+        else:
+            put(draw, pair, a, st.tuples(NUMBERS, NUMBERS))
         if a in pair:
             cert[a], cert[b] = pair[a] or (None, None)
     put(draw, doc, "certificate", st.just(cert))
@@ -430,6 +437,26 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert exc.value.code == harness.EXIT_USAGE
         assert out == "" and err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("regime", ["perturbed", "auto"])
+    @pytest.mark.parametrize("horizon", [None, 1.0])
+    def test_rho_without_xi_on_a_perturbed_run_exits_1(self, tmp_path, capsys, regime,
+                                                        horizon):
+        # the perturbed rules need xi1 and xi2 as well: without a horizon the
+        # run used to exit 2 (infeasible certificate), and with one it
+        # dropped the overrides and wrote blank bound columns
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        with open(os.path.join(root, "test2.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["certificate"].update(regime=regime, rho1=0.05, rho2=0.3)
+        doc["horizon"] = horizon
+        cfg = tmp_path / "rho.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert exc.value.code == harness.EXIT_USAGE
+        assert out == "" and err.startswith("config error: certificate.xi1: ")
 
 
 class TestSchemaProperties:

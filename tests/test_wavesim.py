@@ -495,6 +495,22 @@ class TestSimulate:
         assert seen[8] == list(range(0, k, 10))
         assert all(seen[b] == seen[8] and index[b] == k for b in BLOCKS)
 
+    def test_divergence_stops_stepping(self, path3_topology, monkeypatch):
+        # the run above at the default block size (216 samples): one product
+        # for each of the 371 samples before the first diverged one (step
+        # 3710), and none for it or the rest of its block
+        apply, calls = wavesim._Propagator.apply, []
+
+        def spy(self, x, out, k):
+            calls.append(k)
+            return apply(self, x, out, k)
+
+        monkeypatch.setattr(wavesim._Propagator, "apply", spy)
+        with pytest.raises(DivergenceError):
+            Simulation(path3_topology, ControlGains(k1=0.0, k2=0.0, c0=0.0), Grid(nx=101),
+                       reference_profiles(), growing_disturbances()).run(100.0, stride=10)
+        assert calls == list(range(0, 3710, 10))
+
     @pytest.mark.parametrize("per_block", BLOCKS)
     def test_observer_failure_names_its_step(self, path3_topology, monkeypatch, per_block):
         grid = Grid(nx=51)
@@ -538,14 +554,13 @@ class TestSimulate:
         # Q y of a whole block in one product gives the bits of one product
         # per sample; the larger networks span several blocks
         grid = Grid(nx=nx)
-        gather, modal, blocks = Simulation._gather, [], []
+        emit, modal, blocks = Simulation._emit, [], []
 
-        def spy(self, instants, xs, outs, out):  # the modal fields of each block
-            stop = gather(self, instants, xs, outs, out)
-            modal.append((self._q, out[:, :stop].copy()))
-            return stop
+        def spy(self, instants, stop, fields, observers):  # the modal fields of each block
+            modal.append((self._q, fields[:, :stop].copy()))
+            return emit(self, instants, stop, fields, observers)
 
-        monkeypatch.setattr(Simulation, "_gather", spy)
+        monkeypatch.setattr(Simulation, "_emit", spy)
         Simulation(path_topology(n), GAINS, grid, varied_profiles(n)).run(
             30 * grid.dt, observers=(blocks.append,), stride=1)
         assert len(blocks) == len(modal) and sum(b.steps.size for b in blocks) >= 31
@@ -605,18 +620,21 @@ print(*seen, threading.active_count())
         # while, but forced rows are never flushed
         grid = Grid(nx=81)
         use_blocks(monkeypatch, per_block, grid)
-        gather, modal, peaks, bits = Simulation._gather, [], [], wavesim._FLUSH_BITS
+        feed, apply = wavesim._Settle.feed, wavesim._Propagator.apply
+        modal, peaks, bits = [], [], wavesim._FLUSH_BITS
 
-        def spy(self, instants, xs, outs, out):  # the modal fields of each block
-            stop = gather(self, instants, xs, outs, out)
-            modal.append(out[:, :stop].copy())
+        def feed_spy(self, fields, instants, stop):  # the modal fields of each block
+            modal.append(fields[:, :stop].copy())
+            return feed(self, fields, instants, stop)
+
+        def apply_spy(self, x, out, k):  # one product per sample at stride 7
             # each row's peak over both levels of its state, as the flush
             # reads it: the centre tiles, (entry, tile) x row
-            c, rows = xs.shape[1] // 6, self.n + 1
-            peaks.append(np.abs(xs[:stop, 2 * c:4 * c].reshape(stop, -1, rows)).max(axis=1))
-            return stop
+            peaks.append(np.abs(x[2 * self.c:4 * self.c].reshape(-1, self.rows)).max(axis=0))
+            return apply(self, x, out, k)
 
-        monkeypatch.setattr(Simulation, "_gather", spy)
+        monkeypatch.setattr(wavesim._Settle, "feed", feed_spy)
+        monkeypatch.setattr(wavesim._Propagator, "apply", apply_spy)
 
         def fields(bits, profiles, dist, nsteps):
             monkeypatch.setattr(wavesim, "_FLUSH_BITS", bits)
@@ -683,6 +701,22 @@ print(*seen, threading.active_count())
         dev = state.u_curr[1:] - state.u_curr[0]
         assert snaps[-1].step_index == nsteps
         assert np.max(np.abs(snaps[-1].error[-1] - dev)) < 1e-11 * np.max(np.abs(dev))
+
+    def test_run_keeps_one_pair_of_tile_buffers(self, monkeypatch):
+        # a block of 100 samples holds F = 16 * 100 (n + 1) nx bytes of modal
+        # fields; a run keeps them, the physical deviations `_emit` forms
+        # from them (about F) and one pair of tile buffers.  A tiled state and
+        # product kept per sample would add at least 4.5 F
+        n, grid, per_block = 24, Grid(nx=101), 100
+        use_blocks(monkeypatch, per_block, grid, n)
+        sim = Simulation(path_topology(n), GAINS, grid, varied_profiles(n))
+        tracemalloc.start()
+        try:
+            sim.run(2 * per_block * grid.dt, observers=(lambda block: None,), stride=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * per_block * (n + 1) * grid.nx, peak / 2**20
 
     def test_400_follower_build_keeps_no_per_row_window(self):
         # the rows share the lam = 0 end windows and keep q x 2q each: a
@@ -1015,7 +1049,7 @@ class TestRandomRuns:
     def test_shortcut_matches_stepping(self, data):
         topo = data.draw(trees(4))
         grid = Grid(nx=data.draw(st.integers(11, 41)))
-        stride, horizon = data.draw(st.integers(1, 16)), data.draw(st.floats(200.0, 400.0))
+        stride, horizon = data.draw(st.integers(1, 40)), data.draw(st.floats(200.0, 400.0))
         omegas = data.draw(st.lists(st.floats(0.5, 15.0), min_size=1, max_size=3))
         aliased = math.pi / (stride * grid.dt)  # every sample instant sees sin = 0
         if stride >= 2 and 0.5 <= aliased <= 15.0 and data.draw(st.booleans()):
