@@ -23,26 +23,20 @@ is O(theta^6) and does not perturb the solver's second-order convergence.
 M = Q diag(lam) Q^T, so the deviation (error) dynamics split along its
 eigenvectors into n independent single agents whose x=1 feedback gains
 are scaled by lam_i; the leader is the lam = 0 row of the same stencil.
-The rows [leader, mode_1 .. mode_n] therefore differ only at node nx - 1
-and share the leader's propagator up to a rank-q update there.
-`Simulation.run` keeps them as the columns of one tiled state and
-advances every row at once, one sample instant per product: a dense tile
-product (BLAS) with the q-step interior stencil, the leader's correction
-on the two end windows, the exact forced response of the disturbances
-(each spatial pattern's responses to unit loads at the q steps, shared by
-all rows, against the rows' modal loads), and each row's q x 2q feedback
-through node nx - 1.  The same product gives the step after the sample,
-for the centered sample velocity.  All of it is probed from the one-step
-stencil; a sample costs O(rows nx stride) and runs on the calling thread.
-An unforced modal row whose peak decays below 2^-600 is set to exact
-zero, where it stays, so an undisturbed error keeps stepping at full
-speed instead of stalling in the slow subnormal range; nothing downstream
-resolves fields that small (`analysis` reads functionals below 1e-300 as
-zero), and a forced row stays at the scale of its forced response.
-Periodic runs stop stepping: one coefficient set at the run's
-frequencies, fitted to both sampled fields, fills the rest, and the
-samples are bit-identical for any block size.  `step` repeats the update per agent in physical coordinates, apart
-from `_Stepper` on purpose: it is the oracle.
+The rows [leader, mode_1 .. mode_n] differ only at node nx - 1 and share
+the leader's propagator up to a rank-q update there.  `Simulation.run`
+advances them all at once, one sample instant per product of one tiled
+state: the q-step interior stencil (BLAS), the leader's correction on the
+end windows, the exact forced response (each spatial pattern's responses
+to unit loads, shared by all rows) and each row's q x 2q feedback through
+node nx - 1, all probed from the one-step stencil; a sample costs
+O(rows nx stride).  An unforced row whose peak decays below 2^-600 is set
+to exact zero, so an undisturbed error never stalls in the slow subnormal
+range; nothing downstream resolves fields that small.  Periodic runs stop
+stepping: each row's steady state is solved exactly at the run's
+frequencies, and the leader, stepped as its deviation from its discrete
+equilibrium, settles to it.  `step` repeats the update per agent in
+physical coordinates, apart from `_Stepper` on purpose: it is the oracle.
 """
 from __future__ import annotations
 
@@ -61,7 +55,8 @@ DIVERGENCE_LIMIT = 1e12
 _MAX_POWER = 16         # longest propagator power; longer strides repeat it
 _FLUSH_BITS = 600       # an unforced modal row below 2^-600 is set to zero
 _CHUNK_BYTES = 1 << 20  # deviation fields per block of samples and functional batch
-_FIT_BYTES = 1 << 22    # the fit's coefficients; runs that need more keep stepping
+_FIT_BYTES = 1 << 22    # the steady state's coefficients; runs that need more keep stepping
+_WINDOW = 8             # samples per check of the steady state
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
 
 
@@ -470,12 +465,14 @@ class _Propagator:
         `lag` is folded into `basis`."""
         q, zero, n_w = self.q, np.zeros((1, sim.grid.nx)), self.omegas.size
         self.amp, cols = np.zeros((self.rows, len(sim._loads), n_w), complex), []  # (row, pattern, w)
+        self.units = np.empty((len(sim._loads), sim.grid.nx))  # the step of each unit load
         for p, ((channel, _), (shape, a)) in enumerate(sim._loads.items()):
             unit = [None, None, None]
             unit[channel] = shape[None] if channel == 2 else np.ones(1)
-            r = _delayed(_levels(stepper, stepper.step(zero, zero, *unit), zero, q - 1)[0], q)
+            self.units[p] = stepper.step(zero, zero, *unit)
+            r = _delayed(_levels(stepper, self.units[p, None], zero, q - 1)[0], q)
             cols.append(np.r_[self.tiled(r[:, [1, q, q - 1]]).reshape(-1, q), _end_terms(r).T])
-            self.amp[1:, p] = (a @ sim._q).T  # the leader unloaded
+            self.amp[1:, p] = (a.real @ sim._q + 1j * (a.imag @ sim._q)).T  # Q stays real
         self.forced = self.amp.any(axis=(1, 2))
         e = np.exp(1j * self.dt * np.outer(np.arange(q), self.omegas))
         self.lag = np.stack([e.real, -e.imag], axis=2).reshape(q, -1)  # Re, Im of each w
@@ -504,61 +501,70 @@ class _Propagator:
 
 
 class _Settle:
-    """The steady-state fit of a run (see `Simulation.run`): sample j lies in
-    window j // 2w, whose first w samples are fitted and last w checked.  One
-    coefficient set C gives u^k = phi C and u^(k+1) - u^(k-1) = phi T C (`phases`)."""
+    """The exact steady state of a run (see `Simulation.run`): one coefficient
+    set C gives u^k = phi C and u^(k+1) - u^(k-1) = phi T C (`phases`)."""
 
-    def __init__(self, sim: Simulation, stride: int, count: int):
-        """w >= 8 (twice the fitted columns), doubled until the stacked basis [phi; phi T
-        / max |2 sin(w dt)|] is well conditioned; 0 unless 3 windows fit the run and
-        `coef` fits _FIT_BYTES.  T: cos w t -> -2 sin(w dt) sin w t, sin -> 2 sin(w dt) cos."""
-        self.omegas = np.unique(np.abs(sim._omegas[sim._omegas != 0.0])).tolist()  # 0: constant
-        self.dt, self.k0, self.pos, self.passes, self.w = sim.grid.dt, 0, 0, 0, 0
-        shape = (1 + 2 * len(self.omegas), sim.n + 1, sim.grid.nx)
-        if 8 * math.prod(shape) > _FIT_BYTES:  # before `lift`, which is quadratic in n_w
+    def __init__(self, sim: Simulation, op: _Propagator, count: int):
+        """From the lam = 0 step u^(k+1) = A1 u^k + A2 u^(k-1) + g: the leader's
+        equilibrium cbar = l y / l 1, l = [a, A2^T a], a (A1 + A2 - I) = 0 (0 with
+        c0 = 0: u = a + b t solves the leader), and C (None for a constant load,
+        where K below is singular, under two windows or past _FIT_BYTES).  At w,
+        Y = K^-1 g with K = e^(i w dt) - A1 - e^(-i w dt) A2; a row's step adds
+        gamma u_n at n = nx - 1, so its Y adds gamma Y_n / (1 - gamma (K^-1)_nn)
+        K^-1 e_n (Sherman & Morrison, 1950)."""
+        grid, nx, self.omegas = sim.grid, sim.grid.nx, np.unique(np.abs(sim._omegas)).tolist()
+        self.dt, self.pos, self.passes, self.ok = grid.dt, 0, 0, True
+        self.cbar, self.ell, self.coef = 0.0, np.zeros((2, nx)), None
+        if sim.gains.c0 == 0.0:
+            return
+        stepper, eye, zero = _Stepper(grid, sim.gains, np.zeros(1)), np.eye(nx), np.zeros((nx, nx))
+        a1, a2 = stepper.step(eye, zero), stepper.step(zero, eye)  # A1^T, A2^T
+        a = np.linalg.solve(eye - a1 - a2 + grid.weights[:, None], grid.weights)  # sum(a) = 1
+        self.ell = np.stack([a, a2 @ a]) / (a + a2 @ a).sum()  # l / l 1
+        (u, up), s = sim._y0[0], self.ell.sum(axis=0)
+        self.cbar = u[0] + s @ (u - u[0]) - self.ell[1] @ (u - up)  # about u[0]: no cancellation
+        shape = (1 + 2 * len(self.omegas), sim.n + 1, nx)
+        if 0.0 in self.omegas or 8 * math.prod(shape) > _FIT_BYTES or count <= 2 * _WINDOW:
             return
         d = np.ravel([[0.0, 2.0 * math.sin(w * self.dt)] for w in self.omegas])  # T's off-diagonals
         self.lift = np.hstack([np.eye(len(d) + 1), np.diag(d, 1) - np.diag(d, -1)])  # [I, T]
-        scale = np.array([1.0, 1.0 / (np.abs(d).max(initial=0.0) or 1.0)])  # of each field
-        w = max(2 * shape[0], 8)
-        while 6 * w < count:
-            b = (self.phases(range(0, w * stride, stride)) * scale[:, None]).reshape(2 * w, -1)
-            if np.linalg.cond(b) <= 10.0:  # pinv[j]: sample j's weights by (column, field)
-                p = np.linalg.pinv(b).reshape(-1, w, 2) * scale
-                self.w, self.pinv, self.coef = w, p.transpose(1, 0, 2).copy(), np.zeros(shape)
-                break
-            w *= 2
+        self.coef, st = np.zeros(shape), _Stepper(grid, sim.gains, sim._lam)
+        for i, w in enumerate(sim._omegas):  # Re(y e^(i w k dt)) on cos and sin of |w| k dt
+            e = np.exp(1j * w * self.dt)
+            k = a2 / -e  # K^T, built in place
+            k -= a1
+            k.flat[::nx + 1] += e
+            z = np.linalg.solve(k.T, np.c_[op.units.T, eye[:, -1]])
+            g = (1.0 - 1.0 / st.a_inv) * (e - 1.0) - st.k1m
+            y = op.amp[:, :, i] @ z[:, :-1].T  # (row, x)
+            y += (g * y[:, -1] / (1.0 - g * z[-1, -1]))[:, None] * z[:, -1]
+            j = 1 + 2 * self.omegas.index(abs(w))
+            self.coef[j:j + 2] += y.real, -math.copysign(1.0, w) * y.imag
+        self.tol = 1e-11 * np.array([abs(self.cbar), np.abs(self.coef[:, 1:]).max(initial=0.0)])
 
     def phases(self, instants):
-        """phi = [1, cos w t, sin w t, ...] at t = (k - k0) dt (math.cos, math.sin), and phi T."""
+        """phi = [1, cos w t, sin w t, ...] at t = k dt (math.cos, math.sin), and phi T."""
         phi = np.array([[1.0, *(f(w * t) for w in self.omegas for f in (math.cos, math.sin))]
-                        for t in ((k - self.k0) * self.dt for k in instants)])
+                        for t in (k * self.dt for k in instants)])
         return (phi.reshape(-1, len(self.lift)) @ self.lift).reshape(-1, 2, len(self.lift))
 
     def feed(self, fields, instants, stop: int):
-        """Take the first `stop` samples of a block at `instants`; the index of
-        the first to fill after two full checks in a row (x = 1 screens), or None."""
-        i, w = 0, self.w
-        while w and i < stop and self.passes < 3:
-            x, pos = slice(None if self.passes else -1, None), self.pos
-            take = min(w - pos % w, stop - i)
-            seg, coef = fields[:, i:i + take, :, x], self.coef[..., x]
-            if pos == 0:  # a window starts
-                self.k0, self.ok, coef[...] = instants[i], True, 0.0
-            if pos < w:  # summed one sample at a time, in sample order
-                for p, f in zip(self.pinv[pos:pos + take], seg.reshape(2, take, -1).swapaxes(0, 1)):
-                    coef += (p @ f).reshape(coef.shape)
-            else:  # fill's own output against the samples, the largest residual per row
-                res = self.fill(np.empty_like(seg), instants[i:i + take], x) - seg
-                res, tol = np.abs(res).max(axis=(0, 1, 3)), 1e-11 * np.abs(coef).max(axis=(0, 2))
-                self.ok &= res[0] <= tol[0] and res[1:].max(initial=0) <= tol[1:].max(initial=0)
-            i, self.pos = i + take, (pos + take) % (2 * w)  # samples into the window
-            if self.pos == 0:  # passes: checks passed in a row, the first an x = 1 screen
-                self.passes = self.passes + 1 if self.ok else 0
-        return i if self.passes == 3 else None
+        """Check the first `stop` samples of a block against `fill`, sample j in
+        window j // _WINDOW; the index of the first to fill after two passing
+        windows in a row, the first at x = 1 only, or None."""
+        i = 0
+        while self.coef is not None and i < stop and self.passes < 2:
+            x, take = slice(None if self.passes else -1, None), min(_WINDOW - self.pos, stop - i)
+            seg = fields[:, i:i + take, :, x]
+            res = np.abs(self.fill(seg.copy(), instants[i:i + take], x) - seg).max((0, 1, 3))
+            self.ok &= res[0] <= self.tol[0] and res[1:].max(initial=0.0) <= self.tol[1]
+            i, self.pos = i + take, (self.pos + take) % _WINDOW
+            if self.pos == 0:
+                self.passes, self.ok = self.passes + 1 if self.ok else 0, True
+        return i if self.passes == 2 else None
 
     def fill(self, out, instants, x=slice(None)):
-        """The view out[:, :s] (entries x) filled with the fit at the s `instants`."""
+        """The view out[:, :s] (entries x) filled with C at the s `instants`."""
         return np.einsum("slk,kre->lsre", self.phases(instants), self.coef[..., x],
                          out=out[:, :len(instants), :, x])
 
@@ -615,39 +621,28 @@ class Simulation:
 
         The rows are the columns of one x-major tiled state: tile t of row
         r holds entry 2 x + level (u^k or u^(k-1)) of its c nodes, with a
-        zero tile on each side, and c is the reach of S^p (p = stride, at
-        most _MAX_POWER).  Each sample instant advances every row at once
-        by one product of the `_Propagator` of S^p (a shorter final stride
-        takes one of its own power, a stride beyond _MAX_POWER more for the
-        rest), all on one pair of tile buffers; the product also gives
-        u^(k+1) for the centered sample velocity.  Each sample's u^k and
-        u^(k+1) - u^(k-1) go into a block of fields (about _CHUNK_BYTES) as
-        it is stepped, and each block to the observers in turn, on the
-        calling thread.  At sample instants each unforced modal row whose
-        peak fell below 2^-_FLUSH_BITS is set to zero for the steps after
-        the sample, which keeps a decaying error out of the slow subnormal
-        range; observers read the row as exact zero from the next sample
-        on.  Forced rows are never flushed: their forced response keeps them
-        far above the subnormal range.  A sample diverges when a modal row
+        zero tile on each side, c the reach of S^p (p = stride, at most
+        _MAX_POWER).  Each sample instant advances every row by one product
+        of the `_Propagator` of S^p (a shorter final stride takes one of its
+        own power, a longer one more), on one pair of tile buffers; it also
+        gives u^(k+1) for the centered velocity.  Each sample's u^k and
+        u^(k+1) - u^(k-1) go into a block of fields (about _CHUNK_BYTES), and
+        each block to the observers, on the calling thread.  After a sample,
+        an unforced row whose peak fell below 2^-_FLUSH_BITS is set to zero,
+        out of the slow subnormal range.  A sample diverges when a modal row
         (the leader, or Q^T of the deviations) passes DIVERGENCE_LIMIT,
         checked before its product: the run makes no product from it on, and
-        observers never see it or a later sample.  `step` checks the
-        physical fields instead, so near the limit the two can end a run at
-        different steps: with psi1 at 3e13 on the 3-follower path at
-        nx = 21, stride 1, this run stops at step 2 and `step` first passes
-        the limit at u^3.
+        observers never see it or a later sample (`step` checks the
+        physical fields instead, so near the limit it can stop later).
 
-        A run stops stepping once it is periodic (`_Settle`): every 2w
-        samples it fits one coefficient set C of [1, cos w t, sin w t, ...]
-        at its frequencies to u^k and, through the central difference T of
-        each column, to u^(k+1) - u^(k-1) of w samples, one sample at a time
-        (the stacked basis, 8 (1 + 2 n_w) (n + 1) nx bytes of C at most
-        _FIT_BYTES), and checks `fill` itself on the next w.  After two
-        checks in a row with residuals at most 1e-11 of the largest fitted
-        coefficient, of the modes and of the leader each, `fill` gives the
-        rest, from `switch_step` on (else None).  A zero scale needs a zero
-        residual, so an undisturbed run switches once every mode is flushed;
-        unsettled runs keep stepping."""
+        The leader steps as its deviation from its equilibrium (`_Settle`),
+        whose l y, kept by the product only to rounding, is reset to 0 once
+        per _WINDOW samples.  A run stops stepping once it is periodic: windows of
+        _WINDOW samples check the stepped fields against `fill`, first at x = 1
+        only, then every entry, to 1e-11 of the largest mode coefficient (the
+        leader's of its equilibrium; a zero scale needs a zero residual), and
+        after two passing windows in a row `fill` gives the rest, from
+        `switch_step` on (else None)."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if stride < 1:
@@ -678,10 +673,11 @@ class Simulation:
         # largest entry was last seen in the centre tiles
         watch = probe = np.flatnonzero(~op(power).forced)
         tiny = 2.0 ** -_FLUSH_BITS
-        y = np.zeros((rows, 2, tiles * c))
-        y[..., :nx] = self._y0
-        state = y.reshape(rows, 2, tiles, c).transpose(3, 1, 2, 0).reshape(2 * c, -1)
-        settle, self.switch_step = _Settle(self, stride, count), None
+        settle = _Settle(self, op(power), count)
+        self.switch_step, self._cbar = None, settle.cbar
+        y = self._y0 - np.r_[settle.cbar, np.zeros(self.n)][:, None, None]  # the leader: y0 - cbar
+        state, ell, ones = (op(power).tiled(a[:, [0, 0, 1]])[c:].reshape(2 * c, -1)
+                            for a in (y, settle.ell[None], np.ones((1, 2, nx))))  # (u^k, u^(k-1))
         for j0 in range(0, count, size):
             instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
             if self.switch_step is not None:  # all from the fit
@@ -708,6 +704,9 @@ class Simulation:
                     out[c:].reshape(-1, rows)[:, watch[~live]] = 0.0
                     watch = watch[live]
                     probe = peaks[:, live].argmax(axis=0) * rows + watch
+                if (j0 + i) % _WINDOW == 0:  # l y = 0, which the product keeps only to rounding
+                    lead = out[c:, ::rows]
+                    lead -= np.vdot(ell, lead) * ones
                 state, k = out[c:], k + q
                 while k < nxt:  # the rest of a stride beyond _MAX_POWER
                     q = min(nxt - k, power)
@@ -730,7 +729,7 @@ class Simulation:
         if stop:
             err = np.matmul(self._q, fields[:, :stop, 1:])
             err[1] /= 2.0 * dt
-            arrays = (np.array(instants[:stop]), t[:stop], fields[0, :stop, 0].copy(),
+            arrays = (np.array(instants[:stop]), t[:stop], fields[0, :stop, 0] + self._cbar,
                       fields[1, :stop, 0] / (2.0 * dt), err[0], err[1])
             for a in arrays:
                 a.flags.writeable = False

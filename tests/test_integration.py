@@ -36,6 +36,15 @@ def test_fitted_decay_beats_certified_rate(test1_run):
     assert r2 > 0.8
 
 
+def test_presets_switch_to_their_steady_state(test1_run, test2_run, test3_run):
+    # from these times on the rest of each horizon is filled from the exact
+    # steady state (2,241 s and 6,731 s horizons); a lost switch would show
+    # only as a slower run
+    for (result, _), limit in zip((test1_run, test2_run, test3_run), (1179.0, 81.0, 76.32)):
+        assert result.series.stepped_to is not None
+        assert round(result.series.stepped_to, 9) <= limit
+
+
 def test_perturbed_run_settles_to_bounded_oscillation(test2_run):
     result, _ = test2_run
     t = result.series.column("time")
