@@ -143,6 +143,36 @@ class TimeSeries:
         return self._size
 
 
+def _products(ul, vl, ur, vr, m, grid):
+    """||u_x||^2, ||v||^2, ||u||^2, <v, u_x> (weights x - 1), u(1)^T M u(1), |u(1)|^2
+    and u(1) . int v, bilinear in the deviations (ul, vl) and (ur, vr), (..., n, nx)."""
+    w, zw = grid.weights, grid.moment_weights
+    dl = spatial_derivative(ul, grid)
+    dr = dl if ur is ul else spatial_derivative(ur, grid)
+    bl, br = ul[..., -1], ur[..., -1]
+    return (np.einsum("...ij,...ij->...j", dl, dr) @ w,
+            np.einsum("...ij,...ij->...j", vl, vr) @ w,
+            np.einsum("...ij,...ij->...j", ul, ur) @ w,
+            np.einsum("...ij,...ij->...j", vl, dr) @ zw,
+            np.einsum("...i,...i->...", bl @ np.asarray(m, dtype=float), br),
+            np.einsum("...i,...i->...", bl, br),
+            np.einsum("...i,...i->...", bl, vr @ w))
+
+
+def _functionals(products, ptwise_max_sq, cert) -> np.ndarray:
+    """E .. boundary_err_sq of `FunctionalSample`, (9, s), from the (s,) `_products`
+    and pointwise maxima of s samples; all zero where V0 is below FLUSH_FLOOR."""
+    nsq_d, nsq_v, nsq_u, vd, quad, bnd, ubv = products
+    e_val = 0.5 * nsq_d + 0.5 * nsq_v + 0.5 * cert.k1 * quad
+    g1 = 0.5 * cert.rho1 * cert.k2 * quad + cert.rho1 * ubv
+    g2 = cert.rho2 * vd
+    v0 = nsq_d + nsq_v + bnd
+    values = np.array([e_val, g1, g2, e_val + g1 + g2, v0, np.sqrt(np.maximum(nsq_u, 0.0)),
+                       np.sqrt(np.maximum(nsq_d, 0.0)), ptwise_max_sq, bnd])
+    values[:, v0 < FLUSH_FLOOR] = 0.0
+    return values
+
+
 def lyapunov_sample(u_tilde, u_tilde_t, cert, m, grid, time=0.0,
                     es_psi0_sq=0.0, es_psi1_sq=0.0, es_f_sq=0.0) -> FunctionalSample:
     """Evaluate E, G1, G2, V, V0 and the error norms on deviation states.
@@ -163,25 +193,28 @@ def lyapunov_sample(u_tilde, u_tilde_t, cert, m, grid, time=0.0,
              for a in (time, es_psi0_sq, es_psi1_sq, es_f_sq)]
     values = np.zeros((9, s))
     if ut.size:
-        w, zw = grid.weights, grid.moment_weights
-        d = spatial_derivative(ut, grid)
-        nsq_d = np.einsum("sij,sij->sj", d, d) @ w
-        nsq_v = np.einsum("sij,sij->sj", vt, vt) @ w
-        ub = ut[:, :, -1]
-        quad = np.einsum("si,si->s", ub @ np.asarray(m, dtype=float), ub)
-        bnd = np.einsum("si,si->s", ub, ub)
-        e_val = 0.5 * nsq_d + 0.5 * nsq_v + 0.5 * cert.k1 * quad
-        g1 = (0.5 * cert.rho1 * cert.k2 * quad
-              + cert.rho1 * np.einsum("si,si->s", ub, vt @ w))
-        g2 = cert.rho2 * (np.einsum("sij,sij->sj", vt, d) @ zw)
-        v0 = nsq_d + nsq_v + bnd
-        values[:] = (e_val, g1, g2, e_val + g1 + g2, v0,
-                     np.sqrt(np.einsum("sij,sij->sj", ut, ut) @ w), np.sqrt(nsq_d),
-                     np.max(ut * ut, axis=(1, 2)), bnd)
-        values[:, v0 < FLUSH_FLOOR] = 0.0
+        values[:] = _functionals(_products(ut, vt, ut, vt, m, grid),
+                                 np.max(ut * ut, axis=(1, 2)), cert)
     if batched:
         return FunctionalSample(extra[0], *values, *extra[1:])
     return FunctionalSample(*(float(a[0]) for a in (extra[0], *values, *extra[1:])))
+
+
+def steady_gram(u_coef, v_coef, m, grid) -> np.ndarray:
+    """The Gram forms G (7, k, k) of a steady state u~ = phi u_coef, u~_t = phi v_coef
+    (k, n, nx): each of `_products` at the phases phi (k,) is phi G phi."""
+    return np.array(_products(u_coef[:, None], v_coef[:, None], u_coef[None], v_coef[None],
+                              m, grid))
+
+
+def steady_sample(gram, phi, u_tilde, cert, time, es_psi0_sq, es_psi1_sq,
+                  es_f_sq) -> FunctionalSample:
+    """`lyapunov_sample` of s steady-state samples from their phases phi (s, k) and
+    `steady_gram`; only ptwise_max_sq reads the deviations u_tilde (s, n, nx)."""
+    products = np.einsum("sk,pkl,sl->ps", phi, gram, phi)
+    peak = np.abs(u_tilde).max(axis=(1, 2), initial=0.0)  # squares keep the order of |u|
+    values = _functionals(products, peak * peak, cert)
+    return FunctionalSample(time, *values, es_psi0_sq, es_psi1_sq, es_f_sq)
 
 
 def open_loop_energy(state, grid, leader: bool) -> float:

@@ -405,27 +405,29 @@ def write_csv(path, series: analysis.TimeSeries, cert=None) -> None:
 def read_csv(path) -> dict:
     """Read a fixed-schema CSV back into column arrays (None-padded)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0].split(",") != list(CSV_COLUMNS):
+        lines = fh.read().split("\n")
+    if lines[0].split(",") != list(CSV_COLUMNS):
         raise ConfigError(f"{path}: not a recognized time-series CSV")
-    rows = [(line, ln.split(",")) for line, ln in enumerate(lines[1:], 2) if ln]
-    if not rows:
+    data = [(line, ln) for line, ln in enumerate(lines[1:], 2) if ln]
+    if not data:
         raise ConfigError(f"{path}: no data rows")
-    width = len(CSV_COLUMNS)
-    for line, row in rows:
-        if len(row) != width:  # name the first missing column, or number the first extra one
-            column = CSV_COLUMNS[len(row)] if len(row) < width else width + 1
+    width, (numbers, rows) = len(CSV_COLUMNS), zip(*data)
+    for line, row in data:
+        count = row.count(",") + 1
+        if count != width:  # name the first missing column, or number the first extra one
+            column = CSV_COLUMNS[count] if count < width else width + 1
             raise ConfigError(f"{path}: line {line}, column {column}: the row has "
-                              f"{len(row)} cells, the header {width}")
+                              f"{count} cells, the header {width}")
+    cells = ",".join(rows).split(",")  # cell j of each row, every width cells from j
     cols = {}
     for j, name in enumerate(CSV_COLUMNS):
-        vals = [r[j] for _, r in rows]
+        vals = cells[j::width]
         try:
-            cols[name] = np.array([float(v) if v else np.nan for v in vals])
-        except ValueError:
+            cols[name] = np.fromiter(map(float, vals), float, len(vals))
+        except ValueError:  # a blank or malformed cell
             cols[name] = None
         if cols[name] is None or not np.isfinite(cols[name]).all():  # blank cells read NaN
-            for (line, _), v in zip(rows, vals):
+            for line, v in zip(numbers, vals):
                 if v or name == "t":  # only t may not be blank
                     try:
                         problem = None if math.isfinite(float(v)) else "is not a finite number"
@@ -433,6 +435,7 @@ def read_csv(path) -> dict:
                         problem = "is not a number"
                     if problem:
                         raise ConfigError(f"{path}: line {line}, column {name}: {v!r} {problem}")
+            cols[name] = np.array([float(v) if v else np.nan for v in vals])
     t = cols["t"]
     if np.any(np.diff(t) <= 0):
         raise ConfigError(f"{path}: time column is not strictly increasing")

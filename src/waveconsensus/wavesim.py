@@ -460,9 +460,10 @@ class _Propagator:
         lam = 0 steps after its unit load, and each row's w acts on the
         forced h in `apply` together with the free one.  A row keeps only
         its amplitudes `amp` by pattern and frequency: the load at step
-        k + j is Re(z e^(i w j dt)) with z = amp e^(i w k dt), which `lag`
-        (q x 2 n_w) gives from Re z and Im z of each w; with 2 n_w <= q
-        `lag` is folded into `basis`."""
+        k + j is Re(amp e^(i w (k + j) dt)), from Re amp and Im amp of each w
+        and `lag` (q x 2 n_w: Re e^(i w j dt), -Im e^(i w j dt)) turned by
+        e^(i w k dt) in `apply`; with 2 n_w <= q `lag` is folded into `basis`
+        and the turn goes to amp."""
         q, zero, n_w = self.q, np.zeros((1, sim.grid.nx)), self.omegas.size
         self.amp, cols = np.zeros((self.rows, len(sim._loads), n_w), complex), []  # (row, pattern, w)
         self.units = np.empty((len(sim._loads), sim.grid.nx))  # the step of each unit load
@@ -488,10 +489,13 @@ class _Propagator:
         np.matmul(self.k, x, out=out)
         o = out.reshape(-1, rows)
         ch = self.ch @ np.take(x[2 * c:4 * c].reshape(-1, rows), self.ins, axis=0)
-        if self.amp is not None:  # z = amp e^(i w k dt): (row, pattern, Re and Im of each w)
-            z = (self.amp * np.exp(1j * (k * self.dt) * self.omegas)).view(float)
-            if self.lag is not None:
-                z = z.reshape(-1, self.lag.shape[1]) @ self.lag.T
+        if self.amp is not None:  # (row, pattern, Re and Im of each w), or the q loads
+            turn = np.exp(1j * (k * self.dt) * self.omegas)
+            if self.lag is None:
+                z = (self.amp * turn).view(float)
+            else:  # the phases first: a rows x q temporary, not rows x n_w
+                z = self.amp.view(float).reshape(-1, self.lag.shape[1]) @ (
+                    self.lag.view(complex) * turn.conj()).view(float).T
             f = self.basis @ z.reshape(rows, -1).T
             o += f[:len(o)]
             ch[n:] += f[len(o):]
@@ -512,7 +516,7 @@ class _Settle:
         Y = K^-1 g with K = e^(i w dt) - A1 - e^(-i w dt) A2; a row's step adds
         gamma u_n at n = nx - 1, so its Y adds gamma Y_n / (1 - gamma (K^-1)_nn)
         K^-1 e_n (Sherman & Morrison, 1950)."""
-        grid, nx, self.omegas = sim.grid, sim.grid.nx, np.unique(np.abs(sim._omegas)).tolist()
+        grid, nx, self.omegas = sim.grid, sim.grid.nx, sorted(set(np.abs(sim._omegas).tolist()))
         self.dt, self.pos, self.passes, self.ok = grid.dt, 0, 0, True
         self.cbar, self.ell, self.coef = 0.0, np.zeros((2, nx)), None
         if sim.gains.c0 == 0.0:
@@ -544,9 +548,10 @@ class _Settle:
 
     def phases(self, instants):
         """phi = [1, cos w t, sin w t, ...] at t = k dt (math.cos, math.sin), and phi T."""
-        phi = np.array([[1.0, *(f(w * t) for w in self.omegas for f in (math.cos, math.sin))]
-                        for t in (k * self.dt for k in instants)])
-        return (phi.reshape(-1, len(self.lift)) @ self.lift).reshape(-1, 2, len(self.lift))
+        t = [k * self.dt for k in instants]
+        phi = np.array([[1.0] * len(t), *([f(w * x) for x in t] for w in self.omegas
+                                          for f in (math.cos, math.sin))]).T.copy()
+        return (phi @ self.lift).reshape(-1, 2, len(self.lift))
 
     def feed(self, fields, instants, stop: int):
         """Check the first `stop` samples of a block against `fill`, sample j in
@@ -562,6 +567,11 @@ class _Settle:
             if self.pos == 0:
                 self.passes, self.ok = self.passes + 1 if self.ok else 0, True
         return i if self.passes == 2 else None
+
+    def deviations(self, q):
+        """Cu and Cv of the deviations phi Cu and their velocities phi Cv, from one Q product."""
+        cu = np.matmul(q, self.coef[:, 1:])
+        return cu, np.tensordot(self.lift[:, len(self.lift):], cu, 1) / (2.0 * self.dt)
 
     def fill(self, out, instants, x=slice(None)):
         """The view out[:, :s] (entries x) filled with C at the s `instants`."""
@@ -603,7 +613,7 @@ class Simulation:
                  for channel, sig in enumerate((self.dist.psi0[i], self.dist.psi1[i],
                                                 f.temporal if f.kind == "separable" else None))
                  if sig is not None and sig.kind == "sinusoid"]
-        self._omegas = np.unique(np.array([sig.angular_frequency for *_, sig in loads], float))
+        self._omegas = np.array(sorted({sig.angular_frequency for *_, sig in loads}), float)
         self._loads = {}
         for channel, i, sig in loads:
             shape = eval_profile(self.dist.f[i].spatial, grid.points) if channel == 2 else None
@@ -642,7 +652,7 @@ class Simulation:
         only, then every entry, to 1e-11 of the largest mode coefficient (the
         leader's of its equilibrium; a zero scale needs a zero residual), and
         after two passing windows in a row `fill` gives the rest, from
-        `switch_step` on (else None)."""
+        `switch_step` on (else None), and `steady` is that `_Settle`."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if stride < 1:
@@ -674,7 +684,7 @@ class Simulation:
         watch = probe = np.flatnonzero(~op(power).forced)
         tiny = 2.0 ** -_FLUSH_BITS
         settle = _Settle(self, op(power), count)
-        self.switch_step, self._cbar = None, settle.cbar
+        self.switch_step, self.steady, self._cbar = None, None, settle.cbar
         y = self._y0 - np.r_[settle.cbar, np.zeros(self.n)][:, None, None]  # the leader: y0 - cbar
         state, ell, ones = (op(power).tiled(a[:, [0, 0, 1]])[c:].reshape(2 * c, -1)
                             for a in (y, settle.ell[None], np.ones((1, 2, nx))))  # (u^k, u^(k-1))
@@ -715,7 +725,7 @@ class Simulation:
                     state, k = out[c:], k + q
             i = settle.feed(fields, instants, stop)
             if i is not None:  # the samples from i on come from the fit
-                self.switch_step = min((j0 + i) * stride, nsteps)
+                self.switch_step, self.steady = min((j0 + i) * stride, nsteps), settle
                 settle.fill(fields[:, i:], instants[i:stop])
             self._emit(instants, stop, fields, observers)
         return nsteps
@@ -757,9 +767,11 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
     `functional_weights` supplies (k1, k2, rho1, rho2) for the Lyapunov
     functionals (a GainCertificate, or None for plain-energy weights with
     rho1 = rho2 = 0).  Extra observers get every block of samples (a
-    `SampleBlock`).  The functionals are evaluated on each block, one
-    `analysis.lyapunov_sample` call per block, with the running sups es_*
-    of the disturbance channels at the block's sample times.
+    `SampleBlock`).  The functionals are evaluated on each block, with the
+    running sups es_* of the disturbance channels at the block's sample
+    times: one `analysis.lyapunov_sample` call for the stepped samples, and
+    one `analysis.steady_sample` for those at or after `switch_step`, from
+    the Gram forms of the steady state (built once) at their phases.
     """
     from . import analysis
 
@@ -778,10 +790,10 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
         for s in sigs]).reshape(-1, 3).T
     f_nsq = np.reshape([eval_profile(st.spatial, grid.points) if st.kind == "separable"
                         else np.zeros(grid.nx) for st in dist.f], (-1, grid.nx)) ** 2 @ grid.weights
-    es = np.zeros(3)
+    es, gram = np.zeros(3), None
 
     def record(block: SampleBlock):
-        nonlocal es
+        nonlocal es, gram
         v = amp * np.cos(om * block.times[:, None] + ph)
         sups = np.hstack([  # (1, c) @ (c, 1) products: the dot of a single sample
             np.matmul(v[:, None, :n], v[:, :n, None]),
@@ -789,8 +801,17 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
             np.matmul(v[:, None, 2 * n:] ** 2, f_nsq[:, None])])[:, :, 0]
         sups = ess_sup_running(np.vstack([es, sups]))[1:]
         es = sups[-1]
-        series.append(analysis.lyapunov_sample(block.error, block.error_vel, weights, m, grid,
-                                               block.times, *sups.T))
+        cut = len(block.steps) if sim.steady is None else block.steps.searchsorted(sim.switch_step)
+        if cut:
+            series.append(analysis.lyapunov_sample(
+                block.error[:cut], block.error_vel[:cut], weights, m, grid, block.times[:cut],
+                *sups[:cut].T))
+        if cut < len(block.steps):
+            if gram is None:
+                gram = analysis.steady_gram(*sim.steady.deviations(sim._q), m, grid)
+            series.append(analysis.steady_sample(
+                gram, sim.steady.phases(block.steps[cut:].tolist())[:, 0], block.error[cut:],
+                weights, block.times[cut:], *sups[cut:].T))
 
     sim.run(horizon, observers=[record, *observers], stride=stride)
     series.stepped_to = None if sim.switch_step is None else sim.switch_step * grid.dt

@@ -572,6 +572,18 @@ class TestCsv:
         with pytest.raises(ConfigError, match="not a recognized"):
             harness.read_csv(path)
 
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        # a blank line is no row but keeps its line number; a blank cell reads
+        # NaN in every column but t
+        header, good = ",".join(harness.CSV_COLUMNS), ",".join(["0.0"] * 10 + [""] * 6)
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n".join([header, good, "", "1.5" + good[3:], "", ""]) + "\n")
+        cols = harness.read_csv(path)
+        assert cols["t"].tolist() == [0.0, 1.5] and np.isnan(cols["iss_bound_verbatim"]).all()
+        path.write_text("\n".join([header, good, "", "1.5,abc" + good[7:]]) + "\n")
+        with pytest.raises(ConfigError, match="line 4, column E: 'abc' is not a number"):
+            harness.read_csv(path)
+
     def test_unsorted_time_rejected(self, tmp_path):
         path = tmp_path / "unsorted.csv"
         rows = [",".join(harness.CSV_COLUMNS)]

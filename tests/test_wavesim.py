@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ from conftest import each_sample, samples
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from waveconsensus import harness, wavesim
+from waveconsensus import analysis, harness, wavesim
 from waveconsensus.analysis import FunctionalWeights, open_loop_energy_fields
 from waveconsensus.errors import DivergenceError
 from waveconsensus.graph import build_topology, pinned_matrix
@@ -179,6 +180,24 @@ def settled_run(topo, gains, grid, profiles, dist, horizon, stride=10):
     return sim.switch_step, [np.concatenate(f) for f in zip(*blocks)]
 
 
+def assert_functionals_close(series, ref, rel=1e-10):
+    """The same instants, and each column of `series` within `rel` of the
+    largest magnitude of that column in `ref`."""
+    assert series.times.tobytes() == ref.times.tobytes()
+    for name, col in ref.columns.items():
+        assert np.abs(series.columns[name] - col).max() <= rel * np.abs(col).max(), name
+
+
+def series_bytes(series, first=0):
+    """The time stamps and every column of a series from sample `first` on,
+    as bytes."""
+    return b"".join(a[first:].tobytes() for a in (series.times, *series.columns.values()))
+
+
+# functional weights with every term of V in play
+WEIGHTS = FunctionalWeights(k1=30.0, k2=10.0, rho1=0.05, rho2=0.5)
+
+
 def assert_matches_step(snaps, topo, profiles, dist, grid, case):
     """Each sample of a run against `step` iterated from `init_state`: the
     displacements to 1e-11 and the velocities to 1e-10 of their scale."""
@@ -255,6 +274,24 @@ def drawn_disturbances(draw, n, frequencies):
                                 spatial=draw(st.sampled_from(shapes)))
                   if sig.kind == "sinusoid" else SpaceTimeSpec() for sig in f)
     return DisturbanceSpec(psi0=psi0 or (SignalSpec(),) * n, psi1=psi1 or (), f=f or ())
+
+
+@st.composite
+def settling_runs(draw):
+    """A run that may settle, drawn as in `TestRandomRuns`' shortcut test: a
+    tree of up to 4 followers, a grid, a stride, a horizon of 200-400 s,
+    profiles, and loads at up to three frequencies, one of them maybe at
+    pi / (stride dt), where every sample sees sin = 0."""
+    topo = draw(trees(4))
+    grid = Grid(nx=draw(st.integers(11, 41)))
+    stride, horizon = draw(st.integers(1, 40)), draw(st.floats(200.0, 400.0))
+    omegas = draw(st.lists(st.floats(0.5, 15.0), min_size=1, max_size=3))
+    aliased = math.pi / (stride * grid.dt)
+    if stride >= 2 and 0.5 <= aliased <= 15.0 and draw(st.booleans()):
+        omegas.append(aliased)
+    dist = draw(drawn_disturbances(topo.n, st.sampled_from(omegas)))
+    assume(not dist.is_zero())
+    return topo, grid, stride, horizon, draw(drawn_profiles(topo.n)), dist
 
 
 def constant_profiles(values, n_agents):
@@ -592,6 +629,31 @@ class TestSimulate:
                              "print('scipy' in sys.modules, 'click' in sys.modules)"
                              ).split() == ["False", "False"]
 
+    def test_run_imports_no_numpy_module(self, tmp_path):
+        # np.unique called np.ma.is_masked, which imports numpy.ma on first
+        # use on numpy 2.4 (about 15 ms); a simulate that settles, and analyze
+        # on its CSV, load no numpy module that the CLI import did not
+        sig = {"kind": "sinusoid", "amplitude": 1.0, "angular_frequency": 7.0}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "topology": {"adjacency": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                         "leader_links": [1, 0, 0]},
+            "gains": {"k1": 30.0, "k2": 10.0, "c0": 2.5}, "grid": {"nx": 31},
+            "horizon": 200.0, "disturbances": {"psi1": [sig] * 3}}))
+        out = fresh_process(f"""
+import contextlib, io, sys
+import waveconsensus.cli as cli
+from waveconsensus import analysis
+before, filled, gram = set(sys.modules), [], analysis.steady_sample
+analysis.steady_sample = lambda *a: filled.append(1) or gram(*a)
+for argv in (["simulate", "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r}],
+             ["analyze", {str(tmp_path / "timeseries.csv")!r}]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        cli.main(argv)
+print(bool(filled), *sorted(m for m in set(sys.modules) - before if m.startswith("numpy")))
+""")
+        assert out.split() == ["True"]
+
     def test_run_starts_no_thread(self):
         # a 24-follower network at 101 grid points advances on the calling
         # thread alone
@@ -899,6 +961,31 @@ class TestPropagator:
                         assert np.abs(out - ref).max() <= 1e-13 * np.abs(own).max(), (nx, q, n_w, c)
                         assert op.w.shape == (rows, q, 2 * q)
 
+    def test_per_step_loads_add_only_the_forced_response(self):
+        # 200 followers, each with its own psi0 frequency (n_w > q / 2): a
+        # product turns the q x n_w phases first, Re(amp e^(i w (k + j) dt)),
+        # so beyond an unloaded product it allocates the forced response
+        # (basis rows x rows) and rows x q, not the rows x n_w complex table
+        # z = amp e^(i w k dt), which at nx = 21 more than tripled the excess
+        n = 200
+        sim = Simulation(path_topology(n), GAINS, Grid(nx=21),
+                         [(ProfileSpec(), ProfileSpec())] * (n + 1),
+                         end_disturbances(n, "psi0", n))
+        op = wavesim._Propagator(sim, 10)
+        x = np.random.default_rng(0).standard_normal((6 * op.c, op.tiles * op.rows))
+        out = np.empty((3 * op.c, op.tiles * op.rows))
+        peaks = []
+        for amp in (op.amp, None):
+            op.amp = amp
+            tracemalloc.start()
+            try:
+                op.apply(x, out, 7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert op.lag is not None and op.basis.shape[1] == 10
+        assert peaks[0] - peaks[1] <= 8 * op.basis.shape[0] * op.rows + 32 * op.rows * 10
+
     def test_forced_build_keeps_q_real(self):
         # the modal amplitudes are two real products with Q: a complex table
         # times the real Q first cast Q (800 x 800) to complex, and the
@@ -965,6 +1052,66 @@ class TestSteadyState:
             runs[per_block] = switch, [f.tobytes() for f in fields]
         assert runs[None][0] is not None
         assert runs[1] == runs[None] and runs[7] == runs[None]
+
+    def test_functionals_match_stepping(self, path3_topology, _shortcut):
+        runs = []
+        for on in (True, False):
+            _shortcut(on)
+            runs.append(simulate(path3_topology, GAINS, self.GRID, reference_profiles(),
+                                 mixed_disturbances(3), 300.0, functional_weights=WEIGHTS))
+        assert runs[0].stepped_to is not None and runs[1].stepped_to is None
+        assert_functionals_close(*runs)
+
+    def test_filled_series_is_block_size_invariant(self, path3_topology, monkeypatch):
+        # each filled sample is evaluated on its own, so from the switch on
+        # the series has the same bytes at every block size; the switch falls
+        # inside the default block (which holds every sample) and inside a
+        # block of seven.  The stepped samples' sums run over a whole block
+        # in `lyapunov_sample`, and their last bits move with its size
+        runs = {}
+        for per_block in (None, 1, 7):  # the default first
+            if per_block:
+                use_blocks(monkeypatch, per_block, self.GRID)
+            runs[per_block] = simulate(path3_topology, GAINS, self.GRID, reference_profiles(),
+                                       mixed_disturbances(3), 160.0, functional_weights=WEIGHTS)
+        first = runs[None].times.tolist().index(runs[None].stepped_to)
+        assert first % 7 and len(runs[None]) - first > 100
+        for series in runs.values():
+            assert series.stepped_to == runs[None].stepped_to
+            assert series_bytes(series, first) == series_bytes(runs[None], first)
+            assert_functionals_close(series, runs[None], 1e-13)
+
+    def test_filled_samples_skip_lyapunov_sample(self, path3_topology, monkeypatch):
+        # lyapunov_sample gets the samples before the switch and no other
+        real, seen = analysis.lyapunov_sample, []
+
+        def spy(u_tilde, u_tilde_t, cert, m, grid, time, *sups):
+            seen.extend(np.atleast_1d(time).tolist())
+            return real(u_tilde, u_tilde_t, cert, m, grid, time, *sups)
+
+        monkeypatch.setattr(analysis, "lyapunov_sample", spy)
+        for per_block in (None, 7):
+            if per_block:
+                use_blocks(monkeypatch, per_block, self.GRID)
+            seen.clear()
+            series = simulate(path3_topology, GAINS, self.GRID, reference_profiles(),
+                              mixed_disturbances(3), 160.0)
+            times = series.times.tolist()
+            assert series.stepped_to in times[1:]
+            assert seen == times[:times.index(series.stepped_to)]
+
+    def test_phases_match_the_per_instant_form(self, path3_topology):
+        # one list per column gives the bits of one list per instant
+        sim = Simulation(path3_topology, GAINS, self.GRID, reference_profiles(),
+                         mixed_disturbances(3))
+        settle = wavesim._Settle(sim, wavesim._Propagator(sim, 10), 10**6)
+        assert len(settle.omegas) == 2
+        for instants in ([], [0], list(range(0, 1080, 10)), [10**9 + 7]):
+            phi = np.array([[1.0, *(f(w * t) for w in settle.omegas for f in (math.cos, math.sin))]
+                            for t in (k * settle.dt for k in instants)]).reshape(-1, 5)
+            ref = (phi @ settle.lift).reshape(-1, 2, 5)
+            assert settle.phases(instants).tobytes() == ref.tobytes()
+            assert settle.phases(instants).shape == (len(instants), 2, 5)
 
     def test_never_settling_run_is_bit_identical(self, path3_topology, _shortcut):
         # with c0 = 0 the leader reflects at both ends and never settles
@@ -1135,6 +1282,22 @@ class TestRandomRuns:
         for a, b in zip(fields, stepped):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    @settings(max_examples=25)
+    @given(settling_runs())
+    def test_shortcut_functionals_match_stepping(self, run):
+        # the filled samples' functionals come from the Gram forms of the
+        # steady state, the stepped ones from the fields
+        topo, grid, stride, horizon, profiles, dist = run
+        runs = []
+        for on in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not on:
+                    mp.setattr(wavesim, "_FIT_BYTES", 0)
+                runs.append(simulate(topo, GAINS, grid, profiles, dist, horizon,
+                                     functional_weights=WEIGHTS, stride=stride))
+        assert runs[1].stepped_to is None
+        assert_functionals_close(*runs)
 
 
 class TestBoundaryTrace:
