@@ -10,9 +10,11 @@ exponential ISS bound on V0.
 
 Each regime's strict inequalities on the free parameters are written once,
 in the elementwise rule table `_rules`, and the constants likewise in
-`_sandwich` (tau1, tau2, mu) and `_mu2`.  `build_certificate` is the one
-constructor: it reads these for given parameters, and `optimize_certificate`
-masks its search grid with the same table and hands its optimum to it.
+`_constants` (tau1, tau2, mu, mu2 and the rate alpha).  `build_certificate`
+is the one constructor: it admits given parameters by the rules and one
+rate check, alpha > 0.  `optimize_certificate` masks its search grid with
+the same table and hands it the node of largest alpha.  A rate too small
+for a finite horizon is refused by `harness.derive_horizon`.
 
 One constraint is implemented in proof-consistent form rather than as
 displayed: the last branch of the unperturbed rho1 bound is
@@ -132,21 +134,22 @@ def _rules(regime: str, rho1, rho2, xi1, xi2, k1: float, k2: float,
     }
 
 
-def _sandwich(rho1, rho2, k1, k2, lambda_min, lambda_max, c0):
-    """(tau1, tau2, mu) elementwise, for scalars or grids of (rho1, rho2)."""
+def _constants(regime: str, rho1, rho2, xi1, k1: float, k2: float, c0: float,
+               lambda_min: float, lambda_max: float):
+    """(tau1, tau2, mu, mu2, alpha) elementwise, for scalars or grids of
+    (rho1, rho2): alpha is the regime's rate mu/tau2 (mu2/tau2), and mu2 is
+    None in the unperturbed regime."""
     tau1 = np.minimum((1.0 - rho2 - rho1) / 2.0,
                       k1 * lambda_min + rho1 * k2 * lambda_min - rho1)
     tau2 = np.maximum((1.0 + rho2 + rho1) / 2.0,
                       np.maximum(k1 * lambda_max + rho1, k2 * lambda_max + rho1))
-    mu = np.minimum(rho2 / 2.0, np.minimum((rho2 - rho1) / 2.0,
-                                           rho1 * (k1 * lambda_min - c0 / 2.0)))
-    return tau1, tau2, mu
-
-
-def _mu2(rho1, rho2, xi1, k1: float, c0: float, lambda_min: float):
-    """The perturbed decay coefficient mu2, elementwise."""
-    return np.minimum(rho2 / 4.0, np.minimum((rho2 - rho1 - xi1) / 2.0,
-                                             rho1 * (k1 * lambda_min - c0 / 2.0 - 1.5)))
+    margin = k1 * lambda_min - c0 / 2.0
+    mu = np.minimum(rho2 / 2.0, np.minimum((rho2 - rho1) / 2.0, rho1 * margin))
+    mu2 = None
+    if regime == "perturbed":
+        mu2 = np.minimum(rho2 / 4.0, np.minimum((rho2 - rho1 - xi1) / 2.0,
+                                                rho1 * (margin - 1.5)))
+    return tau1, tau2, mu, mu2, (mu if mu2 is None else mu2) / tau2
 
 
 def control_input(m, k1: float, k2: float, u_tilde_boundary,
@@ -215,30 +218,30 @@ def build_certificate(regime: str, k1: float, k2: float, c0: float,
     """The certificate for given free parameters: the only path from
     parameters to constants, for the optimizer and explicit overrides alike.
 
-    Checks the regime's gain gate, the rule table (`_rules`), mu2 > 0 in the
-    perturbed regime and the positivity of tau1, tau2 and mu (`_sandwich`),
-    in that order, then derives q0, qf, delta = delta_factor V(0) with
-    delta_factor = (1 + sqrt(2))/tau1, and alpha = mu/tau2 (mu2/tau2).
+    Checks the regime's gain gate, then the rule table (`_rules`), then the
+    one rate check alpha > 0 on `_constants`, and derives q0, qf and
+    delta = delta_factor V(0) with delta_factor = (1 + sqrt(2))/tau1.  No
+    other constant needs a check, even in floating point: rho1 < 1 - rho2
+    and rho1 < k1 lambda_min compare rho1 with the very floats that tau1's
+    branches subtract it from, so tau1 > 0, and tau2 >= 1/2; alpha > 0 then
+    gives mu > 0 and mu2 > 0 (mu2 is at most mu, branch by branch).  The
+    rate check itself is not implied: a subnormal rho1 or k2 underflows mu,
+    or alpha, to 0.
     """
     _require_gate(regime, k1, k2, c0, lambda_min)
-    mu2 = q0 = qf = None
+    q0 = qf = None
     if regime == "unperturbed":
         xi1 = xi2 = None
     elif xi1 is None or xi2 is None:
         raise CertificateError("the perturbed regime needs xi1 and xi2 as well as rho1, rho2")
     rules = _rules(regime, rho1, rho2, xi1, xi2, k1, k2, c0, lambda_min)
     violated = [name for name, holds in rules.items() if not holds]
-    if xi1 is not None:
-        mu2 = float(_mu2(rho1, rho2, xi1, k1, c0, lambda_min))
-        if not violated and mu2 <= 0.0:
-            violated = ["mu2 > 0"]
     if violated:
         raise CertificateError(f"infeasible {regime} parameters: {violated}")
-    tau1, tau2, mu = (float(v) for v in _sandwich(rho1, rho2, k1, k2, lambda_min,
-                                                  lambda_max, c0))
-    for name, value in (("tau1", tau1), ("tau2", tau2), ("mu", mu)):
-        if value <= 0.0:
-            raise CertificateError(f"certificate constant {name} = {value} is not positive")
+    tau1, tau2, mu, mu2, alpha = (None if v is None else float(v) for v in _constants(
+        regime, rho1, rho2, xi1, k1, k2, c0, lambda_min, lambda_max))
+    if not alpha > 0.0:
+        raise CertificateError(f"certified decay rate alpha = {alpha} is not positive")
     if mu2 is not None:  # q0 and qf divide by xi2 and xi1, which the rules keep positive
         q0 = 0.5 * (1.0 / xi2 + rho1 + rho2 * (c0 + 1.0))
         qf = 1.0 / (2.0 * xi1) + rho1 / 2.0 + rho2
@@ -246,7 +249,7 @@ def build_certificate(regime: str, k1: float, k2: float, c0: float,
         regime=regime, k1=k1, k2=k2, c0=c0, lambda_min=lambda_min,
         lambda_max=lambda_max, rho1=rho1, rho2=rho2, xi1=xi1, xi2=xi2,
         tau1=tau1, tau2=tau2, mu=mu, mu2=mu2, q0=q0, qf=qf,
-        delta_factor=(1.0 + SQRT2) / tau1, alpha=(mu if mu2 is None else mu2) / tau2)
+        delta_factor=(1.0 + SQRT2) / tau1, alpha=alpha)
 
 
 MAX_RESOLUTION = 1000  # grid points per dimension: each grid array holds its square
@@ -281,20 +284,18 @@ def optimize_certificate(regime: str, k1: float, k2: float, c0: float,
         r2_hi = min(1.0, 2.0 * c0 / (1.0 + c0 + c0 * c0))
     # rows hold rho2, so the first maximum in C order has the smallest rho2, then rho1
     R1, R2 = np.meshgrid(_grid(r1_hi, resolution), _grid(r2_hi, resolution))
-    rules = _rules(regime, R1, R2, xi1, xi2, k1, k2, c0, lambda_min)
+    with np.errstate(over="ignore"):  # a tiny c0 sends a bound to -inf, refusing its nodes
+        rules = _rules(regime, R1, R2, xi1, xi2, k1, k2, c0, lambda_min)
     feasible = reduce(np.logical_and, rules.values())
-    tau1, tau2, mu = _sandwich(R1, R2, k1, k2, lambda_min, lambda_max, c0)
-    if regime == "perturbed":
-        mu = _mu2(R1, R2, xi1, k1, c0, lambda_min)
-    ok = feasible & (mu > 0.0) & (tau1 > 0.0)
-    best = np.unravel_index(np.argmax(np.where(ok, mu / tau2, -np.inf)), ok.shape)
-    if not ok[best]:
-        if feasible.any():
-            raise CertificateError("no grid point yields a positive decay rate")
+    if not feasible.any():
         rates = {name: float(np.mean(holds)) for name, holds in rules.items()}
         tightest = min(rates, key=rates.get)  # the rule that admits the fewest nodes
         raise CertificateError(f"empty feasible set for the {regime} regime; tightest "
                                f"constraint: {tightest} (admits {rates[tightest]:.1%} of the "
                                "search box on its own)")
+    alpha = _constants(regime, R1, R2, xi1, k1, k2, c0, lambda_min, lambda_max)[4]
+    best = np.unravel_index(np.argmax(np.where(feasible, alpha, -np.inf)), alpha.shape)
+    if not alpha[best] > 0.0:
+        raise CertificateError("no grid point yields a positive decay rate")
     return build_certificate(regime, k1, k2, c0, lambda_min, lambda_max,
                              float(R1[best]), float(R2[best]), xi1, xi2)

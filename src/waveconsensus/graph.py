@@ -16,22 +16,13 @@ import numpy as np
 from .errors import TopologyError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # `==` is identity: the fields are arrays
 class Topology:
     """Validated follower graph plus leader pinning."""
 
     n: int
     adjacency: np.ndarray
     leader_links: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, Topology):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.adjacency, other.adjacency)
-            and np.array_equal(self.leader_links, other.leader_links)
-        )
 
 
 @dataclass(frozen=True)

@@ -369,9 +369,13 @@ def certificate_for(config: ExperimentConfig, regime: str | None = None):
 
 def derive_horizon(cert, regime: str) -> float:
     """Horizon making the certified envelope fall below 1e-3 of its
-    initial value (at the steady-state window start for perturbed runs)."""
+    initial value (at the steady-state window start for perturbed runs).
+    A rate too small for a finite horizon raises CertificateError."""
     rate = cert.alpha if regime == "unperturbed" else 0.8 * cert.alpha
-    return float(math.ceil(math.log(1000.0) / rate))
+    horizon = math.log(1000.0) / rate
+    if not math.isfinite(horizon):
+        raise CertificateError(f"decay rate {rate:.6g} 1/s gives no finite horizon")
+    return float(math.ceil(horizon))
 
 
 # ---------------------------------------------------------------------------

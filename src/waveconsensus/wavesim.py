@@ -46,6 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .certificate import control_input
 from .errors import DivergenceError
 from .graph import Topology, pinned_matrix
 from .signals import (DisturbanceSpec, ess_sup_running, eval_profile, eval_signal,
@@ -232,8 +233,6 @@ def init_state(grid: Grid, profiles, gains: ControlGains, m=None,
     for i, st in enumerate(dist.f):
         fvals[i + 1] = eval_space_time(st, x, 0.0)
     if n > 0:
-        from .certificate import control_input
-
         ub = u[1:, -1] - u[0, -1]
         vb = v[1:, -1] - v[0, -1]
         q0 = control_input(m, gains.k1, gains.k2, ub, vb)
@@ -288,8 +287,6 @@ def step(state: WaveState, gains: ControlGains, m, dist: DisturbanceSpec | None,
         a = np.eye(n) + 2.0 * rk2 * mm
         un[1:, -1] = u[1:, -1] + np.linalg.solve(a, rhs)
         if control_hook is not None:
-            from .certificate import control_input
-
             vb = ((un[1:, -1] - u[1:, -1]) - (un[0, -1] - u[0, -1])) / grid.dt
             control_hook(u_tilde_boundary=ub.copy(), u_tilde_t_boundary=vb,
                          q=control_input(mm, gains.k1, gains.k2, ub, vb))

@@ -5,8 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from waveconsensus.certificate import (MAX_RESOLUTION, _rules, _sandwich, build_certificate,
+from waveconsensus import harness
+from waveconsensus.certificate import (MAX_RESOLUTION, _constants, _rules, build_certificate,
                                        check_gains_perturbed, check_gains_unperturbed,
                                        control_input, iss_bound, optimize_certificate)
 from waveconsensus.errors import CertificateError
@@ -151,7 +154,7 @@ class TestCertificateConstants:
     def test_infeasible_combination_raises(self, spectrum):
         lam_min, lam_max = spectrum
         # tau1 < 0 here, and the rules refuse the pair before any constant
-        assert _sandwich(0.3, 0.8, K1, K2, lam_min, lam_max, C0)[0] < 0.0
+        assert _constants("unperturbed", 0.3, 0.8, None, K1, K2, C0, lam_min, lam_max)[0] < 0.0
         with pytest.raises(CertificateError, match=re.escape(
                 "infeasible unperturbed parameters: ['rho2 < 2*c0/(1+c0^2)', "
                 "'rho1 < 1 - rho2', 'rho1 < (2*c0 - rho2*(1+c0^2))/c0']")):
@@ -328,7 +331,7 @@ class TestOptimizer:
                         try:
                             mu2 = build_certificate("perturbed", k1, k2, c0, lam_min, lam_max,
                                                     rho1, rho2, xi1, xi2).mu2
-                        except CertificateError:  # a violated rule, or mu2 <= 0
+                        except CertificateError:  # a violated rule, or alpha <= 0
                             continue
                         tau2 = max((1 + rho2 + rho1) / 2, k1 * lam_max + rho1,
                                    k2 * lam_max + rho1)
@@ -366,6 +369,56 @@ class TestOptimizer:
             assert cert.mu > 0
             if regime == "perturbed":
                 assert cert.mu2 > 0 and cert.q0 > 0 and cert.qf > 0
+
+
+TINY = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, -1022))
+
+
+def positive(lo: float, hi: float):
+    """Floats in [lo, hi], or from the smallest subnormal 5e-324 up to the
+    smallest normal 2^-1022."""
+    return st.floats(lo, hi) | TINY
+
+
+class TestRateCheck:
+    @settings(max_examples=300)
+    @given(regime=st.sampled_from(("unperturbed", "perturbed")),
+           gains=st.tuples(positive(1.0, 100.0), positive(0.1, 100.0), positive(0.1, 10.0)),
+           spectrum=st.tuples(positive(0.1, 10.0), st.floats(0.0, 10.0)).map(
+               lambda p: (p[0], p[0] + p[1])),
+           overrides=st.none() | st.tuples(*[positive(1e-3, 1.0)] * 4),
+           resolution=st.integers(1, 12))
+    def test_admitted_certificates_have_a_positive_rate(self, regime, gains, spectrum,
+                                                        overrides, resolution):
+        # subnormal inputs underflow mu or alpha: a certificate is refused,
+        # never admitted with alpha = 0, and a rate too small for a finite
+        # horizon is refused by derive_horizon
+        args = (regime, *gains, *spectrum)
+        try:
+            if overrides is None:
+                cert = optimize_certificate(*args, resolution=resolution)
+            else:
+                cert = build_certificate(*args, *overrides)
+        except (CertificateError, ValueError):
+            return
+        assert cert.tau1 > 0.0 and cert.tau2 > 0.0 and cert.alpha > 0.0
+        try:
+            horizon = harness.derive_horizon(cert, regime)
+        except CertificateError:
+            return
+        assert isinstance(horizon, float) and math.isfinite(horizon)
+
+    @pytest.mark.parametrize("regime", ("unperturbed", "perturbed"))
+    def test_underflowed_rate_is_refused(self, spectrum, regime):
+        # the rules hold and mu (mu2) > 0, but mu/tau2 (mu2/tau2) rounds to 0
+        with pytest.raises(CertificateError, match=re.escape(
+                "certified decay rate alpha = 0.0 is not positive")):
+            build_certificate(regime, K1, K2, C0, *spectrum, 5e-324, 0.5, 0.1, 0.1)
+
+    def test_tiny_c0_empties_the_perturbed_grid_without_a_warning(self, spectrum):
+        # 1/(2 c0) bounds xi2, and the last rule's quotient overflows to -inf
+        with pytest.raises(CertificateError, match="empty feasible set"):
+            optimize_certificate("perturbed", K1, K2, 1e-300, *spectrum)
 
 
 class TestControlInput:

@@ -733,6 +733,38 @@ class TestCli:
             assert exc.value.code == harness.EXIT_INFEASIBLE
             assert "no explicit horizon: certificates require c0 > 0" in out
 
+    @pytest.mark.parametrize("section, fields, refused", [
+        ("certificate", {"rho1": 5e-324, "rho2": 0.5},
+         "certified decay rate alpha = 0.0 is not positive"),
+        ("certificate", {"rho1": 1e-320, "rho2": 0.5}, None),
+        ("gains", {"k2": 5e-323}, "no grid point yields a positive decay rate"),
+        ("gains", {"k2": 1e-310}, None)],
+        ids=["rho1-zero-rate", "rho1-subnormal-rate", "k2-zero-rate", "k2-subnormal-rate"])
+    def test_underflowed_rate_exits_2_without_traceback(self, tmp_path, capsys, section,
+                                                        fields, refused):
+        # subnormal inputs underflow the certified rate: a zero rate admits no
+        # certificate, and a subnormal one no finite horizon
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        with open(os.path.join(root, "test1.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[section].update(fields)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["check-gains", "--config", str(cfg)])
+        out = capsys.readouterr().out
+        if refused:
+            assert exc.value.code == harness.EXIT_INFEASIBLE
+            assert f"  certificate infeasible: {refused}\n" in out
+        else:
+            assert exc.value.code == harness.EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == harness.EXIT_INFEASIBLE and err == ""
+        reason = re.escape(refused) if refused else r"decay rate \S+ 1/s gives no finite horizon"
+        assert re.fullmatch(f"infeasible certificate and no explicit horizon: {reason}\n", out), out
+
     @pytest.mark.parametrize("verbatim_fails", (False, True))
     def test_verbatim_iss_is_contractual(self, tmp_path, monkeypatch, verbatim_fails):
         # both ISS variants hold on preset 2, so one case adds a verbatim violation
