@@ -312,21 +312,41 @@ def boundary_trace(state: WaveState, grid: Grid) -> BoundaryTrace:
                          u0=state.u_curr[:, 0].copy(), ut0=vel[:, 0].copy())
 
 
-@dataclass(frozen=True)
+def _formed(name):
+    """A field of `SampleBlock`, formed on first access and then kept."""
+    def form(self):
+        a = self._stepped[name]
+        if self._phi is not None:  # einsum's fixed order: an entry's bits do not depend on f
+            b = np.einsum("sk,k...->s...", self._phi, self._coef[name])
+            a = np.concatenate([a, b]) if len(a) else b
+        a.flags.writeable = False
+        return a
+    return cached_property(form)
+
+
 class SampleBlock:
     """The s >= 1 samples of one block as read-only arrays: `steps` and
     `times` (s,), `leader` and `leader_vel` (s, nx), and the followers'
     deviations u_i - u_0, `error` and `error_vel` (s, n, nx).  Velocities
     are centered differences across the surrounding levels, matching the
-    accuracy of the scheme itself.  `step_index` is the last step."""
+    accuracy of the scheme itself.  `step_index` is the last step.  The
+    samples filled from the steady state (the block's last f, from
+    `Simulation.switch_step` on) are their phases phi(t_k) (f, k) times each
+    field's coefficients (k, ...): `error` is formed at once, `error_vel`,
+    `leader` and `leader_vel` on first access, and each is then kept."""
 
-    steps: np.ndarray
-    times: np.ndarray
-    leader: np.ndarray
-    leader_vel: np.ndarray
-    error: np.ndarray
-    error_vel: np.ndarray
-    step_index: int
+    leader, leader_vel, error, error_vel = map(_formed, ("leader", "leader_vel", "error",
+                                                         "error_vel"))
+
+    def __init__(self, steps, times, stepped, phi=None, coef=None):
+        """`stepped` holds each field of the samples before the filled ones."""
+        steps.flags.writeable = times.flags.writeable = False
+        self.__dict__.update(steps=steps, times=times, step_index=int(steps[-1]),
+                             _stepped=stepped, _phi=phi, _coef=coef)
+        self.error  # both built-in observers read it
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SampleBlock.{name} is read-only")
 
 
 def _levels(stepper: _Stepper, u, up, q: int):
@@ -550,30 +570,42 @@ class _Settle:
                                           for f in (math.cos, math.sin))]).T.copy()
         return (phi @ self.lift).reshape(-1, 2, len(self.lift))
 
-    def feed(self, fields, instants, stop: int):
-        """Check the first `stop` samples of a block against `fill`, sample j in
-        window j // _WINDOW; the index of the first to fill after two passing
-        windows in a row, the first at x = 1 only, or None."""
+    def feed(self, fields, phi, stop: int):
+        """Check the first `stop` samples of a block against `fill` at their
+        phases `phi`, sample j in window j // _WINDOW, the x = 1 screen from
+        one fill of the block, every entry from one of the window; the index
+        of the first to fill after two passing windows in a row, or None."""
         i = 0
+        if self.coef is not None:  # the x = 1 residual by sample and row
+            screen = np.abs(self.fill(phi, slice(-1, None)) - fields[:, :stop, :, -1:]).max((0, 3))
         while self.coef is not None and i < stop and self.passes < 2:
-            x, take = slice(None if self.passes else -1, None), min(_WINDOW - self.pos, stop - i)
-            seg = fields[:, i:i + take, :, x]
-            res = np.abs(self.fill(seg.copy(), instants[i:i + take], x) - seg).max((0, 1, 3))
+            take = min(_WINDOW - self.pos, stop - i)
+            res = screen[i:i + take]
+            if self.passes:
+                res = np.abs(self.fill(phi[i:i + take]) - fields[:, i:i + take]).max((0, 3))
+            res = res.max(0)
             self.ok &= res[0] <= self.tol[0] and res[1:].max(initial=0.0) <= self.tol[1]
             i, self.pos = i + take, (self.pos + take) % _WINDOW
             if self.pos == 0:
                 self.passes, self.ok = self.passes + 1 if self.ok else 0, True
         return i if self.passes == 2 else None
 
-    def deviations(self, q):
-        """Cu and Cv of the deviations phi Cu and their velocities phi Cv, from one Q product."""
-        cu = np.matmul(q, self.coef[:, 1:])
-        return cu, np.tensordot(self.lift[:, len(self.lift):], cu, 1) / (2.0 * self.dt)
+    def physical(self, q):
+        """The coefficients of each `SampleBlock` field of a filled sample,
+        read-only: the leader's C[:, 0] with cbar, the deviations' Cu = Q C[:, 1:]
+        from one product, and each velocity's T C / (2 dt)."""
+        lead, cu = self.coef[:, 0].copy(), np.matmul(q, self.coef[:, 1:])
+        lead[0] += self.cbar
+        coef = dict(leader=lead, error=cu)
+        for name, c in list(coef.items()):
+            coef[name + "_vel"] = np.tensordot(self.lift[:, len(self.lift):], c, 1) / (2.0 * self.dt)
+        for c in coef.values():
+            c.flags.writeable = False
+        return coef
 
-    def fill(self, out, instants, x=slice(None)):
-        """The view out[:, :s] (entries x) filled with C at the s `instants`."""
-        return np.einsum("slk,kre->lsre", self.phases(instants), self.coef[..., x],
-                         out=out[:, :len(instants), :, x])
+    def fill(self, phi, x=slice(None)):
+        """u^k and u^(k+1) - u^(k-1) of every row (entries x) at the phases `phi`."""
+        return np.einsum("slk,kre->lsre", phi, self.coef[..., x])
 
 
 class Simulation:
@@ -648,8 +680,11 @@ class Simulation:
         _WINDOW samples check the stepped fields against `fill`, first at x = 1
         only, then every entry, to 1e-11 of the largest mode coefficient (the
         leader's of its equilibrium; a zero scale needs a zero residual), and
-        after two passing windows in a row `fill` gives the rest, from
-        `switch_step` on (else None), and `steady` is that `_Settle`."""
+        after two passing windows in a row the rest are filled, from
+        `switch_step` on (else None), and `steady` is that `_Settle`: phi(t_k)
+        times each field's coefficients, formed at the switch (`physical`); a
+        block forms `error` at once, `error_vel`, `leader` and `leader_vel` on
+        first access."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if stride < 1:
@@ -685,10 +720,12 @@ class Simulation:
         y = self._y0 - np.r_[settle.cbar, np.zeros(self.n)][:, None, None]  # the leader: y0 - cbar
         state, ell, ones = (op(power).tiled(a[:, [0, 0, 1]])[c:].reshape(2 * c, -1)
                             for a in (y, settle.ell[None], np.ones((1, 2, nx))))  # (u^k, u^(k-1))
+        coef = None  # each field's coefficients after the switch (`_Settle.physical`)
         for j0 in range(0, count, size):
             instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
-            if self.switch_step is not None:  # all from the fit
-                self._emit(instants, settle.fill(fields, instants).shape[1], fields, observers)
+            if coef is not None:  # all filled
+                self._emit(instants, len(instants), fields, observers, 0,
+                           settle.phases(instants), coef)
                 continue
             stop = len(instants)
             for i, k in enumerate(instants):
@@ -720,27 +757,29 @@ class Simulation:
                     _spread(state, x, c, rows)
                     op(q).apply(x, out, k)
                     state, k = out[c:], k + q
-            i = settle.feed(fields, instants, stop)
-            if i is not None:  # the samples from i on come from the fit
+            phi = None if settle.coef is None else settle.phases(instants[:stop])
+            i = settle.feed(fields, phi, stop)
+            if i is not None:  # the samples from i on are filled
                 self.switch_step, self.steady = min((j0 + i) * stride, nsteps), settle
-                settle.fill(fields[:, i:], instants[i:stop])
-            self._emit(instants, stop, fields, observers)
+                coef = settle.physical(self._q)
+            self._emit(instants, stop, fields, observers, stop if i is None else i, phi, coef)
         return nsteps
 
-    def _emit(self, instants, stop, fields, observers):
+    def _emit(self, instants, stop, fields, observers, cut, phi, coef):
         """Hand the first `stop` samples of a block to each observer as one
-        SampleBlock, with the physical deviation Q y of all of them from one
-        product (no call when `stop` is 0), then raise if the block diverged."""
+        SampleBlock (no call when `stop` is 0), then raise if the block
+        diverged.  The first `cut` are stepped, with the physical deviation
+        Q y of all of them from one product; the rest are filled from their
+        phases phi[cut:stop] and `coef`."""
         dt = self.grid.dt
         t = np.array(instants[:stop + 1], dtype=float) * dt
         if stop:
-            err = np.matmul(self._q, fields[:, :stop, 1:])
+            err = np.matmul(self._q, fields[:, :cut, 1:])
             err[1] /= 2.0 * dt
-            arrays = (np.array(instants[:stop]), t[:stop], fields[0, :stop, 0] + self._cbar,
-                      fields[1, :stop, 0] / (2.0 * dt), err[0], err[1])
-            for a in arrays:
-                a.flags.writeable = False
-            block = SampleBlock(*arrays, step_index=instants[stop - 1])
+            stepped = dict(leader=fields[0, :cut, 0] + self._cbar,
+                           leader_vel=fields[1, :cut, 0] / (2.0 * dt), error=err[0], error_vel=err[1])
+            block = SampleBlock(np.array(instants[:stop]), t[:stop], stepped,
+                                phi[cut:stop, 0] if cut < stop else None, coef)
             for obs in observers:
                 try:
                     obs(block)
@@ -798,17 +837,17 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
             np.matmul(v[:, None, 2 * n:] ** 2, f_nsq[:, None])])[:, :, 0]
         sups = ess_sup_running(np.vstack([es, sups]))[1:]
         es = sups[-1]
-        cut = len(block.steps) if sim.steady is None else block.steps.searchsorted(sim.switch_step)
+        phi = block._phi  # the filled samples', the block's last
+        cut = len(block.steps) - (0 if phi is None else len(phi))
         if cut:
             series.append(analysis.lyapunov_sample(
                 block.error[:cut], block.error_vel[:cut], weights, m, grid, block.times[:cut],
                 *sups[:cut].T))
         if cut < len(block.steps):
             if gram is None:
-                gram = analysis.steady_gram(*sim.steady.deviations(sim._q), m, grid)
-            series.append(analysis.steady_sample(
-                gram, sim.steady.phases(block.steps[cut:].tolist())[:, 0], block.error[cut:],
-                weights, block.times[cut:], *sups[cut:].T))
+                gram = analysis.steady_gram(block._coef["error"], block._coef["error_vel"], m, grid)
+            series.append(analysis.steady_sample(gram, phi, block.error[cut:], weights,
+                                                 block.times[cut:], *sups[cut:].T))
 
     sim.run(horizon, observers=[record, *observers], stride=stride)
     series.stepped_to = None if sim.switch_step is None else sim.switch_step * grid.dt

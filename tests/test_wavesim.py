@@ -180,6 +180,30 @@ def settled_run(topo, gains, grid, profiles, dist, horizon, stride=10):
     return sim.switch_step, [np.concatenate(f) for f in zip(*blocks)]
 
 
+FIELDS = ("leader", "leader_vel", "error", "error_vel")
+
+
+def assert_filled_as_rotated_fill(topo, grid, profiles, dist, horizon, stride=10):
+    """Each field of a run's filled samples against its steady state's modal
+    fields, phi C, turned by Q (the leader plus its equilibrium, the
+    velocities over 2 dt), to 1e-13 of the field's largest magnitude; the
+    switch step, or None for a run that steps to the end."""
+    blocks = []
+    sim = Simulation(topo, GAINS, grid, profiles, dist)
+    sim.run(horizon, stride=stride, observers=(blocks.append,))
+    if sim.switch_step is None:
+        return None
+    steps = np.concatenate([b.steps for b in blocks])
+    first, settle = steps.searchsorted(sim.switch_step), sim.steady
+    modal = np.einsum("slk,kre->lsre", settle.phases(steps[first:].tolist()), settle.coef)
+    ref = (modal[0, :, 0] + settle.cbar, modal[1, :, 0] / (2.0 * grid.dt),
+           np.matmul(sim._q, modal[0, :, 1:]), np.matmul(sim._q, modal[1, :, 1:]) / (2.0 * grid.dt))
+    for name, b in zip(FIELDS, ref):
+        a = np.concatenate([getattr(block, name) for block in blocks])[first:]
+        assert a.shape == b.shape and np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
+    return sim.switch_step
+
+
 def assert_functionals_close(series, ref, rel=1e-10):
     """The same instants, and each column of `series` within `rel` of the
     largest magnitude of that column in `ref`."""
@@ -593,9 +617,9 @@ class TestSimulate:
         grid = Grid(nx=nx)
         emit, modal, blocks = Simulation._emit, [], []
 
-        def spy(self, instants, stop, fields, observers):  # the modal fields of each block
-            modal.append((self._q, fields[:, :stop].copy()))
-            return emit(self, instants, stop, fields, observers)
+        def spy(self, instants, stop, fields, observers, cut, *filled):  # each block's modal fields
+            modal.append((self._q, fields[:, :cut].copy()))
+            return emit(self, instants, stop, fields, observers, cut, *filled)
 
         monkeypatch.setattr(Simulation, "_emit", spy)
         Simulation(path_topology(n), GAINS, grid, varied_profiles(n)).run(
@@ -686,9 +710,9 @@ print(*seen, threading.active_count())
         emit, apply = Simulation._emit, wavesim._Propagator.apply
         modal, peaks, bits = [], [], wavesim._FLUSH_BITS
 
-        def emit_spy(self, instants, stop, fields, observers):  # the modal fields of each block
-            modal.append(fields[:, :stop].copy())
-            return emit(self, instants, stop, fields, observers)
+        def emit_spy(self, instants, stop, fields, observers, cut, *filled):
+            modal.append(fields[:, :cut].copy())  # the modal fields of the stepped samples
+            return emit(self, instants, stop, fields, observers, cut, *filled)
 
         def apply_spy(self, x, out, k):  # one product per sample at stride 7
             # each row's peak over both levels of its state, as the flush
@@ -715,11 +739,13 @@ print(*seen, threading.active_count())
 
         undisturbed = (reference_profiles(), None, 3000)
         (plain, plain_peaks), (flushed, _) = fields(bits, *undisturbed), fields(2, *undisturbed)
-        assert plain.shape == flushed.shape and plain_peaks.min() > 0.0
+        # once every row reads zero the flushed run switches to its (zero) steady
+        # state, and only its stepped samples have modal fields
+        assert plain.shape[1] > flushed.shape[1] and plain_peaks.min() > 0.0
         below, count = plain_peaks < 2.0 ** -2, plain_peaks.shape[0]
         # per row, the first sample that reads zero (the sample count if none)
         first = np.where(below.any(axis=0), below.argmax(axis=0) + 1, count)
-        assert (first < count).all()
+        assert (first < flushed.shape[1]).all()
         for row, j in enumerate(first):
             assert plain[:, :j, row].tobytes() == flushed[:, :j, row].tobytes()
             assert not flushed[:, j:, row].any()
@@ -1100,6 +1126,57 @@ class TestSteadyState:
             assert series.stepped_to in times[1:]
             assert seen == times[:times.index(series.stepped_to)]
 
+    def test_fill_only_checks_after_the_switch(self, path3_topology, monkeypatch):
+        # filled samples come from each field's coefficients, not from a modal
+        # fill: `fill` serves the checks before the switch and nothing else
+        fill, callers = wavesim._Settle.fill, []
+
+        def spy(self, *args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return fill(self, *args)
+
+        monkeypatch.setattr(wavesim._Settle, "fill", spy)
+        for per_block in (None, 7):
+            if per_block:
+                use_blocks(monkeypatch, per_block, self.GRID)
+            callers.clear()
+            sim = Simulation(path3_topology, GAINS, self.GRID, reference_profiles(),
+                             mixed_disturbances(3))
+            sim.run(160.0)
+            assert sim.switch_step is not None and callers and set(callers) == {"feed"}
+
+    def test_filled_fields_match_the_rotated_fill(self, path3_topology):
+        switch = assert_filled_as_rotated_fill(path3_topology, self.GRID, reference_profiles(),
+                                               mixed_disturbances(3), 300.0)
+        assert switch is not None
+
+    def test_filled_fields_form_on_first_access(self, path3_topology, monkeypatch):
+        # blocks of seven, the switch inside one: an observer that keeps the
+        # blocks and reads them after the run gets the bytes of reads made
+        # during the call; each field is formed once and is read-only
+        use_blocks(monkeypatch, 7, self.GRID)
+
+        def run(observer):
+            sim = Simulation(path3_topology, GAINS, self.GRID, reference_profiles(),
+                             mixed_disturbances(3))
+            sim.run(160.0, observers=(observer,))
+            return sim.switch_step
+
+        early, kept = [], []
+        run(lambda b: early.append([getattr(b, name).tobytes() for name in FIELDS]))
+        switch = run(kept.append)
+        filled = [b for b in kept if b.steps[0] >= switch]
+        assert len(filled) > 10 and kept[-len(filled) - 1].steps[-1] >= switch
+        for b in filled:  # only `error` is formed by the run
+            assert "error" in vars(b) and not {"leader", "leader_vel", "error_vel"} & vars(b).keys()
+        assert [[getattr(b, name).tobytes() for name in FIELDS] for b in kept] == early
+        for b in kept:
+            for name in FIELDS:
+                a = getattr(b, name)
+                assert a is getattr(b, name) and not a.flags.writeable
+            with pytest.raises(AttributeError):
+                b.error = None
+
     def test_phases_match_the_per_instant_form(self, path3_topology):
         # one list per column gives the bits of one list per instant
         sim = Simulation(path3_topology, GAINS, self.GRID, reference_profiles(),
@@ -1282,6 +1359,12 @@ class TestRandomRuns:
         for a, b in zip(fields, stepped):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    @settings(max_examples=25)
+    @given(settling_runs())
+    def test_filled_fields_match_the_rotated_fill(self, run):
+        topo, grid, stride, horizon, profiles, dist = run
+        assert_filled_as_rotated_fill(topo, grid, profiles, dist, horizon, stride)
 
     @settings(max_examples=25)
     @given(settling_runs())
