@@ -60,7 +60,8 @@ def spatial_derivative(field, grid) -> np.ndarray:
         raise ValueError(f"field length {z.shape[-1]} does not match grid nx={grid.nx}")
     d = np.empty_like(z)
     dx = grid.dx
-    d[..., 1:-1] = (z[..., 2:] - z[..., :-2]) / (2.0 * dx)
+    np.divide(np.subtract(z[..., 2:], z[..., :-2], out=d[..., 1:-1]), 2.0 * dx,
+              out=d[..., 1:-1])
     d[..., 0] = (-3.0 * z[..., 0] + 4.0 * z[..., 1] - z[..., 2]) / (2.0 * dx)
     d[..., -1] = (3.0 * z[..., -1] - 4.0 * z[..., -2] + z[..., -3]) / (2.0 * dx)
     return d if np.asarray(field).ndim > 1 else d[0]

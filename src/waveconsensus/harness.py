@@ -407,7 +407,8 @@ def write_csv(path, series: analysis.TimeSeries, cert=None) -> None:
 
 
 def read_csv(path) -> dict:
-    """Read a fixed-schema CSV back into column arrays (None-padded)."""
+    """Read a fixed-schema CSV back into column arrays, NaN where a cell is
+    blank: by numpy's reader, or by `_scanned` where that reader fails."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines[0].split(",") != list(CSV_COLUMNS):
@@ -415,6 +416,30 @@ def read_csv(path) -> dict:
     data = [(line, ln) for line, ln in enumerate(lines[1:], 2) if ln]
     if not data:
         raise ConfigError(f"{path}: no data rows")
+    blank = {j: _blank_or_finite for j, v in enumerate(data[0][1].split(",")) if j and not v}
+    try:  # float() reads each cell numpy's reader accepts to the same double
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2, encoding=None,
+                           converters=blank)
+        # a row of another width or a value not finite goes to the scan (\r read as \n)
+        fast = table.shape == (len(data), len(CSV_COLUMNS)) and np.isfinite(
+            np.delete(table, list(blank), axis=1)).all()
+    except ValueError:
+        fast = False
+    cols = dict(zip(CSV_COLUMNS, np.ascontiguousarray(table.T))) if fast else _scanned(path, data)
+    if np.any(np.diff(cols["t"]) <= 0):
+        raise ConfigError(f"{path}: time column is not strictly increasing")
+    return cols
+
+
+def _blank_or_finite(cell):  # numpy's reader of a column blank in the first row
+    if cell and not math.isfinite(value := float(cell)):
+        raise ValueError(cell)
+    return value if cell else math.nan
+
+
+def _scanned(path, data) -> dict:
+    """The columns of the data rows (line number, text), cell by cell: a bad
+    cell raises a ConfigError naming its line and column."""
     width, (numbers, rows) = len(CSV_COLUMNS), zip(*data)
     for line, row in data:
         count = row.count(",") + 1
@@ -426,23 +451,15 @@ def read_csv(path) -> dict:
     cols = {}
     for j, name in enumerate(CSV_COLUMNS):
         vals = cells[j::width]
-        try:
-            cols[name] = np.fromiter(map(float, vals), float, len(vals))
-        except ValueError:  # a blank or malformed cell
-            cols[name] = None
-        if cols[name] is None or not np.isfinite(cols[name]).all():  # blank cells read NaN
-            for line, v in zip(numbers, vals):
-                if v or name == "t":  # only t may not be blank
-                    try:
-                        problem = None if math.isfinite(float(v)) else "is not a finite number"
-                    except ValueError:
-                        problem = "is not a number"
-                    if problem:
-                        raise ConfigError(f"{path}: line {line}, column {name}: {v!r} {problem}")
-            cols[name] = np.array([float(v) if v else np.nan for v in vals])
-    t = cols["t"]
-    if np.any(np.diff(t) <= 0):
-        raise ConfigError(f"{path}: time column is not strictly increasing")
+        for line, v in zip(numbers, vals):
+            if v or name == "t":  # only t may not be blank
+                try:
+                    problem = None if math.isfinite(float(v)) else "is not a finite number"
+                except ValueError:
+                    problem = "is not a number"
+                if problem:
+                    raise ConfigError(f"{path}: line {line}, column {name}: {v!r} {problem}")
+        cols[name] = np.array([float(v) if v else np.nan for v in vals])  # blank cells read NaN
     return cols
 
 

@@ -432,24 +432,27 @@ class _Propagator:
         # the interior and never reach node nx - 1.  Each is stepped on the
         # `span` nodes from its own end: its response stays clear of the nine
         # nodes the far end's formulas read, so each node it reaches gets the
-        # operations of the full line
+        # operations of the full line.  The levels, their correction (the
+        # stencil's reach included) and the window scan cover only the nodes
+        # of the two lines, never all nx
         edge = np.flatnonzero(np.minimum(np.arange(nx), nx - 1 - np.arange(nx)) < 2 * c + 8)
         cl, cx = np.repeat([0, 1], edge.size), np.tile(edge, 2)
         span, left = min(nx, 2 * c + 17 + reach), cx < 2 * c + 8
+        nodes = np.r_[:min(span, nx - span), nx - span:nx]  # the nodes of both lines
         u = np.zeros((2, cx.size, span))
         u[cl, np.arange(cx.size), np.where(left, cx, cx - nx + span)] = 1.0
-        a = np.zeros((cx.size, q + 1, nx))
+        a = np.zeros((cx.size, q + 1, nodes.size))
         lines = _levels(stepper, u[0], u[1], q)
-        a[left, :, :span], a[~left, :, nx - span:] = lines[left], lines[~left]
+        a[left, :, :span], a[~left, :, -span:] = lines[left], lines[~left]
         imp = _delayed(a[(cl == 0) & (cx == nx - 1)][0], q)  # the unit u^k of node nx - 1
         kh = _end_terms(imp) - np.eye(q, 2 * q)  # a row's own d_j does not see b_j
         corr, g = a[:, [1, q, q - 1]], imp[:, [1, q, q - 1]]
-        corr -= stencil(np.arange(3)[:, None], cl[:, None, None], np.arange(nx) - cx[:, None, None])
+        corr -= stencil(np.arange(3)[:, None], cl[:, None, None], nodes - cx[:, None, None])
         cols = corr.any(axis=(1, 2)) | _end_terms(a).any(axis=1)  # the windows
-        ol_o, x_o = np.nonzero(corr[cols].any(axis=0) | g.any(axis=0))
-        il_w, x_w = cl[cols], cx[cols]
-        self.ch = np.vstack([corr[cols][:, ol_o, x_o].T, _end_terms(a[cols]).T])
-        self.g = g[:, ol_o, x_o].T
+        ol_o, p_o = np.nonzero(corr[cols].any(axis=0) | g.any(axis=0))
+        x_o, il_w, x_w = nodes[p_o], cl[cols], cx[cols]
+        self.ch = np.vstack([corr[cols][:, ol_o, p_o].T, _end_terms(a[cols]).T])
+        self.g = g[:, ol_o, p_o].T
         st = _Stepper(grid, gains, lam)
         d = np.kron(np.c_[st.a_inv - 1.0, -st.a_inv * st.k1m][:, None], np.eye(q))  # D per row
         self.w = np.linalg.solve(np.eye(q) - d @ kh.T, d)
@@ -498,19 +501,26 @@ class _Propagator:
             cols, self.lag = [b @ self.lag for b in cols], None
         self.basis = np.asfortranarray(np.hstack(cols))  # few columns: BLAS's fast layout
 
-    def apply(self, x, out, k: int):
+    def loads(self, steps):
+        """z of `apply` for products from each of `steps`, (steps, row, pattern,
+        Re and Im of each w), from one call; None unless `lag` is folded."""
+        if self.amp is not None and self.lag is None:
+            turn = np.exp(1j * (np.asarray(steps)[:, None] * self.dt) * self.omegas)
+            return (self.amp * turn[:, None, None]).view(float)
+
+    def apply(self, x, out, k: int, z=None):
         """One product from step k: `out` gets u^(k+1) and the state q steps
         on (3c x tiles*rows) of the state whose left, centre and right tiles
-        are stacked in `x` (6c x tiles*rows)."""
+        are stacked in `x` (6c x tiles*rows); z is `loads` of k, if made."""
         c, rows, n = self.c, self.rows, self.outs.size
         np.matmul(self.k, x, out=out)
         o = out.reshape(-1, rows)
         ch = self.ch @ np.take(x[2 * c:4 * c].reshape(-1, rows), self.ins, axis=0)
         if self.amp is not None:  # (row, pattern, Re and Im of each w), or the q loads
-            turn = np.exp(1j * (k * self.dt) * self.omegas)
             if self.lag is None:
-                z = (self.amp * turn).view(float)
+                z = self.loads([k])[0] if z is None else z
             else:  # the phases first: a rows x q temporary, not rows x n_w
+                turn = np.exp(1j * (k * self.dt) * self.omegas)
                 z = self.amp.view(float).reshape(-1, self.lag.shape[1]) @ (
                     self.lag.view(complex) * turn.conj()).view(float).T
             f = self.basis @ z.reshape(rows, -1).T
@@ -665,8 +675,9 @@ class Simulation:
         of the `_Propagator` of S^p (a shorter final stride takes one of its
         own power, a longer one more), on one pair of tile buffers; it also
         gives u^(k+1) for the centered velocity.  Each sample's u^k and
-        u^(k+1) - u^(k-1) go into a block of fields (about _CHUNK_BYTES), and
-        each block to the observers, on the calling thread.  After a sample,
+        u^(k+1) - u^(k-1) are copied as tiles into a block (about
+        _CHUNK_BYTES), which is turned to fields by row and node once, and
+        each block goes to the observers, on the calling thread.  After a sample,
         an unforced row whose peak fell below 2^-_FLUSH_BITS is set to zero,
         out of the slow subnormal range.  A sample diverges when a modal row
         (the leader, or Q^T of the deviations) passes DIVERGENCE_LIMIT,
@@ -706,10 +717,10 @@ class Simulation:
         # the state's left, centre and right tiles, and a product from it
         x, out = np.zeros((6 * c, tiles * rows)), np.empty((3 * c, tiles * rows))
         centre = x[2 * c:4 * c]
-        fields = np.empty((2, size, rows, nx))  # u^k, and u^(k+1) - u^(k-1)
-
-        def rows_of(a):  # (c, tiles * rows) -> (rows, nx)
-            return a.reshape(c, tiles, rows).T.reshape(rows, tiles * c)[:, :nx]
+        # u^k, and u^(k+1) - u^(k-1), of a block's samples by row and node (the
+        # nodes past nx - 1 of the last tile are cut off)
+        padded = np.empty((2, size, rows, tiles * c))
+        fields = padded[..., :nx]
 
         # only unforced rows are flushed; probe: per watched row, where its
         # largest entry was last seen in the centre tiles
@@ -727,19 +738,20 @@ class Simulation:
                 self._emit(instants, len(instants), fields, observers, 0,
                            settle.phases(instants), coef)
                 continue
-            stop = len(instants)
+            stop, z = len(instants), op(power).loads(instants)
+            tiled = np.empty((2, stop, c, tiles * rows))  # the block's fields as tiles
             for i, k in enumerate(instants):
                 _spread(state, x, c, rows)
                 # u^k, the reported level, is checked in the modal rows (the
                 # leader and Q^T of the deviations), not the physical fields
-                fields[0, i] = rows_of(centre[0::2])
-                if not np.abs(fields[0, i]).max() <= DIVERGENCE_LIMIT:
+                tiled[0, i] = centre[0::2]
+                if not np.abs(tiled[0, i]).max() <= DIVERGENCE_LIMIT:
                     stop = i
                     break
                 nxt = min(k + stride, nsteps)
                 q = min(nxt - k, power) or power  # the last sample: only u^(k+1)
-                op(q).apply(x, out, k)
-                fields[1, i] = rows_of(out[:c] - centre[1::2])
+                op(q).apply(x, out, k, None if z is None or q != power else z[i])
+                np.subtract(out[:c], centre[1::2], out=tiled[1, i])
                 if k == nsteps:
                     break
                 if probe.size and min(map(abs, centre.reshape(-1)[probe].tolist())) < tiny:
@@ -757,6 +769,9 @@ class Simulation:
                     _spread(state, x, c, rows)
                     op(q).apply(x, out, k)
                     state, k = out[c:], k + q
+            padded[:, :stop].reshape(2, stop, rows, tiles, c)[:] = tiled[:, :stop].reshape(
+                2, stop, c, tiles, rows).transpose(0, 1, 4, 3, 2)
+            del tiled  # not kept beside the deviations `_emit` forms
             phi = None if settle.coef is None else settle.phases(instants[:stop])
             i = settle.feed(fields, phi, stop)
             if i is not None:  # the samples from i on are filled

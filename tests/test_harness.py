@@ -7,10 +7,11 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waveconsensus import harness
@@ -547,6 +548,46 @@ class TestCheckGains:
         assert "needs xi1 and xi2" in res.report
 
 
+# Random CSV texts for the reader's property test (Hypothesis): doubles by
+# repr, subnormals included, and cells that only float() reads, that neither
+# reads, or that numpy's parser and float() might read apart.
+ODD_CELLS = ("", " ", " 1.5", "2.5 ", "\t3", "nan", "-inf", "inf", "1e400", "1e-320", "-0.0",
+             "#", "#1", "1#", "\r", "1\r2", "1_0", "0x10", "abc", "١", "1\xa0")
+
+
+@st.composite
+def csv_texts(draw):
+    """A header and 1-6 data rows in order of t: whole blank columns, stray
+    blank and odd cells, rows a cell short or long, and blank lines."""
+    width = len(harness.CSV_COLUMNS)
+    blank = draw(st.sets(st.integers(1, width - 1)))
+    doubles = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    lines = [",".join(harness.CSV_COLUMNS)]
+    columns = st.integers(0, width - 1)  # where a stray cell goes: a blank column or t half the time
+    columns = st.one_of(columns, st.sampled_from(sorted(blank | {0}))) if blank else columns
+    for i in range(draw(st.integers(1, 6))):
+        cells = [repr(0.25 * i)] + ["" if j in blank else draw(doubles) for j in range(1, width)]
+        for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2)))):  # stray cells
+            cells[draw(columns)] = draw(st.sampled_from(ODD_CELLS))
+        cells = cells[:draw(st.sampled_from((width, width, width, width - 1, width + 1)))]
+        cells += ["0.5"] * (width + 1 - len(cells)) if len(cells) > width else []
+        lines += [""] * draw(st.sampled_from((0, 0, 0, 1))) + [",".join(cells)]
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "")))
+
+
+def csv_text(*rows):
+    """The header and `rows` (lists of cells) as CSV text."""
+    return "\n".join(map(",".join, [harness.CSV_COLUMNS, *rows])) + "\n"
+
+
+def read_outcome(path):
+    """`read_csv`'s columns as bytes, or its ConfigError text."""
+    try:
+        return {name: col.tobytes() for name, col in harness.read_csv(path).items()}
+    except ConfigError as exc:
+        return str(exc)
+
+
 class TestCsv:
     def test_write_read_round_trip(self, tmp_path, path3_topology):
         config = harness.test_preset(1)
@@ -559,6 +600,38 @@ class TestCsv:
         assert np.allclose(cols["V"], series.column("V"), rtol=0, atol=0)
         assert np.all(np.isnan(cols["iss_bound_conservative"]))
         assert np.isfinite(cols["bound_envelope"]).all()
+
+    def test_numpy_reader_reads_written_csvs(self, tmp_path):
+        # what write_csv writes, nominal (blank ISS columns) and disturbed
+        # (a blank envelope), is read by numpy's reader alone: the per-cell
+        # scan does not run, and it would give the same arrays
+        for preset in (1, 2):
+            config = harness.replace(harness.test_preset(preset), horizon=1.0)
+            series, cert = harness.run_experiment(config)
+            path = tmp_path / f"run{preset}.csv"
+            harness.write_csv(path, series, cert)
+            with mock.patch.object(harness, "_scanned", side_effect=AssertionError):
+                fast = read_outcome(path)
+            with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+                assert read_outcome(path) == fast
+            blank = "bound_envelope" if preset == 2 else "iss_bound_verbatim"
+            assert isinstance(fast, dict) and np.isnan(np.frombuffer(fast[blank])).all()
+
+    @settings(max_examples=300)
+    @given(csv_texts())
+    @example(csv_text(["0.0"] * 15 + ["1#"]))  # not a comment
+    @example(csv_text([""] + ["1.0"] * 15, ["1.0"] * 16))  # t never blank
+    @example(csv_text(["0.0"] * 15 + [""], ["1.0"] * 15 + ["inf"]))
+    def test_numpy_reader_matches_the_cell_scan(self, text):
+        # every array bit for bit (NaN where a cell is blank), or the same
+        # ConfigError text, as the per-cell scan forced on the same file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            got = read_outcome(path)
+            with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+                assert got == read_outcome(path)
 
     def test_empty_csv_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -535,6 +535,26 @@ class TestSimulate:
             assert len(runs[1]) > 3 and runs[1][-1][0] in (83, 84)
             assert runs[3] == runs[1] and runs[None] == runs[1]
 
+    def test_kept_blocks_keep_the_bytes_of_one_sample_per_block(self, path3_topology,
+                                                               monkeypatch):
+        # a block's stepped samples are copied as tiles and turned to fields
+        # by row and node once per block: an observer that keeps every block
+        # and reads it after the run gets the bytes of one sample per block,
+        # over two default blocks of mixed loads whose phases are folded in
+        grid, kept = Grid(nx=81), {}
+        for per_block in (None, 1):  # the default first
+            if per_block:
+                use_blocks(monkeypatch, per_block, grid)
+            blocks = []
+            sim = Simulation(path3_topology, GAINS, grid, reference_profiles(),
+                             mixed_disturbances(3))
+            sim.run(40.0, observers=(blocks.append,))
+            assert sim.switch_step is None
+            kept[per_block] = (len(blocks), [b"".join(getattr(b, name).tobytes() for b in blocks)
+                                             for name in ("steps", "times", *FIELDS)])
+        assert kept[None][0] == 2 and kept[1][0] == 357
+        assert kept[1][1] == kept[None][1]
+
     def test_divergence_inside_a_block(self, path3_topology, monkeypatch):
         # observers see exactly the samples before the first diverged one,
         # whatever the block size
@@ -562,9 +582,9 @@ class TestSimulate:
         # 3710), and none for it or the rest of its block
         apply, calls = wavesim._Propagator.apply, []
 
-        def spy(self, x, out, k):
+        def spy(self, x, out, k, *z):
             calls.append(k)
-            return apply(self, x, out, k)
+            return apply(self, x, out, k, *z)
 
         monkeypatch.setattr(wavesim._Propagator, "apply", spy)
         with pytest.raises(DivergenceError):
@@ -714,11 +734,11 @@ print(*seen, threading.active_count())
             modal.append(fields[:, :cut].copy())  # the modal fields of the stepped samples
             return emit(self, instants, stop, fields, observers, cut, *filled)
 
-        def apply_spy(self, x, out, k):  # one product per sample at stride 7
+        def apply_spy(self, x, out, k, *z):  # one product per sample at stride 7
             # each row's peak over both levels of its state, as the flush
             # reads it: the centre tiles, (entry, tile) x row
             peaks.append(np.abs(x[2 * self.c:4 * self.c].reshape(-1, self.rows)).max(axis=0))
-            return apply(self, x, out, k)
+            return apply(self, x, out, k, *z)
 
         monkeypatch.setattr(Simulation, "_emit", emit_spy)
         monkeypatch.setattr(wavesim._Propagator, "apply", apply_spy)
@@ -1011,6 +1031,48 @@ class TestPropagator:
                 tracemalloc.stop()
         assert op.lag is not None and op.basis.shape[1] == 10
         assert peaks[0] - peaks[1] <= 8 * op.basis.shape[0] * op.rows + 32 * op.rows * 10
+
+    def test_block_loads_are_the_per_product_turn(self):
+        # `loads` makes the folded z of a block's products from one call: each
+        # is bit for bit amp e^(i w k dt) of its own step k, and `apply` given
+        # it writes the bytes of the product that turns its own phases; with
+        # more than q / 2 frequencies the phases stay apart and a product
+        # turns its own
+        steps = [0, 10, 20, 30, 987_650, 10**7 + 3]
+        for n_w in (1, 5, 6):
+            dist = replace(end_disturbances(6, "psi0", n_w),
+                           psi1=end_disturbances(6, "psi1", n_w).psi1)
+            sim = Simulation(path_topology(6), GAINS, Grid(nx=41), varied_profiles(6), dist)
+            op = wavesim._Propagator(sim, 10)
+            z = op.loads(steps)
+            if n_w == 6:
+                assert op.lag is not None and z is None
+                continue
+            assert op.lag is None and z.shape == (len(steps), op.rows, 2, 2 * n_w)
+            x = np.random.default_rng(n_w).standard_normal((6 * op.c, op.tiles * op.rows))
+            for k, zk in zip(steps, z):
+                assert zk.tobytes() == (op.amp * np.exp(1j * (k * op.dt) * op.omegas)).view(
+                    float).tobytes()
+                own, given = (np.empty((3 * op.c, op.tiles * op.rows)) for _ in range(2))
+                op.apply(x, own, k)
+                op.apply(x, given, k, zk)
+                assert given.tobytes() == own.tobytes()
+
+    def test_end_windows_are_formed_on_their_lines(self):
+        # the end inputs' levels, correction and window scan cover only the
+        # nodes of their two lines of `span` nodes: nx wide, they took the
+        # build's tracemalloc peak to 55 MiB at nx = 2,001 (6.5 MiB at
+        # nx = 201); what is left grows with nx only through the forced
+        # response (about 8 MiB here)
+        sim = Simulation(path_topology(3), GAINS, Grid(nx=2001), reference_profiles(),
+                         mixed_disturbances(3))
+        tracemalloc.start()
+        try:
+            wavesim._Propagator(sim, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 2**20, peak / 2**20
 
     def test_forced_build_keeps_q_real(self):
         # the modal amplitudes are two real products with Q: a complex table
