@@ -2,7 +2,7 @@
 boundary-controlled 1-D wave agents."""
 
 from .analysis import (FunctionalSample, FunctionalWeights, TimeSeries,
-                       agmon_check, decay_fit, iss_check, l2_norm_scalar,
+                       agmon_check, bound_columns, decay_fit, iss_check, l2_norm_scalar,
                        l2_norm_vector, lyapunov_sample, open_loop_energy,
                        pointwise_bound_check, poincare_check,
                        spatial_derivative)

@@ -1,17 +1,17 @@
 """Discrete norms, Lyapunov functionals, and the certificate checkers.
 
-All spatial integrals use composite-trapezoid quadrature (matching the
-solver's second order), and the velocity entering the functionals is the
-same centered two-step difference the simulator reports.  Functional values
-below FLUSH_FLOOR are reported as exact zeros: beyond that point the
-quadratics sit in the IEEE subnormal range where quantization noise would
-masquerade as growth.
+All spatial integrals use composite-trapezoid quadrature, second order on
+smooth fields (the solver's forced boundary response is first order), and
+the velocity entering the functionals is the same centered two-step
+difference the simulator reports.  Functional values below FLUSH_FLOOR are
+reported as exact zeros: beyond that point the quadratics sit in the IEEE
+subnormal range where quantization noise would masquerade as growth.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from . import certificate as cert_mod
 from .errors import CertificateError
 
 FLUSH_FLOOR = 1e-300
+MONOTONE_SLACK = 1e-6   # relative growth of V between samples that the monotone check forgives
+SANDWICH_SLACK = 1e-8   # relative slack of tau1 V0 <= V <= tau2 V0
+ENVELOPE_SLACK = 0.05   # relative slack of the envelope and the pointwise bound
 
 
 @dataclass(frozen=True)
@@ -99,10 +102,8 @@ class TimeSeries:
     _size: int = field(init=False, repr=False, default=0)
     stepped_to: float | None = None  # where a simulation stopped stepping, if before the end
 
-    _FIELDS = ("E", "G1", "G2", "V", "V0", "l2_error", "h1_seminorm",
-               "ptwise_max_sq", "boundary_err_sq",
-               "es_psi0_sq", "es_psi1_sq", "es_f_sq")
-    _ROWS = {name: i for i, name in enumerate(("time", *_FIELDS))}
+    _ROWS = {f.name: i for i, f in enumerate(fields(FunctionalSample))}
+    _FIELDS = tuple(_ROWS)[1:]
 
     def append(self, sample: FunctionalSample) -> None:
         """Append one sample, or a batch whose fields are (s,) arrays."""
@@ -239,19 +240,15 @@ def open_loop_energy_fields(fields, velocity, grid) -> float:
     return 0.0 if energy < FLUSH_FLOOR else energy
 
 
-def decay_fit(times, values, window=None):
+def decay_fit(times, values):
     """Least-squares exponential rate of a positive series: slope of
-    log(value) against t over the window; returns (rate, r_squared)."""
+    log(value) against t; returns (rate, r_squared)."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if window is not None:
-        lo, hi = window
-        keep = (t >= lo) & (t <= hi)
-        t, v = t[keep], v[keep]
     if t.size < 2:
-        raise ValueError("decay fit needs at least two samples in the window")
+        raise ValueError("decay fit needs at least two samples")
     if np.any(v <= 0.0):
-        raise ValueError("decay fit needs positive values in the window")
+        raise ValueError("decay fit needs positive values")
     logs = np.log(v)
     slope, intercept = np.polyfit(t, logs, 1)
     fitted = slope * t + intercept
@@ -299,21 +296,42 @@ def bound_report(t, value, bound, scale=None) -> BoundReport:
                        worst_ratio=worst)
 
 
-def monotone_decay_report(series: TimeSeries, rel_slack: float = 1e-6,
-                          abs_floor: float = 0.0) -> BoundReport:
-    """Per-sample nonincrease check of V: V[k+1] <= V[k] (1 + rel) + abs_floor."""
-    v = series.column("V")
-    return bound_report(series.column("time")[1:], v[1:],
-                        v[:-1] * (1.0 + rel_slack) + abs_floor, scale=v[:-1])
-
-
-def sandwich_report(series: TimeSeries, cert, rel_slack: float = 1e-8) -> BoundReport:
-    """tau1 V0 <= V <= tau2 V0 at every sample."""
-    v = series.column("V")
-    v0 = series.column("V0")
+def bound_columns(series: TimeSeries, cert) -> dict:
+    """The columns a certificate's regime reports, by CSV name, and the arrays
+    the checks compare against: the unperturbed envelope V(0) exp(-alpha t),
+    or the perturbed ISS bounds on V0 (`certificate.iss_bound`) with the
+    running sups es_* that they take; none without a certificate."""
     t = series.column("time")
+    regime = getattr(cert, "regime", None)
+    if regime == "unperturbed":
+        return {"bound_envelope": series.column("V")[0] * cert_mod._decay(cert.alpha, t)}
+    if regime != "perturbed":
+        return {}
+    sups = {name: series.column(name) for name in TimeSeries._FIELDS if name.startswith("es_")}
+    v0 = float(series.column("V0")[0])
+    return {f"iss_bound_{variant}": cert_mod.iss_bound(cert, v0, t, *sups.values(),
+                                                       conservative=variant == "conservative")
+            for variant in ("conservative", "verbatim")} | sups
+
+
+def _bounds(series: TimeSeries, cert, regime: str) -> dict:
+    if cert.regime != regime:
+        raise CertificateError(f"the check needs a {regime}-regime certificate")
+    return bound_columns(series, cert)
+
+
+def monotone_decay_report(series: TimeSeries) -> BoundReport:
+    """Per-sample nonincrease check of V: V[k+1] <= V[k] (1 + MONOTONE_SLACK)."""
+    v = series.column("V")
+    return bound_report(series.column("time")[1:], v[1:], v[:-1] * (1.0 + MONOTONE_SLACK),
+                        scale=v[:-1])
+
+
+def sandwich_report(series: TimeSeries, cert) -> BoundReport:
+    """tau1 V0 <= V <= tau2 V0 at every sample, each side up to SANDWICH_SLACK."""
+    v, v0, t = (series.column(name) for name in ("V", "V0", "time"))
     lo, hi = cert.tau1 * v0, cert.tau2 * v0
-    bad = ~((lo <= v * (1.0 + rel_slack)) & (v <= hi * (1.0 + rel_slack)))
+    bad = ~((lo <= v * (1.0 + SANDWICH_SLACK)) & (v <= hi * (1.0 + SANDWICH_SLACK)))
     worst = 0.0
     if bad.any():
         scale = np.maximum(np.maximum(np.abs(hi[bad]), np.abs(v[bad])), 1e-300)
@@ -324,22 +342,19 @@ def sandwich_report(series: TimeSeries, cert, rel_slack: float = 1e-8) -> BoundR
                        worst_ratio=worst)
 
 
-def envelope_report(series: TimeSeries, cert, slack: float = 0.05) -> BoundReport:
-    """V(t) <= V(0) exp(-alpha t) (1 + slack) at every sample."""
-    v = series.column("V")
-    t = series.column("time")
-    return bound_report(t, v, v[0] * cert_mod._decay(cert.alpha, t) * (1.0 + slack))
+def envelope_report(series: TimeSeries, cert) -> BoundReport:
+    """V(t) <= V(0) exp(-alpha t) (1 + ENVELOPE_SLACK) at every sample."""
+    return bound_report(series.column("time"), series.column("V"),
+                        _bounds(series, cert, "unperturbed")["bound_envelope"]
+                        * (1.0 + ENVELOPE_SLACK))
 
 
-def pointwise_bound_check(series: TimeSeries, cert, v_initial: float | None = None,
-                          slack: float = 0.05) -> BoundReport:
-    """max_x |u~_i(x,t)|^2 <= delta exp(-alpha t) with delta from the
-    certificate's pointwise-envelope factor and V(0)."""
-    if v_initial is None:
-        v_initial = float(series.column("V")[0])
-    t = series.column("time")
-    bound = cert.delta_factor * v_initial * cert_mod._decay(cert.alpha, t) * (1.0 + slack)
-    return bound_report(t, series.column("ptwise_max_sq"), bound)
+def pointwise_bound_check(series: TimeSeries, cert) -> BoundReport:
+    """max_x |u~_i(x,t)|^2 <= delta V(0) exp(-alpha t) (1 + ENVELOPE_SLACK),
+    with delta the certificate's pointwise-envelope factor."""
+    envelope = _bounds(series, cert, "unperturbed")["bound_envelope"]
+    return bound_report(series.column("time"), series.column("ptwise_max_sq"),
+                        cert.delta_factor * envelope * (1.0 + ENVELOPE_SLACK))
 
 
 @dataclass(frozen=True)
@@ -358,25 +373,14 @@ def iss_check(series: TimeSeries, cert, dist=None) -> IssReport:
     The conservative variant (transient scaled by tau2/tau1) is the
     contractual bound; the verbatim-paper variant is evaluated alongside.
     """
-    if cert.regime != "perturbed":
-        raise CertificateError("iss_check needs a perturbed-regime certificate")
-    if dist is not None:
-        for st in dist.f:
-            if st.kind == "separable" and st.spatial.kind == "table":
-                warnings.warn(
-                    "table-based disturbance profiles carry no smoothness "
-                    "guarantee; the ISS theorem assumes C^2 boundary data",
-                    stacklevel=2)
-    t = series.column("time")
-    v0 = series.column("V0")
-    v0_init = float(v0[0])
-    es0 = series.column("es_psi0_sq")
-    es1 = series.column("es_psi1_sq")
-    esf = series.column("es_f_sq")
-    reports = [bound_report(t, v0, cert_mod.iss_bound(cert, v0_init, t, es0, es1, esf,
-                                                      conservative=conservative))
-               for conservative in (True, False)]
-    return IssReport(conservative=reports[0], verbatim=reports[1])
+    bounds = _bounds(series, cert, "perturbed")
+    if dist is not None and any(st.kind == "separable" and st.spatial.kind == "table"
+                                for st in dist.f):
+        warnings.warn("table-based disturbance profiles carry no smoothness guarantee; "
+                      "the ISS theorem assumes C^2 boundary data", stacklevel=2)
+    t, v0 = series.column("time"), series.column("V0")
+    return IssReport(*(bound_report(t, v0, bounds[f"iss_bound_{variant}"])
+                       for variant in ("conservative", "verbatim")))
 
 
 def poincare_check(fields, grid, endpoint: int = 1):

@@ -8,16 +8,16 @@ q = -k1 M u~(1,t) - k2 M u~_t(1,t) (+ psi1), built from boundary samples
 only.  In-domain forcing f acts on followers.
 
 Scheme: explicit 3-point leapfrog in the interior with ghost-point Neumann
-closures.  The boundary velocities use the implicit backward difference
-(u^{k+1}-u^k)/dt: the explicit two-level difference is unstable at the
-reference gains (the k2-feedback coefficient exceeds the stability margin
-by an order of magnitude), while the implicit form costs one n-by-n solve
-per step (one division per modal row) and is stable for courant <= 1.  A
-6th-difference filter on the oldest time level (strength eps0
-(1 - courant^2), zero at courant = 1 where transport is exact) drains
-near-Nyquist content that otherwise has vanishing group velocity and
-never reaches the dissipative boundaries; its response on resolved modes
-is O(theta^6) and does not perturb the solver's second-order convergence.
+closures, second order on the reflective standing wave.  The boundary
+velocities use the implicit backward difference (u^{k+1}-u^k)/dt: the
+explicit two-level difference is unstable at the reference gains, while the
+implicit form costs one division per modal row.  It lags half a step, so
+the forced boundary response is first order, and a row's spectral radius
+exceeds 1 when k2 lam is small against k1 lam dx.  A 6th-difference filter
+on the oldest time level (strength eps0 (1 - courant^2), zero at courant = 1
+where transport is exact) drains near-Nyquist content that otherwise has
+vanishing group velocity and never reaches the dissipative boundaries; its
+response on resolved modes is O(theta^6), and it bounds courant from below.
 
 `Simulation` runs in modal coordinates.  The pinned matrix is symmetric,
 M = Q diag(lam) Q^T, so the deviation (error) dynamics split along its
@@ -59,11 +59,14 @@ _CHUNK_BYTES = 1 << 20  # deviation fields per block of samples and functional b
 _FIT_BYTES = 1 << 22    # the steady state's coefficients; runs that need more keep stepping
 _WINDOW = 8             # samples per check of the steady state
 _D6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0])
+COURANT_FLOOR = 1e-6  # _Settle's leader solve is singular from 1e-9 (nx = 3) or 1e-10 (nx = 401)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform space-time grid; dt = courant * dx with courant <= 1."""
+    """Uniform space-time grid; dt = c dx with COURANT_FLOOR <= c <= 1 and c^2 > d / (4 + d),
+    d the dissipation: by Jury's test a root of the filtered grid-Nyquist mode's
+    z^2 - 2 (1 - 2 c^2) z + 1 - d (1 - c^2) = 0 leaves the unit circle otherwise."""
 
     nx: int = 201
     courant: float = 0.9
@@ -72,11 +75,14 @@ class Grid:
     def __post_init__(self):
         if not self.nx >= 3:
             raise ValueError(f"nx: the grid needs at least 3 points, got {self.nx}")
-        if not 0.0 < self.courant <= 1.0:
-            raise ValueError(
-                f"courant: {self.courant} violates the CFL bound (0, 1]")
         if not 0.0 <= self.dissipation <= 1.0:
             raise ValueError(f"dissipation: {self.dissipation} is not in [0, 1]")
+        if not COURANT_FLOOR <= self.courant <= 1.0:
+            raise ValueError(f"courant: {self.courant} violates the CFL bound 1 "
+                             f"or the floor {COURANT_FLOOR:g}")
+        if not self.courant ** 2 > self.dissipation / (4.0 + self.dissipation):
+            raise ValueError(f"courant: {self.courant} lets the grid-Nyquist mode grow; "
+                             f"courant^2 must exceed dissipation / (4 + dissipation)")
 
     @property
     def dx(self) -> float:

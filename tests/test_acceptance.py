@@ -92,10 +92,10 @@ def test_criterion_3_solver_order():
 def test_criterion_4_theorem1_suite(test1_run):
     result, elapsed = test1_run
     series, cert = result.series, result.certificate
-    sw = sandwich_report(series, cert, rel_slack=1e-8)
-    mono = monotone_decay_report(series, rel_slack=1e-6)
-    env = harness.analysis.envelope_report(series, cert, slack=0.05)
-    pw = pointwise_bound_check(series, cert, slack=0.05)
+    sw = sandwich_report(series, cert)
+    mono = monotone_decay_report(series)
+    env = harness.analysis.envelope_report(series, cert)
+    pw = pointwise_bound_check(series, cert)
     l2 = series.column("l2_error")
     final_ok = l2[-1] < 0.01 * l2[0]
     ok = (sw.ok and mono.ok and env.ok and pw.ok and final_ok

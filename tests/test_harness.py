@@ -18,7 +18,7 @@ from waveconsensus import harness
 from waveconsensus.cli import main
 from waveconsensus.errors import ConfigError
 from waveconsensus.signals import PROFILE_KINDS, SIGNAL_KINDS, SPACETIME_KINDS
-from waveconsensus.wavesim import Grid
+from waveconsensus.wavesim import COURANT_FLOOR, Grid
 
 MINIMAL = json.dumps({
     "topology": {"adjacency": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
@@ -273,8 +273,13 @@ def valid_docs(draw):
     if doc.get("grid") is not None:
         put(draw, doc["grid"], "nx", st.integers(3, 12))
         nx = doc["grid"].get("nx") or nx
-        put(draw, doc["grid"], "courant", st.floats(0.0, 1.0, exclude_min=True))
         put(draw, doc["grid"], "dissipation", st.floats(0.0, 1.0))
+        # an admissible courant number: courant^2 > d / (4 + d), and the floor
+        d = doc["grid"].get("dissipation")
+        d = Grid.dissipation if d is None else d
+        lowest = max(COURANT_FLOOR, math.sqrt(d / (4.0 + d)))
+        put(draw, doc["grid"], "courant", st.floats(lowest, 1.0).filter(
+            lambda c: c * c > d / (4.0 + d)))
     put(draw, doc, "horizon", st.floats(0.0, 1e300, exclude_min=True))
     profiles = kinded(PROFILE_KINDS, {
         "amplitude": NUMBERS, "spatial_frequency": NUMBERS,
@@ -401,7 +406,8 @@ class TestBadInput:
             harness.parse_config(json.dumps(with_value(FULL, "output.stirde", 1)))
 
     @pytest.mark.parametrize("path,value", [
-        ("grid.courant", 1.5), ("gains.k1", -1), ("certificate.resolution", 0),
+        ("grid.courant", 1.5), ("grid.courant", 0.15), ("gains.k1", -1),
+        ("certificate.resolution", 0),
         ("grid.nx", 201.7), ("output.stride", 10.9),
         ("topology.adjacency[0][0]", 0.5), ("gains", "x"), ("output.stirde", 1),
         ("certificate.resolution", 1_000_000)])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from waveconsensus import harness
-from waveconsensus.analysis import decay_fit, iss_check
+from waveconsensus.analysis import bound_columns, decay_fit, iss_check
 from waveconsensus.certificate import _decay
 from waveconsensus.signals import (DisturbanceSpec, ProfileSpec, SignalSpec,
                                    SpaceTimeSpec)
@@ -97,6 +97,27 @@ def test_csv_envelope_is_the_checked_libm_bound(test1_run):
     cols = harness.read_csv(result.paths["csv"])
     envelope = cols["V"][0] * _decay(result.certificate.alpha, cols["t"])
     assert cols["bound_envelope"].tobytes() == envelope.tobytes()
+    checked = bound_columns(result.series, result.certificate)
+    assert checked.keys() == {"bound_envelope"}
+    assert checked["bound_envelope"].tobytes() == envelope.tobytes()
+
+
+def test_csv_iss_bounds_are_the_checked_arrays(test2_run):
+    # both ISS columns are the arrays iss_check compares V0 with, bit for
+    # bit, and analyze on the CSV counts the violations summary.json gives
+    result, _ = test2_run
+    cols = harness.read_csv(result.paths["csv"])
+    checked = bound_columns(result.series, result.certificate)
+    for variant in ("conservative", "verbatim"):
+        name = f"iss_bound_{variant}"
+        assert cols[name].tobytes() == checked[name].tobytes()
+    assert np.isnan(cols["bound_envelope"]).all()
+    with open(result.paths["summary"], "r", encoding="utf-8") as fh:
+        checks = json.load(fh)["checks"]
+    n = len(cols["t"])
+    assert harness.run_analyze([result.paths["csv"]]).report == (
+        f"iss_bound_conservative: {checks['iss_conservative']['violations']} violations / {n}\n"
+        f"iss_bound_verbatim: {checks['iss_verbatim']['violations']} violations / {n}")
 
 
 def test_reproduce_artifacts(test1_run):

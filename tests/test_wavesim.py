@@ -19,7 +19,7 @@ from waveconsensus.errors import DivergenceError
 from waveconsensus.graph import build_topology, pinned_matrix
 from waveconsensus.signals import (DisturbanceSpec, ProfileSpec, SignalSpec,
                                    SpaceTimeSpec)
-from waveconsensus.wavesim import (ControlGains, Grid, Simulation, WaveState,
+from waveconsensus.wavesim import (COURANT_FLOOR, ControlGains, Grid, Simulation, WaveState,
                                    boundary_trace, init_state, simulate, step)
 
 GAINS = ControlGains(k1=30.0, k2=10.0, c0=2.5)
@@ -350,6 +350,32 @@ class TestGridAndGains:
     def test_minimum_points(self):
         with pytest.raises(ValueError, match="points"):
             Grid(nx=2)
+
+    @staticmethod
+    def nyquist_radius(courant, dissipation):
+        # the filtered grid-Nyquist mode: z^2 - 2 (1 - 2 c^2) z + 1 - d (1 - c^2) = 0
+        c2 = courant * courant
+        roots = np.roots([1.0, -2.0 * (1.0 - 2.0 * c2), 1.0 - dissipation * (1.0 - c2)])
+        return np.abs(roots).max()
+
+    @pytest.mark.parametrize("dissipation", [0.1, 1.0])
+    def test_courant_below_the_nyquist_bound_is_refused(self, dissipation):
+        # 0.1562 at the default dissipation 0.1, 0.4472 at 1: below it the
+        # grid-Nyquist mode grows (0.155 diverged at step 3,020 on test 2)
+        bound = math.sqrt(dissipation / (4.0 + dissipation))
+        with pytest.raises(ValueError, match="^courant: .*Nyquist"):
+            Grid(nx=51, courant=0.99 * bound, dissipation=dissipation)
+        assert self.nyquist_radius(0.99 * bound, dissipation) > 1.0
+        assert Grid(nx=51, courant=1.01 * bound, dissipation=dissipation).courant == 1.01 * bound
+        assert self.nyquist_radius(1.01 * bound, dissipation) < 1.0
+
+    @pytest.mark.parametrize("courant", [1e-10, 1e-300])
+    def test_courant_below_the_floor_is_refused(self, courant):
+        # without dissipation the Nyquist bound is 0; these courant numbers
+        # ended in a LinAlgError (_Settle) and a ZeroDivisionError (_Propagator)
+        with pytest.raises(ValueError, match="^courant: .*floor"):
+            Grid(nx=51, courant=courant, dissipation=0.0)
+        assert Grid(nx=51, courant=COURANT_FLOOR, dissipation=0.0).courant == COURANT_FLOOR
 
     def test_spacing(self):
         g = Grid(nx=201, courant=0.9)
