@@ -2,9 +2,8 @@
 boundary-controlled 1-D wave agents."""
 
 from .analysis import (FunctionalSample, FunctionalWeights, TimeSeries,
-                       agmon_check, bound_columns, decay_fit, iss_check, l2_norm_scalar,
-                       l2_norm_vector, lyapunov_sample, open_loop_energy,
-                       pointwise_bound_check, poincare_check,
+                       agmon_check, bound_columns, decay_fit, iss_check,
+                       lyapunov_sample, pointwise_bound_check, poincare_check,
                        spatial_derivative)
 from .certificate import (GainCertificate, build_certificate,
                           check_gains_perturbed, check_gains_unperturbed,
@@ -19,7 +18,7 @@ from .harness import (ExperimentConfig, parse_config, run_analyze,
 from .signals import (DisturbanceSpec, ProfileSpec, SignalSpec, SpaceTimeSpec,
                       ess_sup_running, eval_profile, eval_signal,
                       eval_space_time, zero_disturbances)
-from .wavesim import (ControlGains, Grid, WaveState, boundary_trace,
-                      init_state, simulate, step)
+from .wavesim import (ControlGains, Grid, WaveState, init_state, simulate,
+                      step)
 
 __version__ = "0.1.0"

@@ -1,15 +1,16 @@
 """Discrete norms, Lyapunov functionals, and the certificate checkers.
 
-All spatial integrals use composite-trapezoid quadrature, second order on
-smooth fields (the solver's forced boundary response is first order), and
-the velocity entering the functionals is the same centered two-step
-difference the simulator reports.  Functional values below FLUSH_FLOOR are
-reported as exact zeros: beyond that point the quadratics sit in the IEEE
-subnormal range where quantization noise would masquerade as growth.
+`_products` is the one quadrature: every norm, energy and inequality term
+below (the functionals, the error norms, the Poincare and Agmon terms) is
+formed from its composite-trapezoid sums, second order on smooth fields
+(the solver's forced boundary response is first order).  The velocity
+entering the functionals is the same centered two-step difference the
+simulator reports.  Functional values below FLUSH_FLOOR are reported as
+exact zeros: beyond that point the quadratics sit in the IEEE subnormal
+range where quantization noise would masquerade as growth.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -27,31 +28,14 @@ ENVELOPE_SLACK = 0.05   # relative slack of the envelope and the pointwise bound
 @dataclass(frozen=True)
 class FunctionalWeights:
     """Minimal parameter set for evaluating the Lyapunov functionals when
-    no full certificate is in play (open-loop studies use rho1 = rho2 = 0,
-    collapsing V to the plain energy)."""
+    no full certificate is in play.  k1 = rho1 = rho2 = 0 gives V = E, the
+    open-loop energy that acceptance criterion 8 checks; rho1 = rho2 = 0
+    alone leaves 1/2 k1 u~(1)^T M u~(1) in V."""
 
     k1: float
     k2: float
     rho1: float
     rho2: float
-
-
-def l2_norm_scalar(field, grid) -> float:
-    """Trapezoid approximation of the L2 norm on [0, 1]."""
-    z = np.asarray(field, dtype=float)
-    if z.shape != (grid.nx,):
-        raise ValueError(f"field length {z.shape} does not match grid nx={grid.nx}")
-    return math.sqrt(float(np.sum(z * z * grid.weights)))
-
-
-def l2_norm_vector(fields, grid) -> float:
-    """Root of the summed squared scalar norms over the agent vector."""
-    z = np.asarray(fields, dtype=float)
-    if z.ndim == 1:
-        return l2_norm_scalar(z, grid)
-    if z.shape[1] != grid.nx:
-        raise ValueError(f"field length {z.shape[1]} does not match grid nx={grid.nx}")
-    return math.sqrt(float(np.einsum("ij,ij,j->", z, z, grid.weights)))
 
 
 def spatial_derivative(field, grid) -> np.ndarray:
@@ -137,10 +121,6 @@ class TimeSeries:
         """A copy of one column ("time" or a functional) as a float64 array."""
         return self._view(self._ROWS[name]).copy()
 
-    @property
-    def samples(self) -> list:
-        return [FunctionalSample(*row) for row in self._data[:, :self._size].T.tolist()]
-
     def __len__(self) -> int:
         return self._size
 
@@ -217,27 +197,6 @@ def steady_sample(gram, phi, u_tilde, cert, time, es_psi0_sq, es_psi1_sq,
     peak = np.abs(u_tilde).max(axis=(1, 2), initial=0.0)  # squares keep the order of |u|
     values = _functionals(products, peak * peak, cert)
     return FunctionalSample(time, *values, es_psi0_sq, es_psi1_sq, es_f_sq)
-
-
-def open_loop_energy(state, grid, leader: bool) -> float:
-    """Half the squared H1 seminorm plus half the squared velocity norm,
-    for the leader (agent 0) or for the follower stack."""
-    fields = state.u_curr[0:1] if leader else state.u_curr[1:]
-    prev = state.u_prev[0:1] if leader else state.u_prev[1:]
-    vel = (fields - prev) / grid.dt
-    return open_loop_energy_fields(fields, vel, grid)
-
-
-def open_loop_energy_fields(fields, velocity, grid) -> float:
-    z = np.atleast_2d(np.asarray(fields, dtype=float))
-    v = np.atleast_2d(np.asarray(velocity, dtype=float))
-    if z.size == 0:
-        return 0.0
-    w = grid.weights
-    d = spatial_derivative(z, grid)
-    energy = 0.5 * float(np.einsum("ij,ij,j->", d, d, w)) \
-        + 0.5 * float(np.einsum("ij,ij,j->", v, v, w))
-    return 0.0 if energy < FLUSH_FLOOR else energy
 
 
 def decay_fit(times, values):
@@ -383,23 +342,27 @@ def iss_check(series: TimeSeries, cert, dist=None) -> IssReport:
                        for variant in ("conservative", "verbatim")))
 
 
-def poincare_check(fields, grid, endpoint: int = 1):
-    """||b||^2 <= 2 (||b(endpoint)||^2 + ||b_x||^2) evaluated discretely.
+_PLAIN = FunctionalWeights(k1=0.0, k2=0.0, rho1=0.0, rho2=0.0)  # V = E, the plain energy
 
-    Returns (lhs, rhs, holds) for the agent-vector field.
+
+def poincare_check(fields, grid, endpoint: int = 1):
+    """||b||^2 <= 2 (|b(endpoint)|^2 + ||b_x||^2) evaluated discretely.
+
+    Returns (lhs, rhs, holds) for the agent-vector field, from the
+    `lyapunov_sample` columns l2_error, h1_seminorm and boundary_err_sq.
     """
     z = np.atleast_2d(np.asarray(fields, dtype=float))
-    w = grid.weights
-    lhs = float(np.einsum("ij,ij,j->", z, z, w))
-    b = z[:, -1] if endpoint == 1 else z[:, 0]
-    d = spatial_derivative(z, grid)
-    rhs = 2.0 * (float(b @ b) + float(np.einsum("ij,ij,j->", d, d, w)))
+    s = lyapunov_sample(z, np.zeros_like(z), _PLAIN, np.eye(len(z)), grid)
+    lhs = s.l2_error ** 2
+    b = s.boundary_err_sq if endpoint == 1 else float(z[:, 0] @ z[:, 0])
+    rhs = 2.0 * (b + s.h1_seminorm ** 2)
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-8)
 
 
 def agmon_check(field, grid):
     """max_x |u|^2 <= u(1)^2 + ||u|| ||u_x|| evaluated discretely on a
-    single-agent field; returns (lhs, rhs, holds).
+    single-agent field, from the `lyapunov_sample` columns ptwise_max_sq,
+    boundary_err_sq, l2_error and h1_seminorm; returns (lhs, rhs, holds).
 
     This is the paper-stated form.  It is not a theorem for arbitrary H1
     fields (the provable constant on the product term is 2), so `holds`
@@ -408,7 +371,6 @@ def agmon_check(field, grid):
     z = np.asarray(field, dtype=float)
     if z.ndim != 1:
         raise ValueError("agmon_check takes a single-agent field")
-    lhs = float(np.max(z * z))
-    d = spatial_derivative(z, grid)
-    rhs = float(z[-1] ** 2) + l2_norm_scalar(z, grid) * l2_norm_scalar(d, grid)
+    s = lyapunov_sample(z[None], np.zeros((1, z.size)), _PLAIN, np.eye(1), grid)
+    lhs, rhs = s.ptwise_max_sq, s.boundary_err_sq + s.l2_error * s.h1_seminorm
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-8)

@@ -303,21 +303,6 @@ def step(state: WaveState, gains: ControlGains, m, dist: DisturbanceSpec | None,
     return WaveState(time=t + grid.dt, u_prev=u.copy(), u_curr=un)
 
 
-@dataclass(frozen=True)
-class BoundaryTrace:
-    u1: np.ndarray
-    ut1: np.ndarray
-    u0: np.ndarray
-    ut0: np.ndarray
-
-
-def boundary_trace(state: WaveState, grid: Grid) -> BoundaryTrace:
-    """Boundary samples per agent; velocities by the two-level difference."""
-    vel = (state.u_curr - state.u_prev) / grid.dt
-    return BoundaryTrace(u1=state.u_curr[:, -1].copy(), ut1=vel[:, -1].copy(),
-                         u0=state.u_curr[:, 0].copy(), ut0=vel[:, 0].copy())
-
-
 def _formed(name):
     """A field of `SampleBlock`, formed on first access and then kept."""
     def form(self):

@@ -8,12 +8,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import each_sample
 
 from waveconsensus import harness
-from waveconsensus.analysis import (agmon_check, iss_check,
-                                    monotone_decay_report,
-                                    open_loop_energy_fields,
+from waveconsensus.analysis import (agmon_check, iss_check, monotone_decay_report,
                                     pointwise_bound_check, poincare_check,
                                     sandwich_report)
 from waveconsensus.certificate import (check_gains_perturbed,
@@ -21,7 +18,7 @@ from waveconsensus.certificate import (check_gains_perturbed,
 from waveconsensus.graph import eig_extremes_sym
 from waveconsensus.wavesim import ControlGains, Grid, simulate
 
-from test_wavesim import standing_wave_error
+from test_wavesim import leader_energy, standing_wave_error
 
 
 def verdict(number, ok, detail):
@@ -172,21 +169,17 @@ def open_loop_runs(test1_run):
     config = harness.test_preset(1)
     grid = config.grid
 
-    leader_energy = []
-
-    def watch_leader(sp):
-        leader_energy.append(open_loop_energy_fields(
-            sp.leader[None, :], sp.leader_vel[None, :], grid))
-
+    w0 = []
     simulate(None, ControlGains(k1=0.0, k2=0.0, c0=config.gains.c0), grid,
              [(config.leader_ic.displacement, config.leader_ic.velocity)],
-             None, horizon, observers=(each_sample(watch_leader),), stride=10)
+             None, horizon, observers=(lambda b: w0.extend(leader_energy(b, grid)),),
+             stride=10)
 
     series = simulate(config.topology(),
                       ControlGains(k1=0.0, k2=0.0, c0=config.gains.c0), grid,
                       config.profiles(), config.disturbances, horizon,
                       stride=10)
-    return np.array(leader_energy), series, horizon
+    return np.array(w0), series, horizon
 
 
 def test_criterion_8_open_loop_sanity(open_loop_runs):

@@ -12,15 +12,16 @@ import pytest
 from conftest import each_sample, samples
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_analysis import PLAIN
 
 from waveconsensus import analysis, harness, wavesim
-from waveconsensus.analysis import FunctionalWeights, open_loop_energy_fields
+from waveconsensus.analysis import FunctionalWeights, lyapunov_sample
 from waveconsensus.errors import DivergenceError
 from waveconsensus.graph import build_topology, pinned_matrix
 from waveconsensus.signals import (DisturbanceSpec, ProfileSpec, SignalSpec,
                                    SpaceTimeSpec)
 from waveconsensus.wavesim import (COURANT_FLOOR, ControlGains, Grid, Simulation, WaveState,
-                                   boundary_trace, init_state, simulate, step)
+                                   init_state, simulate, step)
 
 GAINS = ControlGains(k1=30.0, k2=10.0, c0=2.5)
 
@@ -220,6 +221,12 @@ def series_bytes(series, first=0):
 
 # functional weights with every term of V in play
 WEIGHTS = FunctionalWeights(k1=30.0, k2=10.0, rho1=0.05, rho2=0.5)
+
+
+def leader_energy(block, grid):
+    """The open-loop energy E of each leader sample of a block."""
+    return lyapunov_sample(block.leader[:, None], block.leader_vel[:, None], PLAIN,
+                           np.eye(1), grid).E
 
 
 def assert_matches_step(snaps, topo, profiles, dist, grid, case):
@@ -483,6 +490,62 @@ class TestStep:
                  "b", u_tilde_boundary))
         assert np.array_equal(sensed["a"], sensed["b"])
 
+    def test_standing_wave_boundary_velocity(self):
+        grid = Grid(nx=201)
+        gains = ControlGains(k1=0.0, k2=0.0, c0=0.0)
+        profiles = [(ProfileSpec(kind="cosine", amplitude=1.0,
+                                 spatial_frequency=1.0), ProfileSpec())]
+        out = step(init_state(grid, profiles, gains), gains, None, None, grid)
+        # d/dt [cos(pi x) cos(pi t)] at x=1 near t=dt/2: +pi sin(pi t)
+        t_mid = 0.5 * grid.dt
+        expected = math.pi * math.sin(math.pi * t_mid)
+        assert (out.u_curr[0, -1] - out.u_prev[0, -1]) / grid.dt == pytest.approx(
+            expected, abs=5e-4)
+
+
+class TestFilter:
+    """`_filter_oldest`, the one stencil `step` shares with `_Stepper`, so no
+    comparison of the two can find an error in it; checked here against its
+    specification: u + eps / 64 times a 6th difference of binomial weights,
+    centred inside, on the seven nodes nearest the end for nodes 1, 2,
+    nx - 3 and nx - 2, and none at the end nodes."""
+
+    ROW = [(-1) ** k * math.comb(6, k) for k in range(7)]
+
+    def diff(self, up, start):
+        return sum(c * up[:, start + k] for k, c in enumerate(self.ROW))
+
+    def test_grid_nyquist_mode_scales_by_one_minus_eps(self):
+        eps = 0.1 * (1.0 - 0.5 ** 2)
+        nyq = (-1.0) ** np.arange(23)
+        out = wavesim._filter_oldest(nyq[None], eps)[0]
+        assert np.array_equal(out[3:-3], (1.0 - eps) * nyq[3:-3])
+
+    def test_polynomials_up_to_degree_five_are_unchanged(self):
+        j = np.arange(17.0)
+        rng = np.random.default_rng(4)
+        for degree in range(6):
+            # integer values: every difference is exact
+            p = np.polyval(rng.integers(-9, 10, degree + 1).astype(float), j)
+            assert np.array_equal(wavesim._filter_oldest(p[None], 0.7)[0], p)
+
+    def test_rows_match_the_specification(self):
+        nx, eps = 19, 0.5  # integer fields and a dyadic eps: exact in any order
+        up = np.random.default_rng(5).integers(-999, 1000, (3, nx)).astype(float)
+        out = wavesim._filter_oldest(up, eps)
+        assert np.array_equal(out[:, [0, -1]], up[:, [0, -1]])
+        starts = {1: 0, 2: 1, nx - 3: nx - 9, nx - 2: nx - 8}
+        for j in range(1, nx - 1):
+            start = starts.get(j, j - 3)
+            assert np.array_equal(out[:, j], up[:, j] + eps / 64 * self.diff(up, start)), j
+
+    def test_short_lines_and_zero_strength_return_the_input(self):
+        up = np.random.default_rng(6).standard_normal((2, 8))
+        assert wavesim._filter_oldest(up, 0.5) is up
+        wide = np.random.default_rng(7).standard_normal((2, 9))
+        assert wavesim._filter_oldest(wide, 0.0) is wide
+        assert not np.array_equal(wavesim._filter_oldest(wide, 0.5), wide)
+
 
 class TestLeaderOnly:
     def test_open_loop_energy_nonincreasing(self):
@@ -491,13 +554,8 @@ class TestLeaderOnly:
         profiles = [(ProfileSpec(kind="cosine", amplitude=10.0, spatial_frequency=2.0),
                      ProfileSpec())]
         energies = []
-
-        def watch(sp):
-            energies.append(open_loop_energy_fields(
-                sp.leader[None, :], sp.leader_vel[None, :], grid))
-
         simulate(None, gains, grid, profiles, None, horizon=30.0,
-                 observers=(each_sample(watch),), stride=10)
+                 observers=(lambda b: energies.extend(leader_energy(b, grid)),), stride=10)
         energies = np.array(energies)
         assert energies[0] > 0
         assert np.all(energies[1:] <= energies[:-1] * (1 + 1e-6) + 1e-12 * energies[0])
@@ -1469,32 +1527,3 @@ class TestRandomRuns:
                                      functional_weights=WEIGHTS, stride=stride))
         assert runs[1].stepped_to is None
         assert_functionals_close(*runs)
-
-
-class TestBoundaryTrace:
-    def test_zero_state(self):
-        grid = Grid(nx=31)
-        state = WaveState(0.0, np.zeros((2, 31)), np.zeros((2, 31)))
-        tr = boundary_trace(state, grid)
-        assert not tr.u1.any() and not tr.ut1.any()
-        assert not tr.u0.any() and not tr.ut0.any()
-
-    def test_constant_state(self):
-        grid = Grid(nx=31)
-        c = np.full((2, 31), 7.0)
-        tr = boundary_trace(WaveState(0.0, c.copy(), c.copy()), grid)
-        assert tr.u1 == pytest.approx([7.0, 7.0])
-        assert not tr.ut1.any()
-
-    def test_standing_wave_velocity(self):
-        grid = Grid(nx=201)
-        gains = ControlGains(k1=0.0, k2=0.0, c0=0.0)
-        profiles = [(ProfileSpec(kind="cosine", amplitude=1.0,
-                                 spatial_frequency=1.0), ProfileSpec())]
-        state = init_state(grid, profiles, gains)
-        out = step(state, gains, None, None, grid)
-        tr = boundary_trace(out, grid)
-        # d/dt [cos(pi x) cos(pi t)] at x=1 near t=dt/2: +pi sin(pi t)
-        t_mid = 0.5 * grid.dt
-        expected = math.pi * math.sin(math.pi * t_mid)
-        assert tr.ut1[0] == pytest.approx(expected, abs=5e-4)
