@@ -19,6 +19,8 @@ time "${cli[@]}" reproduce --test 1 --out "$out" 2>> "$out/stderr"
 "${cli[@]}" analyze "$out/test1/test1.csv" 2>> "$out/stderr"
 TIMEFORMAT="reproduce --test 2: %R s wall"
 time "${cli[@]}" reproduce --test 2 --out "$out" 2>> "$out/stderr"
+# the verbatim ISS variant as the contractual one (conservative_iss=False)
+"${cli[@]}" reproduce --test 2 --verbatim-iss --out "$out/verbatim" 2>> "$out/stderr"
 TIMEFORMAT="reproduce --test 3: %R s wall"
 time "${cli[@]}" reproduce --test 3 --out "$out" 2>> "$out/stderr"
 # numpy's CSV reader on the disturbed preset's output

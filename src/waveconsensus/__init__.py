@@ -3,7 +3,7 @@ boundary-controlled 1-D wave agents."""
 
 from .analysis import (FunctionalSample, FunctionalWeights, TimeSeries,
                        agmon_check, bound_columns, decay_fit, iss_check,
-                       lyapunov_sample, pointwise_bound_check, poincare_check,
+                       lyapunov_sample, poincare_check, regime_checks,
                        spatial_derivative)
 from .certificate import (GainCertificate, build_certificate,
                           check_gains_perturbed, check_gains_unperturbed,

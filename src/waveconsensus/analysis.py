@@ -1,4 +1,5 @@
-"""Discrete norms, Lyapunov functionals, and the certificate checkers.
+"""Discrete norms, Lyapunov functionals, and the certificate checks: one table,
+`regime_checks`, picks a regime's checks against the bounds of `bound_columns`.
 
 `_products` is the one quadrature: every norm, energy and inequality term
 below (the functionals, the error norms, the Poincare and Agmon terms) is
@@ -273,19 +274,6 @@ def bound_columns(series: TimeSeries, cert) -> dict:
             for variant in ("conservative", "verbatim")} | sups
 
 
-def _bounds(series: TimeSeries, cert, regime: str) -> dict:
-    if cert.regime != regime:
-        raise CertificateError(f"the check needs a {regime}-regime certificate")
-    return bound_columns(series, cert)
-
-
-def monotone_decay_report(series: TimeSeries) -> BoundReport:
-    """Per-sample nonincrease check of V: V[k+1] <= V[k] (1 + MONOTONE_SLACK)."""
-    v = series.column("V")
-    return bound_report(series.column("time")[1:], v[1:], v[:-1] * (1.0 + MONOTONE_SLACK),
-                        scale=v[:-1])
-
-
 def sandwich_report(series: TimeSeries, cert) -> BoundReport:
     """tau1 V0 <= V <= tau2 V0 at every sample, each side up to SANDWICH_SLACK."""
     v, v0, t = (series.column(name) for name in ("V", "V0", "time"))
@@ -301,45 +289,41 @@ def sandwich_report(series: TimeSeries, cert) -> BoundReport:
                        worst_ratio=worst)
 
 
-def envelope_report(series: TimeSeries, cert) -> BoundReport:
-    """V(t) <= V(0) exp(-alpha t) (1 + ENVELOPE_SLACK) at every sample."""
-    return bound_report(series.column("time"), series.column("V"),
-                        _bounds(series, cert, "unperturbed")["bound_envelope"]
-                        * (1.0 + ENVELOPE_SLACK))
-
-
-def pointwise_bound_check(series: TimeSeries, cert) -> BoundReport:
-    """max_x |u~_i(x,t)|^2 <= delta V(0) exp(-alpha t) (1 + ENVELOPE_SLACK),
-    with delta the certificate's pointwise-envelope factor."""
-    envelope = _bounds(series, cert, "unperturbed")["bound_envelope"]
-    return bound_report(series.column("time"), series.column("ptwise_max_sq"),
-                        cert.delta_factor * envelope * (1.0 + ENVELOPE_SLACK))
-
-
-@dataclass(frozen=True)
-class IssReport:
-    conservative: BoundReport
-    verbatim: BoundReport
-
-    @property
-    def ok(self) -> bool:
-        return self.conservative.ok
-
-
-def iss_check(series: TimeSeries, cert, dist=None) -> IssReport:
-    """Compare V0(t) against the ISS bound with running disturbance sups.
-
-    The conservative variant (transient scaled by tau2/tau1) is the
-    contractual bound; the verbatim-paper variant is evaluated alongside.
-    """
-    bounds = _bounds(series, cert, "perturbed")
+def iss_check(series: TimeSeries, cert, dist=None) -> dict:
+    """Compare V0(t) against both ISS bounds with running disturbance sups:
+    the conservative variant (transient scaled by tau2/tau1) and the
+    verbatim-paper one, by their summary.json names."""
+    if cert.regime != "perturbed":
+        raise CertificateError("the check needs a perturbed-regime certificate")
     if dist is not None and any(st.kind == "separable" and st.spatial.kind == "table"
                                 for st in dist.f):
         warnings.warn("table-based disturbance profiles carry no smoothness guarantee; "
                       "the ISS theorem assumes C^2 boundary data", stacklevel=2)
+    bounds = bound_columns(series, cert)
     t, v0 = series.column("time"), series.column("V0")
-    return IssReport(*(bound_report(t, v0, bounds[f"iss_bound_{variant}"])
-                       for variant in ("conservative", "verbatim")))
+    return {f"iss_{variant}": bound_report(t, v0, bounds[f"iss_bound_{variant}"])
+            for variant in ("conservative", "verbatim")}
+
+
+def regime_checks(series: TimeSeries, cert, dist=None, conservative_iss=True) -> dict:
+    """A certificate's contractual checks by summary.json name, in the order
+    `reproduce` prints them: each a `bound_report` against the array that
+    `bound_columns` forms for it.  Theorem 1: V nonincreasing, V and max_x
+    |u~|^2 under the envelope and delta times it, the final ||u~|| under 1%
+    of the first.  Theorem 2: `iss_check`'s two variants, led by the one
+    `conservative_iss` selects as iss_contractual."""
+    if cert.regime == "perturbed":
+        iss = iss_check(series, cert, dist)
+        return {"iss_contractual": iss["iss_conservative" if conservative_iss else "iss_verbatim"],
+                **iss}
+    t, v, l2 = (series.column(name) for name in ("time", "V", "l2_error"))
+    envelope = bound_columns(series, cert)["bound_envelope"]
+    return {"monotone_V": bound_report(t[1:], v[1:], v[:-1] * (1.0 + MONOTONE_SLACK),
+                                       scale=v[:-1]),
+            "envelope": bound_report(t, v, envelope * (1.0 + ENVELOPE_SLACK)),
+            "pointwise": bound_report(t, series.column("ptwise_max_sq"),
+                                      cert.delta_factor * envelope * (1.0 + ENVELOPE_SLACK)),
+            "final_error_below_1pct": bound_report(t[-1:], l2[-1:], 0.01 * l2[:1])}
 
 
 _PLAIN = FunctionalWeights(k1=0.0, k2=0.0, rho1=0.0, rho2=0.0)  # V = E, the plain energy

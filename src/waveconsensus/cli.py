@@ -27,7 +27,7 @@ def _load_config(path) -> harness.ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return harness.parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

@@ -305,7 +305,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment configuration."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be an object")
@@ -401,8 +401,11 @@ def write_csv(path, series: analysis.TimeSeries, cert=None) -> None:
 def read_csv(path) -> dict:
     """Read a fixed-schema CSV back into column arrays, NaN where a cell is
     blank: by numpy's reader, or by `_scanned` where that reader fails."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if lines[0].split(",") != list(CSV_COLUMNS):
         raise ConfigError(f"{path}: not a recognized time-series CSV")
     data = [(line, ln) for line, ln in enumerate(lines[1:], 2) if ln]
@@ -575,7 +578,8 @@ def run_simulate(config: ExperimentConfig, out_dir) -> RunResult:
 
 
 def run_reproduce(test_id: int, out_dir, conservative_iss: bool = True) -> RunResult:
-    """Run a reproduction preset with its contractual checks and outputs."""
+    """Run a reproduction preset with its contractual checks and outputs; the
+    checks are its certificate regime's row of `analysis.regime_checks`."""
     config = test_preset(test_id)
     out_dir = os.path.join(out_dir, f"test{test_id}")
     os.makedirs(out_dir, exist_ok=True)
@@ -593,19 +597,7 @@ def run_reproduce(test_id: int, out_dir, conservative_iss: bool = True) -> RunRe
         return RunResult(EXIT_DIVERGED,
                          f"solver diverged at step {exc.step_index}: {exc}")
 
-    checks = {}
-    if cert.regime == "unperturbed":
-        checks["monotone_V"] = analysis.monotone_decay_report(series)
-        checks["envelope"] = analysis.envelope_report(series, cert)
-        checks["pointwise"] = analysis.pointwise_bound_check(series, cert)
-        l2 = series.column("l2_error")
-        checks["final_error_below_1pct"] = analysis.bound_report(
-            series.times[-1:], l2[-1:], 0.01 * l2[:1])
-    else:
-        iss = analysis.iss_check(series, cert, config.disturbances)
-        checks["iss_contractual"] = iss.conservative if conservative_iss else iss.verbatim
-        checks.update(iss_conservative=iss.conservative, iss_verbatim=iss.verbatim)
-
+    checks = analysis.regime_checks(series, cert, config.disturbances, conservative_iss)
     failed = [name for name, rep in checks.items()  # both ISS variants are reported only
               if not rep.ok and name not in ("iss_conservative", "iss_verbatim")]
     code = EXIT_BOUND_VIOLATION if failed else EXIT_OK

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from waveconsensus import harness
-from waveconsensus.analysis import (agmon_check, iss_check, monotone_decay_report,
-                                    pointwise_bound_check, poincare_check,
+from waveconsensus.analysis import (agmon_check, poincare_check, regime_checks,
                                     sandwich_report)
 from waveconsensus.certificate import (check_gains_perturbed,
                                        check_gains_unperturbed)
@@ -90,9 +89,8 @@ def test_criterion_4_theorem1_suite(test1_run):
     result, elapsed = test1_run
     series, cert = result.series, result.certificate
     sw = sandwich_report(series, cert)
-    mono = monotone_decay_report(series)
-    env = harness.analysis.envelope_report(series, cert)
-    pw = pointwise_bound_check(series, cert)
+    checks = regime_checks(series, cert)
+    mono, env, pw = (checks[name] for name in ("monotone_V", "envelope", "pointwise"))
     l2 = series.column("l2_error")
     final_ok = l2[-1] < 0.01 * l2[0]
     ok = (sw.ok and mono.ok and env.ok and pw.ok and final_ok
@@ -107,14 +105,15 @@ def test_criterion_4_theorem1_suite(test1_run):
 def test_criterion_5_theorem2_suite(test2_run):
     result, elapsed = test2_run
     series, cert = result.series, result.certificate
-    rep = iss_check(series, cert)
-    verbatim_note = ("verbatim also held" if rep.verbatim.ok else
-                     f"verbatim violated {len(rep.verbatim.violations)} times "
+    checks = regime_checks(series, cert)
+    conservative, verbatim = checks["iss_conservative"], checks["iss_verbatim"]
+    verbatim_note = ("verbatim also held" if verbatim.ok else
+                     f"verbatim violated {len(verbatim.violations)} times "
                      "(reported, not contractual)")
-    ok = rep.conservative.ok and elapsed < 60.0 and result.exit_code == 0
+    ok = conservative.ok and elapsed < 60.0 and result.exit_code == 0
     verdict(5, ok,
-            f"conservative ISS bound {len(rep.conservative.violations)}"
-            f"/{rep.conservative.checked} violations; {verbatim_note}; "
+            f"conservative ISS bound {len(conservative.violations)}"
+            f"/{conservative.checked} violations; {verbatim_note}; "
             f"runtime {elapsed:.1f} s")
 
 

@@ -5,13 +5,13 @@ import pytest
 
 from waveconsensus.analysis import (BoundReport, FunctionalSample,
                                     FunctionalWeights, TimeSeries, agmon_check,
-                                    bound_report,
-                                    decay_fit, envelope_report, iss_check,
-                                    lyapunov_sample, monotone_decay_report,
-                                    pointwise_bound_check, poincare_check,
-                                    sandwich_report, spatial_derivative)
+                                    bound_report, decay_fit, iss_check,
+                                    lyapunov_sample, poincare_check,
+                                    regime_checks, sandwich_report,
+                                    spatial_derivative)
 from waveconsensus.certificate import (build_certificate, iss_bound,
                                        optimize_certificate)
+from waveconsensus.errors import CertificateError
 from waveconsensus.graph import eig_extremes_sym
 from waveconsensus.wavesim import Grid
 
@@ -249,10 +249,13 @@ def synthetic_series(times, V, V0=None, ptwise=None):
 
 
 class TestBoundChecks:
-    def test_monotone_report(self):
+    def test_monotone_report(self, reference_matrix):
+        ext = eig_extremes_sym(reference_matrix)
+        cert = optimize_certificate("unperturbed", K1, K2, C0,
+                                    ext.lambda_min, ext.lambda_max, resolution=50)
         t = np.arange(5.0)
         ts = synthetic_series(t, np.array([4.0, 3.0, 2.0, 2.5, 1.0]))
-        rep = monotone_decay_report(ts)
+        rep = regime_checks(ts, cert)["monotone_V"]
         assert not rep.ok
         assert rep.violations[0][0] == 3.0
 
@@ -264,10 +267,10 @@ class TestBoundChecks:
         v0 = 2.0
         envelope = cert.delta_factor * v0 * np.exp(-cert.alpha * t)
         ts = synthetic_series(t, np.full_like(t, v0), ptwise=envelope * 0.99)
-        assert pointwise_bound_check(ts, cert).ok
+        assert regime_checks(ts, cert)["pointwise"].ok
         # halving delta (doubling the observed peak) must be detected at t=0
         ts_bad = synthetic_series(t, np.full_like(t, v0), ptwise=envelope * 2.01)
-        rep = pointwise_bound_check(ts_bad, cert)
+        rep = regime_checks(ts_bad, cert)["pointwise"]
         assert not rep.ok
         assert rep.violations[0][0] == 0.0
 
@@ -288,15 +291,15 @@ class TestBoundChecks:
                                     ext.lambda_min, ext.lambda_max, resolution=50)
         t = np.linspace(0.0, 50.0, 30)
         ok_series = synthetic_series(t, 0.9 * np.exp(-cert.alpha * t))
-        rep = iss_check(ok_series, cert)
-        assert rep.ok and rep.verbatim.ok
+        rep = regime_checks(ok_series, cert)
+        assert rep["iss_contractual"].ok and rep["iss_verbatim"].ok
         # a non-decaying series violates the conservative envelope once the
         # transient term has decayed through the tau2/tau1 headroom
         t_long = np.linspace(0.0, 3.0 * math.log(cert.tau2 / cert.tau1) / cert.alpha, 50)
         bad_series = synthetic_series(t_long, np.full_like(t_long, 7.0))
-        rep_bad = iss_check(bad_series, cert)
-        assert not rep_bad.ok
-        assert rep_bad.conservative.violations
+        rep_bad = regime_checks(bad_series, cert)
+        assert not rep_bad["iss_contractual"].ok
+        assert rep_bad["iss_conservative"].violations
 
     def test_violated_zero_bound_reads_inf(self):
         # the default scale is the bound itself; Tier-1 turns a numpy
@@ -373,14 +376,15 @@ def loop_iss(series, cert, conservative):
     return BoundReport(checked=len(t), violations=tuple(bad), worst_ratio=worst)
 
 
-class TestBoundChecksMatchLoopOracle:
-    @pytest.fixture(scope="class")
-    def certs(self, reference_matrix):
-        ext = eig_extremes_sym(reference_matrix)
-        return {regime: optimize_certificate(regime, K1, K2, C0, ext.lambda_min,
-                                             ext.lambda_max, resolution=50)
-                for regime in ("unperturbed", "perturbed")}
+@pytest.fixture(scope="module")
+def certs(reference_matrix):
+    ext = eig_extremes_sym(reference_matrix)
+    return {regime: optimize_certificate(regime, K1, K2, C0, ext.lambda_min,
+                                         ext.lambda_max, resolution=50)
+            for regime in ("unperturbed", "perturbed")}
 
+
+class TestBoundChecksMatchLoopOracle:
     @staticmethod
     def random_series(rng, cert, n=400):
         """Decaying series with multiplicative noise large enough that
@@ -415,18 +419,45 @@ class TestBoundChecksMatchLoopOracle:
     def test_unperturbed_reports(self, certs, seed):
         cert = certs["unperturbed"]
         ts = self.random_series(np.random.default_rng(seed), cert)
-        self.assert_same(monotone_decay_report(ts), loop_monotone(ts))
+        checks = regime_checks(ts, cert)
+        self.assert_same(checks["monotone_V"], loop_monotone(ts))
         self.assert_same(sandwich_report(ts, cert), loop_sandwich(ts, cert))
-        self.assert_same(envelope_report(ts, cert), loop_envelope(ts, cert))
-        self.assert_same(pointwise_bound_check(ts, cert), loop_pointwise(ts, cert))
+        self.assert_same(checks["envelope"], loop_envelope(ts, cert))
+        self.assert_same(checks["pointwise"], loop_pointwise(ts, cert))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_iss_reports(self, certs, seed):
         cert = certs["perturbed"]
         ts = self.random_series(np.random.default_rng(seed), cert)
-        rep = iss_check(ts, cert)
-        self.assert_same(rep.conservative, loop_iss(ts, cert, True))
-        self.assert_same(rep.verbatim, loop_iss(ts, cert, False))
+        checks = regime_checks(ts, cert)
+        self.assert_same(checks["iss_conservative"], loop_iss(ts, cert, True))
+        self.assert_same(checks["iss_verbatim"], loop_iss(ts, cert, False))
+
+
+class TestRegimeChecks:
+    """The one table of contractual checks: its rows' names and order (the
+    order of the `reproduce` verdict lines) and the contractual ISS pick."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        t = np.linspace(0.0, 10.0, 20)
+        return synthetic_series(t, np.exp(-0.1 * t))
+
+    def test_each_regime_has_its_checks_in_order(self, certs, series):
+        assert list(regime_checks(series, certs["unperturbed"])) == [
+            "monotone_V", "envelope", "pointwise", "final_error_below_1pct"]
+        assert list(regime_checks(series, certs["perturbed"])) == [
+            "iss_contractual", "iss_conservative", "iss_verbatim"]
+
+    @pytest.mark.parametrize("conservative", (True, False))
+    def test_contractual_iss_is_the_selected_variant(self, certs, series, conservative):
+        checks = regime_checks(series, certs["perturbed"], conservative_iss=conservative)
+        chosen = "iss_conservative" if conservative else "iss_verbatim"
+        assert checks["iss_contractual"] is checks[chosen]
+
+    def test_iss_check_refuses_an_unperturbed_certificate(self, certs, series):
+        with pytest.raises(CertificateError, match="needs a perturbed-regime certificate"):
+            iss_check(series, certs["unperturbed"])
 
 
 class TestClassicalInequalities:

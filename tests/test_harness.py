@@ -853,8 +853,8 @@ class TestCli:
 
             def failing_verbatim(*args):
                 rep = iss_check(*args)
-                return harness.replace(rep, verbatim=harness.replace(
-                    rep.verbatim, violations=((0.0, 2.0, 1.0),), worst_ratio=1.0))
+                return dict(rep, iss_verbatim=harness.replace(
+                    rep["iss_verbatim"], violations=((0.0, 2.0, 1.0),), worst_ratio=1.0))
 
             monkeypatch.setattr(harness.analysis, "iss_check", failing_verbatim)
         with pytest.raises(SystemExit) as exc:
@@ -896,6 +896,28 @@ class TestCli:
             main(["analyze", str(path)])
         assert exc.value.code == harness.EXIT_USAGE
         assert capsys.readouterr().out == f"format error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("command, data, stream, message", [
+        ("analyze", ",".join(harness.CSV_COLUMNS).encode() + b"\n\xff\n", "stdout",
+         "format error: {path}: 'utf-8' codec can't decode byte 0xff"),
+        ("check-gains", "{}".encode("utf-16"), "stderr",
+         "config error: cannot read config {path}: 'utf-8' codec can't decode byte 0xff"),
+        ("check-gains", b"[" * 100_000, "stderr",
+         "config error: configuration is not valid JSON: maximum recursion depth exceeded"),
+    ], ids=["analyze-non-utf8", "config-utf16-bom", "config-deeply-nested"])
+    def test_undecodable_input_exits_1_without_traceback(self, tmp_path, command, data,
+                                                         stream, message):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        args = [str(path)] if command == "analyze" else ["--config", str(path)]
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        proc = subprocess.run([sys.executable, "-m", "waveconsensus.cli", command, *args],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        text = getattr(proc, stream)
+        assert proc.returncode == 1
+        assert text.startswith(message.format(path=path)) and text.count("\n") == 1, text
+        assert proc.stdout + proc.stderr == text
 
     def test_diverging_run_exits_3(self, tmp_path, capsys):
         doc = json.loads(MINIMAL)

@@ -90,7 +90,7 @@ def test_analyze_cross_run_ratio(test2_run, test3_run):
 
 
 def test_csv_envelope_is_the_checked_libm_bound(test1_run):
-    # the CSV's bound_envelope is the bound envelope_report checks before its
+    # the CSV's bound_envelope is the bound regime_checks' envelope uses before its
     # slack, V(0) exp(-alpha t) by libm, bit for bit: numpy's SIMD exp can
     # differ from libm's in the last bit
     result, _ = test1_run
