@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Command-line smoke run of both presets' flows: every command must exit 0
-# and write nothing to stderr (a numpy warning from analyze, say). bash's
-# `time` prints each reproduce run's and one analyze run's wall time on the
+# Command-line smoke run of the presets' flows and of the benchmark's network
+# flow: every command must exit 0 and write nothing to stderr (a numpy
+# warning from analyze, say). bash's `time` prints the wall time of each
+# reproduce run, of the network simulate run and of one analyze run on the
 # shell's stderr, into the job log and not into the checked file.
 #
 # usage: .github/cli-smoke.sh CLI...   (e.g. `waveconsensus` or
@@ -32,4 +33,15 @@ time "${cli[@]}" analyze "$out/test2/test2.csv" 2>> "$out/stderr"
 # the general-purpose run, and analyze on the CSV it writes
 "${cli[@]}" simulate --config configs/test2.json --out "$out" 2>> "$out/stderr"
 "${cli[@]}" analyze "$out/test2.csv" 2>> "$out/stderr"
+# the benchmark's network flow: network-n24's seed-0 config (24 followers on
+# a seeded random graph, nx = 101, 120 s) from perfbench's own generator,
+# which is only read (-B: no bytecode written there), then simulate and
+# analyze on it
+python -B -c 'import json, sys; sys.path.insert(0, "perfbench")
+from workloads import network_config
+with open(sys.argv[1], "w") as fh: json.dump(network_config(0, 24, 101, 120.0), fh)' \
+    "$out/network.json" 2>> "$out/stderr"
+TIMEFORMAT="simulate network-n24: %R s wall"
+time "${cli[@]}" simulate --config "$out/network.json" --out "$out/network" 2>> "$out/stderr"
+"${cli[@]}" analyze "$out/network/network.csv" 2>> "$out/stderr"
 if [ -s "$out/stderr" ]; then cat "$out/stderr"; exit 1; fi

@@ -520,8 +520,8 @@ def run_check_gains(config: ExperimentConfig) -> RunResult:
 class SurfaceRecorder:
     """Collects every keep_every-th sample of follower 1's deviation."""
 
-    def __init__(self, keep_every: int = 1):
-        self.keep_every = max(1, keep_every)
+    def __init__(self, keep_every: int):
+        self.keep_every = keep_every
         self.times = []
         self.rows = []
         self._count = 0  # samples seen before the current block
@@ -529,7 +529,7 @@ class SurfaceRecorder:
     def __call__(self, block: SampleBlock):
         first = -self._count % self.keep_every
         self._count += block.times.size
-        if block.error.shape[1] and first < block.times.size:
+        if first < block.times.size:
             self.times.extend(block.times[first::self.keep_every].tolist())
             self.rows.append(block.error[first::self.keep_every, 0].copy())
 
@@ -589,7 +589,7 @@ def run_reproduce(test_id: int, out_dir, conservative_iss: bool = True) -> RunRe
         return RunResult(EXIT_INFEASIBLE, f"infeasible: {exc}")
     horizon = derive_horizon(cert, cert.regime)
     nsteps = int(math.ceil(horizon / config.grid.dt))
-    surf = SurfaceRecorder(keep_every=max(1, (nsteps // config.output.stride) // 160))
+    surf = SurfaceRecorder(keep_every=max(1, (nsteps // config.output.stride) // svgplot.CELLS))
     try:
         series, cert = run_experiment(replace(config, horizon=horizon),
                                       cert=cert, observers=(surf,))
@@ -605,14 +605,11 @@ def run_reproduce(test_id: int, out_dir, conservative_iss: bool = True) -> RunRe
     csv_path = os.path.join(out_dir, config.output.csv_name)
     write_csv(csv_path, series, cert)
     norm_path = os.path.join(out_dir, "error_norm.svg")
-    svgplot.line_plot(norm_path, series.times, [series.column("l2_error")],
-                      ["||u~||"], title=f"Test {test_id}: tracking error norm",
-                      xlabel="t [s]", ylabel="log10 ||u~(.,t)||", ylog=True)
+    svgplot.line_plot(norm_path, series.times, series.column("l2_error"), "||u~||",
+                      f"Test {test_id}: tracking error norm", "t [s]", "log10 ||u~(.,t)||")
     surface_path = os.path.join(out_dir, "error_surface.svg")
-    if surf.rows:
-        svgplot.heatmap(surface_path, surf.times, config.grid.points,
-                        np.concatenate(surf.rows),
-                        title=f"Test {test_id}: deviation of follower 1")
+    svgplot.heatmap(surface_path, surf.times, config.grid.points, np.concatenate(surf.rows),
+                    f"Test {test_id}: deviation of follower 1")
     summary = {
         "test": test_id,
         "horizon": horizon,

@@ -577,15 +577,16 @@ class _Settle:
         one fill of the block, every entry from one of the window; the index
         of the first to fill after two passing windows in a row, or None."""
         i = 0
-        if self.coef is not None:  # the x = 1 residual by sample and row
-            screen = np.abs(self.fill(phi, slice(-1, None)) - fields[:, :stop, :, -1:]).max((0, 3))
+        if self.coef is not None:  # the x = 1 residual by level, sample and row
+            screen = np.abs(self.fill(phi, slice(-1, None)) - fields[:, :stop, :, -1:]).max(3)
         while self.coef is not None and i < stop and self.passes < 2:
             take = min(_WINDOW - self.pos, stop - i)
-            res = screen[i:i + take]
+            res = screen[:, i:i + take]
             if self.passes:
-                res = np.abs(self.fill(phi[i:i + take]) - fields[:, i:i + take]).max((0, 3))
-            res = res.max(0)
-            self.ok &= res[0] <= self.tol[0] and res[1:].max(initial=0.0) <= self.tol[1]
+                res = np.abs(self.fill(phi[i:i + take]) - fields[:, i:i + take]).max(3)
+            res = res.max(1)  # by level and row
+            res[1, 0] /= 2.0 * self.dt  # the leader's u^(k+1) - u^(k-1) as leader_vel reads it
+            self.ok &= res[:, 0].max() <= self.tol[0] and res[:, 1:].max(initial=0.0) <= self.tol[1]
             i, self.pos = i + take, (self.pos + take) % _WINDOW
             if self.pos == 0:
                 self.passes, self.ok = self.passes + 1 if self.ok else 0, True
@@ -681,12 +682,12 @@ class Simulation:
         per _WINDOW samples.  A run stops stepping once it is periodic: windows of
         _WINDOW samples check the stepped fields against `fill`, first at x = 1
         only, then every entry, to 1e-11 of the largest mode coefficient (the
-        leader's of its equilibrium; a zero scale needs a zero residual), and
-        after two passing windows in a row the rest are filled, from
-        `switch_step` on (else None), and `steady` is that `_Settle`: phi(t_k)
-        times each field's coefficients, formed at the switch (`physical`); a
-        block forms `error` at once, `error_vel`, `leader` and `leader_vel` on
-        first access."""
+        leader's of its equilibrium, its u^(k+1) - u^(k-1) over 2 dt; a zero
+        scale needs a zero residual), and after two passing windows in a row
+        the rest are filled, from `switch_step` on (else None), and `steady`
+        is that `_Settle`: phi(t_k) times each field's coefficients, formed at
+        the switch (`physical`); a block forms `error` at once, `error_vel`,
+        `leader` and `leader_vel` on first access."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if stride < 1:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waveconsensus import harness
+from waveconsensus import harness, svgplot
 from waveconsensus.cli import main
 from waveconsensus.errors import ConfigError
 from waveconsensus.signals import PROFILE_KINDS, SIGNAL_KINDS, SPACETIME_KINDS
@@ -672,6 +673,38 @@ class TestCsv:
         with pytest.raises(ConfigError, match="increasing"):
             harness.read_csv(path)
 
+
+
+TIMES = np.linspace(0.0, 10.0, 203)
+NODES = np.linspace(0.0, 1.0, 171)
+# three small plots and the sha256 of each file: the bytes `reproduce` writes
+# for its SVGs do not move with a rewrite of svgplot
+PLOTS = {
+    "zero in y": (svgplot.line_plot, (
+        np.linspace(0.0, 2.0, 7), [1.0, 0.5, 0.0, 1e-3, -2e-4, 3.0, 7.5], "||u~||",
+        "zero in y", "t [s]", "log10 ||u~(.,t)||"),
+        "e592edf585a5a81b82747828fab9c96a353bd977075e7694a326e1ff6a86a0c5"),
+    "equal x": (svgplot.line_plot, (
+        np.full(5, 3.0), [1.0, 2.0, 3.0, 4.0, 5.0], "||u~||",
+        "equal x", "t [s]", "log10 ||u~(.,t)||"),
+        "b8fbb721ded51c5504a8c0c70f4507edece15c9b184d4536d63c557c13e8df4e"),
+    "decimated": (svgplot.heatmap, (
+        TIMES, NODES, np.sin(np.outer(TIMES, 3.0 * NODES)) * np.exp(-0.1 * TIMES)[:, None],
+        "decimated"),
+        "91dbacd04e1a369069cd79876c26fb966e714da57d5a6ed837749a337e39867e"),
+}
+
+
+class TestPlots:
+    @pytest.mark.parametrize("case", PLOTS)
+    def test_plot_bytes(self, tmp_path, case):
+        # a zero in y is drawn at the 1e-300 floor; all-equal x take sx's
+        # scalar branch; 203 x 171 samples are decimated on both axes
+        plot, args, digest = PLOTS[case]
+        assert TIMES.size > svgplot.CELLS and NODES.size > svgplot.CELLS
+        path = tmp_path / "plot.svg"
+        plot(path, *args)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 class TestAnalyze:
     def test_decay_report_on_unperturbed_csv(self, tmp_path):

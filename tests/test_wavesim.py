@@ -1374,6 +1374,25 @@ class TestSteadyState:
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
+    def test_leader_velocity_is_checked_as_a_velocity(self, _shortcut):
+        # one pinned follower whose leader's u^(k+1) - u^(k-1) is within
+        # 1e-11 |cbar| of the steady state at the last step (4,294), while
+        # leader_vel, that difference over 2 dt, is 5.2e-11 from the stepped
+        # one, above 1e-10 of its peak 0.5: a switch there misses stepping
+        profiles = [(ProfileSpec(kind="polynomial", coefficients=(2.0,)),
+                     ProfileSpec(kind="polynomial", coefficients=(0.0, 0.5))),
+                    (ProfileSpec(), ProfileSpec())]
+        dist = DisturbanceSpec(psi0=(SignalSpec(kind="sinusoid", amplitude=0.1,
+                                                angular_frequency=11.0, phase=1.0),))
+        runs = []
+        for on in (True, False):
+            _shortcut(on)
+            runs.append(settled_run(build_topology([[0]], [1]), GAINS, Grid(nx=13), profiles,
+                                    dist, 322.0, stride=3))
+        for name, a, b in zip(FIELDS, runs[0][1], runs[1][1]):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
+
     def test_shared_constant_leader_stays_put(self, _shortcut):
         # all four agents at rest at 10 (preset 1's graph and gains), with the
         # shortcut and stepped: the leader steps as its deviation from its
