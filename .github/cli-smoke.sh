@@ -10,6 +10,7 @@
 set -euo pipefail
 cli=("$@")
 out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
 # the source size, in lines, of each module and in all
 wc -l src/waveconsensus/*.py
 "${cli[@]}" check-gains --config configs/test1.json 2> "$out/stderr"

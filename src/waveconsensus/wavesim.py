@@ -304,12 +304,9 @@ def step(state: WaveState, gains: ControlGains, m, dist: DisturbanceSpec | None,
 
 
 def _formed(name):
-    """A field of `SampleBlock`, formed on first access and then kept."""
-    def form(self):
-        a = self._stepped[name]
-        if self._phi is not None:  # einsum's fixed order: an entry's bits do not depend on f
-            b = np.einsum("sk,k...->s...", self._phi, self._coef[name])
-            a = np.concatenate([a, b]) if len(a) else b
+    """A field of a filled `SampleBlock`, formed on first access and then kept."""
+    def form(self):  # einsum's fixed order: an entry's bits do not depend on s
+        a = np.einsum("sk,k...->s...", self._phi, self._coef[name])
         a.flags.writeable = False
         return a
     return cached_property(form)
@@ -320,20 +317,24 @@ class SampleBlock:
     `times` (s,), `leader` and `leader_vel` (s, nx), and the followers'
     deviations u_i - u_0, `error` and `error_vel` (s, n, nx).  Velocities
     are centered differences across the surrounding levels, matching the
-    accuracy of the scheme itself.  `step_index` is the last step.  The
-    samples filled from the steady state (the block's last f, from
-    `Simulation.switch_step` on) are their phases phi(t_k) (f, k) times each
-    field's coefficients (k, ...): `error` is formed at once, `error_vel`,
-    `leader` and `leader_vel` on first access, and each is then kept."""
+    accuracy of the scheme itself.  `step_index` is the last step.  A
+    block's samples are all stepped or all filled from the steady state
+    (from `Simulation.switch_step` on).  Filled ones are their phases
+    phi(t_k) (s, k) times each field's coefficients (k, ...): `error` is
+    formed at once, `error_vel`, `leader` and `leader_vel` on first access,
+    and each is then kept."""
 
     leader, leader_vel, error, error_vel = map(_formed, ("leader", "leader_vel", "error",
                                                          "error_vel"))
 
-    def __init__(self, steps, times, stepped, phi=None, coef=None):
-        """`stepped` holds each field of the samples before the filled ones."""
-        steps.flags.writeable = times.flags.writeable = False
-        self.__dict__.update(steps=steps, times=times, step_index=int(steps[-1]),
-                             _stepped=stepped, _phi=phi, _coef=coef)
+    def __init__(self, steps, times, fields=None, phi=None, coef=None):
+        """Stepped samples come with their `fields` by name, filled ones with
+        `phi` and `coef`."""
+        fields = fields or {}
+        for a in (steps, times, *fields.values()):
+            a.flags.writeable = False
+        self.__dict__.update(fields, steps=steps, times=times, step_index=int(steps[-1]),
+                             _phi=phi, _coef=coef)
         self.error  # both built-in observers read it
 
     def __setattr__(self, name, value):
@@ -466,14 +467,14 @@ class _Propagator:
     def _forcing(self, sim: Simulation, stepper: _Stepper):
         """The forced response, shared by all rows: `basis` holds each spatial
         pattern's responses to unit loads at the q steps (the tiled entries,
-        then their h), against the modal loads at those steps (`apply`).  A
+        then their h), against the modal loads at those steps (`loads`).  A
         load enters the lam = 0 increment d_j, so a pattern costs the q
         lam = 0 steps after its unit load, and each row's w acts on the
         forced h in `apply` together with the free one.  A row keeps only
         its amplitudes `amp` by pattern and frequency: the load at step
         k + j is Re(amp e^(i w (k + j) dt)), from Re amp and Im amp of each w
         and `lag` (q x 2 n_w: Re e^(i w j dt), -Im e^(i w j dt)) turned by
-        e^(i w k dt) in `apply`; with 2 n_w <= q `lag` is folded into `basis`
+        e^(i w k dt) in `loads`; with 2 n_w <= q `lag` is folded into `basis`
         and the turn goes to amp."""
         q, zero, n_w = self.q, np.zeros((1, sim.grid.nx)), self.omegas.size
         self.amp, cols = np.zeros((self.rows, len(sim._loads), n_w), complex), []  # (row, pattern, w)
@@ -493,27 +494,27 @@ class _Propagator:
         self.basis = np.asfortranarray(np.hstack(cols))  # few columns: BLAS's fast layout
 
     def loads(self, steps):
-        """z of `apply` for products from each of `steps`, (steps, row, pattern,
-        Re and Im of each w), from one call; None unless `lag` is folded."""
-        if self.amp is not None and self.lag is None:
-            turn = np.exp(1j * (np.asarray(steps)[:, None] * self.dt) * self.omegas)
+        """z of `apply` for the products from each of `steps`, from one call: by
+        row, pattern and Re and Im of each w with `lag` folded, else the q loads
+        of each row and pattern, the phases turned first (a rows x q result, not
+        rows x n_w); None each for a run without loads."""
+        if self.amp is None:
+            return [None] * len(steps)
+        turn = np.exp(1j * (np.asarray(steps)[:, None] * self.dt) * self.omegas)
+        if self.lag is None:
             return (self.amp * turn[:, None, None]).view(float)
+        return self.amp.view(float).reshape(-1, self.lag.shape[1]) @ (
+            self.lag.view(complex) * turn.conj()[:, None]).view(float).transpose(0, 2, 1)
 
-    def apply(self, x, out, k: int, z=None):
+    def apply(self, x, out, z):
         """One product from step k: `out` gets u^(k+1) and the state q steps
         on (3c x tiles*rows) of the state whose left, centre and right tiles
-        are stacked in `x` (6c x tiles*rows); z is `loads` of k, if made."""
+        are stacked in `x` (6c x tiles*rows); z is `loads` of k."""
         c, rows, n = self.c, self.rows, self.outs.size
         np.matmul(self.k, x, out=out)
         o = out.reshape(-1, rows)
         ch = self.ch @ np.take(x[2 * c:4 * c].reshape(-1, rows), self.ins, axis=0)
-        if self.amp is not None:  # (row, pattern, Re and Im of each w), or the q loads
-            if self.lag is None:
-                z = self.loads([k])[0] if z is None else z
-            else:  # the phases first: a rows x q temporary, not rows x n_w
-                turn = np.exp(1j * (k * self.dt) * self.omegas)
-                z = self.amp.view(float).reshape(-1, self.lag.shape[1]) @ (
-                    self.lag.view(complex) * turn.conj()).view(float).T
+        if z is not None:
             f = self.basis @ z.reshape(rows, -1).T
             o += f[:len(o)]
             ch[n:] += f[len(o):]
@@ -571,26 +572,20 @@ class _Settle:
                                           for f in (math.cos, math.sin))]).T.copy()
         return (phi @ self.lift).reshape(-1, 2, len(self.lift))
 
-    def feed(self, fields, phi, stop: int):
-        """Check the first `stop` samples of a block against `fill` at their
-        phases `phi`, sample j in window j // _WINDOW, the x = 1 screen from
-        one fill of the block, every entry from one of the window; the index
-        of the first to fill after two passing windows in a row, or None."""
-        i = 0
-        if self.coef is not None:  # the x = 1 residual by level, sample and row
-            screen = np.abs(self.fill(phi, slice(-1, None)) - fields[:, :stop, :, -1:]).max(3)
-        while self.coef is not None and i < stop and self.passes < 2:
-            take = min(_WINDOW - self.pos, stop - i)
-            res = screen[:, i:i + take]
-            if self.passes:
-                res = np.abs(self.fill(phi[i:i + take]) - fields[:, i:i + take]).max(3)
-            res = res.max(1)  # by level and row
-            res[1, 0] /= 2.0 * self.dt  # the leader's u^(k+1) - u^(k-1) as leader_vel reads it
-            self.ok &= res[:, 0].max() <= self.tol[0] and res[:, 1:].max(initial=0.0) <= self.tol[1]
-            i, self.pos = i + take, (self.pos + take) % _WINDOW
-            if self.pos == 0:
-                self.passes, self.ok = self.passes + 1 if self.ok else 0, True
-        return i if self.passes == 2 else None
+    def feed(self, fields, instants):
+        """Check stepped samples (`fields`, at `instants`), all of one window of
+        _WINDOW, against `fill`: the x = 1 entries until a window passes, then
+        every entry; True once two windows in a row have passed."""
+        if self.coef is None:
+            return False
+        x = slice(None) if self.passes else slice(-1, None)
+        res = np.abs(self.fill(self.phases(instants), x) - fields[..., x]).max(3).max(1)
+        res[1, 0] /= 2.0 * self.dt  # the leader's u^(k+1) - u^(k-1) as leader_vel reads it
+        self.ok &= res[:, 0].max() <= self.tol[0] and res[:, 1:].max(initial=0.0) <= self.tol[1]
+        self.pos = (self.pos + len(instants)) % _WINDOW
+        if self.pos == 0:
+            self.passes, self.ok = self.passes + 1 if self.ok else 0, True
+        return self.passes == 2
 
     def physical(self, q):
         """The coefficients of each `SampleBlock` field of a filled sample,
@@ -667,26 +662,29 @@ class Simulation:
         of the `_Propagator` of S^p (a shorter final stride takes one of its
         own power, a longer one more), on one pair of tile buffers; it also
         gives u^(k+1) for the centered velocity.  Each sample's u^k and
-        u^(k+1) - u^(k-1) are copied as tiles into a block (about
-        _CHUNK_BYTES), which is turned to fields by row and node once, and
-        each block goes to the observers, on the calling thread.  After a sample,
-        an unforced row whose peak fell below 2^-_FLUSH_BITS is set to zero,
-        out of the slow subnormal range.  A sample diverges when a modal row
-        (the leader, or Q^T of the deviations) passes DIVERGENCE_LIMIT,
-        checked before its product: the run makes no product from it on, and
-        observers never see it or a later sample (`step` checks the
-        physical fields instead, so near the limit it can stop later).
+        u^(k+1) - u^(k-1) are copied from the tiles into a block of fields
+        by row and node (about _CHUNK_BYTES), and each block goes to the
+        observers, on the calling thread.  After a sample, an unforced row
+        whose peak fell below 2^-_FLUSH_BITS is set to zero, out of the slow
+        subnormal range.  A sample diverges when a modal row (the leader, or
+        Q^T of the deviations) passes DIVERGENCE_LIMIT, checked before its
+        product: the run makes no product from it on, observers never see it
+        or a later sample, and the run raises DivergenceError (`step` checks
+        the physical fields instead, so near the limit it can stop later).
 
         The leader steps as its deviation from its equilibrium (`_Settle`),
         whose l y, kept by the product only to rounding, is reset to 0 once
-        per _WINDOW samples.  A run stops stepping once it is periodic: windows of
-        _WINDOW samples check the stepped fields against `fill`, first at x = 1
-        only, then every entry, to 1e-11 of the largest mode coefficient (the
-        leader's of its equilibrium, its u^(k+1) - u^(k-1) over 2 dt; a zero
-        scale needs a zero residual), and after two passing windows in a row
-        the rest are filled, from `switch_step` on (else None), and `steady`
-        is that `_Settle`: phi(t_k) times each field's coefficients, formed at
-        the switch (`physical`); a block forms `error` at once, `error_vel`,
+        per _WINDOW samples.  A run stops stepping once it is periodic: each
+        window of _WINDOW stepped samples is checked against `fill` as soon
+        as it is complete, first at x = 1 only, then every entry, to 1e-11
+        of the largest mode coefficient (the leader's of its equilibrium,
+        its u^(k+1) - u^(k-1) over 2 dt; a zero scale needs a zero
+        residual).  After two passing windows in a row stepping stops: the
+        samples stepped in the block so far go to the observers as one
+        block, and every later sample is filled, from `switch_step` on (else
+        None), in blocks of its own; `steady` is that `_Settle`.  A filled
+        sample is phi(t_k) times each field's coefficients, formed at the
+        switch (`physical`); a block forms `error` at once, `error_vel`,
         `leader` and `leader_vel` on first access."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
@@ -706,13 +704,15 @@ class Simulation:
 
         tiles = op(power).tiles
         size = min(max(1, _CHUNK_BYTES // (16 * max(self.n, 1) * nx)), count)  # samples per block
-        # the state's left, centre and right tiles, and a product from it
+        # the state's left, centre and right tiles, and a product from it, each
+        # as (entry, tile, row)
         x, out = np.zeros((6 * c, tiles * rows)), np.empty((3 * c, tiles * rows))
-        centre = x[2 * c:4 * c]
+        centre, ahead = x[2 * c:4 * c].reshape(2 * c, tiles, rows), out.reshape(3 * c, tiles, rows)
         # u^k, and u^(k+1) - u^(k-1), of a block's samples by row and node (the
-        # nodes past nx - 1 of the last tile are cut off)
+        # nodes past nx - 1 of the last tile are cut off), and as tiles
         padded = np.empty((2, size, rows, tiles * c))
         fields = padded[..., :nx]
+        tiled = padded.reshape(2, size, rows, tiles, c).transpose(0, 1, 4, 3, 2)
 
         # only unforced rows are flushed; probe: per watched row, where its
         # largest entry was last seen in the centre tiles
@@ -724,26 +724,33 @@ class Simulation:
         state, ell, ones = (op(power).tiled(a[:, [0, 0, 1]])[c:].reshape(2 * c, -1)
                             for a in (y, settle.ell[None], np.ones((1, 2, nx))))  # (u^k, u^(k-1))
         coef = None  # each field's coefficients after the switch (`_Settle.physical`)
-        for j0 in range(0, count, size):
-            instants = [min(j * stride, nsteps) for j in range(j0, min(j0 + size, count))]
-            if coef is not None:  # all filled
-                self._emit(instants, len(instants), fields, observers, 0,
-                           settle.phases(instants), coef)
+        j0 = 0  # the block's first sample: blocks of `size`, but the switch ends one early
+        while j0 < count:
+            end = min(j0 - j0 % size + size, count)
+            instants = [min(j * stride, nsteps) for j in range(j0, end)]
+            if coef is not None:
+                self._emit(instants, observers, phi=settle.phases(instants)[:, 0], coef=coef)
+                j0 += len(instants)
                 continue
-            stop, z = len(instants), op(power).loads(instants)
-            tiled = np.empty((2, stop, c, tiles * rows))  # the block's fields as tiles
+            zs, fed, stop = op(power).loads(instants), 0, 0  # the samples checked, and stepped
             for i, k in enumerate(instants):
                 _spread(state, x, c, rows)
                 # u^k, the reported level, is checked in the modal rows (the
                 # leader and Q^T of the deviations), not the physical fields
                 tiled[0, i] = centre[0::2]
-                if not np.abs(tiled[0, i]).max() <= DIVERGENCE_LIMIT:
-                    stop = i
+                if not np.abs(fields[0, i]).max() <= DIVERGENCE_LIMIT:
                     break
                 nxt = min(k + stride, nsteps)
                 q = min(nxt - k, power) or power  # the last sample: only u^(k+1)
-                op(q).apply(x, out, k, None if z is None or q != power else z[i])
-                np.subtract(out[:c], centre[1::2], out=tiled[1, i])
+                op(q).apply(x, out, zs[i] if q == power else op(q).loads([k])[0])
+                np.subtract(ahead[:c], centre[1::2], out=tiled[1, i])
+                stop = i + 1
+                if (j0 + stop) % _WINDOW == 0 or stop == len(instants):  # a window or block ends
+                    window, fed = slice(fed, stop), stop
+                    if settle.feed(fields[:, window], instants[window]):  # the rest are filled
+                        self.switch_step, self.steady = min((j0 + stop) * stride, nsteps), settle
+                        coef = settle.physical(self._q)
+                        break
                 if k == nsteps:
                     break
                 if probe.size and min(map(abs, centre.reshape(-1)[probe].tolist())) < tiny:
@@ -759,47 +766,39 @@ class Simulation:
                 while k < nxt:  # the rest of a stride beyond _MAX_POWER
                     q = min(nxt - k, power)
                     _spread(state, x, c, rows)
-                    op(q).apply(x, out, k)
+                    op(q).apply(x, out, op(q).loads([k])[0])
                     state, k = out[c:], k + q
-            padded[:, :stop].reshape(2, stop, rows, tiles, c)[:] = tiled[:, :stop].reshape(
-                2, stop, c, tiles, rows).transpose(0, 1, 4, 3, 2)
-            del tiled  # not kept beside the deviations `_emit` forms
-            phi = None if settle.coef is None else settle.phases(instants[:stop])
-            i = settle.feed(fields, phi, stop)
-            if i is not None:  # the samples from i on are filled
-                self.switch_step, self.steady = min((j0 + i) * stride, nsteps), settle
-                coef = settle.physical(self._q)
-            self._emit(instants, stop, fields, observers, stop if i is None else i, phi, coef)
+            if stop:
+                self._emit(instants[:stop], observers, fields[:, :stop])
+            if stop < len(instants) and coef is None:
+                raise DivergenceError(f"simulation diverged by step {instants[stop]} "
+                                      f"(t = {instants[stop] * self.grid.dt:.6g})",
+                                      step_index=instants[stop])
+            j0 += stop
         return nsteps
 
-    def _emit(self, instants, stop, fields, observers, cut, phi, coef):
-        """Hand the first `stop` samples of a block to each observer as one
-        SampleBlock (no call when `stop` is 0), then raise if the block
-        diverged.  The first `cut` are stepped, with the physical deviation
-        Q y of all of them from one product; the rest are filled from their
-        phases phi[cut:stop] and `coef`."""
+    def _emit(self, instants, observers, fields=None, phi=None, coef=None):
+        """Hand samples to each observer as one SampleBlock: stepped ones from
+        their modal `fields`, the physical deviation Q y of all of them from
+        one product, or filled ones from their phases `phi` and each field's
+        coefficients `coef`."""
         dt = self.grid.dt
-        t = np.array(instants[:stop + 1], dtype=float) * dt
-        if stop:
-            err = np.matmul(self._q, fields[:, :cut, 1:])
+        t = np.array(instants, dtype=float) * dt
+        if fields is not None:
+            err = np.matmul(self._q, fields[:, :, 1:])
             err[1] /= 2.0 * dt
-            stepped = dict(leader=fields[0, :cut, 0] + self._cbar,
-                           leader_vel=fields[1, :cut, 0] / (2.0 * dt), error=err[0], error_vel=err[1])
-            block = SampleBlock(np.array(instants[:stop]), t[:stop], stepped,
-                                phi[cut:stop, 0] if cut < stop else None, coef)
-            for obs in observers:
-                try:
-                    obs(block)
-                except DivergenceError:
-                    raise
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"observer {obs!r} failed on the block of steps {instants[0]} "
-                        f"to {instants[stop - 1]} (t = {t[0]:.6g} to {t[stop - 1]:.6g})") from exc
-        if stop < len(instants):
-            raise DivergenceError(
-                f"simulation diverged by step {instants[stop]} (t = {t[stop]:.6g})",
-                step_index=instants[stop])
+            fields = dict(leader=fields[0, :, 0] + self._cbar,
+                          leader_vel=fields[1, :, 0] / (2.0 * dt), error=err[0], error_vel=err[1])
+        block = SampleBlock(np.array(instants), t, fields, phi, coef)
+        for obs in observers:
+            try:
+                obs(block)
+            except DivergenceError:
+                raise
+            except Exception as exc:
+                raise RuntimeError(
+                    f"observer {obs!r} failed on the block of steps {instants[0]} "
+                    f"to {instants[-1]} (t = {t[0]:.6g} to {t[-1]:.6g})") from exc
 
 
 def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
@@ -812,9 +811,9 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
     rho1 = rho2 = 0).  Extra observers get every block of samples (a
     `SampleBlock`).  The functionals are evaluated on each block, with the
     running sups es_* of the disturbance channels at the block's sample
-    times: one `analysis.lyapunov_sample` call for the stepped samples, and
-    one `analysis.steady_sample` for those at or after `switch_step`, from
-    the Gram forms of the steady state (built once) at their phases.
+    times: one `analysis.lyapunov_sample` call for a block of stepped
+    samples, or one `analysis.steady_sample` for a block filled from the
+    steady state, from its Gram forms (built once) at their phases.
     """
     from . import analysis
 
@@ -844,17 +843,14 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
             np.matmul(v[:, None, 2 * n:] ** 2, f_nsq[:, None])])[:, :, 0]
         sups = ess_sup_running(np.vstack([es, sups]))[1:]
         es = sups[-1]
-        phi = block._phi  # the filled samples', the block's last
-        cut = len(block.steps) - (0 if phi is None else len(phi))
-        if cut:
-            series.append(analysis.lyapunov_sample(
-                block.error[:cut], block.error_vel[:cut], weights, m, grid, block.times[:cut],
-                *sups[:cut].T))
-        if cut < len(block.steps):
+        if block._phi is None:  # stepped
+            series.append(analysis.lyapunov_sample(block.error, block.error_vel, weights, m, grid,
+                                                   block.times, *sups.T))
+        else:
             if gram is None:
                 gram = analysis.steady_gram(block._coef["error"], block._coef["error_vel"], m, grid)
-            series.append(analysis.steady_sample(gram, phi, block.error[cut:], weights,
-                                                 block.times[cut:], *sups[cut:].T))
+            series.append(analysis.steady_sample(gram, block._phi, block.error, weights,
+                                                 block.times, *sups.T))
 
     sim.run(horizon, observers=[record, *observers], stride=stride)
     series.stepped_to = None if sim.switch_step is None else sim.switch_step * grid.dt

@@ -621,10 +621,11 @@ class TestSimulate:
 
     def test_kept_blocks_keep_the_bytes_of_one_sample_per_block(self, path3_topology,
                                                                monkeypatch):
-        # a block's stepped samples are copied as tiles and turned to fields
-        # by row and node once per block: an observer that keeps every block
-        # and reads it after the run gets the bytes of one sample per block,
-        # over two default blocks of mixed loads whose phases are folded in
+        # each stepped sample is copied from the tiles into fields by row and
+        # node, in one buffer that every block reuses: an observer that keeps
+        # every block and reads it after the run gets the bytes of one sample
+        # per block, over two default blocks of mixed loads whose phases are
+        # folded in
         grid, kept = Grid(nx=81), {}
         for per_block in (None, 1):  # the default first
             if per_block:
@@ -664,17 +665,18 @@ class TestSimulate:
         # the run above at the default block size (216 samples): one product
         # for each of the 371 samples before the first diverged one (step
         # 3710), and none for it or the rest of its block
-        apply, calls = wavesim._Propagator.apply, []
+        apply, calls, seen = wavesim._Propagator.apply, [], []
 
-        def spy(self, x, out, k, *z):
-            calls.append(k)
-            return apply(self, x, out, k, *z)
+        def spy(self, x, out, z):
+            calls.append(z)
+            return apply(self, x, out, z)
 
         monkeypatch.setattr(wavesim._Propagator, "apply", spy)
         with pytest.raises(DivergenceError):
             Simulation(path3_topology, ControlGains(k1=0.0, k2=0.0, c0=0.0), Grid(nx=101),
-                       reference_profiles(), growing_disturbances()).run(100.0, stride=10)
-        assert calls == list(range(0, 3710, 10))
+                       reference_profiles(), growing_disturbances()).run(
+                100.0, observers=(lambda b: seen.extend(b.steps.tolist()),), stride=10)
+        assert len(calls) == 371 and seen == list(range(0, 3710, 10))
 
     @pytest.mark.parametrize("per_block", BLOCKS)
     def test_observer_failure_names_its_step(self, path3_topology, monkeypatch, per_block):
@@ -721,9 +723,9 @@ class TestSimulate:
         grid = Grid(nx=nx)
         emit, modal, blocks = Simulation._emit, [], []
 
-        def spy(self, instants, stop, fields, observers, cut, *filled):  # each block's modal fields
-            modal.append((self._q, fields[:, :cut].copy()))
-            return emit(self, instants, stop, fields, observers, cut, *filled)
+        def spy(self, instants, observers, fields=None, **filled):  # each block's modal fields
+            modal.append((self._q, fields.copy()))
+            return emit(self, instants, observers, fields, **filled)
 
         monkeypatch.setattr(Simulation, "_emit", spy)
         Simulation(path_topology(n), GAINS, grid, varied_profiles(n)).run(
@@ -814,15 +816,16 @@ print(*seen, threading.active_count())
         emit, apply = Simulation._emit, wavesim._Propagator.apply
         modal, peaks, bits = [], [], wavesim._FLUSH_BITS
 
-        def emit_spy(self, instants, stop, fields, observers, cut, *filled):
-            modal.append(fields[:, :cut].copy())  # the modal fields of the stepped samples
-            return emit(self, instants, stop, fields, observers, cut, *filled)
+        def emit_spy(self, instants, observers, fields=None, **filled):
+            if fields is not None:  # the modal fields of a block of stepped samples
+                modal.append(fields.copy())
+            return emit(self, instants, observers, fields, **filled)
 
-        def apply_spy(self, x, out, k, *z):  # one product per sample at stride 7
+        def apply_spy(self, x, out, z):  # one product per sample at stride 7
             # each row's peak over both levels of its state, as the flush
             # reads it: the centre tiles, (entry, tile) x row
             peaks.append(np.abs(x[2 * self.c:4 * self.c].reshape(-1, self.rows)).max(axis=0))
-            return apply(self, x, out, k, *z)
+            return apply(self, x, out, z)
 
         monkeypatch.setattr(Simulation, "_emit", emit_spy)
         monkeypatch.setattr(wavesim._Propagator, "apply", apply_spy)
@@ -1083,7 +1086,7 @@ class TestPropagator:
                         wavesim._spread(y.reshape(rows, 2, op.tiles, c).transpose(3, 1, 2, 0)
                                         .reshape(2 * c, -1), x, c, rows)
                         out = np.empty((3 * c, op.tiles * rows))
-                        op.apply(x, out, k)
+                        op.apply(x, out, op.loads([k])[0])
                         stepper = wavesim._Stepper(grid, gains, lam)
                         own = loaded_levels(stepper, y[:, 0, :nx], y[:, 1, :nx], q,
                                             modal_loads)[:, [1, q, q - 1]]
@@ -1092,11 +1095,12 @@ class TestPropagator:
                         assert op.w.shape == (rows, q, 2 * q)
 
     def test_per_step_loads_add_only_the_forced_response(self):
-        # 200 followers, each with its own psi0 frequency (n_w > q / 2): a
-        # product turns the q x n_w phases first, Re(amp e^(i w (k + j) dt)),
-        # so beyond an unloaded product it allocates the forced response
-        # (basis rows x rows) and rows x q, not the rows x n_w complex table
-        # z = amp e^(i w k dt), which at nx = 21 more than tripled the excess
+        # 200 followers, each with its own psi0 frequency (n_w > q / 2): the
+        # loads of a product turn the q x n_w phases first,
+        # Re(amp e^(i w (k + j) dt)), so beyond an unloaded product they and
+        # the product allocate the forced response (basis rows x rows) and
+        # rows x q, not the rows x n_w complex table z = amp e^(i w k dt),
+        # which at nx = 21 more than tripled the excess
         n = 200
         sim = Simulation(path_topology(n), GAINS, Grid(nx=21),
                          [(ProfileSpec(), ProfileSpec())] * (n + 1),
@@ -1109,7 +1113,7 @@ class TestPropagator:
             op.amp = amp
             tracemalloc.start()
             try:
-                op.apply(x, out, 7)
+                op.apply(x, out, op.loads([7])[0])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1117,11 +1121,10 @@ class TestPropagator:
         assert peaks[0] - peaks[1] <= 8 * op.basis.shape[0] * op.rows + 32 * op.rows * 10
 
     def test_block_loads_are_the_per_product_turn(self):
-        # `loads` makes the folded z of a block's products from one call: each
-        # is bit for bit amp e^(i w k dt) of its own step k, and `apply` given
-        # it writes the bytes of the product that turns its own phases; with
-        # more than q / 2 frequencies the phases stay apart and a product
-        # turns its own
+        # `loads` makes the z of a block's products from one call, each bit for
+        # bit the z of its own step k: amp e^(i w k dt) with the phases folded
+        # into the basis, and with more than q / 2 frequencies the q loads
+        # Re(amp e^(i w (k + j) dt)) of each row and pattern
         steps = [0, 10, 20, 30, 987_650, 10**7 + 3]
         for n_w in (1, 5, 6):
             dist = replace(end_disturbances(6, "psi0", n_w),
@@ -1129,18 +1132,19 @@ class TestPropagator:
             sim = Simulation(path_topology(6), GAINS, Grid(nx=41), varied_profiles(6), dist)
             op = wavesim._Propagator(sim, 10)
             z = op.loads(steps)
-            if n_w == 6:
-                assert op.lag is not None and z is None
-                continue
-            assert op.lag is None and z.shape == (len(steps), op.rows, 2, 2 * n_w)
-            x = np.random.default_rng(n_w).standard_normal((6 * op.c, op.tiles * op.rows))
+            assert (op.lag is None) == (n_w < 6) and len(z) == len(steps)
             for k, zk in zip(steps, z):
-                assert zk.tobytes() == (op.amp * np.exp(1j * (k * op.dt) * op.omegas)).view(
-                    float).tobytes()
-                own, given = (np.empty((3 * op.c, op.tiles * op.rows)) for _ in range(2))
-                op.apply(x, own, k)
-                op.apply(x, given, k, zk)
-                assert given.tobytes() == own.tobytes()
+                assert zk.tobytes() == op.loads([k])[0].tobytes()
+                if op.lag is None:
+                    assert zk.shape == (op.rows, 2, 2 * n_w)
+                    assert zk.tobytes() == (op.amp * np.exp(1j * (k * op.dt) * op.omegas)).view(
+                        float).tobytes()
+                else:
+                    t = (k + np.arange(10)[:, None]) * op.dt
+                    ref = (op.amp[..., None, :] * np.exp(1j * t * op.omegas)).real.sum(3)
+                    assert np.abs(zk - ref.reshape(-1, 10)).max() <= 1e-8 * np.abs(op.amp).max()
+        assert wavesim._Propagator(Simulation(path_topology(6), GAINS, Grid(nx=41),
+                                              varied_profiles(6)), 10).loads(steps) == [None] * 6
 
     def test_end_windows_are_formed_on_their_lines(self):
         # the end inputs' levels, correction and window scan cover only the
@@ -1225,6 +1229,30 @@ class TestSteadyState:
         assert runs[None][0] is not None
         assert runs[1] == runs[None] and runs[7] == runs[None]
 
+    def test_stepping_stops_at_the_switch(self, path3_topology, monkeypatch):
+        # one product per stepped sample and none from the switch on; where it
+        # falls inside a block (the default one, which holds all 357 samples,
+        # or one of five; seven puts it between two blocks) that block's
+        # stepped samples and filled ones arrive apart
+        apply, calls, grid = wavesim._Propagator.apply, [], Grid(nx=21)
+
+        def spy(self, *args):
+            calls.append(1)
+            return apply(self, *args)
+
+        monkeypatch.setattr(wavesim._Propagator, "apply", spy)
+        for per_block in (None, 5, 7):  # the default first
+            if per_block:
+                use_blocks(monkeypatch, per_block, grid)
+            calls.clear()
+            blocks = []
+            sim = Simulation(path3_topology, GAINS, grid, reference_profiles(),
+                             mixed_disturbances(3))
+            sim.run(160.0, observers=(blocks.append,))
+            switch = sim.switch_step
+            assert switch is not None and switch % 10 == 0 and len(calls) == switch // 10
+            assert all(b.steps[-1] < switch or b.steps[0] >= switch for b in blocks)
+
     def test_functionals_match_stepping(self, path3_topology, _shortcut):
         runs = []
         for on in (True, False):
@@ -1297,9 +1325,10 @@ class TestSteadyState:
         assert switch is not None
 
     def test_filled_fields_form_on_first_access(self, path3_topology, monkeypatch):
-        # blocks of seven, the switch inside one: an observer that keeps the
-        # blocks and reads them after the run gets the bytes of reads made
-        # during the call; each field is formed once and is read-only
+        # blocks of seven, the switch inside one, whose stepped samples and
+        # filled ones arrive as two blocks: an observer that keeps the blocks
+        # and reads them after the run gets the bytes of reads made during
+        # the call; each field is formed once and is read-only
         use_blocks(monkeypatch, 7, self.GRID)
 
         def run(observer):
@@ -1312,7 +1341,8 @@ class TestSteadyState:
         run(lambda b: early.append([getattr(b, name).tobytes() for name in FIELDS]))
         switch = run(kept.append)
         filled = [b for b in kept if b.steps[0] >= switch]
-        assert len(filled) > 10 and kept[-len(filled) - 1].steps[-1] >= switch
+        assert len(filled) > 10 and kept[-len(filled) - 1].steps[-1] < switch
+        assert kept[-len(filled) - 1].steps.size + filled[0].steps.size == 7
         for b in filled:  # only `error` is formed by the run
             assert "error" in vars(b) and not {"leader", "leader_vel", "error_vel"} & vars(b).keys()
         assert [[getattr(b, name).tobytes() for name in FIELDS] for b in kept] == early
