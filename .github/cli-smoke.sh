@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Command-line smoke run of the presets' flows and of the benchmark's network
 # flow: every command must exit 0 and write nothing to stderr (a numpy
-# warning from analyze, say). bash's `time` prints the wall time of each
+# warning from analyze, say), except the last run, which must run out of
+# memory and exit 1 without a traceback. bash's `time` prints the wall time of each
 # reproduce run, of the network simulate run and of one analyze run on the
 # shell's stderr, into the job log and not into the checked file.
 #
@@ -45,4 +46,18 @@ with open(sys.argv[1], "w") as fh: json.dump(network_config(0, 24, 101, 120.0), 
 TIMEFORMAT="simulate network-n24: %R s wall"
 time "${cli[@]}" simulate --config "$out/network.json" --out "$out/network" 2>> "$out/stderr"
 "${cli[@]}" analyze "$out/network/network.csv" 2>> "$out/stderr"
+# a valid config too large to hold: preset 2's with nx = 20,001 and one step
+# asks the steady state for a 2.98 GiB array, so under a 2 GB address-space
+# limit (this subshell only) the run must exit 1 with one stderr line and no
+# traceback
+python -B -c 'import json, sys
+with open("configs/test2.json") as fh: doc = json.load(fh)
+doc["grid"]["nx"], doc["horizon"] = 20001, 0.001
+with open(sys.argv[1], "w") as fh: json.dump(doc, fh)' "$out/huge.json" 2>> "$out/stderr"
+code=0
+(ulimit -v 2000000; OPENBLAS_NUM_THREADS=1 "${cli[@]}" simulate --config "$out/huge.json" \
+    --out "$out/huge") 2> "$out/oom" || code=$?
+if [ "$code" -ne 1 ] || grep -q Traceback "$out/oom"; then
+    cat "$out/oom"; echo "out-of-memory run: exit $code, expected 1 without a traceback"; exit 1
+fi
 if [ -s "$out/stderr" ]; then cat "$out/stderr"; exit 1; fi

@@ -40,16 +40,16 @@ class FunctionalWeights:
 
 
 def spatial_derivative(field, grid) -> np.ndarray:
-    """Centered differences inside, one-sided second order at the ends."""
-    z = np.atleast_2d(np.asarray(field, dtype=float))
+    """Centered differences inside, in one pass over the rows laid end to end,
+    and one-sided second order at the ends, which overwrite the rows' seams."""
+    z = np.ascontiguousarray(np.atleast_2d(np.asarray(field, dtype=float)))
     if grid.nx < 3:
         raise ValueError("spatial derivative needs nx >= 3")
     if z.shape[-1] != grid.nx:
         raise ValueError(f"field length {z.shape[-1]} does not match grid nx={grid.nx}")
     d = np.empty_like(z)
-    dx = grid.dx
-    np.divide(np.subtract(z[..., 2:], z[..., :-2], out=d[..., 1:-1]), 2.0 * dx,
-              out=d[..., 1:-1])
+    dx, flat, inner = grid.dx, z.reshape(-1), d.reshape(-1)[1:-1]
+    np.divide(np.subtract(flat[2:], flat[:-2], out=inner), 2.0 * dx, out=inner)
     d[..., 0] = (-3.0 * z[..., 0] + 4.0 * z[..., 1] - z[..., 2]) / (2.0 * dx)
     d[..., -1] = (3.0 * z[..., -1] - 4.0 * z[..., -2] + z[..., -3]) / (2.0 * dx)
     return d if np.asarray(field).ndim > 1 else d[0]
@@ -272,21 +272,6 @@ def bound_columns(series: TimeSeries, cert) -> dict:
     return {f"iss_bound_{variant}": cert_mod.iss_bound(cert, v0, t, *sups.values(),
                                                        conservative=variant == "conservative")
             for variant in ("conservative", "verbatim")} | sups
-
-
-def sandwich_report(series: TimeSeries, cert) -> BoundReport:
-    """tau1 V0 <= V <= tau2 V0 at every sample, each side up to SANDWICH_SLACK."""
-    v, v0, t = (series.column(name) for name in ("V", "V0", "time"))
-    lo, hi = cert.tau1 * v0, cert.tau2 * v0
-    bad = ~((lo <= v * (1.0 + SANDWICH_SLACK)) & (v <= hi * (1.0 + SANDWICH_SLACK)))
-    worst = 0.0
-    if bad.any():
-        scale = np.maximum(np.maximum(np.abs(hi[bad]), np.abs(v[bad])), 1e-300)
-        worst = float(np.max(np.abs(v[bad] - np.clip(v[bad], lo[bad], hi[bad])) / scale))
-    return BoundReport(checked=len(v),
-                       violations=tuple(zip(t[bad].tolist(), v[bad].tolist(),
-                                            lo[bad].tolist(), hi[bad].tolist())),
-                       worst_ratio=worst)
 
 
 def iss_check(series: TimeSeries, cert, dist=None) -> dict:

@@ -34,8 +34,6 @@ import numpy as np
 
 from .errors import CertificateError
 
-SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class MarginReport:
@@ -249,7 +247,7 @@ def build_certificate(regime: str, k1: float, k2: float, c0: float,
         regime=regime, k1=k1, k2=k2, c0=c0, lambda_min=lambda_min,
         lambda_max=lambda_max, rho1=rho1, rho2=rho2, xi1=xi1, xi2=xi2,
         tau1=tau1, tau2=tau2, mu=mu, mu2=mu2, q0=q0, qf=qf,
-        delta_factor=(1.0 + SQRT2) / tau1, alpha=alpha)
+        delta_factor=(1.0 + math.sqrt(2.0)) / tau1, alpha=alpha)
 
 
 MAX_RESOLUTION = 1000  # grid points per dimension: each grid array holds its square

@@ -169,7 +169,10 @@ class _Stepper:
     unforced end) and the modes of the deviation fields along the
     eigenvectors of the pinned matrix (lam = its eigenvalues).  Updates are
     written in increment form u + delta so that spatially constant states
-    are exact fixed points in floating point."""
+    are exact fixed points in floating point.  A row's step is the lam = 0
+    step plus its closure at node nx - 1, b = (a_inv - 1) d - a_inv k1m v
+    (d: that node's lam = 0 increment, loads included; v: its u^k), which
+    `feedback` and `gamma` hand on."""
 
     def __init__(self, grid: Grid, gains: ControlGains, lam):
         self.grid = grid
@@ -206,6 +209,14 @@ class _Stepper:
             rhs = rhs + dt2 * fvals[:, -1]
         un[:, -1] = ue[:, -1] + self.a_inv * rhs
         return un
+
+    def feedback(self, q: int) -> np.ndarray:
+        """The closure over q steps, D (row, q x 2q): b_j = D [d_0 .. d_(q-1), v_0 .. v_(q-1)]."""
+        return np.kron(np.c_[self.a_inv - 1.0, -self.a_inv * self.k1m][:, None], np.eye(q))
+
+    def gamma(self, z) -> np.ndarray:
+        """The closure on a steady state u^k = Y z^k, per row: b = gamma(z) Y_n z^k."""
+        return (1.0 - 1.0 / self.a_inv) * (z - 1.0) - self.k1m
 
 
 def init_state(grid: Grid, profiles, gains: ControlGains, m=None,
@@ -380,22 +391,19 @@ class _Propagator:
     on the tiled state (see `Simulation.run`), with tile width c at least
     the reach of the q-step interior stencil (its own reach if c is None).
     Output tile entries are u^(k+1) at the c nodes, then the state q steps
-    on.  A row's step is the lam = 0 step plus
-    b_j = (a_inv - 1) d_j - a_inv k1m v_j added to node nx - 1 of level
-    k + j + 1, d_j being the lam = 0 increment of that node and v_j its
-    value at level k + j (`_Stepper`).  So the rows share what is probed
-    once from the lam = 0 `_Stepper`: the interior tile block `k` (3c x 6c),
+    on.  A row's step is the lam = 0 step plus its closure b_j (`_Stepper`)
+    at node nx - 1 of level k + j + 1, from that node's lam = 0 increment
+    d_j and value v_j at level k + j.  So the rows share what is probed once
+    from the run's lam = 0 `_Stepper`: the interior tile block `k` (3c x 6c),
     the correction `ch[:n]` on the end windows and the map `ch[n:]` to
     h = [d_0 .. d_(q-1), v_0 .. v_(q-1)], the outputs `g` and h (rows of
     `kh`) of q unit impulses, and the forced response `basis` (`_forcing`).
-    A row keeps only its amplitudes of the loads and
-    w = (I - D kh^T)^-1 D (q x 2q), D = [(a_inv - 1) I, -a_inv k1m I]:
-    b = w h, a rank-q update through one node (Buzbee, Dorr, George & Golub,
-    SIAM J. Numer. Anal. 8(4), 1971)."""
+    A row keeps only its amplitudes of the loads and w = (I - D kh^T)^-1 D
+    (q x 2q), D its `_Stepper.feedback`: b = w h, a rank-q update through
+    one node (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8(4), 1971)."""
 
     def __init__(self, sim: Simulation, q: int, c: int | None = None):
-        grid, gains, lam, nx = sim.grid, sim.gains, sim._lam, sim.grid.nx
-        stepper = _Stepper(grid, gains, np.zeros(1))
+        grid, lam, nx, stepper = sim.grid, sim._lam, sim.grid.nx, sim._lead
         # the interior stencil: kern[ol, il, reach + d] maps level il of node x
         # to output ol (levels 1, q, q - 1 of `_levels`) of node x + d, probed
         # on a line whose edge formulas the unit inputs never reach (a step
@@ -445,17 +453,16 @@ class _Propagator:
         x_o, il_w, x_w = nodes[p_o], cl[cols], cx[cols]
         self.ch = np.vstack([corr[cols][:, ol_o, p_o].T, _end_terms(a[cols]).T])
         self.g = g[:, ol_o, p_o].T
-        st = _Stepper(grid, gains, lam)
-        d = np.kron(np.c_[st.a_inv - 1.0, -st.a_inv * st.k1m][:, None], np.eye(q))  # D per row
+        d = sim._stepper.feedback(q)
         self.w = np.linalg.solve(np.eye(q) - d @ kh.T, d)
         # entries as rows of the (entry, tile) x row layout
         t = self.tiles
         self.outs = np.where(ol_o == 0, x_o % c, c + 2 * (x_o % c) + ol_o - 1) * t + x_o // c
         self.ins = (2 * (x_w % c) + il_w) * t + x_w // c
         self.pad = np.flatnonzero((t - 1) * c + self.xl >= nx) * t + t - 1  # beyond the last node
-        self.forced, self.amp = np.zeros(self.rows, bool), None
-        if sim._loads:
-            self._forcing(sim, stepper)
+        self.amp = None
+        if len(sim._units):
+            self._forcing(sim)
 
     def tiled(self, levels):
         """(rows, 3, nx) output levels as (3c, tiles, rows) entries."""
@@ -464,32 +471,24 @@ class _Propagator:
         pad[..., :levels.shape[2]] = levels
         return pad[:, self.ol[:, None], self.xl[:, None] + c * np.arange(t)].transpose(1, 2, 0)
 
-    def _forcing(self, sim: Simulation, stepper: _Stepper):
-        """The forced response, shared by all rows: `basis` holds each spatial
-        pattern's responses to unit loads at the q steps (the tiled entries,
-        then their h), against the modal loads at those steps (`loads`).  A
-        load enters the lam = 0 increment d_j, so a pattern costs the q
-        lam = 0 steps after its unit load, and each row's w acts on the
-        forced h in `apply` together with the free one.  A row keeps only
-        its amplitudes `amp` by pattern and frequency: the load at step
-        k + j is Re(amp e^(i w (k + j) dt)), from Re amp and Im amp of each w
-        and `lag` (q x 2 n_w: Re e^(i w j dt), -Im e^(i w j dt)) turned by
-        e^(i w k dt) in `loads`; with 2 n_w <= q `lag` is folded into `basis`
-        and the turn goes to amp."""
-        q, zero, n_w = self.q, np.zeros((1, sim.grid.nx)), self.omegas.size
-        self.amp, cols = np.zeros((self.rows, len(sim._loads), n_w), complex), []  # (row, pattern, w)
-        self.units = np.empty((len(sim._loads), sim.grid.nx))  # the step of each unit load
-        for p, ((channel, _), (shape, a)) in enumerate(sim._loads.items()):
-            unit = [None, None, None]
-            unit[channel] = shape[None] if channel == 2 else np.ones(1)
-            self.units[p] = stepper.step(zero, zero, *unit)
-            r = _delayed(_levels(stepper, self.units[p, None], zero, q - 1)[0], q)
+    def _forcing(self, sim: Simulation):
+        """The forced response, shared by all rows: `basis` holds each load
+        pattern's lam = 0 responses at the q steps from its unit load's step
+        (`Simulation._units`; the tiled entries, then their h, which each
+        row's w then closes in `apply`), against the modal loads at those
+        steps (`loads`) from the run's amplitudes `amp` (`Simulation._amp`).
+        The load at step k + j is Re(amp e^(i w (k + j) dt)), from Re amp and
+        Im amp of each w and `lag` (q x 2 n_w: Re e^(i w j dt), -Im e^(i w j
+        dt)) turned by e^(i w k dt) in `loads`; with 2 n_w <= q `lag` is
+        folded into `basis` and the turn goes to amp."""
+        q, zero, cols = self.q, np.zeros((1, sim.grid.nx)), []
+        for unit in sim._units:
+            r = _delayed(_levels(sim._lead, unit[None], zero, q - 1)[0], q)
             cols.append(np.r_[self.tiled(r[:, [1, q, q - 1]]).reshape(-1, q), _end_terms(r).T])
-            self.amp[1:, p] = (a.real @ sim._q + 1j * (a.imag @ sim._q)).T  # Q stays real
-        self.forced = self.amp.any(axis=(1, 2))
+        self.amp = sim._amp
         e = np.exp(1j * self.dt * np.outer(np.arange(q), self.omegas))
         self.lag = np.stack([e.real, -e.imag], axis=2).reshape(q, -1)  # Re, Im of each w
-        if 2 * n_w <= q:
+        if 2 * self.omegas.size <= q:
             cols, self.lag = [b @ self.lag for b in cols], None
         self.basis = np.asfortranarray(np.hstack(cols))  # few columns: BLAS's fast layout
 
@@ -527,21 +526,18 @@ class _Settle:
     """The exact steady state of a run (see `Simulation.run`): one coefficient
     set C gives u^k = phi C and u^(k+1) - u^(k-1) = phi T C (`phases`)."""
 
-    def __init__(self, sim: Simulation, op: _Propagator, count: int):
+    def __init__(self, sim: Simulation, count: int):
         """From the lam = 0 step u^(k+1) = A1 u^k + A2 u^(k-1) + g: the leader's
         equilibrium cbar = l y / l 1, l = [a, A2^T a], a (A1 + A2 - I) = 0 (0 with
         c0 = 0: u = a + b t solves the leader), and C (None for a constant load,
-        where K below is singular, under two windows or past _FIT_BYTES).  At w,
-        Y = K^-1 g with K = e^(i w dt) - A1 - e^(-i w dt) A2; a row's step adds
-        gamma u_n at n = nx - 1, so its Y adds gamma Y_n / (1 - gamma (K^-1)_nn)
-        K^-1 e_n (Sherman & Morrison, 1950)."""
+        where `response`'s K is singular, under two windows or past _FIT_BYTES)."""
         grid, nx, self.omegas = sim.grid, sim.grid.nx, sorted(set(np.abs(sim._omegas).tolist()))
         self.dt, self.pos, self.passes, self.ok = grid.dt, 0, 0, True
         self.cbar, self.ell, self.coef = 0.0, np.zeros((2, nx)), None
         if sim.gains.c0 == 0.0:
             return
-        stepper, eye, zero = _Stepper(grid, sim.gains, np.zeros(1)), np.eye(nx), np.zeros((nx, nx))
-        a1, a2 = stepper.step(eye, zero), stepper.step(zero, eye)  # A1^T, A2^T
+        eye, zero = np.eye(nx), np.zeros((nx, nx))
+        a1, a2 = sim._lead.step(eye, zero), sim._lead.step(zero, eye)  # A1^T, A2^T
         a = np.linalg.solve(eye - a1 - a2 + grid.weights[:, None], grid.weights)  # sum(a) = 1
         self.ell = np.stack([a, a2 @ a]) / (a + a2 @ a).sum()  # l / l 1
         (u, up), s = sim._y0[0], self.ell.sum(axis=0)
@@ -551,19 +547,27 @@ class _Settle:
             return
         d = np.ravel([[0.0, 2.0 * math.sin(w * self.dt)] for w in self.omegas])  # T's off-diagonals
         self.lift = np.hstack([np.eye(len(d) + 1), np.diag(d, 1) - np.diag(d, -1)])  # [I, T]
-        self.coef, st = np.zeros(shape), _Stepper(grid, sim.gains, sim._lam)
+        self.coef = np.zeros(shape)
         for i, w in enumerate(sim._omegas):  # Re(y e^(i w k dt)) on cos and sin of |w| k dt
-            e = np.exp(1j * w * self.dt)
-            k = a2 / -e  # K^T, built in place
-            k -= a1
-            k.flat[::nx + 1] += e
-            z = np.linalg.solve(k.T, np.c_[op.units.T, eye[:, -1]])
-            g = (1.0 - 1.0 / st.a_inv) * (e - 1.0) - st.k1m
-            y = op.amp[:, :, i] @ z[:, :-1].T  # (row, x)
-            y += (g * y[:, -1] / (1.0 - g * z[-1, -1]))[:, None] * z[:, -1]
+            y = self.response(sim, a1, a2, np.exp(1j * w * self.dt), sim._amp[:, :, i])
             j = 1 + 2 * self.omegas.index(abs(w))
             self.coef[j:j + 2] += y.real, -math.copysign(1.0, w) * y.imag
         self.tol = 1e-11 * np.array([abs(self.cbar), np.abs(self.coef[:, 1:]).max(initial=0.0)])
+
+    @staticmethod
+    def response(sim: Simulation, a1, a2, z, amp):
+        """Each row's Y (row, x), u^k = Y z^k, under the loads amp (row, pattern) z^k:
+        K^-1 g with K = z - A1 - A2 / z of the lam = 0 step (a1, a2: A1^T, A2^T), plus
+        the row's closure gamma(z) Y_n at n = nx - 1 as gamma Y_n / (1 - gamma (K^-1)_nn)
+        K^-1 e_n (Sherman & Morrison, 1950)."""
+        k = a2 / -z  # K^T, built in place
+        k -= a1
+        k.flat[::len(k) + 1] += z
+        s = np.linalg.solve(k.T, np.c_[sim._units.T, np.r_[np.zeros(len(k) - 1), 1.0]])
+        g = sim._stepper.gamma(z)
+        y = amp @ s[:, :-1].T  # (row, x)
+        y += (g * y[:, -1] / (1.0 - g * s[-1, -1]))[:, None] * s[:, -1]
+        return y
 
     def phases(self, instants):
         """phi = [1, cos w t, sin w t, ...] at t = k dt (math.cos, math.sin), and phi T."""
@@ -610,10 +614,9 @@ class Simulation:
 
     The state is the rows [leader, mode_1 .. mode_n] (two time levels
     each), the modes being the deviation fields projected on the
-    eigenvectors Q of the pinned matrix.  A run builds the rows'
-    operators (`_Propagator`); the network keeps their eigenvalues and,
-    per spatial pattern, one table of load amplitudes by frequency and
-    follower."""
+    eigenvectors Q of the pinned matrix.  The network keeps their eigenvalues,
+    per spatial pattern one table of load amplitudes by frequency and follower,
+    and what a run's `_Propagator`s and `_Settle` read of it (`_form_rows`)."""
 
     def __init__(self, topology: Topology | None, gains: ControlGains,
                  grid: Grid, profiles, dist: DisturbanceSpec | None = None):
@@ -648,6 +651,21 @@ class Simulation:
                 (shape, np.zeros((self._omegas.size, self.n), complex)))
             a[np.searchsorted(self._omegas, sig.angular_frequency), i] += (
                 sig.amplitude * np.exp(1j * sig.phase))
+        self._form_rows()
+
+    def _form_rows(self):
+        """The lam = 0 `_Stepper` `_lead`, the rows' `_stepper`, and per load pattern the lam = 0
+        step from rest under its unit load (`_units`) and its modal amplitudes `_amp`
+        (row, pattern, w): the leader is unloaded, Q stays real."""
+        nx, zero = self.grid.nx, np.zeros((1, self.grid.nx))
+        self._lead, self._stepper = (_Stepper(self.grid, self.gains, lam)
+                                     for lam in (np.zeros(1), self._lam))
+        self._units = np.empty((len(self._loads), nx))
+        self._amp = np.zeros((self._lam.size, len(self._loads), self._omegas.size), complex)
+        for p, ((channel, _), (shape, a)) in enumerate(self._loads.items()):
+            unit = shape[None] if channel == 2 else np.ones(1)  # psi0, psi1 or f
+            self._units[p] = self._lead.step(zero, zero, *[None] * channel, unit)
+            self._amp[1:, p] = (a.real @ self._q + 1j * (a.imag @ self._q)).T
 
     def run(self, horizon: float, observers=(), stride: int = 10):
         """Advance to `horizon`, sampling every `stride` steps (and at the
@@ -695,14 +713,11 @@ class Simulation:
         count = -(-nsteps // stride) + 1  # sample instants: every stride steps, and the last
         power = min(stride, _MAX_POWER)
         ops = {power: _Propagator(self, power)}
-        c = ops[power].c
+        c, tiles = ops[power].c, ops[power].tiles
 
-        def op(q):
-            if q not in ops:
-                ops[q] = _Propagator(self, q, c)
-            return ops[q]
+        def op(q):  # S^q's `_Propagator` on S^power's tiles, built once
+            return ops[q] if q in ops else ops.setdefault(q, _Propagator(self, q, c))
 
-        tiles = op(power).tiles
         size = min(max(1, _CHUNK_BYTES // (16 * max(self.n, 1) * nx)), count)  # samples per block
         # the state's left, centre and right tiles, and a product from it, each
         # as (entry, tile, row)
@@ -716,9 +731,9 @@ class Simulation:
 
         # only unforced rows are flushed; probe: per watched row, where its
         # largest entry was last seen in the centre tiles
-        watch = probe = np.flatnonzero(~op(power).forced)
+        watch = probe = np.flatnonzero(~self._amp.any(axis=(1, 2)))
         tiny = 2.0 ** -_FLUSH_BITS
-        settle = _Settle(self, op(power), count)
+        settle = _Settle(self, count)
         self.switch_step, self.steady, self._cbar = None, None, settle.cbar
         y = self._y0 - np.r_[settle.cbar, np.zeros(self.n)][:, None, None]  # the leader: y0 - cbar
         state, ell, ones = (op(power).tiled(a[:, [0, 0, 1]])[c:].reshape(2 * c, -1)

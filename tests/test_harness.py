@@ -964,6 +964,27 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out.startswith("solver diverged: ") and out.count("\n") == 1 and err == ""
 
+    def test_out_of_memory_exits_1_without_traceback(self, tmp_path):
+        # the steady state's allocation fails as numpy's does for a grid too
+        # large to hold: one stderr line with numpy's message, exit 1
+        doc = json.loads(MINIMAL)
+        doc.update(horizon=0.01, grid={"nx": 21})
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        message = ("Unable to allocate 2.98 GiB for an array with shape (20001, 20001) "
+                   "and data type float64")
+        code = ("import sys\nfrom waveconsensus import cli, wavesim\nmessage = sys.argv.pop()\n"
+                "def alloc(*args):\n    raise MemoryError(message)\n"
+                "wavesim._Settle.__init__ = alloc\ncli.main(sys.argv[1:])")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        proc = subprocess.run([sys.executable, "-c", code, "simulate", "--config", str(cfg),
+                               "--out", str(tmp_path), message],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr == f"out of memory: {message}\n"
+        assert "Traceback" not in proc.stderr + proc.stdout
+
     def test_env_var_out_dir(self, monkeypatch):
         monkeypatch.setenv(harness.ENV_OUT_DIR, "/tmp/somewhere")
         assert harness.default_out_dir(None) == "/tmp/somewhere"

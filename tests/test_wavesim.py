@@ -1070,6 +1070,7 @@ class TestPropagator:
                                      zip([None, None, shape], amp))) if n_w else {}
                     sim = SimpleNamespace(grid=grid, gains=gains, _lam=lam, _omegas=omegas,
                                           _loads=loads, _q=np.eye(rows - 1))
+                    Simulation._form_rows(sim)
 
                     def modal_loads(j):
                         v = np.r_[np.zeros((1, 3)), (np.exp(1j * omegas * (k + j) * grid.dt)
@@ -1200,6 +1201,66 @@ class TestPropagator:
             sizes.add((op.basis.shape, None if op.lag is None else op.lag.shape))
         assert sizes == {((3 * op.c * op.tiles + 20, 3 * min(2 * n_w, 10)),
                           None if n_w == 1 else (10, 2 * n_w))}
+
+
+class TestClosure:
+    """The row closure at node nx - 1, which only `_Stepper` holds."""
+
+    @staticmethod
+    def random_gains(rng):
+        return ControlGains(k1=rng.uniform(0.0, 100.0), k2=rng.uniform(0.0, 20.0),
+                            c0=rng.uniform(0.1, 5.0))
+
+    @pytest.mark.parametrize("nx", (9, 21))
+    def test_feedback_is_the_step_difference(self, nx):
+        # unit inputs on u^k, on u^(k-1) and on psi1, each row its own lam: a
+        # row's step less the lam = 0 step is zero off node nx - 1, and there
+        # the pair (a_inv - 1, -a_inv k1m) of `feedback` on the lam = 0
+        # increment d and on u^k
+        rng = np.random.default_rng(nx)
+        grid, eye, zero = Grid(nx=nx), np.eye(nx), np.zeros((nx + 1, nx))
+        u, up, psi1 = np.r_[eye, zero], np.r_[zero[:nx], eye, zero[:1]], np.eye(2 * nx + 1)[-1]
+        for _ in range(10):
+            gains, lam = self.random_gains(rng), rng.uniform(0.0, 5.0, 2 * nx + 1)
+            row = wavesim._Stepper(grid, gains, lam)
+            lead = wavesim._Stepper(grid, gains, np.zeros(1)).step(u, up, psi1=psi1)
+            diff = row.step(u, up, psi1=psi1) - lead
+            pair = row.feedback(1)[:, 0]
+            assert pair.shape == (2 * nx + 1, 2) and row.feedback(3).shape == (2 * nx + 1, 3, 6)
+            b = pair[:, 0] * (lead[:, -1] - u[:, -1]) + pair[:, 1] * u[:, -1]
+            assert not diff[:, :-1].any()
+            scale = np.abs(lead).max() * (1.0 + np.abs(pair).max())  # to rounding
+            assert np.abs(diff[:, -1] - b).max() <= 4e-16 * scale
+
+    @pytest.mark.parametrize("nx", (9, 21))
+    def test_steady_state_is_each_rows_own_solve(self, nx):
+        # `_Settle.response` solves the lam = 0 map once and closes each row
+        # through gamma(z); one row's steady state must be a dense solve of
+        # that row's own probed map z - A1 - A2 / z under its own one-step
+        # responses to the loads (psi0, psi1 and one f pattern), at random z
+        # on and off the unit circle
+        rng = np.random.default_rng(nx)
+        grid, eye, zero = Grid(nx=nx), np.eye(nx), np.zeros((nx, nx))
+        shape = np.cos(3.0 * grid.points)
+        units = [(np.ones(1), None, None), (None, np.ones(1), None), (None, None, shape[None])]
+        for _ in range(5):
+            gains, lam = self.random_gains(rng), rng.uniform(0.0, 5.0)
+            amp = rng.standard_normal((3, 1, 1)) + 1j * rng.standard_normal((3, 1, 1))
+            sim = SimpleNamespace(grid=grid, gains=gains, _lam=np.r_[0.0, lam],
+                                  _omegas=np.array([1.0]), _q=np.eye(1),
+                                  _loads=dict(zip([(0, None), (1, None), (2, shape.tobytes())],
+                                                  zip([None, None, shape], amp))))
+            Simulation._form_rows(sim)
+            a1, a2 = sim._lead.step(eye, zero), sim._lead.step(zero, eye)
+            own = wavesim._Stepper(grid, gains, np.array([lam]))
+            b1, b2 = own.step(eye, zero).T, own.step(zero, eye).T
+            g = sum(a * own.step(zero[:1], zero[:1], *unit)[0] for a, unit in zip(amp.flat, units))
+            for r in (1.0, 1.0, 0.8, 1.25):
+                z = r * np.exp(1j * rng.uniform(0.2, 3.0))
+                ref = np.linalg.solve(z * eye - b1 - b2 / z, g)
+                y = wavesim._Settle.response(sim, a1, a2, z, sim._amp[:, :, 0])
+                assert not y[0].any()  # the leader is unloaded
+                assert np.abs(y[1] - ref).max() <= 1e-12 * np.abs(ref).max(), (lam, z)
 
 
 class TestSteadyState:
@@ -1357,7 +1418,7 @@ class TestSteadyState:
         # one list per column gives the bits of one list per instant
         sim = Simulation(path3_topology, GAINS, self.GRID, reference_profiles(),
                          mixed_disturbances(3))
-        settle = wavesim._Settle(sim, wavesim._Propagator(sim, 10), 10**6)
+        settle = wavesim._Settle(sim, 10**6)
         assert len(settle.omegas) == 2
         for instants in ([], [0], list(range(0, 1080, 10)), [10**9 + 7]):
             phi = np.array([[1.0, *(f(w * t) for w in settle.omegas for f in (math.cos, math.sin))]
@@ -1478,18 +1539,18 @@ class TestSteadyState:
         # the steady state keeps only its coefficients, 8 (1 + 2 n_w) (n + 1) nx
         # bytes, so _FIT_BYTES bounds it: with one frequency up to 1,729
         # followers at nx = 101; the network is given by the eigenvalues and
-        # modal loads that `_Settle` reads
+        # modal loads from which `_form_rows` forms what `_Settle` reads
         n, grid, lam = 1729, Grid(nx=101), np.r_[0.0, np.linspace(0.01, 4.0, 1729)]
         sim = SimpleNamespace(grid=grid, gains=GAINS, n=n, _lam=lam, _omegas=np.array([8.0]),
                               _loads={(0, None): (None, np.ones((1, n), complex))},
                               _q=np.eye(n), _y0=np.zeros((n + 1, 2, grid.nx)))
-        op = wavesim._Propagator(sim, 10)
-        settle = wavesim._Settle(sim, op, 10**6)
+        Simulation._form_rows(sim)
+        settle = wavesim._Settle(sim, 10**6)
         assert settle.coef.nbytes == 8 * 3 * (n + 1) * 101
         assert settle.coef.nbytes + 8 * 3 * 101 > wavesim._FIT_BYTES  # one more follower
         assert np.abs(settle.coef[1:3, 1:, 0]).min() > 0.0  # every mode is loaded at x = 0
         monkeypatch.setattr(wavesim, "_FIT_BYTES", settle.coef.nbytes - 1)
-        assert wavesim._Settle(sim, op, 10**6).coef is None
+        assert wavesim._Settle(sim, 10**6).coef is None
 
     def test_frequency_per_follower_gets_a_steady_state(self):
         # 8 (1 + 2 n) (n + 1) nx bytes fit _FIT_BYTES up to 50 followers at
@@ -1498,7 +1559,7 @@ class TestSteadyState:
         sim = Simulation(path_topology(n), GAINS, Grid(nx=101),
                          [(ProfileSpec(), ProfileSpec())] * (n + 1),
                          end_disturbances(n, "psi0", n))
-        settle = wavesim._Settle(sim, wavesim._Propagator(sim, 10), 10**6)
+        settle = wavesim._Settle(sim, 10**6)
         assert settle.coef.nbytes == 8 * (1 + 2 * n) * (n + 1) * 101
         assert 8 * (1 + 2 * (n + 1)) * (n + 2) * 101 > wavesim._FIT_BYTES
 
