@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Command-line smoke run of the presets' flows and of the benchmark's network
 # flow: every command must exit 0 and write nothing to stderr (a numpy
-# warning from analyze, say), except the last run, which must run out of
-# memory and exit 1 without a traceback. bash's `time` prints the wall time of each
+# warning from analyze, say), except the last three runs, which must exit 1
+# with one stderr line and no traceback: one runs out of memory, and two
+# cannot write their output. bash's `time` prints the wall time of each
 # reproduce run, of the network simulate run and of one analyze run on the
 # shell's stderr, into the job log and not into the checked file.
 #
@@ -60,4 +61,22 @@ code=0
 if [ "$code" -ne 1 ] || grep -q Traceback "$out/oom"; then
     cat "$out/oom"; echo "out-of-memory run: exit $code, expected 1 without a traceback"; exit 1
 fi
+# outputs that cannot be written: a CSV name that is not a file name (refused
+# with the config, before the run), and --out naming a file
+python -B -c 'import json, sys
+with open("configs/test2.json") as fh: doc = json.load(fh)
+doc["output"]["csv"], doc["horizon"] = "", 0.05
+with open(sys.argv[1], "w") as fh: json.dump(doc, fh)' "$out/nameless.json" 2>> "$out/stderr"
+touch "$out/taken"
+unwritable() {  # simulate --config $1 --out $2 must exit 1 with one stderr line
+    local code=0
+    "${cli[@]}" simulate --config "$1" --out "$2" 2> "$out/unwritable" || code=$?
+    if [ "$code" -ne 1 ] || [ "$(wc -l < "$out/unwritable")" -ne 1 ] \
+            || grep -q Traceback "$out/unwritable"; then
+        cat "$out/unwritable"; echo "simulate --out $2: exit $code, expected 1 with one stderr line"
+        exit 1
+    fi
+}
+unwritable "$out/nameless.json" "$out/nameless"
+unwritable configs/test2.json "$out/taken"
 if [ -s "$out/stderr" ]; then cat "$out/stderr"; exit 1; fi

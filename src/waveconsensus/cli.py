@@ -1,7 +1,7 @@
 """Command-line interface: check-gains, simulate, reproduce, analyze.
 
-Exit codes: 0 ok, 1 usage/format error or out of memory, 2 infeasible
-certificate, 3 solver divergence, 4 bound violation.
+Exit codes: 0 ok, 1 usage/format error, out of memory or unwritable output,
+2 infeasible certificate, 3 solver divergence, 4 bound violation.
 """
 from __future__ import annotations
 
@@ -85,7 +85,8 @@ def main(argv=None):
                 ConfigError: ("config error", harness.EXIT_USAGE),
                 CertificateError: ("infeasible", harness.EXIT_INFEASIBLE),
                 DivergenceError: ("diverged", harness.EXIT_DIVERGED),
-                MemoryError: ("out of memory", harness.EXIT_USAGE)}
+                MemoryError: ("out of memory", harness.EXIT_USAGE),
+                OSError: ("cannot write output", harness.EXIT_USAGE)}
     code = harness.EXIT_OK
     try:
         args = _parser().parse_args(argv)

@@ -81,6 +81,8 @@ class OutputOptions:
     stride: int = 10
 
     def __post_init__(self):
+        if self.csv_name in ("", ".", "..") or {"/", os.sep, "\0"} & set(self.csv_name):
+            raise ValueError(f"csv: {self.csv_name!r} is not a file name in the output directory")
         if not self.stride >= 1:
             raise ValueError(f"stride: must be at least 1, got {self.stride}")
 

@@ -25,21 +25,18 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 6):
-    if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
-        return [lo]
+    """About n ticks on [lo, hi], or [lo] if none: the multiples k step of a 1,
+    2 or 5 step, by index k (on a span of a few ulps, v + step rounds to v)."""
     span = hi - lo
+    if not 0.0 < span < math.inf:
+        return [lo]
     step = 10.0 ** math.floor(math.log10(span / max(n - 1, 1)))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= n:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-12 * span:
-        ticks.append(v)
-        v += step
-    return ticks or [lo]
+    ks = range(math.ceil(lo / step), math.floor((hi + 1e-12 * span) / step) + 1)
+    return [k * step for k in ks] or [lo]
 
 
 def _axes(parts, x_lo, x_hi, y_lo, y_hi, title, xlabel, ylabel, ylog):

@@ -524,15 +524,16 @@ class _Propagator:
 
 class _Settle:
     """The exact steady state of a run (see `Simulation.run`): one coefficient
-    set C gives u^k = phi C and u^(k+1) - u^(k-1) = phi T C (`phases`)."""
+    set C gives u^k = phi C and u^(k+1) - u^(k-1) = phi T C (`phases`), at the
+    run's frequencies `Simulation._omegas`, each |w| once."""
 
     def __init__(self, sim: Simulation, count: int):
         """From the lam = 0 step u^(k+1) = A1 u^k + A2 u^(k-1) + g: the leader's
         equilibrium cbar = l y / l 1, l = [a, A2^T a], a (A1 + A2 - I) = 0 (0 with
         c0 = 0: u = a + b t solves the leader), and C (None for a constant load,
         where `response`'s K is singular, under two windows or past _FIT_BYTES)."""
-        grid, nx, self.omegas = sim.grid, sim.grid.nx, sorted(set(np.abs(sim._omegas).tolist()))
-        self.dt, self.pos, self.passes, self.ok = grid.dt, 0, 0, True
+        grid, nx, self.omegas = sim.grid, sim.grid.nx, sim._omegas.tolist()
+        self.dt, self.passes, self.ok = grid.dt, 0, True
         self.cbar, self.ell, self.coef = 0.0, np.zeros((2, nx)), None
         if sim.gains.c0 == 0.0:
             return
@@ -548,10 +549,9 @@ class _Settle:
         d = np.ravel([[0.0, 2.0 * math.sin(w * self.dt)] for w in self.omegas])  # T's off-diagonals
         self.lift = np.hstack([np.eye(len(d) + 1), np.diag(d, 1) - np.diag(d, -1)])  # [I, T]
         self.coef = np.zeros(shape)
-        for i, w in enumerate(sim._omegas):  # Re(y e^(i w k dt)) on cos and sin of |w| k dt
+        for i, w in enumerate(self.omegas):  # Re(y e^(i w k dt)) on cos and sin of w k dt
             y = self.response(sim, a1, a2, np.exp(1j * w * self.dt), sim._amp[:, :, i])
-            j = 1 + 2 * self.omegas.index(abs(w))
-            self.coef[j:j + 2] += y.real, -math.copysign(1.0, w) * y.imag
+            self.coef[1 + 2 * i:3 + 2 * i] = y.real, -y.imag
         self.tol = 1e-11 * np.array([abs(self.cbar), np.abs(self.coef[:, 1:]).max(initial=0.0)])
 
     @staticmethod
@@ -576,18 +576,17 @@ class _Settle:
                                           for f in (math.cos, math.sin))]).T.copy()
         return (phi @ self.lift).reshape(-1, 2, len(self.lift))
 
-    def feed(self, fields, instants):
-        """Check stepped samples (`fields`, at `instants`), all of one window of
-        _WINDOW, against `fill`: the x = 1 entries until a window passes, then
-        every entry; True once two windows in a row have passed."""
+    def feed(self, fields, instants, closes):
+        """Check stepped samples (`fields`, at `instants`) of one window of _WINDOW,
+        its last ones if `closes`, against `fill`: the x = 1 entries until a
+        window passes, then every entry; True once two windows in a row have passed."""
         if self.coef is None:
             return False
         x = slice(None) if self.passes else slice(-1, None)
         res = np.abs(self.fill(self.phases(instants), x) - fields[..., x]).max(3).max(1)
         res[1, 0] /= 2.0 * self.dt  # the leader's u^(k+1) - u^(k-1) as leader_vel reads it
         self.ok &= res[:, 0].max() <= self.tol[0] and res[:, 1:].max(initial=0.0) <= self.tol[1]
-        self.pos = (self.pos + len(instants)) % _WINDOW
-        if self.pos == 0:
+        if closes:
             self.passes, self.ok = self.passes + 1 if self.ok else 0, True
         return self.passes == 2
 
@@ -615,7 +614,8 @@ class Simulation:
     The state is the rows [leader, mode_1 .. mode_n] (two time levels
     each), the modes being the deviation fields projected on the
     eigenvectors Q of the pinned matrix.  The network keeps their eigenvalues,
-    per spatial pattern one table of load amplitudes by frequency and follower,
+    one table of the loads (each sinusoid read once, w < 0 as |w| with its
+    phase negated) for the forced response, the steady state and the sups,
     and what a run's `_Propagator`s and `_Settle` read of it (`_form_rows`)."""
 
     def __init__(self, topology: Topology | None, gains: ControlGains,
@@ -627,30 +627,35 @@ class Simulation:
         if len(profiles) != self.n + 1:
             raise ValueError(
                 f"{len(profiles)} IC profile pairs for {self.n + 1} agents")
-        self.dist = dist if dist is not None else zero_disturbances(self.n)
-        if self.dist.n != self.n:
+        dist = dist if dist is not None else zero_disturbances(self.n)
+        if dist.n != self.n:
             raise ValueError("disturbance channels do not match follower count")
-        state = init_state(grid, profiles, gains, self.m, self.dist)
+        state = init_state(grid, profiles, gains, self.m, dist)
         lam, self._q = np.linalg.eigh(self.m) if self.n else (np.zeros(0), np.zeros((0, 0)))
         u, up = state.u_curr, state.u_prev
         self._y0 = np.stack([np.vstack([u[0], self._q.T @ (u[1:] - u[0])]),
                              np.vstack([up[0], self._q.T @ (up[1:] - up[0])])], axis=1)
         self._lam = np.concatenate([[0.0], lam])  # of the rows [leader, modes]
-        # the loads by spatial pattern, (channel psi0/psi1/f, f shape bytes) ->
-        # (f shape, (n_w, n) complex amplitudes at the frequencies _omegas)
-        loads = [(channel, i, sig) for i, f in enumerate(self.dist.f)
-                 for channel, sig in enumerate((self.dist.psi0[i], self.dist.psi1[i],
-                                                f.temporal if f.kind == "separable" else None))
-                 if sig is not None and sig.kind == "sinusoid"]
-        self._omegas = np.array(sorted({sig.angular_frequency for *_, sig in loads}), float)
-        self._loads = {}
-        for channel, i, sig in loads:
-            shape = eval_profile(self.dist.f[i].spatial, grid.points) if channel == 2 else None
+        # the run's loads, read once: each f shape (zero unless separable); by channel
+        # psi0/psi1/f and follower, a sinusoid's (amplitude, |w|, phase), as cos(w t + p)
+        # = cos(|w| t - p) for w < 0, or zeros; and by spatial pattern (channel, f shape
+        # bytes), the f shape and its (n_w, n) complex amplitudes at the frequencies _omegas
+        self._shapes = np.reshape([eval_profile(f.spatial, grid.points) if f.kind == "separable"
+                                   else np.zeros(grid.nx) for f in dist.f], (-1, grid.nx))
+        sines = [(channel, i, s.amplitude, abs(s.angular_frequency),
+                  -s.phase if s.angular_frequency < 0 else s.phase)
+                 for i, f in enumerate(dist.f)
+                 for channel, s in enumerate((dist.psi0[i], dist.psi1[i], f.temporal))
+                 if s.kind == "sinusoid" and (channel < 2 or f.kind == "separable")]
+        self._omegas = np.array(sorted({sine[3] for sine in sines}), float)
+        self._sines, self._loads = np.zeros((3, self.n, 3)), {}
+        for channel, i, amp, w, phase in sines:
+            self._sines[channel, i] = amp, w, phase
+            shape = self._shapes[i] if channel == 2 else None
             _, a = self._loads.setdefault(
                 (channel, shape if shape is None else shape.tobytes()),
                 (shape, np.zeros((self._omegas.size, self.n), complex)))
-            a[np.searchsorted(self._omegas, sig.angular_frequency), i] += (
-                sig.amplitude * np.exp(1j * sig.phase))
+            a[np.searchsorted(self._omegas, w), i] += amp * np.exp(1j * phase)
         self._form_rows()
 
     def _form_rows(self):
@@ -760,9 +765,10 @@ class Simulation:
                 op(q).apply(x, out, zs[i] if q == power else op(q).loads([k])[0])
                 np.subtract(ahead[:c], centre[1::2], out=tiled[1, i])
                 stop = i + 1
-                if (j0 + stop) % _WINDOW == 0 or stop == len(instants):  # a window or block ends
+                closes = (j0 + stop) % _WINDOW == 0  # a window ends
+                if closes or stop == len(instants):  # or the block
                     window, fed = slice(fed, stop), stop
-                    if settle.feed(fields[:, window], instants[window]):  # the rest are filled
+                    if settle.feed(fields[:, window], instants[window], closes):  # the rest: filled
                         self.switch_step, self.steady = min((j0 + stop) * stride, nsteps), settle
                         coef = settle.physical(self._q)
                         break
@@ -825,11 +831,10 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
     functionals (a GainCertificate, or None for plain-energy weights with
     rho1 = rho2 = 0).  Extra observers get every block of samples (a
     `SampleBlock`).  The functionals are evaluated on each block, with the
-    running sups es_* of the disturbance channels at the block's sample
-    times: one `analysis.lyapunov_sample` call for a block of stepped
-    samples, or one `analysis.steady_sample` for a block filled from the
-    steady state, from its Gram forms (built once) at their phases.
-    """
+    running sups es_* of the disturbance channels at its sample times (from
+    `Simulation`'s table of loads): one `analysis.lyapunov_sample` call for
+    a block of stepped samples, or one `analysis.steady_sample` for a block
+    filled from the steady state, from its Gram forms (built once) at their phases."""
     from . import analysis
 
     sim = Simulation(topology, gains, grid, profiles, dist)
@@ -837,16 +842,9 @@ def simulate(topology: Topology | None, gains: ControlGains, grid: Grid,
     if weights is None:
         weights = analysis.FunctionalWeights(k1=gains.k1, k2=gains.k2, rho1=0.0, rho2=0.0)
     series = analysis.TimeSeries()
-    n, m, dist = sim.n, sim.m if sim.n else np.zeros((0, 0)), sim.dist
-    # psi0, psi1 and f-temporal channels, for the running sups es_*
-    sigs = [*dist.psi0, *dist.psi1,
-            *(st.temporal if st.kind == "separable" else None for st in dist.f)]
-    amp, om, ph = np.array([
-        (s.amplitude, s.angular_frequency, s.phase)
-        if s is not None and s.kind == "sinusoid" else (0.0, 0.0, 0.0)
-        for s in sigs]).reshape(-1, 3).T
-    f_nsq = np.reshape([eval_profile(st.spatial, grid.points) if st.kind == "separable"
-                        else np.zeros(grid.nx) for st in dist.f], (-1, grid.nx)) ** 2 @ grid.weights
+    n, m = sim.n, sim.m if sim.n else np.zeros((0, 0))
+    amp, om, ph = sim._sines.reshape(-1, 3).T
+    f_nsq = sim._shapes ** 2 @ grid.weights
     es, gram = np.zeros(3), None
 
     def record(block: SampleBlock):

@@ -326,10 +326,16 @@ def valid_docs(draw):
         if a in pair:
             cert[a], cert[b] = pair[a] or (None, None)
     put(draw, doc, "certificate", st.just(cert))
-    put(draw, output, "csv", st.text(max_size=8))
+    put(draw, output, "csv", FILE_NAMES)
     put(draw, output, "stride", st.integers(1, 100))
     put(draw, doc, "output", st.just(output))
     return doc
+
+
+# the CSV's name inside the output directory: no path separator or NUL, and
+# not "." or ".."
+FILE_NAMES = st.text(st.characters(exclude_characters=("/", os.sep, "\0")),
+                     min_size=1, max_size=8).filter(lambda name: name not in (".", ".."))
 
 
 def members(value, path=""):
@@ -349,7 +355,8 @@ INTEGERS = re.compile(r"grid\.nx|certificate\.resolution|output\.stride"
 OUT_OF_RANGE = {"grid.nx": (2, -3), "grid.courant": (0.0, 1.5), "grid.dissipation": (-0.1, 2.0),
                 "gains.k1": (-1.0,), "gains.k2": (-1e-300,), "gains.c0": (-2.5,),
                 "horizon": (0.0, -1.0), "certificate.resolution": (0, 1001),
-                "output.stride": (0, -1)}
+                "output.stride": (0, -1),
+                "output.csv": ("", ".", "..", "/", "nodir/x.csv", "a\0b", os.sep + "x.csv")}
 
 
 def json_type(value):
@@ -706,6 +713,13 @@ class TestPlots:
         plot(path, *args)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_ticks_of_a_span_of_one_ulp_end(self):
+        # adding the step to a tick rounded back to the same tick, so the
+        # tick list grew until memory ran out
+        ticks = svgplot._ticks(1.0, math.nextafter(1.0, 2.0), n=6)
+        assert 1 <= len(ticks) <= 12
+
+
 class TestAnalyze:
     def test_decay_report_on_unperturbed_csv(self, tmp_path):
         config = harness.replace(harness.test_preset(1), horizon=5.0)
@@ -772,6 +786,22 @@ class TestRunSimulate:
         assert not np.isnan(cols["V"]).any()
         for name in ("bound_envelope", "iss_bound_conservative", "iss_bound_verbatim"):
             assert np.isnan(cols[name]).all()
+
+
+def cli_process(tmp_path, output, out):
+    """`simulate` in a new interpreter on preset 2's config with a 0.05 s
+    horizon and the `output` members given, writing to `out`."""
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    with open(os.path.join(root, "test2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["horizon"] = 0.05
+    doc["output"].update(output)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    return subprocess.run([sys.executable, "-m", "waveconsensus.cli", "simulate",
+                           "--config", str(cfg), "--out", str(out)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestCli:
@@ -983,6 +1013,26 @@ class TestCli:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 1
         assert proc.stderr == f"out of memory: {message}\n"
+        assert "Traceback" not in proc.stderr + proc.stdout
+
+    @pytest.mark.parametrize("csv", ["", "nodir/x.csv"], ids=["empty", "in-a-directory"])
+    def test_csv_that_is_not_a_file_name_exits_1_before_the_run(self, tmp_path, csv):
+        # the run used to go to its end, then stop in an IsADirectoryError or a
+        # FileNotFoundError traceback from write_csv
+        proc = cli_process(tmp_path, {"csv": csv}, tmp_path / "out")
+        assert proc.returncode == 1
+        assert proc.stderr == (f"config error: output.csv: {csv!r} is not a file name "
+                               "in the output directory\n")
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert not os.path.exists(tmp_path / "out")  # refused before any run
+
+    def test_out_that_is_a_file_exits_1_without_traceback(self, tmp_path):
+        # os.makedirs used to end in a FileExistsError traceback
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = cli_process(tmp_path, {}, taken)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("cannot write output: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr + proc.stdout
 
     def test_env_var_out_dir(self, monkeypatch):

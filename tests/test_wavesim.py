@@ -1564,6 +1564,39 @@ class TestSteadyState:
         assert 8 * (1 + 2 * (n + 1)) * (n + 2) * 101 > wavesim._FIT_BYTES
 
 
+class TestLoadTable:
+    """`Simulation` reads each sinusoid once, as |w| with its phase negated for
+    w < 0 (cos(-w t + p) = cos(w t - p)): one table feeds the forced
+    response, the steady state and the running sups."""
+
+    @staticmethod
+    def csv_bytes(tmp_path, signs):
+        # psi0, psi1 and f of follower i at signs[i] * 7 rad/s and phase
+        # -signs[i] p: the same loads for any signs; the run switches at 110.4 s
+        def sig(i, amp, p):
+            return SignalSpec(kind="sinusoid", amplitude=amp, angular_frequency=signs[i] * 7.0,
+                              phase=-signs[i] * p)
+        shape = ProfileSpec(kind="cosine", amplitude=1.0, spatial_frequency=1.0)
+        dist = DisturbanceSpec(
+            psi0=tuple(sig(i, 1.0 + i, 0.3 + i) for i in range(3)),
+            psi1=tuple(sig(i, 2.0 - 0.5 * i, 1.1 * i) for i in range(3)),
+            f=tuple(SpaceTimeSpec(kind="separable", temporal=sig(i, 0.5 + i, 0.7 - i),
+                                  spatial=shape) for i in range(3)))
+        series = simulate(path_topology(3), GAINS, Grid(nx=31), reference_profiles(), dist, 160.0)
+        assert series.stepped_to < 120.0
+        path = tmp_path / f"{signs}.csv"
+        harness.write_csv(path, series)
+        return path.read_bytes()
+
+    def test_negative_frequencies_are_the_folded_run(self, tmp_path):
+        assert self.csv_bytes(tmp_path, (-1, -1, -1)) == self.csv_bytes(tmp_path, (1, 1, 1))
+
+    def test_opposite_signs_are_one_frequency(self, tmp_path):
+        # +7 and -7 rad/s were two frequencies of the forced response, summed
+        # into one of the steady state: the CSV moved in its last bits
+        assert self.csv_bytes(tmp_path, (1, -1, 1)) == self.csv_bytes(tmp_path, (1, 1, 1))
+
+
 class TestRandomRuns:
     """Random networks, grids and loads, drawn by Hypothesis."""
 
